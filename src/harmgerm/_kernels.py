@@ -1,7 +1,8 @@
-"""Pure-Python arithmetic kernels.
+"""Arithmetic kernels: sparse polynomial products and rational RREF.
 
-Same contracts as the compiled module in `_speedups.pyx`; used when the
-extension is unavailable or HARMGERM_PURE is set.
+These are the library's two hot loops. `poly_mul` works on the
+Fraction coefficients directly; `rref` keeps its arithmetic on Python
+ints and builds Fractions only at the end.
 """
 
 from fractions import Fraction
@@ -103,3 +104,8 @@ def rref(rows):
         pv = row[col]
         out.append(tuple(Fraction(v, pv) for v in row))
     return tuple(out), tuple(pivots)
+
+
+def active_backend() -> str:
+    """Name of the kernel backend; there is only the pure-Python one."""
+    return "pure"

@@ -32,6 +32,26 @@ X = Poly.monomial(1, 0)
 Y = Poly.monomial(0, 1)
 
 
+# Smallest accepted value of each range-checked option, per command. main()
+# checks them before running the command; a smaller value is a usage error.
+MINIMUMS = {
+    "harmonic": {"k": 1},
+    "kernel": {"k": 0, "s": 0},
+    "span": {"k": 1, "s": 0},
+    "almansi": {"s": 1},
+    "reduce": {"k": 1},
+    "selftest": {"max_degree": 1},
+}
+
+
+def _range_error(args) -> str | None:
+    for option, low in MINIMUMS.get(args.command, {}).items():
+        value = getattr(args, option)
+        if value is not None and value < low:
+            return f"{args.command} requires --{option.replace('_', '-')} >= {low}"
+    return None
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
@@ -45,9 +65,6 @@ def _parse_arg_poly(text: str) -> Poly:
 
 
 def cmd_harmonic(args) -> int:
-    if args.k < 1:
-        print("usage error: harmonic requires --k >= 1", file=sys.stderr)
-        return 2
     pair = harmonic_pair(args.k)
     _emit(
         args,
@@ -151,9 +168,6 @@ def _leading_normalisation(germ: Poly, k: int):
 def cmd_reduce(args) -> int:
     germ = _parse_arg_poly(args.poly)
     k = args.k
-    if k < 1:
-        print("usage error: reduce requires --k >= 1", file=sys.stderr)
-        return 2
     if germ.order() < k:
         print(
             f"validation error: germ has terms of degree below k = {k}", file=sys.stderr
@@ -359,6 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _range_error(args)
+    if problem:
+        print(f"usage error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.run(args)
     except PolyParseError as exc:

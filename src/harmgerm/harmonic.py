@@ -2,20 +2,21 @@
 
 For each degree k >= 1 the space of homogeneous harmonic polynomials in
 two variables is two-dimensional, spanned by the real and imaginary
-parts of (x + iy)^k; this module builds that pair by the exact
-recurrence
+parts of (x + iy)^k. This module expands that pair binomially, so
+every degree is computed directly; the pairs satisfy the recurrence
 
     f_{k+1} = x*f_k - y*g_k,    g_{k+1} = x*g_k + y*f_k
 
-and provides the two decompositions that drive everything else: the
-splitting of P_k into harmonics plus (x^2+y^2)*P_{k-2}, and the Almansi
-expansion of a polyharmonic homogeneous polynomial into harmonic layers
-weighted by powers of x^2+y^2.
+The module also provides the two decompositions that drive everything
+else: the splitting of P_k into harmonics plus (x^2+y^2)*P_{k-2}, and
+the Almansi expansion of a polyharmonic homogeneous polynomial into
+harmonic layers weighted by powers of x^2+y^2.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -51,12 +52,11 @@ def harmonic_pair(k: int) -> HarmonicPair:
     """Harmonic generator pair of degree k >= 1."""
     if k < 1:
         raise ValueError("harmonic pair needs degree k >= 1 (degree 0 is the constants)")
-    if k == 1:
-        return HarmonicPair(1, Poly.monomial(1, 0), Poly.monomial(0, 1))
-    prev = harmonic_pair(k - 1)
-    x = Poly.monomial(1, 0)
-    y = Poly.monomial(0, 1)
-    return HarmonicPair(k, x * prev.f - y * prev.g, x * prev.g + y * prev.f)
+    # binomial expansion of (x + iy)^k: i^j = (-1)^(j//2), times i for odd j
+    real, imag = {}, {}
+    for j in range(k + 1):
+        (imag if j % 2 else real)[(k - j, j)] = math.comb(k, j) * (-1) ** (j // 2)
+    return HarmonicPair(k, Poly(real), Poly(imag))
 
 
 def harmonic_basis(d: int) -> tuple[Poly, ...]:

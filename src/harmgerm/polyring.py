@@ -343,6 +343,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -415,7 +416,11 @@ class _Parser:
             return Poly.monomial(*exps) ** self.exponent()
         if kind == "op" and value == "(":
             self.take()
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {self.MAX_NESTING}", pos)
             inner = self.expr()
+            self.depth -= 1
             ckind, cvalue, cpos = self.take()
             if cvalue != ")":
                 raise PolyParseError("expected ')'", cpos)
@@ -434,6 +439,8 @@ class _Parser:
     # single monomials stay sparse at any exponent; grouped sums do not
     MAX_EXPONENT = 10**6
     MAX_GROUP_DEGREE = 128
+    # each level costs three stack frames; stay far below the recursion limit
+    MAX_NESTING = 100
 
     def exponent(self) -> int:
         kind, value, _ = self.peek()

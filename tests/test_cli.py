@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from harmgerm.cli import main
 
 
@@ -164,3 +166,38 @@ class TestSelftestCommand:
         assert payload["passed"] is True
         # every check line in the text report appears in the JSON payload
         assert len(payload["checks"]) == len(text.strip().splitlines()) - 2
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel", "--k", "3", "--s", "-1"),
+            ("kernel", "--k", "-2", "--s", "1"),
+            ("span", "--k", "0", "--s", "1"),
+            ("span", "--k", "2", "--s", "-1"),
+            ("almansi", "x^4", "--s", "0"),
+            ("reduce", "x^5", "--k", "0"),
+            ("selftest", "--max-degree", "0"),
+            ("selftest", "--max-degree", "-3"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and "requires --" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel", "--k", "0", "--s", "0"),
+            ("span", "--k", "1", "--s", "0"),
+        ],
+    )
+    def test_lowest_values_accepted(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code, _, err = run_cli(capsys, "split", "(" * 3000 + "x" + ")" * 3000)
+        assert code == 2 and "parse error" in err

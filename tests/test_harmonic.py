@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,19 @@ class TestHarmonicPair:
         x, y = Poly.monomial(1, 0), Poly.monomial(0, 1)
         assert nxt.f == x * pair.f - y * pair.g
         assert nxt.g == x * pair.g + y * pair.f
+
+    def test_high_degree_needs_no_deep_stack(self):
+        # bypass the cache so the pair is really computed under the tight limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            pair = harmonic_pair.__wrapped__(400)
+        finally:
+            sys.setrecursionlimit(limit)
+        prev = harmonic_pair(399)
+        x, y = Poly.monomial(1, 0), Poly.monomial(0, 1)
+        assert pair.f == x * prev.f - y * prev.g
+        assert pair.g == x * prev.g + y * prev.f
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,45 +1,109 @@
-"""Backend parity: the compiled and pure kernels must agree bit for bit."""
+"""The arithmetic kernels against sympy: sparse products and rational RREF."""
 
 from fractions import Fraction
 
-import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmgerm._kernels import active_backend, pure
+from harmgerm._kernels import active_backend, poly_mul, rref
+from harmgerm.polyring import Poly
 
-speedups = pytest.importorskip("harmgerm._kernels._speedups")
+from conftest import X, Y, to_sympy
 
-coefficients = st.builds(
+small_coefficients = st.builds(
     Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=9)
 )
-term_maps = st.dictionaries(
-    st.tuples(st.integers(0, 7), st.integers(0, 7)), coefficients, max_size=10
-).map(lambda d: {k: v for k, v in d.items() if v})
+large_coefficients = st.builds(
+    Fraction, st.integers(min_value=-(10**30), max_value=10**30), st.integers(1, 10**30)
+)
+coefficients = st.one_of(small_coefficients, large_coefficients)
+
+
+def term_maps(exponents):
+    return st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=8).map(
+        lambda d: {k: v for k, v in d.items() if v}
+    )
+
+
+# small exponents make products collide, cancel and straddle the caps
+small_maps = term_maps(st.integers(0, 7))
+small_caps = st.one_of(st.none(), st.just(0), st.integers(0, 14))
+# exponents around and above 2^20 would spill into the x-exponent under a
+# fixed-width packing
+wide_maps = term_maps(st.one_of(st.integers(0, 3), st.integers(2**20 - 3, 2**20 + 3)))
+wide_caps = st.one_of(st.none(), st.integers(2**20 - 3, 2**21 + 6))
+
+
+def oracle_mul(p, q, cap):
+    """sympy's expanded product as a term map, terms above `cap` dropped."""
+    out = {}
+    product = sympy.expand(to_sympy(Poly(p)) * to_sympy(Poly(q)))
+    for mono, c in product.as_coefficients_dict().items():
+        powers = mono.as_powers_dict()
+        a, b = int(powers.get(X, 0)), int(powers.get(Y, 0))
+        if c and (cap is None or a + b <= cap):
+            out[(a, b)] = Fraction(int(c.p), int(c.q))
+    return out
 
 
 def test_backend_reports_name():
-    assert active_backend() in ("compiled", "pure")
+    assert active_backend() == "pure"
 
 
-@given(term_maps, term_maps, st.one_of(st.none(), st.integers(0, 10)))
-@settings(max_examples=120, deadline=None)
-def test_poly_mul_parity(p, q, cap):
-    assert pure.poly_mul(p, q, cap) == speedups.poly_mul(p, q, cap)
+@given(small_maps, small_maps, small_caps)
+@settings(max_examples=150, deadline=None)
+def test_poly_mul_matches_sympy(p, q, cap):
+    assert poly_mul(p, q, cap) == oracle_mul(p, q, cap)
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.data(),
-)
+@given(wide_maps, wide_maps, wide_caps)
+@settings(max_examples=100, deadline=None)
+def test_poly_mul_wide_exponents_match_sympy(p, q, cap):
+    assert poly_mul(p, q, cap) == oracle_mul(p, q, cap)
+
+
+@given(small_maps, wide_maps, small_caps)
+@settings(max_examples=50, deadline=None)
+def test_poly_mul_stores_no_zeros_and_commutes(p, q, cap):
+    product = poly_mul(p, q, cap)
+    assert all(product.values())
+    assert product == poly_mul(q, p, cap)
+
+
+def test_exponents_beyond_twenty_bits():
+    assert poly_mul({(0, 600000): Fraction(1)}, {(0, 600000): Fraction(1)}) == {
+        (0, 1200000): Fraction(1)
+    }
+    assert poly_mul({(0, 2**20): Fraction(1)}, {(0, 0): Fraction(1)}) == {(0, 2**20): Fraction(1)}
+    assert poly_mul({(3, 2**20 - 1): Fraction(1, 3)}, {(1, 1): Fraction(3)}) == {
+        (4, 2**20): Fraction(1)
+    }
+
+
+def test_truncation_and_cancellation():
+    # (x + y)(x - y) = x^2 - y^2: the x*y terms cancel and are not stored
+    p = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    q = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
+    assert poly_mul(p, q) == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert poly_mul(p, q, 1) == {}
+    assert poly_mul({(0, 0): Fraction(2)}, p, 0) == {}
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
 @settings(max_examples=80, deadline=None)
-def test_rref_parity(nrows, ncols, data):
-    rows = [
-        [data.draw(coefficients) for _ in range(ncols)]
-        for _ in range(nrows)
-    ]
-    assert pure.rref(rows) == speedups.rref(rows)
+def test_rref_matches_sympy(nrows, ncols, data):
+    rows = [[data.draw(small_coefficients) for _ in range(ncols)] for _ in range(nrows)]
+    if data.draw(st.booleans()):
+        # a dependent row makes rank deficiency common
+        rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+    matrix, pivots = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+    ).rref()
+    expected = tuple(
+        tuple(Fraction(int(c.p), int(c.q)) for c in matrix.row(i)) for i in range(len(pivots))
+    )
+    assert rref(rows) == (expected, tuple(pivots))
 
 
 def test_rref_idempotent_and_canonical():
@@ -48,8 +112,8 @@ def test_rref_idempotent_and_canonical():
         [Fraction(1), Fraction(2), Fraction(4)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
-    rr, pivots = pure.rref(rows)
-    again, pivots2 = pure.rref([list(r) for r in rr])
+    rr, pivots = rref(rows)
+    again, pivots2 = rref([list(r) for r in rr])
     assert rr == again and pivots == pivots2
     for row, col in zip(rr, pivots):
         assert row[col] == 1
@@ -57,10 +121,10 @@ def test_rref_idempotent_and_canonical():
 
 def test_rref_drops_zero_rows():
     rows = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(2)]]
-    rr, pivots = pure.rref(rows)
+    rr, pivots = rref(rows)
     assert len(rr) == 1 and pivots == (0,)
 
 
 def test_empty_inputs():
-    assert pure.poly_mul({}, {(1, 0): Fraction(1)}, None) == {}
-    assert pure.rref([]) == ((), ())
+    assert poly_mul({}, {(1, 0): Fraction(1)}, None) == {}
+    assert rref([]) == ((), ())

@@ -50,6 +50,14 @@ class TestParse:
         with pytest.raises(PolyParseError):
             parse_poly("   ")
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(PolyParseError, match="nested deeper") as err:
+            parse_poly("(" * 3000 + "x" + ")" * 3000)
+        assert err.value.position == 100
+
+    def test_moderate_nesting_parses(self):
+        assert parse_poly("(" * 50 + "x + y" + ")" * 50 + "^2") == parse_poly("x^2 + 2*x*y + y^2")
+
     def test_parenthesised_products(self):
         assert parse_poly("x^2*(x^4 - 6*x^2*y^2 + y^4)") == parse_poly(
             "x^6 - 6*x^4*y^2 + x^2*y^4"
