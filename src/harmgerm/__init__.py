@@ -25,6 +25,7 @@ from .equivalence import (
     WitnessChain,
     absorption_profile,
     normalize_harmonic,
+    reduce_general,
     reduce_germ,
     root_absorb,
     translation_absorb,
@@ -101,6 +102,7 @@ __all__ = [
     "normalize_harmonic",
     "parse_poly",
     "product_space",
+    "reduce_general",
     "reduce_germ",
     "reverify_certificate",
     "root_absorb",

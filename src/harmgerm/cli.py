@@ -17,19 +17,15 @@ from .equivalence import (
     MembershipError,
     NumericWitness,
     WitnessChain,
-    absorption_profile,
-    exact_kth_root,
+    WitnessFault,
+    leading_coefficients,
     normalize_harmonic,
-    reduce_germ,
+    reduce_general,
     verify_biharmonic,
 )
 from .harmonic import almansi_decompose, harmonic_pair, harmonic_split, PolyharmonicError
-from .jets import jet_compose, jet_map, jet_truncate
-from .polyring import Poly, PolyParseError, format_poly, laplacian, laplacian_power, parse_poly
+from .polyring import Poly, PolyParseError, format_poly, parse_poly
 from .selftest import format_report, run_selftest
-
-X = Poly.monomial(1, 0)
-Y = Poly.monomial(0, 1)
 
 
 # Smallest accepted value of each range-checked option, per command. main()
@@ -39,7 +35,9 @@ MINIMUMS = {
     "kernel": {"k": 0, "s": 0},
     "span": {"k": 1, "s": 0},
     "almansi": {"s": 1},
+    "determinacy": {"k": 1},
     "reduce": {"k": 1},
+    "biharm": {"k": 5},
     "selftest": {"max_degree": 1},
 }
 
@@ -154,17 +152,6 @@ def cmd_determinacy(args) -> int:
     return 0 if cert.verdict else 1
 
 
-def _leading_normalisation(germ: Poly, k: int):
-    """Split off the leading degree-k form; None when it is zero or not harmonic."""
-    leading = germ.graded_component(k)
-    if not leading or laplacian(leading):
-        return None
-    solved = graded.solve_membership(leading, k, 0)
-    if solved is None:
-        return None
-    return solved[0].coeff(0, 0), solved[1].coeff(0, 0)
-
-
 def cmd_reduce(args) -> int:
     germ = _parse_arg_poly(args.poly)
     k = args.k
@@ -176,7 +163,7 @@ def cmd_reduce(args) -> int:
     leading = germ.graded_component(k)
     if germ == leading and leading:
         # pure homogeneous form: a linear normalisation witness suffices
-        coeffs = _leading_normalisation(germ, k)
+        coeffs = leading_coefficients(germ, k)
         if coeffs is None:
             print("validation error: degree-k form is not harmonic", file=sys.stderr)
             return 1
@@ -192,78 +179,13 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # kernel conditions first: each graded piece below the tail range must
-    # sit in its iterated-Laplacian kernel, whatever the leading form is
-    profile = absorption_profile(k)
-    for degree, component in germ.components().items():
-        s = degree - k
-        if 1 <= s <= k - 4:
-            power = profile.exponent(s)
-            residual = laplacian_power(component, power)
-            if residual:
-                print(
-                    f"validation error: degree-{degree} component violates its kernel "
-                    f"condition ({power}-fold Laplacian = {residual})",
-                    file=sys.stderr,
-                )
-                return 1
-    coeffs = _leading_normalisation(germ, k)
-    if coeffs is None:
-        print("validation error: leading degree-k part is zero or not harmonic", file=sys.stderr)
-        return 1
-    pair = harmonic_pair(k)
-    prefix_maps = []
-    if leading != pair.f:
-        a, b = coeffs
-        inverse = _invert_gaussian(a, -b)
-        root = exact_kth_root(inverse[0], inverse[1], k)
-        if root is None:
-            print(
-                "validation error: leading form needs an irrational rescaling; "
-                "only pure harmonic germs are handled numerically",
-                file=sys.stderr,
-            )
-            return 1
-        bound = 2 * k - 4
-        phi = jet_map(X * root[0] - Y * root[1], X * root[1] + Y * root[0], bound)
-        germ_for_reduction = jet_compose(jet_truncate(germ, bound), phi).poly
-        prefix_maps.append(phi)
-    else:
-        germ_for_reduction = germ
-
-    perturbations = {}
-    tail = Poly.zero()
-    for degree, component in germ_for_reduction.components().items():
-        if degree == k:
-            continue
-        if degree >= 2 * k - 3:
-            tail = tail + component
-        else:
-            perturbations[degree - k] = component
     try:
-        chain = reduce_germ(k, perturbations, tail)
+        chain = reduce_general(germ, k)
     except (MembershipError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    if prefix_maps:
-        chain = WitnessChain(
-            source=germ,
-            target=chain.target,
-            maps=tuple(prefix_maps) + chain.maps,
-            bound=chain.bound,
-            certificate=chain.certificate,
-            verified=True,
-        )
-        if not chain.verify():
-            print("internal error: prefixed chain failed re-verification", file=sys.stderr)
-            return 1
     _emit(args, chain.to_json_dict(), _chain_text(chain))
     return 0
-
-
-def _invert_gaussian(re, im):
-    norm = re * re + im * im
-    return re / norm, -im / norm
 
 
 def _chain_text(chain: WitnessChain) -> str:
@@ -382,6 +304,9 @@ def main(argv=None) -> int:
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except WitnessFault as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

@@ -72,6 +72,8 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     multipliers with 1 <= a+b <= max_multiplier_degree (default: every
     degree that can still contribute below the truncation).
     """
+    if level < 1:
+        raise ValueError(f"certificate level {level} must be at least 1")
     if not h:
         raise ValueError("zero germ is never finitely determined")
     if h.order() > level:

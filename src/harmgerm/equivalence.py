@@ -40,7 +40,7 @@ from .jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from .polyring import Poly, format_poly, laplacian_power
+from .polyring import Poly, format_poly, laplacian, laplacian_power
 
 X = Poly.monomial(1, 0)
 Y = Poly.monomial(0, 1)
@@ -373,6 +373,17 @@ def translation_absorb(k: int, s: int, rho: Poly, bound: int) -> WitnessChain:
 # -- the full reduction -------------------------------------------------------
 
 
+def _check_kernel(k: int, degree: int, component: Poly, profile: AbsorptionProfile) -> None:
+    power = profile.exponent(degree - k)
+    residual = laplacian_power(component, power)
+    if residual:
+        raise MembershipError(
+            f"degree-{degree} component violates its kernel condition "
+            f"({power}-fold Laplacian = {residual})",
+            degree,
+        )
+
+
 def _validate_perturbations(
     k: int, rho_by_offset: Mapping[int, Poly], profile: AbsorptionProfile
 ) -> None:
@@ -383,14 +394,46 @@ def _validate_perturbations(
             raise ValueError(f"offset {s} outside 1..{k - 4}")
         if not rho.is_homogeneous() or rho.degree() != k + s:
             raise ValueError(f"perturbation at offset {s} must be homogeneous of degree {k + s}")
-        power = profile.exponent(s)
-        residual = laplacian_power(rho, power)
-        if residual:
-            raise MembershipError(
-                f"perturbation of degree {k + s} has nonzero {power}-fold Laplacian: "
-                f"{residual}",
-                k + s,
+        _check_kernel(k, k + s, rho, profile)
+
+
+def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
+    """Maps taking a validated f_k + perturbations + tail to f_k, unverified.
+
+    Translations clear offsets >= split_offset in ascending order; each
+    is composed forward, since it perturbs every higher degree, which
+    the next step re-extracts. The radial scale map that clears the
+    lower offsets is appended without composing: the caller's single
+    WitnessChain.verify() is the composition that checks it.
+    """
+    bound = 2 * k - 4
+    pair = harmonic_pair(k)
+    current = jet_truncate(germ, bound)
+    maps: list[JetMap] = []
+    for s in range(split_offset, k - 3):
+        delta = current.poly.graded_component(k + s)
+        if not delta:
+            continue
+        solved = solve_membership(delta, k - 1, s + 1)
+        if solved is None:
+            raise WitnessFault(
+                f"re-extracted degree-{k + s} component left the translation-absorbable "
+                f"span; offending component {delta}"
             )
+        cu, cv = solved
+        phi = jet_map(X - cu / k, Y + cv / k, bound)
+        current = jet_compose(current, phi)
+        if current.poly.graded_component(k + s):
+            raise WitnessFault(f"translation failed to clear degree {k + s}")
+        maps.append(phi)
+
+    low = current.poly - pair.f
+    if low and low.degree() >= k + split_offset:
+        raise WitnessFault("high-range degrees survived the translation sweep")
+    if low:
+        u, v = _scale_solution(low, k)
+        maps.append(inverse_scale_map(Jet(u, bound), Jet(v, bound), k))
+    return maps
 
 
 def reduce_germ(
@@ -409,8 +452,9 @@ def reduce_germ(
     Translations clear offsets >= split_offset in ascending order,
     re-extracting each graded component since earlier translations
     perturb all higher degrees. One radial scale map then clears all
-    lower offsets at once. The returned chain re-verifies exactly:
-    source composed through the maps equals f_k in every degree <= 2k-4.
+    lower offsets at once. The returned chain has passed one exact
+    WitnessChain.verify(): source composed through the maps equals f_k
+    in every degree <= 2k-4.
     """
     profile = absorption_profile(k)
     if not isinstance(perturbations, Mapping):
@@ -419,53 +463,78 @@ def reduce_germ(
     if tail and tail.order() < 2 * k - 3:
         raise ValueError(f"tail order {tail.order()} below 2k-3 = {2 * k - 3}")
 
-    bound = 2 * k - 4
     pair = harmonic_pair(k)
     source = pair.f + tail
     for rho in perturbations.values():
         source = source + rho
-
-    current = jet_truncate(source, bound)
-    maps: list[JetMap] = []
-    for s in range(profile.split_offset, k - 3):
-        delta = current.poly.graded_component(k + s)
-        if not delta:
-            continue
-        solved = solve_membership(delta, k - 1, s + 1)
-        if solved is None:
-            raise WitnessFault(
-                f"re-extracted degree-{k + s} component left the translation-absorbable "
-                f"span; offending component {delta}"
-            )
-        cu, cv = solved
-        phi = jet_map(X - cu / k, Y + cv / k, bound)
-        current = jet_compose(current, phi)
-        if current.poly.graded_component(k + s):
-            raise WitnessFault(f"translation failed to clear degree {k + s}")
-        maps.append(phi)
-
-    low = current.poly - pair.f
-    if low and low.degree() >= k + profile.split_offset:
-        raise WitnessFault("high-range degrees survived the translation sweep")
-    if low:
-        u, v = _scale_solution(low, k)
-        phi = inverse_scale_map(Jet(u, bound), Jet(v, bound), k)
-        current = jet_compose(current, phi)
-        maps.append(phi)
-    if current.poly != pair.f.truncate(bound):
-        raise WitnessFault("reduction did not terminate at the leading form")
-
+    maps = _reduction_maps(k, source, profile.split_offset)
     certificate = determined_bound_report(k, Poly.zero())
-    return _verified_chain(source, pair.f, maps, bound, certificate)
+    return _verified_chain(source, pair.f, maps, 2 * k - 4, certificate)
+
+
+def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None:
+    """(a, b) with degree-k part of germ == a*f_k + b*g_k; None when that
+    part is zero or not harmonic."""
+    leading = germ.graded_component(k)
+    if not leading or laplacian(leading):
+        return None
+    solved = solve_membership(leading, k, 0)
+    if solved is None:
+        return None
+    return solved[0].coeff(0, 0), solved[1].coeff(0, 0)
+
+
+def reduce_general(germ: Poly, k: int) -> WitnessChain:
+    """Chain of jet maps composing a germ with harmonic leading form down to f_k.
+
+    The germ must have order k and a nonzero harmonic degree-k part
+    a*f_k + b*g_k; each component of degree k+s, 1 <= s <= k-4, must lie
+    in its sigma(s)-fold Laplacian kernel, and degrees >= 2k-3 are tail.
+    Unless the leading part is f_k itself, the chain starts with the
+    linear map z -> delta*z, where delta^k = 1/(a - ib) must have
+    rational real and imaginary parts; a similarity keeps every kernel
+    condition. The maps of the reduction of the rescaled germ follow,
+    and the whole chain passes one exact WitnessChain.verify().
+    """
+    if germ.order() < k:
+        raise ValueError(f"germ has terms of degree below k = {k}")
+    profile = absorption_profile(k)
+    for degree, component in germ.components().items():
+        if 1 <= degree - k <= k - 4:
+            _check_kernel(k, degree, component, profile)
+    coeffs = leading_coefficients(germ, k)
+    if coeffs is None:
+        raise ValueError("leading degree-k part is zero or not harmonic")
+
+    bound = 2 * k - 4
+    pair = harmonic_pair(k)
+    maps: list[JetMap] = []
+    reduced = germ
+    if coeffs != (1, 0):
+        a, b = coeffs
+        norm = a * a + b * b
+        root = exact_kth_root(a / norm, b / norm, k)
+        if root is None:
+            raise ValueError(
+                "leading form needs an irrational rescaling; "
+                "only pure harmonic germs are handled numerically"
+            )
+        phi = _linear_rotation_map(root[0], root[1], bound)
+        reduced = jet_compose(jet_truncate(germ, bound), phi).poly
+        maps.append(phi)
+    maps += _reduction_maps(k, reduced, profile.split_offset)
+    certificate = determined_bound_report(k, Poly.zero())
+    return _verified_chain(germ, pair.f, maps, bound, certificate)
 
 
 def verify_biharmonic(k: int, perturbation: Poly, bound: int | None = None) -> WitnessChain:
     """Witness for: f_k + R is right equivalent to f_k when the 2-fold
     Laplacian of R vanishes and order(R) > k.
 
-    Graded components of R below degree 2k-3 feed the reduction as
-    perturbations (a vanishing 2-fold Laplacian sits inside every
-    required kernel); the rest is tail, discarded by determinacy.
+    A vanishing 2-fold Laplacian sits inside every kernel that
+    reduce_general requires, so f_k + R goes to it unchanged; graded
+    components of R from degree 2k-3 on are tail, discarded by
+    determinacy.
     """
     if k < 5:
         raise ValueError("biharmonic absorption requires k >= 5")
@@ -481,11 +550,4 @@ def verify_biharmonic(k: int, perturbation: Poly, bound: int | None = None) -> W
             raise MembershipError(
                 f"2-fold Laplacian is nonzero in degree {degree}: {residual}", degree
             )
-    perturbations: dict[int, Poly] = {}
-    tail = Poly.zero()
-    for degree, component in perturbation.components().items():
-        if degree >= 2 * k - 3:
-            tail = tail + component
-        else:
-            perturbations[degree - k] = component
-    return reduce_germ(k, perturbations, tail)
+    return reduce_general(harmonic_pair(k).f + perturbation, k)

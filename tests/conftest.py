@@ -1,9 +1,13 @@
-"""Shared helpers: sympy-based oracles independent of the library's arithmetic."""
+"""Shared helpers: sympy-based oracles independent of the library's
+arithmetic, call counters and a tampered radial scale map."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 
+import harmgerm.equivalence
+from harmgerm.jets import jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, parse_poly
 
 X, Y = sympy.symbols("x y", real=True)
@@ -46,3 +50,35 @@ def oracle_compose(h: Poly, px: Poly, py: Poly, bound: int) -> Poly:
     """Substitute and expand with sympy, then truncate at the bound."""
     expr = to_sympy(h).subs({X: to_sympy(px), Y: to_sympy(py)}, simultaneous=True)
     return from_sympy(sympy.expand(expr)).truncate(bound)
+
+
+def rescaled(p: Poly) -> Poly:
+    """p composed with z -> (1+i)z, i.e. (x, y) -> (x - y, x + y)."""
+    bound = p.degree()
+    return jet_compose(jet_truncate(p, bound), jet_map(P("x - y"), P("x + y"), bound)).poly
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.fixture
+def tampered_scale_map(monkeypatch):
+    """inverse_scale_map returns the true map with one coefficient nudged:
+    x^2 in the x-component gains 1/7, which moves f_k o phi in degree k+1."""
+    original = harmgerm.equivalence.inverse_scale_map
+
+    def nudged(u, v, k):
+        phi = original(u, v, k)
+        return jet_map(phi.x.poly + P("x^2") * Fraction(1, 7), phi.y.poly, phi.bound)
+
+    monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)

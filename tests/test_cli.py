@@ -2,7 +2,13 @@ import json
 
 import pytest
 
+import harmgerm.equivalence
 from harmgerm.cli import main
+from harmgerm.equivalence import WitnessChain
+from harmgerm.harmonic import harmonic_pair
+from harmgerm.polyring import format_poly
+
+from conftest import P, counted, rescaled
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +141,30 @@ class TestReduceCommand:
         assert payload["kind"] == "numeric" and payload["verified"] is True
 
 
+class TestReduceSingleVerification:
+    # f_6 + x*f_6 + 6*x^3*f_5: offset 1 needs the radial scale map,
+    # offset 2 a translation; the rescaling adds a linear prefix map
+    GERM = rescaled(
+        harmonic_pair(6).f + P("x") * harmonic_pair(6).f + P("x^3") * harmonic_pair(5).f * 6
+    )
+
+    def test_each_map_composed_once_by_verify(self, capsys, monkeypatch):
+        composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        verifies = counted(monkeypatch, WitnessChain, "verify")
+        code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(self.GERM), "--k", "6")
+        assert code == 0
+        maps = json.loads(out)["maps"]
+        assert len(maps) == 3 and len(verifies) == 1
+        # the prefix map and the one translation compose forward once each;
+        # verify composes every map of the returned chain once more
+        assert len(composes) == 2 + len(maps)
+
+    def test_tampered_scale_map_is_internal_error(self, capsys, tampered_scale_map):
+        code, out, err = run_cli(capsys, "reduce", format_poly(self.GERM), "--k", "6")
+        assert code == 1 and out == ""
+        assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 class TestBiharmCommand:
     def test_valid(self, capsys):
         R = "x*(x^5 - 10*x^3*y^2 + 5*x*y^4)"
@@ -180,6 +210,9 @@ class TestRangeErrors:
             ("reduce", "x^5", "--k", "0"),
             ("selftest", "--max-degree", "0"),
             ("selftest", "--max-degree", "-3"),
+            ("determinacy", "1", "--k", "0"),
+            ("biharm", "x^6", "--k", "4"),
+            ("biharm", "x^6", "--k", "-3"),
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -192,6 +225,8 @@ class TestRangeErrors:
         [
             ("kernel", "--k", "0", "--s", "0"),
             ("span", "--k", "1", "--s", "0"),
+            ("determinacy", "x", "--k", "1"),
+            ("biharm", "x^6 - 15*x^4*y^2 + 15*x^2*y^4 - y^6", "--k", "5"),
         ],
     )
     def test_lowest_values_accepted(self, capsys, argv):

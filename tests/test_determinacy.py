@@ -74,6 +74,12 @@ class TestCheckDeterminacy:
         with pytest.raises(ValueError):
             check_determinacy(P("x^5"), 3)
 
+    @pytest.mark.parametrize("level", (0, -2))
+    def test_rejects_level_below_one(self, level):
+        # level 0 used to end in a KeyError: the basis covers degrees 1..level
+        with pytest.raises(ValueError, match="at least 1"):
+            check_determinacy(Poly.constant(1), level)
+
 
 class TestCertifiedSweep:
     @pytest.mark.parametrize("k", (5, 6, 7))

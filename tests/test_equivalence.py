@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import harmgerm.equivalence
 from harmgerm.equivalence import (
     MembershipError,
     NumericWitness,
     WitnessChain,
+    WitnessFault,
     absorption_profile,
     exact_kth_root,
     normalize_harmonic,
+    reduce_general,
     reduce_germ,
     root_absorb,
     translation_absorb,
@@ -21,7 +24,7 @@ from harmgerm.jets import jet_compose, jet_truncate
 from harmgerm.polyring import R2, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P
+from conftest import P, counted, rescaled
 
 
 class TestAbsorptionProfile:
@@ -208,6 +211,87 @@ class TestReduceGerm:
         composed = chain.composed()
         difference = composed.poly - harmonic_pair(k).f.truncate(chain.bound)
         assert not difference
+
+
+def every_offset_instance(k, i):
+    """A random kernel perturbation at every offset and a degree-(2k-3) tail."""
+    rng = Xoshiro256StarStar(derive_seed(999, k, i))
+    rhos = {
+        s: random_in_span(rng, kernel_basis(k + s, power).basis)
+        for s, power in absorption_profile(k).exponents
+    }
+    return rhos, random_homogeneous(rng, 2 * k - 3)
+
+
+class TestSingleVerification:
+    def test_reduce_germ_composes_once(self, monkeypatch):
+        rhos, tail = every_offset_instance(8, 0)
+        composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        verifies = counted(monkeypatch, WitnessChain, "verify")
+        chain = reduce_germ(8, rhos, tail)
+        # two translations (offsets 3, 4) and the radial scale map
+        assert len(chain.maps) == 3
+        # forward translations, then one verify through every map
+        assert len(composes) == 2 * len(chain.maps) - 1
+        assert len(verifies) == 1
+
+    def test_reduce_general_verifies_once(self, monkeypatch):
+        rhos, tail = every_offset_instance(8, 1)
+        germ = rescaled(harmonic_pair(8).f + tail + sum(rhos.values(), Poly.zero()))
+        composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        verifies = counted(monkeypatch, WitnessChain, "verify")
+        chain = reduce_general(germ, 8)
+        assert len(chain.maps) == 4 and len(verifies) == 1
+        # prefix and two translations forward, then verify through every map
+        assert len(composes) == 3 + len(chain.maps)
+        assert chain.source == germ and chain.target == harmonic_pair(8).f
+
+    def test_verify_biharmonic_verifies_once(self, monkeypatch):
+        R = P("x") * harmonic_pair(7).f + R2 * harmonic_pair(6).f
+        verifies = counted(monkeypatch, WitnessChain, "verify")
+        assert verify_biharmonic(7, R).verified
+        assert len(verifies) == 1
+
+    def test_tampered_scale_map_is_caught(self, tampered_scale_map):
+        rhos, tail = every_offset_instance(8, 0)
+        with pytest.raises(WitnessFault):
+            reduce_germ(8, rhos, tail)
+
+
+class TestReduceGeneral:
+    def test_plain_leading_form_matches_reduce_germ(self):
+        rhos, tail = every_offset_instance(7, 0)
+        germ = harmonic_pair(7).f + tail + sum(rhos.values(), Poly.zero())
+        assert reduce_general(germ, 7).to_json() == reduce_germ(7, rhos, tail).to_json()
+
+    def test_rescaled_leading_form(self):
+        f4 = harmonic_pair(4).f
+        germ = harmonic_pair(5).f * 32 + P("x^2") * f4
+        chain = reduce_general(germ, 5)
+        assert chain.verified and chain.certificate.level == 6
+        assert chain.maps[0].x.poly == P("1/2*x") and chain.maps[0].y.poly == P("1/2*y")
+        assert len(chain.maps) == 2
+
+    def test_kernel_violation(self):
+        with pytest.raises(MembershipError) as err:
+            reduce_general(P("x^5 - 10*x^3*y^2 + 5*x*y^4 + x^6"), 5)
+        assert err.value.degree == 6
+
+    @pytest.mark.parametrize(
+        "germ, message",
+        [
+            ("x^4 + x^5", "degree below"),
+            ("x^5 + x^7", "not harmonic"),
+            ("2*x^5 - 20*x^3*y^2 + 10*x*y^4 + x^7", "irrational"),
+        ],
+    )
+    def test_rejected(self, germ, message):
+        with pytest.raises(ValueError, match=message):
+            reduce_general(P(germ), 5)
+
+    def test_small_k_rejected(self):
+        with pytest.raises(ValueError):
+            reduce_general(P("x^4 - 6*x^2*y^2 + y^4 + x^5"), 4)
 
 
 class TestBiharmonic:
