@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import graded
 from .determinacy import check_determinacy
 from .equivalence import (
-    MembershipError,
     NumericWitness,
     WitnessChain,
     WitnessFault,
@@ -23,13 +23,14 @@ from .equivalence import (
     reduce_general,
     verify_biharmonic,
 )
-from .harmonic import almansi_decompose, harmonic_pair, harmonic_split, PolyharmonicError
-from .polyring import Poly, PolyParseError, format_poly, parse_poly
+from .harmonic import almansi_decompose, harmonic_pair, harmonic_split
+from .polyring import PolyParseError, format_poly, parse_poly
 from .selftest import format_report, run_selftest
 
 
 # Smallest accepted value of each range-checked option, per command. main()
-# checks them before running the command; a smaller value is a usage error.
+# checks them, and that --tolerance is finite and positive, before running
+# the command; a value out of range is a usage error.
 MINIMUMS = {
     "harmonic": {"k": 1},
     "kernel": {"k": 0, "s": 0},
@@ -47,6 +48,9 @@ def _range_error(args) -> str | None:
         value = getattr(args, option)
         if value is not None and value < low:
             return f"{args.command} requires --{option.replace('_', '-')} >= {low}"
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        return f"{args.command} requires --tolerance to be finite and > 0"
     return None
 
 
@@ -55,11 +59,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
     else:
         print(text)
-
-
-def _parse_arg_poly(text: str) -> Poly:
-    # PolyParseError propagates to main, which reports it and exits 2
-    return parse_poly(text)
 
 
 def cmd_harmonic(args) -> int:
@@ -98,12 +97,8 @@ def cmd_span(args) -> int:
 
 
 def cmd_almansi(args) -> int:
-    u = _parse_arg_poly(args.poly)
-    try:
-        deco = almansi_decompose(u, args.s)
-    except (PolyharmonicError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    u = parse_poly(args.poly)
+    deco = almansi_decompose(u, args.s)
     layers = [format_poly(h) for h in deco.components]
     text = [f"almansi layers of {u} at order {args.s}:"]
     text.extend(f"  r^{2 * j} * ({h})" for j, h in enumerate(layers))
@@ -112,12 +107,8 @@ def cmd_almansi(args) -> int:
 
 
 def cmd_split(args) -> int:
-    p = _parse_arg_poly(args.poly)
-    try:
-        h, q = harmonic_split(p)
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    p = parse_poly(args.poly)
+    h, q = harmonic_split(p)
     _emit(
         args,
         {"input": format_poly(p), "harmonic": format_poly(h), "radial_factor": format_poly(q)},
@@ -127,13 +118,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_determinacy(args) -> int:
-    h = _parse_arg_poly(args.poly)
+    h = parse_poly(args.poly)
     level = args.k
-    try:
-        cert = check_determinacy(h, level)
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    cert = check_determinacy(h, level)
     payload = {
         "germ": format_poly(h),
         "level": level,
@@ -153,20 +140,16 @@ def cmd_determinacy(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    germ = _parse_arg_poly(args.poly)
+    germ = parse_poly(args.poly)
     k = args.k
     if germ.order() < k:
-        print(
-            f"validation error: germ has terms of degree below k = {k}", file=sys.stderr
-        )
-        return 1
+        raise ValueError(f"germ has terms of degree below k = {k}")
     leading = germ.graded_component(k)
     if germ == leading and leading:
         # pure homogeneous form: a linear normalisation witness suffices
         coeffs = leading_coefficients(germ, k)
         if coeffs is None:
-            print("validation error: degree-k form is not harmonic", file=sys.stderr)
-            return 1
+            raise ValueError("degree-k form is not harmonic")
         witness = normalize_harmonic(coeffs[0], coeffs[1], k, tolerance=args.tolerance)
         if isinstance(witness, NumericWitness):
             _emit(args, witness.to_json_dict(), _numeric_text(witness))
@@ -179,11 +162,7 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        chain = reduce_general(germ, k)
-    except (MembershipError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    chain = reduce_general(germ, k)
     _emit(args, chain.to_json_dict(), _chain_text(chain))
     return 0
 
@@ -217,12 +196,8 @@ def _numeric_text(witness: NumericWitness) -> str:
 
 
 def cmd_biharm(args) -> int:
-    R = _parse_arg_poly(args.poly)
-    try:
-        chain = verify_biharmonic(args.k, R)
-    except (MembershipError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+    R = parse_poly(args.poly)
+    chain = verify_biharmonic(args.k, R)
     _emit(args, chain.to_json_dict(), _chain_text(chain))
     return 0
 
@@ -304,6 +279,9 @@ def main(argv=None) -> int:
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 1
     except WitnessFault as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import monomial_basis, solve_membership
+from .graded import monomial_basis, translation_solution
 from .harmonic import harmonic_pair
 from .polyring import Poly
 
@@ -168,13 +168,11 @@ def translation_absorption(k: int) -> TranslationAbsorption:
     ok = True
     for a, b in monomial_basis(degree):
         mono = Poly.monomial(a, b)
-        solved = solve_membership(mono, k - 1, k - 2)
+        solved = translation_solution(mono, k)
         if solved is None:
             ok = False
             break
-        cu, cv = solved
-        u = cu / k
-        v = -(cv / k)
+        u, v = solved
         entries.append((mono, u, v))
         if (pair.f * u - pair.g * v) * k != mono:
             ok = False

@@ -20,6 +20,7 @@ Every witness re-verifies by exact composition; nothing is trusted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .determinacy import DeterminacyReport, determined_bound_report
-from .graded import solve_membership
+from .graded import solve_membership, translation_solution
 from .harmonic import harmonic_pair
 from .jets import (
     Jet,
@@ -236,7 +237,7 @@ def normalize_harmonic(
     f_k exactly onto the target whenever delta exists with rational real
     and imaginary parts. Otherwise the root is computed to high
     precision and a numeric witness with a coefficient residual bound is
-    returned.
+    returned; that bound, `tolerance`, must be finite and positive.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -244,6 +245,8 @@ def normalize_harmonic(
         raise ValueError("the zero form has no normalisation")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     pair = harmonic_pair(k)
     target = pair.f * a + pair.g * b
     root = exact_kth_root(a, -b, k)
@@ -353,21 +356,15 @@ def translation_absorb(k: int, s: int, rho: Poly, bound: int) -> WitnessChain:
         raise MembershipError(
             f"degree-{k + s} perturbation has nonzero {s + 2}-fold Laplacian", k + s
         )
-    solved = solve_membership(rho, k - 1, s + 1)
+    solved = translation_solution(rho, k)
     if solved is None:
         raise MembershipError(
             f"degree-{k + s} perturbation is not a degree-{s + 1} multiple of the "
             f"degree-{k - 1} harmonics",
             k + s,
         )
-    cu, cv = solved
-    u = cu / k
-    v = -(cv / k)
-    phi = jet_map(X + u, Y + v, bound)
-    chain = WitnessChain(pair.f, pair.f + rho, (phi,), k + s, None, True)
-    if not chain.verify():
-        raise WitnessFault("translation witness failed exact re-verification")
-    return chain
+    u, v = solved
+    return _verified_chain(pair.f, pair.f + rho, [jet_map(X + u, Y + v, bound)], k + s)
 
 
 # -- the full reduction -------------------------------------------------------
@@ -382,19 +379,6 @@ def _check_kernel(k: int, degree: int, component: Poly, profile: AbsorptionProfi
             f"({power}-fold Laplacian = {residual})",
             degree,
         )
-
-
-def _validate_perturbations(
-    k: int, rho_by_offset: Mapping[int, Poly], profile: AbsorptionProfile
-) -> None:
-    for s, rho in rho_by_offset.items():
-        if not rho:
-            continue
-        if not 1 <= s <= k - 4:
-            raise ValueError(f"offset {s} outside 1..{k - 4}")
-        if not rho.is_homogeneous() or rho.degree() != k + s:
-            raise ValueError(f"perturbation at offset {s} must be homogeneous of degree {k + s}")
-        _check_kernel(k, k + s, rho, profile)
 
 
 def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
@@ -414,14 +398,14 @@ def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
         delta = current.poly.graded_component(k + s)
         if not delta:
             continue
-        solved = solve_membership(delta, k - 1, s + 1)
+        solved = translation_solution(delta, k)
         if solved is None:
             raise WitnessFault(
                 f"re-extracted degree-{k + s} component left the translation-absorbable "
                 f"span; offending component {delta}"
             )
-        cu, cv = solved
-        phi = jet_map(X - cu / k, Y + cv / k, bound)
+        u, v = solved
+        phi = jet_map(X - u, Y - v, bound)
         current = jet_compose(current, phi)
         if current.poly.graded_component(k + s):
             raise WitnessFault(f"translation failed to clear degree {k + s}")
@@ -449,27 +433,24 @@ def reduce_germ(
     least 2k-3; it is discarded by the attached determinacy report of
     level 2k-4.
 
-    Translations clear offsets >= split_offset in ascending order,
-    re-extracting each graded component since earlier translations
-    perturb all higher degrees. One radial scale map then clears all
-    lower offsets at once. The returned chain has passed one exact
-    WitnessChain.verify(): source composed through the maps equals f_k
-    in every degree <= 2k-4.
+    After checking the offsets, degrees and tail order, this is
+    reduce_general applied to the sum f_k + perturbations + tail, whose
+    leading form is f_k itself, so the chain has no rescaling map.
     """
-    profile = absorption_profile(k)
     if not isinstance(perturbations, Mapping):
         perturbations = {s + 1: rho for s, rho in enumerate(perturbations)}
-    _validate_perturbations(k, perturbations, profile)
+    source = tail
+    for s, rho in perturbations.items():
+        if not rho:
+            continue
+        if not 1 <= s <= k - 4:
+            raise ValueError(f"offset {s} outside 1..{k - 4}")
+        if not rho.is_homogeneous() or rho.degree() != k + s:
+            raise ValueError(f"perturbation at offset {s} must be homogeneous of degree {k + s}")
+        source = source + rho
     if tail and tail.order() < 2 * k - 3:
         raise ValueError(f"tail order {tail.order()} below 2k-3 = {2 * k - 3}")
-
-    pair = harmonic_pair(k)
-    source = pair.f + tail
-    for rho in perturbations.values():
-        source = source + rho
-    maps = _reduction_maps(k, source, profile.split_offset)
-    certificate = determined_bound_report(k, Poly.zero())
-    return _verified_chain(source, pair.f, maps, 2 * k - 4, certificate)
+    return reduce_general(harmonic_pair(k).f + source, k)
 
 
 def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None:
@@ -527,7 +508,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
     return _verified_chain(germ, pair.f, maps, bound, certificate)
 
 
-def verify_biharmonic(k: int, perturbation: Poly, bound: int | None = None) -> WitnessChain:
+def verify_biharmonic(k: int, perturbation: Poly) -> WitnessChain:
     """Witness for: f_k + R is right equivalent to f_k when the 2-fold
     Laplacian of R vanishes and order(R) > k.
 
@@ -538,8 +519,6 @@ def verify_biharmonic(k: int, perturbation: Poly, bound: int | None = None) -> W
     """
     if k < 5:
         raise ValueError("biharmonic absorption requires k >= 5")
-    if bound is not None and bound != 2 * k - 4:
-        raise ValueError(f"verification bound is fixed at 2k-4 = {2 * k - 4}")
     if perturbation and perturbation.order() <= k:
         raise ValueError(
             f"perturbation order {perturbation.order()} must exceed k = {k}"

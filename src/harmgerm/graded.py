@@ -143,3 +143,20 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
     return u, v
+
+
+def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:
+    """(u, v) with k*(u*f_(k-1) - v*g_(k-1)) == target, or None.
+
+    Since df_k/dx = k*f_(k-1) and df_k/dy = -k*g_(k-1), this is the
+    first-order change of f_k under the translation (x, y) -> (x + u, y + v).
+    u and v are homogeneous of degree deg(target) - (k-1); None when the
+    target lies outside the span of those multiples of f_(k-1), g_(k-1).
+    """
+    if not target:
+        return Poly.zero(), Poly.zero()
+    solved = solve_membership(target, k - 1, target.degree() - (k - 1))
+    if solved is None:
+        return None
+    cu, cv = solved
+    return cu / k, -(cv / k)

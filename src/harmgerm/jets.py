@@ -77,13 +77,15 @@ def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:
     return JetMap(jet_truncate(px, bound), jet_truncate(py, bound), bound)
 
 
-def _compose_terms(terms, px: Poly, py: Poly, bound: int):
-    """Substitute (px, py) into a term sequence, truncating at bound.
+def jet_compose(h: Jet, phi: JetMap) -> Jet:
+    """The jet of h(phi_x, phi_y) at the common bound.
 
-    Yields (coefficient, product poly) pairs; powers of the components
-    are cached across terms. Components must have zero constant term so
-    that exponents above the bound cannot contribute.
+    Powers of the components are cached across terms, and every product
+    is truncated at the bound.
     """
+    if h.bound != phi.bound:
+        raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
+    bound = h.bound
     pow_x = [Poly.constant(1)]
     pow_y = [Poly.constant(1)]
 
@@ -92,20 +94,9 @@ def _compose_terms(terms, px: Poly, py: Poly, bound: int):
             cache.append(cache[-1].mul_truncated(base, bound))
         return cache[n]
 
-    for (a, b), c in terms:
-        if a + b > bound:
-            continue
-        piece = power(pow_x, px, a).mul_truncated(power(pow_y, py, b), bound)
-        yield c, piece
-
-
-def jet_compose(h: Jet, phi: JetMap) -> Jet:
-    """The jet of h(phi_x, phi_y) at the common bound."""
-    if h.bound != phi.bound:
-        raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
-    bound = h.bound
     total = Poly.zero()
-    for c, piece in _compose_terms(h.poly.terms(), phi.x.poly, phi.y.poly, bound):
+    for (a, b), c in h.poly.terms():
+        piece = power(pow_x, phi.x.poly, a).mul_truncated(power(pow_y, phi.y.poly, b), bound)
         total = total + piece * c
     return Jet(total, bound)
 
@@ -147,16 +138,10 @@ def jet_root(w: Jet, k: int) -> Jet:
         raise ValueError("root index must be at least 1")
     if w.poly.coeff(0, 0):
         raise ValueError("root argument must have zero constant term")
-    bound = w.bound
-    coeffs = binomial_coefficients(Fraction(1, k), bound + 1)
-    total = Poly.constant(1)
-    power = Poly.constant(1)
-    for m in range(1, bound + 1):
-        power = power.mul_truncated(w.poly, bound)
-        if not power:
-            break
-        total = total + power * coeffs[m]
-    return Jet(total, bound)
+    root = _cjet_series(
+        _CJet(w.poly, Poly.zero(), w.bound), binomial_coefficients(Fraction(1, k), w.bound + 1)
+    )
+    return Jet(root.re, w.bound)
 
 
 # -- complex-pair helpers ----------------------------------------------------
@@ -207,14 +192,9 @@ def _cjet_series(w: _CJet, coeffs: list[Fraction]) -> _CJet:
 
 def _cjet_compose(w: _CJet, phi: JetMap) -> _CJet:
     """Substitute the map components into both parts of w."""
-    bound = w.bound
-    re = Poly.zero()
-    for c, piece in _compose_terms(w.re.terms(), phi.x.poly, phi.y.poly, bound):
-        re = re + piece * c
-    im = Poly.zero()
-    for c, piece in _compose_terms(w.im.terms(), phi.x.poly, phi.y.poly, bound):
-        im = im + piece * c
-    return _CJet(re, im, bound)
+    re = jet_compose(Jet(w.re, w.bound), phi).poly
+    im = jet_compose(Jet(w.im, w.bound), phi).poly
+    return _CJet(re, im, w.bound)
 
 
 def _scale_map_from_root(rho: _CJet, bound: int) -> JetMap:
@@ -244,28 +224,16 @@ def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     return _scale_map_from_root(rho, bound)
 
 
-def _cjet_geometric_tail(a: _CJet) -> _CJet:
-    """(1 + a)^(-1) - 1 for a with zero constant term."""
-    negated = _CJet(-a.re, -a.im, a.bound)
-    total = _CJet(Poly.zero(), Poly.zero(), a.bound)
-    power = _cjet_const(Fraction(1), a.bound)
-    for _ in range(a.bound):
-        power = power * negated
-        if power.is_zero():
-            break
-        total = total + power
-    return total
-
-
 def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     """A map phi = z*rho with ((1 + u - iv) o phi) * rho^k == 1 modulo the bound.
 
     Composing f_k + u*f_k + v*g_k with phi recovers f_k modulo the
     bound, undoing the effect of complex_scale_map at jet level without
-    any leftover higher-order terms. rho = (1 + w)^(1/k) where w solves
-    the fixed-point equation w = (1 + (u - iv) o phi(w))^(-1) - 1; the
-    iteration gains one stabilised degree per pass, so it terminates
-    within the bound.
+    any leftover higher-order terms. rho solves the fixed-point equation
+    rho = (1 + (u - iv) o phi(rho))^(-1/k), one binomial series per
+    pass, starting from rho = 1. Since u and v have zero constant term,
+    each pass stabilises one more degree of rho, so the iteration
+    terminates within the bound.
 
     Everything a germ of order k can see of the map sits in component
     degrees up to bound - k + 1, so the iteration runs at that much
@@ -282,15 +250,14 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     if inner < 0:
         return identity_map(bound)
     target = _CJet(u.poly.truncate(inner), -v.poly.truncate(inner), inner)
-    root_coeffs = binomial_coefficients(Fraction(1, k), inner + 1)
-    w = _CJet(Poly.zero(), Poly.zero(), inner)
+    coeffs = binomial_coefficients(Fraction(-1, k), inner + 1)
+    rho = _cjet_const(Fraction(1), inner)
     for _ in range(inner + 2):
-        rho = _cjet_series(w, root_coeffs)
         phi = _scale_map_from_root(rho, inner + 1)
-        w_next = _cjet_geometric_tail(_cjet_compose(target, _restrict_map(phi, inner)))
-        if w_next == w:
+        rho_next = _cjet_series(_cjet_compose(target, _restrict_map(phi, inner)), coeffs)
+        if rho_next == rho:
             return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
-        w = w_next
+        rho = rho_next
     raise AssertionError("inverse scale map iteration did not stabilise within the bound")
 
 

@@ -29,14 +29,6 @@ class RationalMatrix:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("inconsistent matrix dimensions")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]], cols: int) -> "RationalMatrix":
-        entries = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        return cls(len(entries), cols, entries)
-
-    def rank(self) -> int:
-        return len(rref(self.entries)[0])
-
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """RREF rows (zero rows dropped) and their pivot columns."""

@@ -213,6 +213,10 @@ class TestRangeErrors:
             ("determinacy", "1", "--k", "0"),
             ("biharm", "x^6", "--k", "4"),
             ("biharm", "x^6", "--k", "-3"),
+            ("reduce", "2*x*y", "--k", "2", "--tolerance", "0"),
+            ("reduce", "2*x*y", "--k", "2", "--tolerance", "-1"),
+            ("reduce", "2*x*y", "--k", "2", "--tolerance", "nan"),
+            ("reduce", "2*x*y", "--k", "2", "--tolerance", "inf"),
         ],
     )
     def test_usage_error(self, capsys, argv):

@@ -87,6 +87,13 @@ class TestNormalizeHarmonic:
         with pytest.raises(ValueError):
             normalize_harmonic(0, 0, 3)
 
+    @pytest.mark.parametrize("tolerance", (0.0, -1.0, float("nan"), float("inf")))
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        # checked up front, also when an exact root needs no tolerance
+        for a, b in ((0, -1), (1, 0)):
+            with pytest.raises(ValueError, match="tolerance"):
+                normalize_harmonic(a, b, 2, tolerance=tolerance)
+
     def test_exact_root_search(self):
         assert exact_kth_root(Fraction(-1), Fraction(0), 2) in ((0, 1), (0, -1))
         assert exact_kth_root(Fraction(0), Fraction(1), 2) is None
@@ -259,10 +266,12 @@ class TestSingleVerification:
 
 
 class TestReduceGeneral:
-    def test_plain_leading_form_matches_reduce_germ(self):
-        rhos, tail = every_offset_instance(7, 0)
-        germ = harmonic_pair(7).f + tail + sum(rhos.values(), Poly.zero())
-        assert reduce_general(germ, 7).to_json() == reduce_germ(7, rhos, tail).to_json()
+    @pytest.mark.parametrize("k", (5, 6, 7, 8))
+    @pytest.mark.parametrize("i", range(3))
+    def test_plain_leading_form_matches_reduce_germ(self, k, i):
+        rhos, tail = every_offset_instance(k, i)
+        germ = harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())
+        assert reduce_general(germ, k).to_json() == reduce_germ(k, rhos, tail).to_json()
 
     def test_rescaled_leading_form(self):
         f4 = harmonic_pair(4).f

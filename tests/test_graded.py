@@ -12,9 +12,10 @@ from harmgerm.graded import (
     product_space,
     solve_membership,
     subspace_compare,
+    translation_solution,
 )
 from harmgerm.harmonic import harmonic_basis, harmonic_pair
-from harmgerm.polyring import R2, Poly, monomial_basis
+from harmgerm.polyring import R2, Poly, laplacian_power, monomial_basis
 
 import sympy
 
@@ -166,3 +167,33 @@ class TestSolveMembership:
         assert solved is not None
         su, sv = solved
         assert su * pair.f + sv * pair.g == target
+
+
+class TestTranslationSolution:
+    @staticmethod
+    def translated(u, v, k):
+        pair = harmonic_pair(k - 1)
+        return (u * pair.f - v * pair.g) * k
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_identity_on_kernel_bases(self, k):
+        # every offset the translations handle, from the first s >= (k-3)/2
+        # up to the degree-(2k-3) slice the determinacy report absorbs
+        for s in range((k - 2) // 2, k - 2):
+            for rho in kernel_basis(k + s, s + 2).basis:
+                u, v = translation_solution(rho, k)
+                assert all(not w or (w.is_homogeneous() and w.degree() == s + 1) for w in (u, v))
+                assert self.translated(u, v, k) == rho
+
+    def test_zero(self):
+        assert translation_solution(Poly.zero(), 6) == (Poly.zero(), Poly.zero())
+
+    @pytest.mark.parametrize("k", range(5, 10))
+    def test_outside_span_is_none(self, k):
+        for s in range(1, k - 3):
+            mono = P(f"x^{k + s}")
+            assert laplacian_power(mono, s + 2)
+            assert translation_solution(mono, k) is None
+        assert translation_solution(harmonic_pair(k - 1).f + P(f"x^{k + 1}"), k) is None
+        assert translation_solution(P(f"x^{k - 2}"), k) is None
+

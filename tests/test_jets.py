@@ -16,7 +16,7 @@ from harmgerm.jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from harmgerm.polyring import Poly, monomial_basis
+from harmgerm.polyring import Poly, format_poly, monomial_basis
 
 from conftest import P, oracle_compose
 
@@ -221,3 +221,59 @@ class TestScaleMap:
         germ = pair.f + u * pair.f + v * pair.g
         phi = inverse_scale_map(jet_truncate(u, bound), jet_truncate(v, bound), k)
         assert jet_compose(jet_truncate(germ, bound), phi).poly == pair.f.truncate(bound)
+
+
+# inverse_scale_map at bound 2k-4, as the reduction calls it. The expected
+# components pin the map exactly: a rewrite of the iteration must return
+# the same polynomials, not only some map that also recovers f_k.
+SCALE_MAP_GOLDEN = [
+    (
+        8,
+        "x - 2*y^2 + 1/3*x*y",
+        "y + x^2",
+        (
+            "493/98304*x^5 + 143/1536*x^4*y + 68777/147456*x^3*y^2 - "
+            "117/256*x^2*y^3 + 22515/32768*x*y^4 - 13/1536*y^5 - 5/64*x^4 + "
+            "17/192*x^3*y - 45/128*x^2*y^2 + 17/192*x*y^3 - 35/128*y^4 + 11/128*x^3 "
+            "- 1/6*x^2*y + 43/128*x*y^2 - 1/8*x^2 - 1/8*y^2 + x"
+        ),
+        (
+            "193/1024*x^5 - 8869/32768*x^4*y + 343/512*x^3*y^2 - "
+            "52063/147456*x^2*y^3 - 185/3072*x*y^4 + 4695/32768*y^5 - 5/32*x^4 + "
+            "21/256*x^3*y - 29/192*x^2*y^2 + 21/256*x*y^3 + 1/192*y^4 + 1/8*x^3 - "
+            "7/128*x^2*y - 1/24*x*y^2 + 25/128*y^3 + y"
+        ),
+    ),
+    (
+        9,
+        "3*x*y - y",
+        "1/2*x",
+        (
+            "121/26244*x^6 + 284021/1889568*x^5*y + 1168/6561*x^4*y^2 + "
+            "576197/472392*x^3*y^3 + 527/8748*x^2*y^4 - 24865/629856*x*y^5 + "
+            "157/314928*x^5 + 1/27*x^4*y + 117943/157464*x^3*y^2 - 125/972*x^2*y^3 "
+            "- 7927/314928*x*y^4 - 1/54*x^4 - 41/2187*x^3*y - 7/27*x^2*y^2 - "
+            "185/17496*x*y^3 - 1/108*x^3 - 1/3*x^2*y + 1/108*x*y^2 + 1/18*x*y + x"
+        ),
+        (
+            "77/629856*x^6 - 245/52488*x^5*y + 297769/314928*x^4*y^2 - "
+            "9317/13122*x^3*y^3 + 446089/209952*x^2*y^4 - 14321/17496*x*y^5 + "
+            "154/2187*y^6 - 11/972*x^5 - 317/39366*x^4*y - 449/972*x^3*y^2 + "
+            "16358/19683*x^2*y^3 - 599/972*x*y^4 + 1288/19683*y^5 - 11/4374*x^4 - "
+            "2/9*x^3*y + 319/5832*x^2*y^2 - 25/54*x*y^3 + 143/2187*y^4 + 1/18*x^2*y "
+            "- 1/3*x*y^2 + 2/27*y^3 + 1/18*x^2 + 1/9*y^2 + y"
+        ),
+    ),
+]
+
+
+class TestInverseScaleMapGolden:
+    @pytest.mark.parametrize("k, u, v, expected_x, expected_y", SCALE_MAP_GOLDEN)
+    def test_recorded_maps(self, k, u, v, expected_x, expected_y):
+        bound = 2 * k - 4
+        phi = inverse_scale_map(jet_truncate(P(u), bound), jet_truncate(P(v), bound), k)
+        assert format_poly(phi.x.poly) == expected_x
+        assert format_poly(phi.y.poly) == expected_y
+        pair = harmonic_pair(k)
+        germ = pair.f + P(u) * pair.f + P(v) * pair.g
+        assert jet_compose(jet_truncate(germ, bound), phi).poly == pair.f
