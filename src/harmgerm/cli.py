@@ -28,29 +28,46 @@ from .polyring import PolyParseError, format_poly, parse_poly
 from .selftest import format_report, run_selftest
 
 
-# Smallest accepted value of each range-checked option, per command. main()
-# checks them, and that --tolerance is finite and positive, before running
-# the command; a value out of range is a usage error.
-MINIMUMS = {
-    "harmonic": {"k": 1},
-    "kernel": {"k": 0, "s": 0},
-    "span": {"k": 1, "s": 0},
-    "almansi": {"s": 1},
-    "determinacy": {"k": 1},
-    "reduce": {"k": 1},
-    "biharm": {"k": 5},
-    "selftest": {"max_degree": 1},
+# Accepted range (low, high) of each range-checked option, per command;
+# high None means no upper limit. The upper limits and the input degree
+# caps below are the work budget: the largest accepted input takes about a
+# minute on a 2-core Xeon. main() checks them, and that --tolerance is
+# finite and positive, before running the command; a value out of range
+# is a usage error.
+RANGES = {
+    "harmonic": {"k": (1, 14000)},
+    "kernel": {"k": (0, 450), "s": (0, None)},
+    "span": {"k": (1, 300), "s": (0, 300)},
+    "almansi": {"s": (1, 400)},
+    "determinacy": {"k": (1, 24)},
+    "reduce": {"k": (1, 18)},
+    "biharm": {"k": (5, 18)},
+    "selftest": {"max_degree": (1, None)},
 }
+# Highest accepted degree of the input polynomial.
+MAX_DEGREE = {"almansi": 400, "split": 800}
 
 
 def _range_error(args) -> str | None:
-    for option, low in MINIMUMS.get(args.command, {}).items():
+    for option, (low, high) in RANGES.get(args.command, {}).items():
         value = getattr(args, option)
-        if value is not None and value < low:
-            return f"{args.command} requires --{option.replace('_', '-')} >= {low}"
+        flag = f"--{option.replace('_', '-')}"
+        if value is None:
+            continue
+        if value < low:
+            return f"{args.command} requires {flag} >= {low}"
+        if high is not None and value > high:
+            return f"{args.command} requires {flag} <= {high}"
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not 0 < tolerance < math.inf:
         return f"{args.command} requires --tolerance to be finite and > 0"
+    return None
+
+
+def _degree_error(args) -> str | None:
+    cap = MAX_DEGREE.get(args.command)
+    if cap is not None and args.poly.degree() > cap:
+        return f"{args.command} requires a polynomial of degree <= {cap}"
     return None
 
 
@@ -97,7 +114,7 @@ def cmd_span(args) -> int:
 
 
 def cmd_almansi(args) -> int:
-    u = parse_poly(args.poly)
+    u = args.poly
     deco = almansi_decompose(u, args.s)
     layers = [format_poly(h) for h in deco.components]
     text = [f"almansi layers of {u} at order {args.s}:"]
@@ -107,7 +124,7 @@ def cmd_almansi(args) -> int:
 
 
 def cmd_split(args) -> int:
-    p = parse_poly(args.poly)
+    p = args.poly
     h, q = harmonic_split(p)
     _emit(
         args,
@@ -118,7 +135,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_determinacy(args) -> int:
-    h = parse_poly(args.poly)
+    h = args.poly
     level = args.k
     cert = check_determinacy(h, level)
     payload = {
@@ -140,7 +157,7 @@ def cmd_determinacy(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    germ = parse_poly(args.poly)
+    germ = args.poly
     k = args.k
     if germ.order() < k:
         raise ValueError(f"germ has terms of degree below k = {k}")
@@ -196,7 +213,7 @@ def _numeric_text(witness: NumericWitness) -> str:
 
 
 def cmd_biharm(args) -> int:
-    R = parse_poly(args.poly)
+    R = args.poly
     chain = verify_biharmonic(args.k, R)
     _emit(args, chain.to_json_dict(), _chain_text(chain))
     return 0
@@ -270,11 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _range_error(args)
-    if problem:
-        print(f"usage error: {problem}", file=sys.stderr)
-        return 2
     try:
+        problem = _range_error(args)
+        if problem is None and "poly" in vars(args):
+            args.poly = parse_poly(args.poly)
+            problem = _degree_error(args)
+        if problem:
+            print(f"usage error: {problem}", file=sys.stderr)
+            return 2
         return args.run(args)
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

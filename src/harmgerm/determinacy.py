@@ -30,19 +30,10 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-def _filtered_basis(level: int) -> list[tuple[int, int]]:
-    """Monomial exponents of all degrees 1..level, degree then x-descending."""
-    out = []
-    for d in range(1, level + 1):
-        out.extend(monomial_basis(d))
-    return out
-
-
-def _vectorize(p: Poly, index: dict[tuple[int, int], int]) -> tuple[Fraction, ...]:
-    vec = [Fraction(0)] * len(index)
-    for (a, b), c in p.terms():
-        vec[index[(a, b)]] = c
-    return tuple(vec)
+def _coordinates(polys, level: int) -> list[tuple[Fraction, ...]]:
+    """Coefficient vectors over the monomials of degrees 1..level, degree then x-descending."""
+    basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
+    return [tuple(p.coeff(a, b) for a, b in basis) for p in polys]
 
 
 @dataclass(frozen=True)
@@ -58,8 +49,6 @@ class DeterminacyCertificate:
 
     germ: Poly
     level: int
-    bound: int
-    multiplier_degree: int
     products: tuple[Poly, ...]
     verdict: bool
     missing: Poly | None
@@ -83,9 +72,6 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     cap = level - generator_order + 1 if generator_order <= level else 0
     if max_multiplier_degree is not None:
         cap = min(cap, max_multiplier_degree)
-        declared = max_multiplier_degree
-    else:
-        declared = level
 
     products = []
     for d in range(1, max(cap, 0) + 1):
@@ -96,23 +82,19 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
                 if truncated:
                     products.append(truncated)
 
-    index = {exps: i for i, exps in enumerate(_filtered_basis(level))}
-    rows = [_vectorize(p, index) for p in products]
-    rr, pivots = linalg.rref(rows)
+    rr, pivots = linalg.rref(_coordinates(products, level))
 
+    monomials = [Poly.monomial(a, b) for a, b in monomial_basis(level)]
     missing = None
     verdict = True
-    for a, b in monomial_basis(level):
-        target = _vectorize(Poly.monomial(a, b), index)
+    for mono, target in zip(monomials, _coordinates(monomials, level)):
         if not linalg.in_rowspace(rr, pivots, target):
             verdict = False
-            missing = Poly.monomial(a, b)
+            missing = mono
             break
     return DeterminacyCertificate(
         germ=h,
         level=level,
-        bound=level,
-        multiplier_degree=declared,
         products=tuple(products),
         verdict=verdict,
         missing=missing,
@@ -128,11 +110,10 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     """
     if not cert.verdict:
         return False
-    index = {exps: i for i, exps in enumerate(_filtered_basis(cert.level))}
-    columns = [_vectorize(p, index) for p in cert.products]
-    for a, b in monomial_basis(cert.level):
-        mono = Poly.monomial(a, b)
-        coeffs = linalg.solve_canonical(columns, _vectorize(mono, index))
+    columns = _coordinates(cert.products, cert.level)
+    monomials = [Poly.monomial(a, b) for a, b in monomial_basis(cert.level)]
+    for mono, target in zip(monomials, _coordinates(monomials, cert.level)):
+        coeffs = linalg.solve_canonical(columns, target)
         if coeffs is None:
             return False
         combo = Poly.zero()

@@ -41,10 +41,10 @@ from .jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from .polyring import Poly, format_poly, laplacian, laplacian_power
+from .polyring import X, Y, Poly, format_poly, laplacian, laplacian_power
 
-X = Poly.monomial(1, 0)
-Y = Poly.monomial(0, 1)
+# Candidate roots are rationalised with denominators at most this large.
+_MAX_ROOT_DENOMINATOR = 10**9
 
 
 class MembershipError(ValueError):
@@ -195,7 +195,7 @@ class NumericWitness:
         }
 
 
-def exact_kth_root(re: Fraction, im: Fraction, k: int, max_denominator: int = 10**9):
+def exact_kth_root(re: Fraction, im: Fraction, k: int):
     """A Gaussian-rational delta with delta^k == re + im*i, or None.
 
     Candidates come from rationalising the k numeric roots; each one is
@@ -211,8 +211,8 @@ def exact_kth_root(re: Fraction, im: Fraction, k: int, max_denominator: int = 10
         for j in range(k):
             cand = base * mpmath.exp(mpmath.mpc(0, 2) * mpmath.pi * j / k)
             try:
-                p = Fraction(float(cand.real)).limit_denominator(max_denominator)
-                q = Fraction(float(cand.imag)).limit_denominator(max_denominator)
+                p = Fraction(float(cand.real)).limit_denominator(_MAX_ROOT_DENOMINATOR)
+                q = Fraction(float(cand.imag)).limit_denominator(_MAX_ROOT_DENOMINATOR)
             except (OverflowError, ValueError):
                 continue
             if _gaussian_pow(p, q, k) == (re, im):

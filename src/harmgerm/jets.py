@@ -16,10 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import Poly
-
-X = Poly.monomial(1, 0)
-Y = Poly.monomial(0, 1)
+from .polyring import X, Y, Poly
 
 
 class BoundMismatchError(ValueError):
@@ -204,6 +201,13 @@ def _scale_map_from_root(rho: _CJet, bound: int) -> JetMap:
     return jet_map(px, py, bound)
 
 
+def _check_scale_arguments(u: Jet, v: Jet) -> None:
+    if u.bound != v.bound:
+        raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
+    if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
+        raise ValueError("scale map arguments must have zero constant term")
+
+
 def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     """The map z -> z * (1 + u - iv)^(1/k) as a real JetMap.
 
@@ -214,10 +218,7 @@ def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
 
     since (z*rho)^k = z^k * (1 + u - iv) up to truncation.
     """
-    if u.bound != v.bound:
-        raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
-    if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
-        raise ValueError("scale map arguments must have zero constant term")
+    _check_scale_arguments(u, v)
     bound = u.bound
     w = _CJet(u.poly, -v.poly, bound)
     rho = _cjet_series(w, binomial_coefficients(Fraction(1, k), bound + 1))
@@ -239,10 +240,7 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     degrees up to bound - k + 1, so the iteration runs at that much
     smaller internal bound and the result is lifted afterwards.
     """
-    if u.bound != v.bound:
-        raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
-    if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
-        raise ValueError("scale map arguments must have zero constant term")
+    _check_scale_arguments(u, v)
     if k < 1:
         raise ValueError("root index must be at least 1")
     bound = u.bound
@@ -254,12 +252,9 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     rho = _cjet_const(Fraction(1), inner)
     for _ in range(inner + 2):
         phi = _scale_map_from_root(rho, inner + 1)
-        rho_next = _cjet_series(_cjet_compose(target, _restrict_map(phi, inner)), coeffs)
+        restricted = jet_map(phi.x.poly, phi.y.poly, inner)
+        rho_next = _cjet_series(_cjet_compose(target, restricted), coeffs)
         if rho_next == rho:
             return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
         rho = rho_next
     raise AssertionError("inverse scale map iteration did not stabilise within the bound")
-
-
-def _restrict_map(phi: JetMap, bound: int) -> JetMap:
-    return jet_map(phi.x.poly, phi.y.poly, bound)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._kernels import rref as _rref
+from ._kernels import rref
 
 Vector = tuple[Fraction, ...]
 
@@ -28,11 +28,6 @@ class RationalMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("inconsistent matrix dimensions")
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """RREF rows (zero rows dropped) and their pivot columns."""
-    return _rref(rows)
 
 
 def reduce_vector(rref_rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Fraction]) -> Vector:

@@ -24,6 +24,7 @@ Exponents = tuple[int, int]
 Scalar = Union[int, Fraction]
 
 _INF = math.inf
+_ZERO = Fraction(0)
 
 
 class PolyParseError(ValueError):
@@ -67,6 +68,14 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict[Exponents, Fraction]) -> "Poly":
+        """Wrap a term map that already has int exponents and nonzero Fractions."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls()
 
@@ -85,7 +94,7 @@ class Poly:
         return tuple(sorted(self._terms.items(), key=lambda item: _term_key(item[0])))
 
     def coeff(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
+        return self._terms.get((a, b), _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -115,7 +124,7 @@ class Poly:
 
     def graded_component(self, d: int) -> "Poly":
         """Sum of the terms of total degree exactly d."""
-        return Poly({k: c for k, c in self._terms.items() if k[0] + k[1] == d})
+        return Poly._of({k: c for k, c in self._terms.items() if k[0] + k[1] == d})
 
     def components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components, keyed by degree (nonzero only)."""
@@ -124,7 +133,7 @@ class Poly:
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop all terms of total degree above max_degree."""
-        return Poly({k: c for k, c in self._terms.items() if k[0] + k[1] <= max_degree})
+        return Poly._of({k: c for k, c in self._terms.items() if k[0] + k[1] <= max_degree})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -139,10 +148,7 @@ class Poly:
                 merged[key] = s
             elif key in merged:
                 del merged[key]
-        out = Poly.__new__(Poly)
-        out._terms = merged
-        out._hash = None
-        return out
+        return Poly._of(merged)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -150,17 +156,11 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
-        return out
+        return Poly._of({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, Poly):
-            out = Poly.__new__(Poly)
-            out._terms = poly_mul(self._terms, other._terms, None)
-            out._hash = None
-            return out
+            return Poly._of(poly_mul(self._terms, other._terms, None))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -179,10 +179,7 @@ class Poly:
         c = Fraction(c)
         if not c:
             return Poly()
-        out = Poly.__new__(Poly)
-        out._terms = {k: v * c for k, v in self._terms.items()}
-        out._hash = None
-        return out
+        return Poly._of({k: v * c for k, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -198,10 +195,7 @@ class Poly:
 
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         """Product with all terms above max_degree dropped during the multiply."""
-        out = Poly.__new__(Poly)
-        out._terms = poly_mul(self._terms, other._terms, max_degree)
-        out._hash = None
-        return out
+        return Poly._of(poly_mul(self._terms, other._terms, max_degree))
 
     # -- calculus ----------------------------------------------------------
 
@@ -213,10 +207,7 @@ class Poly:
             terms = {(a, b - 1): c * b for (a, b), c in self._terms.items() if b}
         else:
             raise ValueError(f"unknown variable {var!r}")
-        out = Poly.__new__(Poly)
-        out._terms = terms
-        out._hash = None
-        return out
+        return Poly._of(terms)
 
     # -- comparison / hashing ----------------------------------------------
 

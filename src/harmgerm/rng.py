@@ -4,8 +4,8 @@ The generator is xoshiro256** with the state seeded by four successive
 outputs of splitmix64 applied to the user seed, the reference seeding
 procedure for that family. It is fully specified by integer arithmetic
 on 64-bit words, so the same seed yields the same instances on every
-platform and backend; statistical quality far exceeds what coefficient
-sampling here needs.
+platform; statistical quality far exceeds what coefficient sampling
+here needs.
 
 Random polynomials draw integer coefficients uniformly from [-3, 3],
 either directly on monomials or as combinations of a subspace basis.

@@ -4,8 +4,7 @@ Each check either passes, fails, or lands on an expected discrepancy
 (a printed identity documented to be wrong, kept as a regression
 check that it stays wrong). The report is fully determined by the seed
 and the degree cap: fixed iteration order, no timing, no environment
-data, so equal configurations produce byte-identical reports on either
-kernel backend.
+data, so equal configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .jets import (
     jet_root,
     jet_truncate,
 )
-from .polyring import R2, Poly, laplacian, parse_poly
+from .polyring import R2, X, Y, Poly, laplacian, parse_poly
 from .rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
 PASS = "PASS"
@@ -135,10 +134,8 @@ def _check_harmonic_pairs(out, cap, seed):
         ok = ok and pair.f.is_homogeneous() and pair.f.degree() == k
         if k < top:
             nxt = harmonic_pair(k + 1)
-            x = Poly.monomial(1, 0)
-            y = Poly.monomial(0, 1)
-            ok = ok and nxt.f == x * pair.f - y * pair.g
-            ok = ok and nxt.g == x * pair.g + y * pair.f
+            ok = ok and nxt.f == X * pair.f - Y * pair.g
+            ok = ok and nxt.g == X * pair.g + Y * pair.f
         out.append(CheckResult("harmonic/pair-recurrence", f"k={k}", PASS if ok else FAIL))
 
 
@@ -272,13 +269,13 @@ def _check_jet_associativity(out, cap, seed):
         bound = 6
         h = jet_truncate(random_homogeneous(rng, 2) + random_homogeneous(rng, 3), bound)
         phi = jet_map(
-            Poly.monomial(1, 0) + random_homogeneous(rng, 2),
-            Poly.monomial(0, 1) + random_homogeneous(rng, 2),
+            X + random_homogeneous(rng, 2),
+            Y + random_homogeneous(rng, 2),
             bound,
         )
         psi = jet_map(
-            Poly.monomial(1, 0) + random_homogeneous(rng, 3),
-            Poly.monomial(0, 1) + random_homogeneous(rng, 3),
+            X + random_homogeneous(rng, 3),
+            Y + random_homogeneous(rng, 3),
             bound,
         )
         ok = jet_compose(jet_compose(h, phi), psi) == jet_compose(h, jet_map_compose(phi, psi))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmgerm.equivalence
-from harmgerm.cli import main
+from harmgerm.cli import RANGES, main
 from harmgerm.equivalence import WitnessChain
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import format_poly
@@ -240,3 +245,122 @@ class TestRangeErrors:
     def test_deep_nesting_is_a_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "split", "(" * 3000 + "x" + ")" * 3000)
         assert code == 2 and "parse error" in err
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("harmonic", "--k", "99999999999999999999"),
+            ("kernel", "--k", "100000", "--s", "1"),
+            ("split", "x^1000000"),
+            ("almansi", "x^1000000", "--s", "600000"),
+        ],
+    )
+    def test_unbounded_runs_are_usage_errors(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and "<=" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("harmonic", "--k", "14001"), "--k <= 14000"),
+            (("kernel", "--k", "451", "--s", "0"), "--k <= 450"),
+            (("span", "--k", "301", "--s", "0"), "--k <= 300"),
+            (("span", "--k", "1", "--s", "301"), "--s <= 300"),
+            (("almansi", "x^4", "--s", "401"), "--s <= 400"),
+            (("almansi", "x^401", "--s", "1"), "a polynomial of degree <= 400"),
+            (("split", "x^801"), "a polynomial of degree <= 800"),
+            (("determinacy", "x^2", "--k", "25"), "--k <= 24"),
+            (("reduce", "x^5", "--k", "19"), "--k <= 18"),
+            (("biharm", "x^6", "--k", "19"), "--k <= 18"),
+        ],
+    )
+    def test_just_above_limit(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"usage error: {argv[0]} requires {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel", "--k", "12", "--s", "4"),
+            ("split", "x^12"),
+            ("almansi", format_poly(harmonic_pair(10).f), "--s", "3"),
+            ("determinacy", format_poly(harmonic_pair(8).f), "--k", "13"),
+            ("reduce", format_poly(harmonic_pair(10).f + harmonic_pair(17).g), "--k", "10"),
+            ("biharm", format_poly(harmonic_pair(8).f), "--k", "7"),
+        ],
+    )
+    def test_benchmark_mix_sizes_accepted(self, capsys, argv):
+        # the shapes of the perfbench cli mix
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+
+# -- arbitrary argv ------------------------------------------------------------
+
+# Integers are either small enough to run quickly or far outside every
+# accepted range, so only the range checks ever see large values. Small
+# ones come three times as often, so that most commands get to run.
+_SMALL_INT = st.integers(-1, 7)
+_OPTION_INT = st.one_of(
+    _SMALL_INT,
+    _SMALL_INT,
+    _SMALL_INT,
+    st.integers(min_value=10**6, max_value=10**40),
+    st.integers(max_value=-(10**6), min_value=-(10**40)),
+)
+_POLY_TEXT = st.one_of(
+    st.text(alphabet="xy0123456789+-*/^() ", max_size=12),
+    st.builds(
+        lambda terms: " + ".join(f"{c}*x^{a}*y^{b}" for c, a, b in terms) or "0",
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 6), st.integers(0, 6)), max_size=4),
+    ),
+    st.builds(lambda v, n: f"{v}^{n}", st.sampled_from("xy"), st.integers(10**3, 10**6)),
+)
+
+
+@st.composite
+def _argv(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "text", "json", "yaml"]))]
+    command = draw(st.sampled_from(
+        ["harmonic", "kernel", "span", "almansi", "split", "determinacy", "reduce", "biharm", "selftest"]
+    ))
+    argv.append(command)
+    if command in ("almansi", "split", "determinacy", "reduce", "biharm"):
+        argv.append(draw(_POLY_TEXT))
+    for option in ("k", "s"):
+        # now and then a required option is missing
+        if option in RANGES.get(command, {}) and draw(st.sampled_from([True] * 9 + [False])):
+            argv += [f"--{option}", str(draw(_OPTION_INT))]
+    if command == "reduce" and draw(st.booleans()):
+        argv += ["--tolerance", repr(draw(st.floats()))]
+    if command == "selftest":
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers()))]
+        if draw(st.booleans()):
+            # no upper limit here, and a large cap runs the whole grid
+            argv += ["--max-degree", str(draw(st.integers(-(10**40), 2)))]
+    return argv
+
+
+class TestArbitraryArgv:
+    @given(_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

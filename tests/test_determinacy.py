@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from harmgerm.determinacy import (
@@ -8,13 +11,15 @@ from harmgerm.determinacy import (
     translation_absorption,
 )
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.polyring import Poly, monomial_basis
+from harmgerm.polyring import Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
 from conftest import P, from_sympy, to_sympy
 import sympy
 
 X, Y = sympy.symbols("x y", real=True)
+
+GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2632d372"
 
 
 def random_order_tail(seed, k):
@@ -141,3 +146,43 @@ class TestDeterminedBoundReport:
         for mono, u, v in absorption.entries:
             assert (pair.f * u - pair.g * v) * k == mono
             assert u.is_homogeneous() and (not u or u.degree() == k - 2)
+
+
+def certificate_digest() -> str:
+    """SHA-256 over every certificate of a fixed grid, as canonical text.
+
+    The grid is f_k with no tail and with two seeded tails, k = 2..8, at
+    levels k-1..2k-3 and multiplier caps None, 1 and 2. A level below the
+    germ's order contributes its error message instead.
+    """
+    records = []
+    for k in range(2, 9):
+        germs = [harmonic_pair(k).f]
+        germs += [harmonic_pair(k).f + random_order_tail(derive_seed(4242, k, i), k) for i in (0, 1)]
+        for germ in germs:
+            for level in range(k - 1, 2 * k - 2):
+                for cap in (None, 1, 2):
+                    try:
+                        cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+                    except ValueError as exc:
+                        records.append((format_poly(germ), level, cap, str(exc)))
+                        continue
+                    records.append(
+                        (
+                            format_poly(germ),
+                            level,
+                            cap,
+                            cert.verdict,
+                            format_poly(cert.missing) if cert.missing is not None else None,
+                            [format_poly(p) for p in cert.products],
+                            reverify_certificate(cert),
+                        )
+                    )
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+class TestCertificateGolden:
+    def test_digest_unchanged(self):
+        # any change to a verdict, a missing monomial, the products or
+        # their order, or a reverification outcome changes the digest
+        assert certificate_digest() == GOLDEN_CERTIFICATES
