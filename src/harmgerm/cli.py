@@ -40,8 +40,8 @@ RANGES = {
     "span": {"k": (1, 300), "s": (0, 300)},
     "almansi": {"s": (1, 400)},
     "determinacy": {"k": (1, 24)},
-    "reduce": {"k": (1, 18)},
-    "biharm": {"k": (5, 18)},
+    "reduce": {"k": (1, 28)},
+    "biharm": {"k": (5, 28)},
     "selftest": {"max_degree": (1, None)},
 }
 # Highest accepted degree of the input polynomial.

@@ -7,12 +7,31 @@ diffeomorphism fixing the origin. Composition truncates eagerly at every
 multiplication, which changes nothing modulo the bound and keeps the
 intermediate polynomials small.
 
+Composition has two routes, chosen by the map alone. A radial map, one
+whose complex form phi.x + i*phi.y is exactly divisible by z = x + iy,
+is z -> z*rho. There the jet is rewritten as sum C_ij z^i zbar^j, and
+each term becomes C_ij z^i zbar^j rho^i conj(rho)^j. That product only
+matters up to degree bound - i - j, which is far below the bound for the
+high-order jets the reduction composes. Since the jet is real,
+C_ji = conj(C_ij), so only the terms with i >= j are formed. Every other
+map (translations, shears) substitutes its components into x and y.
+
+The inverse radial scale map solves a fixed point by graded passes:
+pass d fixes the degree-d part of rho from the degrees below d, so it
+runs at truncation d, and the last pass gives the unique solution with
+no convergence test (van der Hoeven, "Relax, but don't be too lazy",
+JSC 2002).
+
 Complex coefficients appear only inside this module (as real/imaginary
-pairs of Polys); every public result is real.
+pairs of Polys, in (x, y) or in (z, zbar) exponents); every public
+result is real, and an imaginary part left in a real result is an
+error.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,11 +96,16 @@ def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:
 def jet_compose(h: Jet, phi: JetMap) -> Jet:
     """The jet of h(phi_x, phi_y) at the common bound.
 
-    Powers of the components are cached across terms, and every product
-    is truncated at the bound.
+    A radial map z -> z*rho composes in (z, zbar) coordinates (see the
+    module docstring); any other map substitutes its components, with
+    their powers cached across terms. Every product is truncated at the
+    bound.
     """
     if h.bound != phi.bound:
         raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
+    rho = _radial_factor(phi)
+    if rho is not None:
+        return Jet(_compose_radial((h.poly,), rho, h.bound)[0], h.bound)
     bound = h.bound
     pow_x = [Poly.constant(1)]
     pow_y = [Poly.constant(1)]
@@ -146,7 +170,11 @@ def jet_root(w: Jet, k: int) -> Jet:
 
 @dataclass(frozen=True)
 class _CJet:
-    """Real/imaginary pair of polynomials, truncated at a shared bound."""
+    """Real/imaginary pair of polynomials, truncated at a shared bound.
+
+    The exponents stand for x^a*y^b, or for z^a*zbar^b where the
+    radial composition works in (z, zbar) coordinates.
+    """
 
     re: Poly
     im: Poly
@@ -156,16 +184,28 @@ class _CJet:
         return _CJet(self.re + other.re, self.im + other.im, self.bound)
 
     def __mul__(self, other: "_CJet") -> "_CJet":
+        # three real products instead of four (Gauss)
         b = self.bound
-        re = self.re.mul_truncated(other.re, b) - self.im.mul_truncated(other.im, b)
-        im = self.re.mul_truncated(other.im, b) + self.im.mul_truncated(other.re, b)
-        return _CJet(re, im, b)
+        ac = self.re.mul_truncated(other.re, b)
+        bd = self.im.mul_truncated(other.im, b)
+        cross = (self.re + self.im).mul_truncated(other.re + other.im, b)
+        return _CJet(ac - bd, cross - ac - bd, b)
 
     def scale(self, c: Fraction) -> "_CJet":
         return _CJet(self.re * c, self.im * c, self.bound)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
+
+    def at(self, bound: int) -> "_CJet":
+        """The same pair, with products truncated at `bound` from now on."""
+        return _CJet(self.re.truncate(bound), self.im.truncate(bound), bound)
+
+    def conjugate_zz(self) -> "_CJet":
+        """Complex conjugate of a (z, zbar) polynomial: swap the exponents
+        and negate the imaginary part."""
+        re, im = (_reindexed(p, lambda a, b: (b, a)) for p in (self.re, self.im))
+        return _CJet(re, -im, self.bound)
 
 
 def _cjet_const(c: Fraction, bound: int) -> _CJet:
@@ -187,11 +227,127 @@ def _cjet_series(w: _CJet, coeffs: list[Fraction]) -> _CJet:
     return total
 
 
-def _cjet_compose(w: _CJet, phi: JetMap) -> _CJet:
-    """Substitute the map components into both parts of w."""
-    re = jet_compose(Jet(w.re, w.bound), phi).poly
-    im = jet_compose(Jet(w.im, w.bound), phi).poly
-    return _CJet(re, im, w.bound)
+# -- (z, zbar) coordinates -----------------------------------------------------
+
+
+def _reindexed(p: Poly, key) -> Poly:
+    """p with every exponent pair (a, b) moved to key(a, b)."""
+    return Poly({key(a, b): c for (a, b), c in p.terms()})
+
+
+def _binomial_product(a: int, b: int) -> list[int]:
+    """Coefficients of (1 + t)^a * (1 - t)^b, lowest degree first."""
+    return [
+        sum(
+            math.comb(a, p) * math.comb(b, m - p) * (-1) ** (m - p)
+            for p in range(max(0, m - b), min(a, m) + 1)
+        )
+        for m in range(a + b + 1)
+    ]
+
+
+# Images of single monomials under the change of variables, as
+# (exponents, coefficient, imaginary) triples: every coefficient is real
+# or purely imaginary. A composition at bound N meets at most
+# (N + 1)(N + 2)/2 monomials: 1431 at bound 52, the CLI's largest k = 28.
+@functools.lru_cache(maxsize=4096)
+def _z_image(a: int, b: int) -> tuple:
+    """x^a*y^b in (z, zbar): x = (z + zbar)/2 and y = (z - zbar)/(2i) give
+    i^b/2^n * sum_m e_m z^m zbar^(n-m), with e from (1 + t)^a (1 - t)^b."""
+    n = a + b
+    unit = Fraction((-1) ** (b // 2), 2**n)
+    return tuple(
+        ((m, n - m), e * unit, b % 2 == 1) for m, e in enumerate(_binomial_product(a, b)) if e
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _xy_image(i: int, j: int) -> tuple:
+    """z^i*zbar^j = (x + iy)^i (x - iy)^j in (x, y): sum_q i^q e_q x^(n-q) y^q,
+    with e from (1 + t)^i (1 - t)^j."""
+    n = i + j
+    return tuple(
+        ((n - q, q), e * (-1) ** (q // 2), q % 2 == 1)
+        for q, e in enumerate(_binomial_product(i, j))
+        if e
+    )
+
+
+def _change_variables(w: _CJet, image) -> _CJet:
+    """Replace every monomial of w by its image, keeping complex coefficients."""
+    re, im = {}, {}
+    for imaginary_part, terms in ((False, w.re), (True, w.im)):
+        for (a, b), c in terms.terms():
+            for exps, value, imaginary in image(a, b):
+                t = -c * value if imaginary_part and imaginary else c * value
+                target = im if imaginary_part != imaginary else re
+                target[exps] = target.get(exps, 0) + t
+    return _CJet(Poly(re), Poly(im), w.bound)
+
+
+def _radial_factor(phi: JetMap) -> _CJet | None:
+    """rho in (z, zbar) coordinates when phi.x + i*phi.y == z*rho exactly,
+    otherwise None."""
+    w = _change_variables(_CJet(phi.x.poly, phi.y.poly, phi.bound), _z_image)
+    if any(a == 0 for part in (w.re, w.im) for (a, _), _ in part.terms()):
+        return None
+    re, im = (_reindexed(p, lambda a, b: (a - 1, b)) for p in (w.re, w.im))
+    return _CJet(re, im, phi.bound - 1)
+
+
+def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Poly]:
+    """Each real polynomial of `parts` composed with z -> z*rho, rho in
+    (z, zbar) coordinates, modulo degrees above the bound.
+
+    With p = sum C_ij z^i zbar^j, the terms with i >= j are summed row by
+    row: for each j, B_j = sum_i C_ij z^i rho^i, then B_j conj(rho)^j
+    zbar^j. The diagonal counts half, so the result is S + conj(S). The
+    powers rho^n are shared by all parts and kept only to the degree
+    their terms need.
+    """
+    coefficients = [_change_variables(_CJet(p, Poly.zero(), bound), _z_image) for p in parts]
+    rows: list[dict[int, list[int]]] = []
+    need = [-1] * (bound + 2)
+    for c in coefficients:
+        rows.append({})
+        for i, j in {exps for part in (c.re, c.im) for exps, _ in part.terms()}:
+            if i >= j:
+                rows[-1].setdefault(j, []).append(i)
+                need[i] = max(need[i], bound - i - j)
+                need[j] = max(need[j], bound - i - j)
+    for n in range(bound, -1, -1):
+        need[n] = max(need[n], need[n + 1])
+    powers = [_cjet_const(Fraction(1), need[0])]
+    while need[len(powers)] >= 0:
+        top = need[len(powers)]
+        powers.append(powers[-1].at(top) * rho.at(top))
+
+    composed = []
+    for c, row_columns in zip(coefficients, rows):
+        total = _CJet(Poly.zero(), Poly.zero(), bound)
+        for j, columns in row_columns.items():
+            top = bound - j
+            row = _CJet(Poly.zero(), Poly.zero(), top)
+            for i in columns:
+                weight = Fraction(1, 2) if i == j else 1
+                coeff = _CJet(
+                    Poly.monomial(i, 0, c.re.coeff(i, j) * weight),
+                    Poly.monomial(i, 0, c.im.coeff(i, j) * weight),
+                    top,
+                )
+                row = row + coeff * powers[i]
+            if j:
+                row = row * powers[j].conjugate_zz()
+                row = _CJet(Poly.monomial(0, j), Poly.zero(), bound) * row
+            total = total + row
+        result = _change_variables(total + total.conjugate_zz(), _xy_image)
+        if result.im:
+            raise ArithmeticError(f"composition of a real jet left an imaginary part {result.im}")
+        composed.append(result.re)
+    return composed
+
+
+# -- radial scale maps ---------------------------------------------------------
 
 
 def _scale_map_from_root(rho: _CJet, bound: int) -> JetMap:
@@ -230,14 +386,15 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
 
     Composing f_k + u*f_k + v*g_k with phi recovers f_k modulo the
     bound, undoing the effect of complex_scale_map at jet level without
-    any leftover higher-order terms. rho solves the fixed-point equation
-    rho = (1 + (u - iv) o phi(rho))^(-1/k), one binomial series per
-    pass, starting from rho = 1. Since u and v have zero constant term,
-    each pass stabilises one more degree of rho, so the iteration
-    terminates within the bound.
+    any leftover higher-order terms. rho is the unique solution of
+    rho = (1 + (u - iv) o phi(rho))^(-1/k) with constant term 1. Since u
+    and v have zero constant term, the degree-d part of the right-hand
+    side depends only on the degrees of rho below d. So pass d = 1, 2,
+    ... evaluates it at truncation d from the previous pass, and the
+    last pass leaves the solution itself.
 
     Everything a germ of order k can see of the map sits in component
-    degrees up to bound - k + 1, so the iteration runs at that much
+    degrees up to bound - k + 1, so the passes stop at that much
     smaller internal bound and the result is lifted afterwards.
     """
     _check_scale_arguments(u, v)
@@ -247,14 +404,11 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     inner = bound - k
     if inner < 0:
         return identity_map(bound)
-    target = _CJet(u.poly.truncate(inner), -v.poly.truncate(inner), inner)
     coeffs = binomial_coefficients(Fraction(-1, k), inner + 1)
-    rho = _cjet_const(Fraction(1), inner)
-    for _ in range(inner + 2):
-        phi = _scale_map_from_root(rho, inner + 1)
-        restricted = jet_map(phi.x.poly, phi.y.poly, inner)
-        rho_next = _cjet_series(_cjet_compose(target, restricted), coeffs)
-        if rho_next == rho:
-            return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
-        rho = rho_next
-    raise AssertionError("inverse scale map iteration did not stabilise within the bound")
+    rho = _cjet_const(Fraction(1), 0)
+    for d in range(1, inner + 1):
+        rho_zz = _change_variables(rho, _z_image)
+        u_d, v_d = _compose_radial((u.poly.truncate(d), v.poly.truncate(d)), rho_zz, d)
+        rho = _cjet_series(_CJet(u_d, -v_d, d), coeffs)
+    phi = _scale_map_from_root(rho, inner + 1)
+    return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)

@@ -389,14 +389,14 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.take()
-            num = int(value)
+            num = self.integer(value, pos)
             kind, value, _ = self.peek()
             if kind == "op" and value == "/":
                 self.take()
                 dkind, dvalue, dpos = self.take()
                 if dkind != "num":
                     raise PolyParseError("expected integer denominator", dpos)
-                den = int(dvalue)
+                den = self.integer(dvalue, dpos)
                 if den == 0:
                     raise PolyParseError("zero denominator", dpos)
                 return Poly.constant(Fraction(num, den))
@@ -432,6 +432,14 @@ class _Parser:
     MAX_GROUP_DEGREE = 128
     # each level costs three stack frames; stay far below the recursion limit
     MAX_NESTING = 100
+    # below 640, the lowest limit on int() that Python lets a process set
+    MAX_DIGITS = 600
+
+    def integer(self, text: str, pos: int) -> int:
+        digits = text.lstrip("0") or "0"
+        if len(digits) > self.MAX_DIGITS:
+            raise PolyParseError(f"numeral longer than {self.MAX_DIGITS} digits", pos)
+        return int(digits)
 
     def exponent(self) -> int:
         kind, value, _ = self.peek()
@@ -443,10 +451,10 @@ class _Parser:
             raise PolyParseError("negative exponent", epos)
         if ekind != "num":
             raise PolyParseError("expected exponent", epos)
-        exponent = int(evalue)
-        if exponent > self.MAX_EXPONENT:
+        digits = evalue.lstrip("0") or "0"
+        if len(digits) > len(str(self.MAX_EXPONENT)) or int(digits) > self.MAX_EXPONENT:
             raise PolyParseError(f"exponent exceeds {self.MAX_EXPONENT}", epos)
-        return exponent
+        return int(digits)
 
 
 def parse_poly(text: str) -> Poly:

@@ -246,6 +246,16 @@ class TestRangeErrors:
         code, _, err = run_cli(capsys, "split", "(" * 3000 + "x" + ")" * 3000)
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize(
+        "poly",
+        ["1" * 5000 + "*x^2", "x^" + "9" * 5000, "1/" + "3" * 5000],
+        ids=["numeral", "exponent", "denominator"],
+    )
+    def test_overlong_number_is_a_parse_error(self, capsys, poly):
+        code, out, err = run_cli(capsys, "split", poly)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ")
+
 
 class TestWorkBudget:
     @pytest.mark.parametrize(
@@ -275,8 +285,8 @@ class TestWorkBudget:
             (("almansi", "x^401", "--s", "1"), "a polynomial of degree <= 400"),
             (("split", "x^801"), "a polynomial of degree <= 800"),
             (("determinacy", "x^2", "--k", "25"), "--k <= 24"),
-            (("reduce", "x^5", "--k", "19"), "--k <= 18"),
-            (("biharm", "x^6", "--k", "19"), "--k <= 18"),
+            (("reduce", "x^5", "--k", "29"), "--k <= 28"),
+            (("biharm", "x^6", "--k", "29"), "--k <= 28"),
         ],
     )
     def test_just_above_limit(self, capsys, argv, message):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -228,6 +229,24 @@ def every_offset_instance(k, i):
         for s, power in absorption_profile(k).exponents
     }
     return rhos, random_homogeneous(rng, 2 * k - 3)
+
+
+# SHA-256 of reduce_germ(...).to_json() for every_offset_instance(k, 0),
+# above the benchmark's k <= 12: any change to a witness map, the
+# certificate or the serialisation changes the digest.
+GOLDEN_WITNESSES = {
+    13: "9c10c3d023d302b4660cdd04b38344434ec24d776e7a4f267410fa29304ea754",
+    14: "7a02d13a870b22858fd1521dabc9d8bd2c04267de16ea1d79f16263bbaa3fc82",
+}
+
+
+class TestWitnessGolden:
+    @pytest.mark.parametrize("k", sorted(GOLDEN_WITNESSES))
+    def test_digest_unchanged(self, k):
+        rhos, tail = every_offset_instance(k, 0)
+        assert all(rhos.values()) and tail
+        chain = reduce_germ(k, rhos, tail)
+        assert hashlib.sha256(chain.to_json().encode()).hexdigest() == GOLDEN_WITNESSES[k]
 
 
 class TestSingleVerification:

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import harmgerm.jets
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import (
     BoundMismatchError,
@@ -75,6 +78,75 @@ class TestCompose:
     def test_bound_mismatch(self):
         with pytest.raises(BoundMismatchError):
             jet_compose(jet_truncate(P("x"), 3), identity_map(4))
+
+
+def random_rational_poly(data, max_degree, min_degree=0):
+    terms = {}
+    for d in range(min_degree, max_degree + 1):
+        for exps in monomial_basis(d):
+            terms[exps] = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 4)))
+    return Poly(terms)
+
+
+def radial_map(rho_re, rho_im, bound):
+    """z -> z*rho in real coordinates, rho = rho_re + i*rho_im."""
+    return jet_map(P("x") * rho_re - P("y") * rho_im, P("x") * rho_im + P("y") * rho_re, bound)
+
+
+class TestComposePaths:
+    """Both composition paths against sympy substitution.
+
+    A map whose complex form phi.x + i*phi.y is divisible by z composes in
+    (z, zbar) coordinates; every other map substitutes its components."""
+
+    # sympy expands the substitution in full before truncating, so the
+    # jets and maps stay at degree 4 and 3
+
+    @given(st.integers(1, 5), st.integers(0, 2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_radial_maps(self, bound, rho_degree, data):
+        # rho_degree 0 is a constant rho: a rotation and rescaling
+        h = random_rational_poly(data, min(bound, 4), data.draw(st.integers(0, min(bound, 4))))
+        rho_re = random_rational_poly(data, min(rho_degree, bound - 1))
+        rho_im = random_rational_poly(data, min(rho_degree, bound - 1))
+        assume(rho_re.coeff(0, 0) or rho_im.coeff(0, 0))
+        phi = radial_map(rho_re, rho_im, bound)
+        assert harmgerm.jets._radial_factor(phi) is not None
+        composed = jet_compose(jet_truncate(h, bound), phi)
+        assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
+
+    @given(st.integers(2, 5), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_maps_not_divisible_by_z(self, bound, translation, data):
+        h = random_rational_poly(data, min(bound, 4), data.draw(st.integers(0, min(bound, 4))))
+        if translation:
+            px = P("x") + random_rational_poly(data, min(bound, 3), 2)
+            py = P("y") + random_rational_poly(data, min(bound, 3), 2)
+        else:
+            # a scale map plus one term whose zbar^m part cannot cancel
+            rho = random_rational_poly(data, min(bound - 1, 2), 1)
+            m = data.draw(st.integers(2, min(bound, 3)))
+            extra = Poly.monomial(0, m, data.draw(st.integers(1, 3)))
+            phi = radial_map(P("1") + rho, rho, bound)
+            px, py = phi.x.poly + extra, phi.y.poly
+        phi = jet_map(px, py, bound)
+        assume(harmgerm.jets._radial_factor(phi) is None)
+        composed = jet_compose(jet_truncate(h, bound), phi)
+        assert composed.poly == oracle_compose(h, px, py, bound)
+
+    def test_imaginary_part_is_an_error(self, monkeypatch):
+        # a wrong (z, zbar) -> (x, y) table leaves an imaginary part behind
+        image = harmgerm.jets._xy_image
+
+        def broken(i, j):
+            terms = image(i, j)
+            if (i, j) != (1, 0):
+                return terms
+            return tuple((exps, value, True) for exps, value, _ in terms)
+
+        monkeypatch.setattr(harmgerm.jets, "_xy_image", broken)
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            jet_compose(jet_truncate(P("x"), 2), radial_map(P("2"), P("1"), 2))
 
 
 class TestMapCompose:
@@ -221,6 +293,13 @@ class TestScaleMap:
         germ = pair.f + u * pair.f + v * pair.g
         phi = inverse_scale_map(jet_truncate(u, bound), jet_truncate(v, bound), k)
         assert jet_compose(jet_truncate(germ, bound), phi).poly == pair.f.truncate(bound)
+
+
+class TestInverseScaleMapBounds:
+    def test_bound_equal_to_k_is_identity(self):
+        # no degree of the map is visible at bound k, so it is the identity
+        phi = inverse_scale_map(jet_truncate(P("x"), 5), jet_truncate(P("y"), 5), 5)
+        assert phi == identity_map(5)
 
 
 # inverse_scale_map at bound 2k-4, as the reduction calls it. The expected

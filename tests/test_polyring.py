@@ -55,6 +55,26 @@ class TestParse:
             parse_poly("(" * 3000 + "x" + ")" * 3000)
         assert err.value.position == 100
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1" * 5000 + "*x^2", "numeral longer than 600 digits", 0),
+            ("1/" + "7" * 601, "numeral longer than 600 digits", 2),
+            ("x^" + "9" * 5000, "exponent exceeds 1000000", 2),
+            ("x^" + "0" * 4999 + "1000001", "exponent exceeds 1000000", 2),
+        ],
+        ids=["numeral", "denominator", "exponent", "zero-padded exponent"],
+    )
+    def test_overlong_numbers_rejected(self, text, message, position):
+        with pytest.raises(PolyParseError, match=message) as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    def test_leading_zeros_do_not_count(self):
+        assert parse_poly("0" * 5000 + "3*x^" + "0" * 5000 + "1") == parse_poly("3*x")
+        assert parse_poly("1/" + "0" * 5000 + "2") == parse_poly("1/2")
+        assert parse_poly("7" * 600) == Poly.constant(int("7" * 600))
+
     def test_moderate_nesting_parses(self):
         assert parse_poly("(" * 50 + "x + y" + ")" * 50 + "^2") == parse_poly("x^2 + 2*x*y + y^2")
 
