@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import graded
-from .determinacy import check_determinacy
+from .determinacy import check_determinacy, reverify_certificate
 from .equivalence import (
     NumericWitness,
     WitnessChain,
@@ -138,6 +138,8 @@ def cmd_determinacy(args) -> int:
     h = args.poly
     level = args.k
     cert = check_determinacy(h, level)
+    if cert.verdict and not reverify_certificate(cert):
+        raise WitnessFault("determinacy certificate failed exact re-verification")
     payload = {
         "germ": format_poly(h),
         "level": level,

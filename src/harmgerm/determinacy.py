@@ -43,8 +43,11 @@ class DeterminacyCertificate:
     `products` is the exhibited spanning set: the nonzero truncations of
     monomial multiples of the two Jacobian generators. verdict True
     means every degree-`level` monomial lies in their span, so the germ
-    is `level`-determined. When False, `missing` holds the first
-    uncovered monomial.
+    is `level`-determined, and `combinations` holds one coefficient
+    tuple per degree-`level` monomial (x-exponent descending): the
+    RREF-canonical combination of `products` (free coefficients zero)
+    that equals that monomial. When False, `missing` holds the first
+    uncovered monomial and `combinations` is empty.
     """
 
     germ: Poly
@@ -52,27 +55,21 @@ class DeterminacyCertificate:
     products: tuple[Poly, ...]
     verdict: bool
     missing: Poly | None
+    combinations: tuple[tuple[Fraction, ...], ...]
 
 
-def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
-    """Run the Jacobian criterion for `level`-determinacy of h.
+def _truncated_multiples(h: Poly, level: int, max_multiplier_degree: int | None = None) -> list[Poly]:
+    """The nonzero x^a*y^b * dh/dx_i truncated at `level`, multiplier degree ascending.
 
-    The span is built from x^a*y^b * dh/dx_i truncated at `level`, for
-    multipliers with 1 <= a+b <= max_multiplier_degree (default: every
-    degree that can still contribute below the truncation).
+    Multipliers run over 1 <= a+b <= max_multiplier_degree (default:
+    every degree that can still contribute below the truncation), so a
+    capped list is a prefix of the uncapped one.
     """
-    if level < 1:
-        raise ValueError(f"certificate level {level} must be at least 1")
-    if not h:
-        raise ValueError("zero germ is never finitely determined")
-    if h.order() > level:
-        raise ValueError(f"germ order {h.order()} exceeds the certificate level {level}")
     hx, hy = jacobian_generators(h)
     generator_order = min(p.order() for p in (hx, hy) if p) if (hx or hy) else level + 1
     cap = level - generator_order + 1 if generator_order <= level else 0
     if max_multiplier_degree is not None:
         cap = min(cap, max_multiplier_degree)
-
     products = []
     for d in range(1, max(cap, 0) + 1):
         for a, b in monomial_basis(d):
@@ -81,46 +78,81 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
                 truncated = mono.mul_truncated(gen, level)
                 if truncated:
                     products.append(truncated)
+    return products
 
-    rr, pivots = linalg.rref(_coordinates(products, level))
 
+def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
+    """Run the Jacobian criterion for `level`-determinacy of h.
+
+    The span is built from x^a*y^b * dh/dx_i truncated at `level`, for
+    multipliers with 1 <= a+b <= max_multiplier_degree (default: every
+    degree that can still contribute below the truncation). One
+    elimination of the coordinate matrix with columns
+    [products | degree-`level` monomials] decides every monomial: a
+    pivot in a monomial column marks the first uncovered one, and
+    otherwise each monomial column holds that monomial's combination.
+    """
+    if level < 1:
+        raise ValueError(f"certificate level {level} must be at least 1")
+    if not h:
+        raise ValueError("zero germ is never finitely determined")
+    if h.order() > level:
+        raise ValueError(f"germ order {h.order()} exceeds the certificate level {level}")
+    products = _truncated_multiples(h, level, max_multiplier_degree)
     monomials = [Poly.monomial(a, b) for a, b in monomial_basis(level)]
-    missing = None
-    verdict = True
-    for mono, target in zip(monomials, _coordinates(monomials, level)):
-        if not linalg.in_rowspace(rr, pivots, target):
-            verdict = False
-            missing = mono
-            break
+    columns = _coordinates(products + monomials, level)
+    rr, pivots = linalg.rref(list(zip(*columns)))
+
+    width = len(products)
+    first_missing = next((col - width for col in pivots if col >= width), None)
+    if first_missing is not None:
+        missing, combinations = monomials[first_missing], ()
+    else:
+        missing = None
+        combinations = []
+        for j in range(len(monomials)):
+            # most entries are zero; sharing one zero keeps the stored
+            # combinations from pinning the elimination's memory
+            combo = [Fraction(0)] * width
+            for row, col in zip(rr, pivots):
+                if row[width + j]:
+                    combo[col] = row[width + j]
+            combinations.append(tuple(combo))
     return DeterminacyCertificate(
         germ=h,
         level=level,
         products=tuple(products),
-        verdict=verdict,
+        verdict=missing is None,
         missing=missing,
+        combinations=tuple(combinations),
     )
 
 
 def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     """Independent containment check of a True certificate.
 
-    For each degree-`level` monomial, solve for an explicit combination
-    of the exhibited products and confirm it by multiplying back out
-    with plain polynomial arithmetic, not by reusing the RREF data.
+    Re-derives the truncated multiples of the Jacobian generators of
+    `cert.germ` at `cert.level` and requires `cert.products` to be a
+    prefix of them (a multiplier cap shortens the list). Then multiplies
+    each stored combination back out with plain polynomial arithmetic
+    and requires it to equal its degree-`level` monomial. No elimination
+    is run. A level below 1 has no monomials to check and is rejected.
     """
-    if not cert.verdict:
+    if not cert.verdict or cert.level < 1:
         return False
-    columns = _coordinates(cert.products, cert.level)
-    monomials = [Poly.monomial(a, b) for a, b in monomial_basis(cert.level)]
-    for mono, target in zip(monomials, _coordinates(monomials, cert.level)):
-        coeffs = linalg.solve_canonical(columns, target)
-        if coeffs is None:
+    if list(cert.products) != _truncated_multiples(cert.germ, cert.level)[: len(cert.products)]:
+        return False
+    monomials = monomial_basis(cert.level)
+    if len(cert.combinations) != len(monomials):
+        return False
+    for (a, b), coeffs in zip(monomials, cert.combinations):
+        if len(coeffs) != len(cert.products):
             return False
         combo = Poly.zero()
         for c, p in zip(coeffs, cert.products):
             if c:
                 combo = combo + p * c
-        if combo.truncate(cert.level) != mono:
+        if combo != Poly.monomial(a, b):
             return False
     return True
 
@@ -193,9 +225,9 @@ def determined_bound_report(k: int, tail: Poly) -> DeterminacyReport:
     """Certify that f_k + tail is max(k, 2k-4)-determined, for k >= 5.
 
     `tail` must have order at least k+1. Runs the Jacobian criterion at
-    level 2k-3 and constructs the translations that absorb the
-    degree-(2k-3) slice. Results are cached; both arguments are
-    immutable.
+    level 2k-3, re-verifies its certificate, and constructs the
+    translations that absorb the degree-(2k-3) slice; `ok` needs both
+    checks. Results are cached; both arguments are immutable.
     """
     if k < 5:
         raise ValueError("report requires k >= 5")
@@ -210,5 +242,5 @@ def determined_bound_report(k: int, tail: Poly) -> DeterminacyReport:
         criterion=criterion,
         absorption=absorption,
         level=level,
-        ok=criterion.verdict and absorption.verified,
+        ok=reverify_certificate(criterion) and absorption.verified,
     )

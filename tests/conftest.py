@@ -1,11 +1,14 @@
 """Shared helpers: sympy-based oracles independent of the library's
-arithmetic, call counters and a tampered radial scale map."""
+arithmetic, call counters, a tampered radial scale map and a tampered
+determinacy certificate."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import harmgerm.cli
 import harmgerm.equivalence
 from harmgerm.jets import jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, parse_poly
@@ -82,3 +85,19 @@ def tampered_scale_map(monkeypatch):
         return jet_map(phi.x.poly + P("x^2") * Fraction(1, 7), phi.y.poly, phi.bound)
 
     monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)
+
+
+@pytest.fixture
+def tampered_certificate(monkeypatch):
+    """The CLI's check_determinacy returns the true certificate with the
+    first coefficient of the first stored combination raised by 1, so that
+    combination no longer multiplies back out to its monomial."""
+    original = harmgerm.cli.check_determinacy
+
+    def nudged(h, level):
+        cert = original(h, level)
+        first = cert.combinations[0]
+        combinations = ((first[0] + 1,) + first[1:],) + cert.combinations[1:]
+        return dataclasses.replace(cert, combinations=combinations)
+
+    monkeypatch.setattr(harmgerm.cli, "check_determinacy", nudged)

@@ -89,6 +89,11 @@ class TestDeterminacyCommand:
         code, out, _ = run_cli(capsys, "--format", "json", "determinacy", "x^3", "--k", "3")
         assert code == 1 and json.loads(out)["verdict"] is False
 
+    def test_tampered_certificate_is_internal_error(self, capsys, tampered_certificate):
+        code, out, err = run_cli(capsys, "determinacy", "x^5 - 10*x^3*y^2 + 5*x*y^4", "--k", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("internal error: ") and "Traceback" not in err
+
 
 class TestReduceCommand:
     def test_spec_example(self, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from harmgerm import determinacy, linalg
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
@@ -14,7 +16,7 @@ from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import P, from_sympy, to_sympy
+from conftest import P, counted, from_sympy, to_sympy
 import sympy
 
 X, Y = sympy.symbols("x y", real=True)
@@ -148,36 +150,40 @@ class TestDeterminedBoundReport:
             assert u.is_homogeneous() and (not u or u.degree() == k - 2)
 
 
-def certificate_digest() -> str:
-    """SHA-256 over every certificate of a fixed grid, as canonical text.
-
-    The grid is f_k with no tail and with two seeded tails, k = 2..8, at
-    levels k-1..2k-3 and multiplier caps None, 1 and 2. A level below the
-    germ's order contributes its error message instead.
-    """
-    records = []
+def certificate_grid():
+    """(germ, level, cap) over f_k with no tail and with two seeded tails,
+    k = 2..8, at levels k-1..2k-3 and multiplier caps None, 1 and 2."""
     for k in range(2, 9):
         germs = [harmonic_pair(k).f]
         germs += [harmonic_pair(k).f + random_order_tail(derive_seed(4242, k, i), k) for i in (0, 1)]
         for germ in germs:
             for level in range(k - 1, 2 * k - 2):
                 for cap in (None, 1, 2):
-                    try:
-                        cert = check_determinacy(germ, level, max_multiplier_degree=cap)
-                    except ValueError as exc:
-                        records.append((format_poly(germ), level, cap, str(exc)))
-                        continue
-                    records.append(
-                        (
-                            format_poly(germ),
-                            level,
-                            cap,
-                            cert.verdict,
-                            format_poly(cert.missing) if cert.missing is not None else None,
-                            [format_poly(p) for p in cert.products],
-                            reverify_certificate(cert),
-                        )
-                    )
+                    yield germ, level, cap
+
+
+def certificate_digest() -> str:
+    """SHA-256 over every certificate of `certificate_grid`, as canonical
+    text. A level below the germ's order contributes its error message
+    instead."""
+    records = []
+    for germ, level, cap in certificate_grid():
+        try:
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+        except ValueError as exc:
+            records.append((format_poly(germ), level, cap, str(exc)))
+            continue
+        records.append(
+            (
+                format_poly(germ),
+                level,
+                cap,
+                cert.verdict,
+                format_poly(cert.missing) if cert.missing is not None else None,
+                [format_poly(p) for p in cert.products],
+                reverify_certificate(cert),
+            )
+        )
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
@@ -186,3 +192,96 @@ class TestCertificateGolden:
         # any change to a verdict, a missing monomial, the products or
         # their order, or a reverification outcome changes the digest
         assert certificate_digest() == GOLDEN_CERTIFICATES
+
+
+def certify_germ(k, index=0):
+    """The perfbench `certify` germ of seed 1: f_k plus a seeded tail in degrees k+1..2k-3."""
+    return harmonic_pair(k).f + random_order_tail(derive_seed(1, 2, 0, index), k)
+
+
+class TestTamperedCertificate:
+    @pytest.fixture(scope="class")
+    def cert(self):
+        cert = check_determinacy(certify_germ(8), 13)
+        assert cert.verdict and reverify_certificate(cert)
+        return cert
+
+    def test_changed_product_coefficient(self, cert):
+        (key, c), *rest = cert.products[0].terms()
+        changed = Poly(dict(rest) | {key: c + 1})
+        assert not reverify_certificate(dataclasses.replace(cert, products=(changed,) + cert.products[1:]))
+
+    def test_replaced_product(self, cert):
+        replaced = (Poly.monomial(0, 13),) + cert.products[1:]
+        assert not reverify_certificate(dataclasses.replace(cert, products=replaced))
+
+    def test_swapped_germ(self, cert):
+        assert not reverify_certificate(dataclasses.replace(cert, germ=harmonic_pair(8).g))
+
+    def test_changed_combination_entry(self, cert):
+        first = cert.combinations[0]
+        nonzero = next(i for i, c in enumerate(first) if c)
+        changed = first[:nonzero] + (first[nonzero] * 2,) + first[nonzero + 1 :]
+        combinations = (changed,) + cert.combinations[1:]
+        assert not reverify_certificate(dataclasses.replace(cert, combinations=combinations))
+
+    def test_shortened_combinations(self, cert):
+        assert not reverify_certificate(dataclasses.replace(cert, combinations=cert.combinations[:-1]))
+
+    def test_shortened_combination(self, cert):
+        combinations = (cert.combinations[0][:-1],) + cert.combinations[1:]
+        assert not reverify_certificate(dataclasses.replace(cert, combinations=combinations))
+
+    @pytest.mark.parametrize("level", (0, -1))
+    def test_level_below_one(self, cert, level):
+        # level -1 has no monomials, so nothing would be checked
+        vacuous = dataclasses.replace(cert, level=level, products=(), combinations=())
+        assert not reverify_certificate(vacuous)
+
+
+def reference_certificate(products, level):
+    """(missing, combinations) by the per-monomial algorithm: a rowspace
+    test per monomial, then one canonical solve per monomial."""
+    basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
+    columns = [tuple(p.coeff(a, b) for a, b in basis) for p in products]
+    targets = [tuple(int(exps == (a, b)) for exps in basis) for a, b in monomial_basis(level)]
+    rr, pivots = linalg.rref(columns)
+    for (a, b), target in zip(monomial_basis(level), targets):
+        if not linalg.in_rowspace(rr, pivots, target):
+            return Poly.monomial(a, b), ()
+    return None, tuple(linalg.solve_canonical(columns, target) for target in targets)
+
+
+class TestSingleElimination:
+    def test_matches_per_monomial_reference(self):
+        cases = [case for case in certificate_grid() if case[0].order() <= case[1]]
+        cases += [(certify_germ(k, k - 8), 2 * k - 3, None) for k in (8, 9, 10)]
+        verdicts = set()
+        for germ, level, cap in cases:
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            missing, combinations = reference_certificate(cert.products, level)
+            assert cert.missing == missing
+            assert cert.verdict == (missing is None)
+            assert cert.combinations == combinations
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("germ, level", [(certify_germ(8), 13), (P("x^3"), 3)])
+    def test_one_rref_per_certificate(self, monkeypatch, germ, level):
+        rrefs = counted(monkeypatch, linalg, "rref")
+        check_determinacy(germ, level)
+        assert len(rrefs) == 1
+
+    def test_reverification_runs_no_elimination(self, monkeypatch):
+        cert = check_determinacy(certify_germ(8), 13)
+        rrefs = counted(monkeypatch, linalg, "rref")
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        assert reverify_certificate(cert)
+        assert rrefs == [] and solves == []
+
+    def test_report_requires_reverification(self, monkeypatch):
+        # __wrapped__ bypasses the report cache
+        assert determined_bound_report.__wrapped__(5, Poly.zero()).ok
+        monkeypatch.setattr(determinacy, "reverify_certificate", lambda cert: False)
+        report = determined_bound_report.__wrapped__(5, Poly.zero())
+        assert report.criterion.verdict and not report.ok
