@@ -1,7 +1,8 @@
 """Arithmetic kernels: sparse polynomial products and rational RREF.
 
-These are the library's two hot loops. `poly_mul` works on the
-Fraction coefficients directly; `rref` keeps its arithmetic on Python
+These are the library's two hot loops. `poly_mul` takes coefficients
+from any exact ring (ints or Fractions); `Poly` passes it the integer
+numerators of its two operands. `rref` keeps its arithmetic on Python
 ints and builds Fractions only at the end.
 """
 
@@ -10,7 +11,7 @@ from math import gcd
 
 
 def poly_mul(p, q, max_degree=None):
-    """Multiply two sparse term maps {(a, b): Fraction}.
+    """Multiply two sparse term maps {(a, b): c} with exact coefficients c.
 
     Products of total degree above `max_degree` are dropped (None keeps
     everything). The result never stores zero coefficients.

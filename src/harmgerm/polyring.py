@@ -1,7 +1,11 @@
 """Exact sparse bivariate polynomials over the rationals.
 
 A polynomial is a finite map from exponent pairs (a, b), standing for
-x^a*y^b, to nonzero Fraction coefficients. All arithmetic is exact;
+x^a*y^b, to nonzero rational coefficients. It is stored as nonzero
+integer numerators over one shared positive denominator, in lowest
+terms, so the hot products multiply plain ints (Monagan & Pearce,
+"Sparse polynomial multiplication and division in Maple 14", 2009);
+every public accessor returns reduced Fractions. All arithmetic is exact;
 nothing in this module (or the rest of the library) touches floating
 point. The canonical term order is total degree descending, then
 x-exponent descending, which is also the printing order:
@@ -42,9 +46,15 @@ def _term_key(exps: Exponents) -> tuple[int, int]:
 
 
 class Poly:
-    """Immutable sparse polynomial in x and y with Fraction coefficients."""
+    """Immutable sparse polynomial in x and y with rational coefficients.
 
-    __slots__ = ("_terms", "_hash")
+    Stored as integer numerators `_num` ({(a, b): int}, no zeros) over one
+    positive denominator `_den`, in lowest terms: gcd(_den, *_num.values())
+    is 1, and the zero polynomial has _den == 1. The form is canonical, so
+    equality compares `_den` and `_num` directly.
+    """
+
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -62,16 +72,24 @@ class Poly:
                 clean[key] = c
             elif key in clean:
                 del clean[key]
-        self._terms = clean
+        # reduced fractions over their lcm are already in lowest terms
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        self._den = den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, terms: dict[Exponents, Fraction]) -> "Poly":
-        """Wrap a term map that already has int exponents and nonzero Fractions."""
+    def _of(cls, num: dict[Exponents, int], den: int) -> "Poly":
+        """Wrap nonzero int numerators (int exponents) over den > 0, dividing out their content."""
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            num = {key: v // g for key, v in num.items()}
+            den //= g
         out = cls.__new__(cls)
-        out._terms = terms
+        out._num = num
+        out._den = den
         out._hash = None
         return out
 
@@ -91,76 +109,88 @@ class Poly:
 
     def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical order (degree descending, then x-exponent)."""
-        return tuple(sorted(self._terms.items(), key=lambda item: _term_key(item[0])))
+        den = self._den
+        ordered = sorted(self._num.items(), key=lambda item: _term_key(item[0]))
+        return tuple((key, Fraction(v, den)) for key, v in ordered)
 
     def coeff(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), _ZERO)
+        v = self._num.get((a, b))
+        return _ZERO if v is None else Fraction(v, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.terms())
 
     def degree(self) -> int | float:
         """Maximal total degree of a term; -inf for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -_INF
-        return max(a + b for a, b in self._terms)
+        return max(a + b for a, b in self._num)
 
     def order(self) -> int | float:
         """Minimal total degree of a nonzero term; inf for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return _INF
-        return min(a + b for a, b in self._terms)
+        return min(a + b for a, b in self._num)
 
     def is_homogeneous(self) -> bool:
         """True when all terms share one total degree (vacuously for zero)."""
-        degrees = {a + b for a, b in self._terms}
+        degrees = {a + b for a, b in self._num}
         return len(degrees) <= 1
 
     def graded_component(self, d: int) -> "Poly":
         """Sum of the terms of total degree exactly d."""
-        return Poly._of({k: c for k, c in self._terms.items() if k[0] + k[1] == d})
+        return Poly._of({k: v for k, v in self._num.items() if k[0] + k[1] == d}, self._den)
 
     def components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components, keyed by degree (nonzero only)."""
-        degrees = sorted({a + b for a, b in self._terms})
+        degrees = sorted({a + b for a, b in self._num})
         return {d: self.graded_component(d) for d in degrees}
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop all terms of total degree above max_degree."""
-        return Poly._of({k: c for k, c in self._terms.items() if k[0] + k[1] <= max_degree})
+        kept = {k: v for k, v in self._num.items() if k[0] + k[1] <= max_degree}
+        return Poly._of(kept, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other, both rescaled to the lcm of the denominators."""
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        merged = dict(self._num) if m1 == 1 else {k: v * m1 for k, v in self._num.items()}
+        m2 *= sign
+        for key, c in other._num.items():
             acc = merged.get(key)
-            s = c if acc is None else acc + c
+            s = c * m2 if acc is None else acc + c * m2
             if s:
                 merged[key] = s
             elif key in merged:
                 del merged[key]
-        return Poly._of(merged)
+        return Poly._of(merged, d1 * m1)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._of({k: -c for k, c in self._terms.items()})
+        return Poly._of({k: -v for k, v in self._num.items()}, self._den)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, Poly):
-            return Poly._of(poly_mul(self._terms, other._terms, None))
+            return Poly._of(poly_mul(self._num, other._num, None), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -179,7 +209,8 @@ class Poly:
         c = Fraction(c)
         if not c:
             return Poly()
-        return Poly._of({k: v * c for k, v in self._terms.items()})
+        n = c.numerator
+        return Poly._of({k: v * n for k, v in self._num.items()}, self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -195,26 +226,26 @@ class Poly:
 
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         """Product with all terms above max_degree dropped during the multiply."""
-        return Poly._of(poly_mul(self._terms, other._terms, max_degree))
+        return Poly._of(poly_mul(self._num, other._num, max_degree), self._den * other._den)
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "Poly":
         """Exact partial derivative with respect to "x" or "y"."""
         if var == "x":
-            terms = {(a - 1, b): c * a for (a, b), c in self._terms.items() if a}
+            num = {(a - 1, b): v * a for (a, b), v in self._num.items() if a}
         elif var == "y":
-            terms = {(a, b - 1): c * b for (a, b), c in self._terms.items() if b}
+            num = {(a, b - 1): v * b for (a, b), v in self._num.items() if b}
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return Poly._of(terms)
+        return Poly._of(num, self._den)
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -84,6 +84,14 @@ def random_homogeneous(rng: Xoshiro256StarStar, degree: int) -> Poly:
     return Poly({exps: random_coefficient(rng) for exps in monomial_basis(degree)})
 
 
+def random_order_tail(rng: Xoshiro256StarStar, k: int) -> Poly:
+    """Random homogeneous terms in every degree k+1..2k-3, drawn in degree order."""
+    tail = Poly.zero()
+    for d in range(k + 1, 2 * k - 2):
+        tail = tail + random_homogeneous(rng, d)
+    return tail
+
+
 def random_in_span(rng: Xoshiro256StarStar, basis) -> Poly:
     """Random integer combination of basis polynomials, coefficients in [-3, 3]."""
     total = Poly.zero()

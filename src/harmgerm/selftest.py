@@ -38,7 +38,13 @@ from .jets import (
     jet_truncate,
 )
 from .polyring import R2, X, Y, Poly, laplacian, parse_poly
-from .rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
+from .rng import (
+    Xoshiro256StarStar,
+    derive_seed,
+    random_homogeneous,
+    random_in_span,
+    random_order_tail,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -305,10 +311,7 @@ def _check_determinacy_instances(out, cap, seed):
         cert = check_determinacy(pair.f, 2 * k - 3)
         out.append(CheckResult("determinacy/leading-form", f"k={k}", PASS if cert.verdict else FAIL))
         for i in range(3):
-            rng = Xoshiro256StarStar(derive_seed(seed, 10, k, i))
-            tail = Poly.zero()
-            for d in range(k + 1, 2 * k - 2):
-                tail = tail + random_homogeneous(rng, d)
+            tail = random_order_tail(Xoshiro256StarStar(derive_seed(seed, 10, k, i)), k)
             cert = check_determinacy(pair.f + tail, 2 * k - 3)
             out.append(
                 CheckResult("determinacy/perturbed", f"k={k} seed={i}", PASS if cert.verdict else FAIL)

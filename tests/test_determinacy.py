@@ -14,7 +14,7 @@ from harmgerm.determinacy import (
 )
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, monomial_basis
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_order_tail
 
 from conftest import P, counted, from_sympy, to_sympy
 import sympy
@@ -22,15 +22,6 @@ import sympy
 X, Y = sympy.symbols("x y", real=True)
 
 GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2632d372"
-
-
-def random_order_tail(seed, k):
-    """Random polynomial with degrees k+1 .. 2k-3 and coefficients in [-3, 3]."""
-    rng = Xoshiro256StarStar(seed)
-    tail = Poly.zero()
-    for d in range(k + 1, 2 * k - 2):
-        tail = tail + random_homogeneous(rng, d)
-    return tail
 
 
 class TestJacobianGenerators:
@@ -96,7 +87,7 @@ class TestCertifiedSweep:
     @pytest.mark.parametrize("k", (5, 6, 7))
     @pytest.mark.parametrize("i", range(10))
     def test_random_tails(self, k, i):
-        tail = random_order_tail(derive_seed(1234, k, i), k)
+        tail = random_order_tail(Xoshiro256StarStar(derive_seed(1234, k, i)), k)
         cert = check_determinacy(harmonic_pair(k).f + tail, 2 * k - 3)
         assert cert.verdict
 
@@ -155,7 +146,10 @@ def certificate_grid():
     k = 2..8, at levels k-1..2k-3 and multiplier caps None, 1 and 2."""
     for k in range(2, 9):
         germs = [harmonic_pair(k).f]
-        germs += [harmonic_pair(k).f + random_order_tail(derive_seed(4242, k, i), k) for i in (0, 1)]
+        germs += [
+            harmonic_pair(k).f + random_order_tail(Xoshiro256StarStar(derive_seed(4242, k, i)), k)
+            for i in (0, 1)
+        ]
         for germ in germs:
             for level in range(k - 1, 2 * k - 2):
                 for cap in (None, 1, 2):
@@ -196,7 +190,8 @@ class TestCertificateGolden:
 
 def certify_germ(k, index=0):
     """The perfbench `certify` germ of seed 1: f_k plus a seeded tail in degrees k+1..2k-3."""
-    return harmonic_pair(k).f + random_order_tail(derive_seed(1, 2, 0, index), k)
+    rng = Xoshiro256StarStar(derive_seed(1, 2, 0, index))
+    return harmonic_pair(k).f + random_order_tail(rng, k)
 
 
 class TestTamperedCertificate:

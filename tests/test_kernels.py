@@ -33,6 +33,12 @@ small_caps = st.one_of(st.none(), st.just(0), st.integers(0, 14))
 # fixed-width packing
 wide_maps = term_maps(st.one_of(st.integers(0, 3), st.integers(2**20 - 3, 2**20 + 3)))
 wide_caps = st.one_of(st.none(), st.integers(2**20 - 3, 2**21 + 6))
+# Poly passes the kernel the integer numerators of its operands
+integer_maps = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.integers(-(10**30), 10**30).filter(bool),
+    max_size=8,
+)
 
 
 def oracle_mul(p, q, cap):
@@ -69,6 +75,14 @@ def test_poly_mul_stores_no_zeros_and_commutes(p, q, cap):
     product = poly_mul(p, q, cap)
     assert all(product.values())
     assert product == poly_mul(q, p, cap)
+
+
+@given(integer_maps, integer_maps, small_caps)
+@settings(max_examples=100, deadline=None)
+def test_poly_mul_integer_coefficients_match_sympy(p, q, cap):
+    product = poly_mul(p, q, cap)
+    assert all(type(c) is int for c in product.values())
+    assert product == oracle_mul(p, q, cap)
 
 
 def test_exponents_beyond_twenty_bits():

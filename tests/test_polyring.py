@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmgerm.polyring import (
+    X,
     Poly,
     PolyParseError,
     format_poly,
@@ -21,7 +22,8 @@ coefficients = st.builds(
     Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=12)
 )
 exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
-polys = st.dictionaries(exponents, coefficients, max_size=8).map(Poly)
+term_maps = st.dictionaries(exponents, coefficients, max_size=8)
+polys = term_maps.map(Poly)
 
 
 class TestParse:
@@ -109,6 +111,57 @@ class TestArith:
 
     def test_scale(self):
         assert parse_poly("x + y") * Fraction(1, 2) == parse_poly("1/2*x + 1/2*y")
+
+
+def reference_mul(p, q, cap=None):
+    """Product of two Fraction term maps, term by term."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            if cap is None or sum(key) <= cap:
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def assert_canonical(p, expected):
+    """p is in lowest terms over a positive denominator and has the expected terms."""
+    assert p._den >= 1
+    assert all(p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert dict(p.terms()) == {key: c for key, c in expected.items() if c}
+
+
+class TestRepresentation:
+    @given(term_maps, term_maps, coefficients, st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_every_operation_stays_canonical(self, p, q, c, d):
+        pp, qq = Poly(p), Poly(q)
+        assert_canonical(pp, p)
+        keys = set(p) | set(q)
+        assert_canonical(pp + qq, {k: p.get(k, 0) + q.get(k, 0) for k in keys})
+        assert_canonical(pp - qq, {k: p.get(k, 0) - q.get(k, 0) for k in keys})
+        assert_canonical(-pp, {k: -v for k, v in p.items()})
+        assert_canonical(pp * qq, reference_mul(p, q))
+        assert_canonical(pp.mul_truncated(qq, d), reference_mul(p, q, d))
+        assert_canonical(pp.scale(c), {k: v * c for k, v in p.items()})
+        assert_canonical(pp.diff("x"), {(a - 1, b): v * a for (a, b), v in p.items() if a})
+        assert_canonical(pp.diff("y"), {(a, b - 1): v * b for (a, b), v in p.items() if b})
+        assert_canonical(pp.truncate(d), {k: v for k, v in p.items() if sum(k) <= d})
+        assert_canonical(pp.graded_component(d), {k: v for k, v in p.items() if sum(k) == d})
+
+    def test_scaling_cancels_the_denominator(self):
+        third = Poly({(1, 0): Fraction(1, 3)})
+        assert third * 3 == X
+        assert hash(third * 3) == hash(X)
+
+    def test_difference_with_itself_is_zero_over_one(self):
+        p = parse_poly("1/6*x + 5/4*y^2")
+        assert p - p == Poly.zero()
+        assert (p - p)._den == 1
+
+    def test_equal_constants_share_one_form(self):
+        assert Poly.constant(Fraction(2, 4)) == Poly.constant(Fraction(1, 2))
 
 
 class TestCalculus:
