@@ -25,7 +25,10 @@ JSC 2002).
 Complex coefficients appear only inside this module (as real/imaginary
 pairs of Polys, in (x, y) or in (z, zbar) exponents); every public
 result is real, and an imaginary part left in a real result is an
-error.
+error. The change of variables between (x, y) and (z, zbar), the
+exponent reindexing and the multiplications by a single monomial work
+on Poly's integer numerators over one denominator (`_num`, `_den`) and
+wrap their results with `Poly._of`, so they build no Fraction per term.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import X, Y, Poly
+from .polyring import ONE, X, Y, Poly
 
 
 class BoundMismatchError(ValueError):
@@ -231,8 +234,14 @@ def _cjet_series(w: _CJet, coeffs: list[Fraction]) -> _CJet:
 
 
 def _reindexed(p: Poly, key) -> Poly:
-    """p with every exponent pair (a, b) moved to key(a, b)."""
-    return Poly({key(a, b): c for (a, b), c in p.terms()})
+    """p with every exponent pair (a, b) moved to key(a, b), a bijection."""
+    return Poly._of({key(a, b): v for (a, b), v in p._num.items()}, p._den)
+
+
+def _shifted(p: Poly, i: int, j: int, bound: int) -> Poly:
+    """p * z^i*zbar^j (or x^i*y^j), dropping the degrees above bound."""
+    top = bound - i - j
+    return Poly._of({(a + i, b + j): v for (a, b), v in p._num.items() if a + b <= top}, p._den)
 
 
 def _binomial_product(a: int, b: int) -> list[int]:
@@ -274,22 +283,36 @@ def _xy_image(i: int, j: int) -> tuple:
 
 
 def _change_variables(w: _CJet, image) -> _CJet:
-    """Replace every monomial of w by its image, keeping complex coefficients."""
+    """Replace every monomial of w by its image, keeping complex coefficients.
+
+    Both parts go over one denominator: the lcm of theirs times the lcm of
+    the image coefficients' denominators. The images then add up as ints.
+    """
+    den = math.lcm(w.re._den, w.im._den)
+    terms = [
+        (imaginary_part, v * (den // p._den), image(a, b))
+        for imaginary_part, p in ((False, w.re), (True, w.im))
+        for (a, b), v in p._num.items()
+    ]
+    image_den = math.lcm(*{value.denominator for _, _, img in terms for _, value, _ in img})
     re, im = {}, {}
-    for imaginary_part, terms in ((False, w.re), (True, w.im)):
-        for (a, b), c in terms.terms():
-            for exps, value, imaginary in image(a, b):
-                t = -c * value if imaginary_part and imaginary else c * value
-                target = im if imaginary_part != imaginary else re
-                target[exps] = target.get(exps, 0) + t
-    return _CJet(Poly(re), Poly(im), w.bound)
+    for imaginary_part, v, img in terms:
+        for exps, value, imaginary in img:
+            t = v * value.numerator * (image_den // value.denominator)
+            if imaginary_part and imaginary:
+                t = -t
+            target = im if imaginary_part != imaginary else re
+            target[exps] = target.get(exps, 0) + t
+    den *= image_den
+    re, im = ({k: t for k, t in part.items() if t} for part in (re, im))
+    return _CJet(Poly._of(re, den), Poly._of(im, den), w.bound)
 
 
 def _radial_factor(phi: JetMap) -> _CJet | None:
     """rho in (z, zbar) coordinates when phi.x + i*phi.y == z*rho exactly,
     otherwise None."""
     w = _change_variables(_CJet(phi.x.poly, phi.y.poly, phi.bound), _z_image)
-    if any(a == 0 for part in (w.re, w.im) for (a, _), _ in part.terms()):
+    if any(a == 0 for part in (w.re, w.im) for a, _ in part._num):
         return None
     re, im = (_reindexed(p, lambda a, b: (a - 1, b)) for p in (w.re, w.im))
     return _CJet(re, im, phi.bound - 1)
@@ -303,43 +326,47 @@ def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Pol
     row: for each j, B_j = sum_i C_ij z^i rho^i, then B_j conj(rho)^j
     zbar^j. The diagonal counts half, so the result is S + conj(S). The
     powers rho^n are shared by all parts and kept only to the degree
-    their terms need.
+    their terms need. z^i and zbar^j are exponent shifts. Each C_ij
+    scales by ints: its numerators over 2*den, twice the part's common
+    denominator (so the diagonal's half stays an int), and S is divided
+    by 2*den once at the end.
     """
     coefficients = [_change_variables(_CJet(p, Poly.zero(), bound), _z_image) for p in parts]
     rows: list[dict[int, list[int]]] = []
     need = [-1] * (bound + 2)
     for c in coefficients:
         rows.append({})
-        for i, j in {exps for part in (c.re, c.im) for exps, _ in part.terms()}:
+        for i, j in c.re._num.keys() | c.im._num.keys():
             if i >= j:
                 rows[-1].setdefault(j, []).append(i)
                 need[i] = max(need[i], bound - i - j)
                 need[j] = max(need[j], bound - i - j)
     for n in range(bound, -1, -1):
         need[n] = max(need[n], need[n + 1])
-    powers = [_cjet_const(Fraction(1), need[0])]
+    powers = [_CJet(ONE, Poly.zero(), need[0])]
     while need[len(powers)] >= 0:
         top = need[len(powers)]
         powers.append(powers[-1].at(top) * rho.at(top))
 
     composed = []
     for c, row_columns in zip(coefficients, rows):
+        den = math.lcm(c.re._den, c.im._den)
+        re_unit, im_unit = den // c.re._den, den // c.im._den
         total = _CJet(Poly.zero(), Poly.zero(), bound)
         for j, columns in row_columns.items():
             top = bound - j
             row = _CJet(Poly.zero(), Poly.zero(), top)
             for i in columns:
-                weight = Fraction(1, 2) if i == j else 1
-                coeff = _CJet(
-                    Poly.monomial(i, 0, c.re.coeff(i, j) * weight),
-                    Poly.monomial(i, 0, c.im.coeff(i, j) * weight),
-                    top,
-                )
-                row = row + coeff * powers[i]
+                weight = 1 if i == j else 2
+                a = c.re._num.get((i, j), 0) * re_unit * weight
+                b = c.im._num.get((i, j), 0) * im_unit * weight
+                p, q = (_shifted(part, i, 0, top) for part in (powers[i].re, powers[i].im))
+                row = row + _CJet(p.scale(a) - q.scale(b), p.scale(b) + q.scale(a), top)
             if j:
                 row = row * powers[j].conjugate_zz()
-                row = _CJet(Poly.monomial(0, j), Poly.zero(), bound) * row
+                row = _CJet(_shifted(row.re, 0, j, bound), _shifted(row.im, 0, j, bound), bound)
             total = total + row
+        total = total.scale(Fraction(1, 2 * den))
         result = _change_variables(total + total.conjugate_zz(), _xy_image)
         if result.im:
             raise ArithmeticError(f"composition of a real jet left an imaginary part {result.im}")

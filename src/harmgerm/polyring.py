@@ -40,6 +40,13 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _scalar(c):
+    """c itself when it is an int or a Fraction; a float would be silently inexact."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be ints or Fractions, not {type(c).__name__}")
+    return c
+
+
 def _term_key(exps: Exponents) -> tuple[int, int]:
     a, b = exps
     return (-(a + b), -a)
@@ -51,7 +58,11 @@ class Poly:
     Stored as integer numerators `_num` ({(a, b): int}, no zeros) over one
     positive denominator `_den`, in lowest terms: gcd(_den, *_num.values())
     is 1, and the zero polynomial has _den == 1. The form is canonical, so
-    equality compares `_den` and `_num` directly.
+    equality compares `_den` and `_num` directly. Coefficients are ints or
+    Fractions and exponents are ints; anything else is a TypeError. Apart
+    from this class, only `jets` reads `_num`/`_den`: its (z, zbar) change
+    of variables and monomial shifts work on them and wrap the result
+    with `_of`.
     """
 
     __slots__ = ("_num", "_den", "_hash")
@@ -60,11 +71,11 @@ class Poly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponents, Fraction] = {}
         for (a, b), c in items:
-            a = int(a)
-            b = int(b)
+            if not isinstance(a, int) or not isinstance(b, int):
+                raise TypeError(f"exponents must be ints, not ({a!r}, {b!r})")
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent ({a}, {b})")
-            c = Fraction(c)
+            c = Fraction(_scalar(c))
             key = (a, b)
             acc = clean.get(key)
             c = c if acc is None else acc + c
@@ -95,7 +106,7 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._of({}, 1)
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
@@ -206,11 +217,10 @@ class Poly:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly()
-        n = c.numerator
-        return Poly._of({k: v * n for k, v in self._num.items()}, self._den * c.denominator)
+        n, d = _scalar(c).numerator, c.denominator
+        if not n:
+            return Poly.zero()
+        return Poly._of({k: v * n for k, v in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from harmgerm.jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
+from harmgerm.jets import _change_variables, _CJet, _reindexed, _shifted, _xy_image, _z_image
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 
 from conftest import P, oracle_compose
@@ -147,6 +149,84 @@ class TestComposePaths:
         monkeypatch.setattr(harmgerm.jets, "_xy_image", broken)
         with pytest.raises(ArithmeticError, match="imaginary part"):
             jet_compose(jet_truncate(P("x"), 2), radial_map(P("2"), P("1"), 2))
+
+
+def non_dyadic_poly(data, max_degree, min_degree=0):
+    """Sparse rational polynomial with denominators 3, 7 and 9, so that
+    combining parts needs a true lcm rather than a power of 2."""
+    terms = {}
+    for d in range(min_degree, max_degree + 1):
+        for exps in monomial_basis(d):
+            if data.draw(st.booleans()):
+                n = data.draw(st.integers(-20, 20))
+                terms[exps] = Fraction(n, data.draw(st.sampled_from([1, 3, 7, 9])))
+    return Poly(terms)
+
+
+def reference_change_variables(w, image):
+    """Term-by-term Fraction version of jets._change_variables."""
+    re, im = {}, {}
+    for imaginary_part, part in ((False, w.re), (True, w.im)):
+        for (a, b), c in part.terms():
+            for exps, value, imaginary in image(a, b):
+                t = -c * value if imaginary_part and imaginary else c * value
+                target = im if imaginary_part != imaginary else re
+                target[exps] = target.get(exps, 0) + t
+    return Poly(re), Poly(im)
+
+
+def assert_lowest_terms(p):
+    assert p._den >= 1
+    assert all(p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+
+
+class TestIntegerHelpers:
+    """The (z, zbar) helpers work on Poly's integer numerators; each result
+    must equal the Fraction computation and be in lowest terms."""
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_change_variables_matches_fractions(self, degree, data):
+        w = _CJet(non_dyadic_poly(data, degree), non_dyadic_poly(data, degree), degree)
+        for image in (_z_image, _xy_image):
+            out = _change_variables(w, image)
+            assert (out.re, out.im) == reference_change_variables(w, image)
+            assert out.bound == w.bound
+            assert_lowest_terms(out.re)
+            assert_lowest_terms(out.im)
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_change_variables_round_trip(self, degree, data):
+        w = _CJet(non_dyadic_poly(data, degree), non_dyadic_poly(data, degree), degree)
+        assert _change_variables(_change_variables(w, _z_image), _xy_image) == w
+
+    @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reindexing_and_shifts(self, degree, i, j, data):
+        p = non_dyadic_poly(data, degree)
+        q = non_dyadic_poly(data, degree)
+        swapped = _reindexed(p, lambda a, b: (b, a))
+        assert swapped == Poly({(b, a): c for (a, b), c in p.terms()})
+        conj = _CJet(p, q, degree).conjugate_zz()
+        assert conj.re == swapped and conj.im == -_reindexed(q, lambda a, b: (b, a))
+        bound = data.draw(st.integers(0, degree + i + j))
+        shifted = _shifted(p, i, j, bound)
+        assert shifted == (p * Poly.monomial(i, j)).truncate(bound)
+        for result in (swapped, conj.re, conj.im, shifted):
+            assert_lowest_terms(result)
+
+    @given(st.integers(1, 4), st.integers(0, 2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_radial_compose_matches_oracle(self, bound, rho_degree, data):
+        h = non_dyadic_poly(data, bound, 1)
+        rho_re = P("1") + non_dyadic_poly(data, min(rho_degree, bound - 1), 1)
+        rho_im = non_dyadic_poly(data, min(rho_degree, bound - 1))
+        phi = radial_map(rho_re, rho_im, bound)
+        assert harmgerm.jets._radial_factor(phi) is not None
+        composed = jet_compose(jet_truncate(h, bound), phi)
+        assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
 
 
 class TestMapCompose:

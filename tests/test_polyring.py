@@ -164,6 +164,34 @@ class TestRepresentation:
         assert Poly.constant(Fraction(2, 4)) == Poly.constant(Fraction(1, 2))
 
 
+class TestExactInputsOnly:
+    """A float coefficient or exponent would be silently inexact: TypeError."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poly({(1, 0): 0.1}),
+            lambda: Poly([((1, 0), 0.1)]),
+            lambda: Poly({(1.5, 0): 1}),
+            lambda: Poly({(0, 2.0): 1}),
+            lambda: Poly.monomial(1, 0, 0.5),
+            lambda: X.scale(0.1),
+            lambda: X * 0.5,
+            lambda: 0.5 * X,
+            lambda: X / 0.5,
+            lambda: X / "2",
+        ],
+    )
+    def test_inexact_input_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_exact_inputs_still_accepted(self):
+        assert Poly({(1, 0): Fraction(1, 10)}) == X.scale(Fraction(1, 10)) == X / 10
+        assert X.scale(3) == X * 3 == 3 * X == Poly({(1, 0): 3})
+        assert X.scale(0) == Poly.zero()
+
+
 class TestCalculus:
     def test_partial_x(self):
         assert parse_poly("x^3 - 3*x*y^2").diff("x") == parse_poly("3*x^2 - 3*y^2")
