@@ -9,6 +9,17 @@ exact rank computation: multiplier monomials of degree above
 L - order(h) + 1 only produce terms that the truncation kills, so a
 finite product set exhibits the span.
 
+The truncated products are graded by their order. Those of order
+exactly L (the top block) are homogeneous of degree L, and when they
+are linearly independent and none is cut off by a multiplier cap, no
+product of lower order can take part in a combination that equals a
+degree-L polynomial (see `check_determinacy`). One small elimination
+in the L + 1 degree-L coordinates then decides the criterion; the
+elimination over every degree 1..L runs only when that argument does
+not apply (the semi-quasihomogeneous argument of Arnold, Gusein-Zade
+& Varchenko, Singularities of Differentiable Maps I, section 12; Wall,
+"Finite determinacy of smooth map-germs", Bull. LMS 1981).
+
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
 """
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import monomial_basis, translation_solution
+from .graded import monomial_basis
 from .harmonic import harmonic_pair
 from .polyring import Poly
 
@@ -30,10 +41,33 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-def _coordinates(polys, level: int) -> list[tuple[Fraction, ...]]:
-    """Coefficient vectors over the monomials of degrees 1..level, degree then x-descending."""
-    basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
-    return [tuple(p.coeff(a, b) for a, b in basis) for p in polys]
+def _eliminate(columns, targets, basis):
+    """One elimination of the coordinate matrix [columns | targets].
+
+    `basis` lists the exponents that index the rows. Returns
+    (independent, missing, combinations): whether every column is a
+    pivot, the index of the first target outside the span of the
+    columns (None when there is none), and, for each target before it,
+    the RREF-canonical combination of the columns (free coefficients
+    zero) that equals it. The first target whose column is a pivot is
+    that first missing one, since every earlier target lies in the span
+    of the columns.
+    """
+    polys = columns + targets
+    rr, pivots = linalg.rref([tuple(p.coeff(a, b) for p in polys) for a, b in basis])
+    width = len(columns)
+    missing = next((col - width for col in pivots if col >= width), None)
+    combinations = []
+    for j in range(len(targets) if missing is None else missing):
+        # most entries are zero; sharing one zero keeps the stored
+        # combinations from pinning the elimination's memory
+        combo = [Fraction(0)] * width
+        for row, col in zip(rr, pivots):
+            if row[width + j]:
+                combo[col] = row[width + j]
+        combinations.append(tuple(combo))
+    independent = sum(col < width for col in pivots) == width
+    return independent, missing, combinations
 
 
 @dataclass(frozen=True)
@@ -46,8 +80,10 @@ class DeterminacyCertificate:
     is `level`-determined, and `combinations` holds one coefficient
     tuple per degree-`level` monomial (x-exponent descending): the
     RREF-canonical combination of `products` (free coefficients zero)
-    that equals that monomial. When False, `missing` holds the first
-    uncovered monomial and `combinations` is empty.
+    that equals that monomial. When the top block (the products of order
+    `level`) decides the certificate, every product outside it gets
+    coefficient zero. When False, `missing` holds the first uncovered
+    monomial and `combinations` is empty.
     """
 
     germ: Poly
@@ -81,16 +117,45 @@ def _truncated_multiples(h: Poly, level: int, max_multiplier_degree: int | None 
     return products
 
 
+def _top_block_complete(h: Poly, level: int, max_multiplier_degree: int | None) -> bool:
+    """True when the multiplier cap keeps every product of order exactly `level`."""
+    if max_multiplier_degree is None:
+        return True
+    return all(
+        level - gen.order() <= max_multiplier_degree
+        for gen in jacobian_generators(h)
+        if gen and gen.order() < level
+    )
+
+
 def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
     """Run the Jacobian criterion for `level`-determinacy of h.
 
     The span is built from x^a*y^b * dh/dx_i truncated at `level`, for
     multipliers with 1 <= a+b <= max_multiplier_degree (default: every
     degree that can still contribute below the truncation). One
-    elimination of the coordinate matrix with columns
-    [products | degree-`level` monomials] decides every monomial: a
-    pivot in a monomial column marks the first uncovered one, and
-    otherwise each monomial column holds that monomial's combination.
+    elimination with columns [products | degree-`level` monomials]
+    decides every monomial: a pivot in a monomial column marks the
+    first uncovered one, and otherwise each monomial column holds that
+    monomial's combination.
+
+    Which products that elimination needs follows from a lemma. Call
+    the products of order exactly `level` the top block; truncated at
+    `level` they are homogeneous of that degree. Suppose (a) the cap
+    keeps the top multiplier degree `level` - e of every nonzero
+    generator of order e < `level`, and (b) the top block is linearly
+    independent. Then every combination of products that equals a
+    degree-`level` polynomial gives every lower product coefficient
+    zero. For if one did not, take the lowest order d < `level` with a
+    nonzero coefficient: in degree d the leading forms A, B of the
+    generators satisfy u*A + v*B = 0 with u, v both nonzero, and
+    multiplying by a monomial of degree `level` - d turns that into a
+    dependency inside the top block. So under (a) and (b) the elimination over the top
+    block alone, in the `level` + 1 degree-`level` coordinates, gives
+    the same verdict, missing monomial and combinations as the one over
+    every degree 1..`level`. When (a) fails, or the top block has a
+    free column (always so with more than `level` + 1 products), the
+    elimination runs over all products in every degree 1..`level`.
     """
     if level < 1:
         raise ValueError(f"certificate level {level} must be at least 1")
@@ -99,32 +164,29 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     if h.order() > level:
         raise ValueError(f"germ order {h.order()} exceeds the certificate level {level}")
     products = _truncated_multiples(h, level, max_multiplier_degree)
-    monomials = [Poly.monomial(a, b) for a, b in monomial_basis(level)]
-    columns = _coordinates(products + monomials, level)
-    rr, pivots = linalg.rref(list(zip(*columns)))
-
-    width = len(products)
-    first_missing = next((col - width for col in pivots if col >= width), None)
-    if first_missing is not None:
-        missing, combinations = monomials[first_missing], ()
-    else:
-        missing = None
+    top_basis = monomial_basis(level)
+    monomials = [Poly.monomial(a, b) for a, b in top_basis]
+    top = [j for j, p in enumerate(products) if p.order() == level]
+    decided = False
+    if len(top) <= len(monomials) and _top_block_complete(h, level, max_multiplier_degree):
+        decided, missing, top_combinations = _eliminate([products[j] for j in top], monomials, top_basis)
+        zero = Fraction(0)
         combinations = []
-        for j in range(len(monomials)):
-            # most entries are zero; sharing one zero keeps the stored
-            # combinations from pinning the elimination's memory
-            combo = [Fraction(0)] * width
-            for row, col in zip(rr, pivots):
-                if row[width + j]:
-                    combo[col] = row[width + j]
+        for top_combo in top_combinations:
+            combo = [zero] * len(products)
+            for j, c in zip(top, top_combo):
+                combo[j] = c
             combinations.append(tuple(combo))
+    if not decided:
+        basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
+        _, missing, combinations = _eliminate(products, monomials, basis)
     return DeterminacyCertificate(
         germ=h,
         level=level,
         products=tuple(products),
         verdict=missing is None,
-        missing=missing,
-        combinations=tuple(combinations),
+        missing=None if missing is None else monomials[missing],
+        combinations=tuple(combinations) if missing is None else (),
     )
 
 
@@ -174,18 +236,27 @@ class TranslationAbsorption:
 
 
 def translation_absorption(k: int) -> TranslationAbsorption:
-    """Absorb the full degree-(2k-3) slice by translations, degree k >= 5."""
+    """Absorb the full degree-(2k-3) slice by translations, degree k >= 5.
+
+    One elimination over [x^a*y^b*f_(k-1) ... | x^a*y^b*g_(k-1) ... |
+    degree-(2k-3) monomials], multipliers of degree k-2 in the column
+    order of `graded.solve_membership`, gives each monomial's canonical
+    (u, v) and stops at the first uncovered one. Each entry is then
+    checked exactly against k*(u*f_(k-1) - v*g_(k-1)) == monomial.
+    """
     degree = 2 * k - 3
     pair = harmonic_pair(k - 1)
+    multipliers = monomial_basis(k - 2)
+    columns = [Poly.monomial(a, b) * gen for gen in (pair.f, pair.g) for a, b in multipliers]
+    basis = monomial_basis(degree)
+    monomials = [Poly.monomial(a, b) for a, b in basis]
+    _, missing, combinations = _eliminate(columns, monomials, basis)
+    n = len(multipliers)
     entries = []
-    ok = True
-    for a, b in monomial_basis(degree):
-        mono = Poly.monomial(a, b)
-        solved = translation_solution(mono, k)
-        if solved is None:
-            ok = False
-            break
-        u, v = solved
+    ok = missing is None
+    for mono, combo in zip(monomials, combinations):
+        u = Poly(zip(multipliers, combo[:n])) / k
+        v = -Poly(zip(multipliers, combo[n:])) / k
         entries.append((mono, u, v))
         if (pair.f * u - pair.g * v) * k != mono:
             ok = False

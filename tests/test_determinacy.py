@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from harmgerm import determinacy, linalg
+from harmgerm import determinacy, graded, linalg
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
@@ -12,6 +12,7 @@ from harmgerm.determinacy import (
     reverify_certificate,
     translation_absorption,
 )
+from harmgerm.graded import translation_solution
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_order_tail
@@ -247,10 +248,36 @@ def reference_certificate(products, level):
     return None, tuple(linalg.solve_canonical(columns, target) for target in targets)
 
 
+# germs with degenerate leading forms: a Morse form, a degenerate
+# quartic, a cube, dense germs of order 1 and 2, and generators whose
+# leading forms are proportional or share a factor. All but the cube
+# (one nonzero generator, so its top block stays independent) need the
+# elimination over every degree.
+DEGENERATE_CASES = [
+    (P("x^2 - y^2"), level, None) for level in (2, 3, 4)
+] + [
+    (P("x^2*y^2"), level, None) for level in (4, 5, 6)
+] + [
+    (P("x^3"), level, None) for level in (3, 4, 5)
+] + [
+    (P("x + 2*y - x^2 + 3*x*y + y^2 - x^3 + 2*x^2*y - x*y^3 + y^4"), 6, None),
+    (P("x^2 + x*y - 2*y^2 + x^3 - x^2*y + 3*y^3 + x^4"), 7, None),
+    (P("(x + y)^3 + x^5"), 6, None),
+    (P("(x + y)^4 + x^5 + y^6"), 5, None),
+    (P("(x^2 + y^2)^2 + x^4*y"), 5, None),
+]
+
+
 class TestSingleElimination:
     def test_matches_per_monomial_reference(self):
         cases = [case for case in certificate_grid() if case[0].order() <= case[1]]
         cases += [(certify_germ(k, k - 8), 2 * k - 3, None) for k in (8, 9, 10)]
+        cases += DEGENERATE_CASES
+        cases += [(harmonic_pair(8).f, 20, None)]
+        # caps that cut the top block; for the last germ, y*h_x + x*h_y
+        # = 3*x^3 comes from products of order 2 alone
+        cases += [(certify_germ(8), 13, 5), (harmonic_pair(6).f + P("x^7"), 9, 3)]
+        cases += [(P("3*x^2 - 3*y^2 + 3*x^2*y - 2*y^3"), 3, 1)]
         verdicts = set()
         for germ, level, cap in cases:
             cert = check_determinacy(germ, level, max_multiplier_degree=cap)
@@ -267,6 +294,21 @@ class TestSingleElimination:
         check_determinacy(germ, level)
         assert len(rrefs) == 1
 
+    def test_graded_elimination_shapes(self, monkeypatch):
+        # the top block alone decides the certify germs and the leading forms
+        graded_cases = [(certify_germ(k), 2 * k - 3) for k in range(8, 13)]
+        graded_cases += [(harmonic_pair(k).f, 2 * k - 3) for k in range(5, 17)]
+        for germ, level in graded_cases:
+            rrefs = counted(monkeypatch, linalg, "rref")
+            assert check_determinacy(germ, level).verdict
+            assert len(rrefs) == 1 and len(rrefs[0][0]) <= level + 1
+        full = 0
+        for germ, level, cap in DEGENERATE_CASES:
+            rrefs = counted(monkeypatch, linalg, "rref")
+            check_determinacy(germ, level, max_multiplier_degree=cap)
+            full += any(len(args[0]) > level + 1 for args in rrefs)
+        assert full >= 1
+
     def test_reverification_runs_no_elimination(self, monkeypatch):
         cert = check_determinacy(certify_germ(8), 13)
         rrefs = counted(monkeypatch, linalg, "rref")
@@ -280,3 +322,31 @@ class TestSingleElimination:
         monkeypatch.setattr(determinacy, "reverify_certificate", lambda cert: False)
         report = determined_bound_report.__wrapped__(5, Poly.zero())
         assert report.criterion.verdict and not report.ok
+
+
+class TestTranslationAbsorption:
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_matches_per_monomial_solutions(self, monkeypatch, k):
+        reference = tuple(
+            (mono, *translation_solution(mono, k))
+            for mono in (Poly.monomial(a, b) for a, b in monomial_basis(2 * k - 3))
+        )
+        rrefs = counted(monkeypatch, linalg, "rref")
+        solves = counted(monkeypatch, graded, "solve_membership")
+        absorption = translation_absorption(k)
+        assert absorption.entries == reference
+        assert absorption.verified
+        assert len(rrefs) == 1 and solves == []
+
+    @pytest.mark.parametrize("k", range(5, 13))
+    def test_report_fields_unchanged(self, k):
+        # __wrapped__ bypasses the report cache
+        assert determined_bound_report.__wrapped__(k, Poly.zero()).to_json_dict() == {
+            "k": k,
+            "level": max(k, 2 * k - 4),
+            "criterion_level": 2 * k - 3,
+            "criterion_verdict": True,
+            "absorbed_degree": 2 * k - 3,
+            "absorption_verified": True,
+            "ok": True,
+        }
