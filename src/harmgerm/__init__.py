@@ -5,8 +5,8 @@ the harmonic generator pairs and polyharmonic kernel spaces built on
 them, truncated-germ (jet) algebra, finite-determinacy certificates,
 and explicit right-equivalence witnesses composing perturbed germs back
 to their harmonic leading form. Every identity is checked in exact
-rational arithmetic; there is no floating point outside the optional
-numeric fallback for irrational leading-form rescalings.
+rational arithmetic; floats only seed the exact root search for
+leading-form rescalings, and an irrational one gets a symbolic witness.
 """
 
 from ._kernels import active_backend
@@ -21,7 +21,7 @@ from .determinacy import (
 from .equivalence import (
     AbsorptionProfile,
     MembershipError,
-    NumericWitness,
+    RescalingWitness,
     WitnessChain,
     absorption_profile,
     normalize_harmonic,
@@ -74,9 +74,9 @@ __all__ = [
     "Jet",
     "JetMap",
     "MembershipError",
-    "NumericWitness",
     "Poly",
     "PolyParseError",
+    "RescalingWitness",
     "WitnessChain",
     "absorption_profile",
     "active_backend",

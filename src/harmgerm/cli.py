@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import graded
 from .determinacy import check_determinacy, reverify_certificate
 from .equivalence import (
-    NumericWitness,
+    RescalingWitness,
     WitnessChain,
     WitnessFault,
     leading_coefficients,
@@ -31,9 +30,8 @@ from .selftest import format_report, run_selftest
 # Accepted range (low, high) of each range-checked option, per command;
 # high None means no upper limit. The upper limits and the input degree
 # caps below are the work budget: the largest accepted input takes about a
-# minute on a 2-core Xeon. main() checks them, and that --tolerance is
-# finite and positive, before running the command; a value out of range
-# is a usage error.
+# minute on a 2-core Xeon. main() checks them before running the command;
+# a value out of range is a usage error.
 RANGES = {
     "harmonic": {"k": (1, 14000)},
     "kernel": {"k": (0, 450), "s": (0, None)},
@@ -58,9 +56,6 @@ def _range_error(args) -> str | None:
             return f"{args.command} requires {flag} >= {low}"
         if high is not None and value > high:
             return f"{args.command} requires {flag} <= {high}"
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and not 0 < tolerance < math.inf:
-        return f"{args.command} requires --tolerance to be finite and > 0"
     return None
 
 
@@ -169,9 +164,9 @@ def cmd_reduce(args) -> int:
         coeffs = leading_coefficients(germ, k)
         if coeffs is None:
             raise ValueError("degree-k form is not harmonic")
-        witness = normalize_harmonic(coeffs[0], coeffs[1], k, tolerance=args.tolerance)
-        if isinstance(witness, NumericWitness):
-            _emit(args, witness.to_json_dict(), _numeric_text(witness))
+        witness = normalize_harmonic(coeffs[0], coeffs[1], k)
+        if isinstance(witness, RescalingWitness):
+            _emit(args, witness.to_json_dict(), _rescaling_text(witness))
         else:
             _emit(args, witness.to_json_dict(), _chain_text(witness))
         return 0 if witness.verified else 1
@@ -205,11 +200,11 @@ def _chain_text(chain: WitnessChain) -> str:
     return "\n".join(lines)
 
 
-def _numeric_text(witness: NumericWitness) -> str:
+def _rescaling_text(witness: RescalingWitness) -> str:
+    a, b, k = witness.a, witness.b, witness.k
     return (
-        f"numeric witness for ({witness.a})*f_{witness.k} + ({witness.b})*g_{witness.k}:\n"
-        f"  root = {witness.root_re} + ({witness.root_im})*i\n"
-        f"  residual {witness.residual} (tolerance {witness.tolerance})\n"
+        f"rescaling witness for ({a})*f_{k} + ({b})*g_{k}:\n"
+        f"  z -> delta*z for every delta with delta^{k} = {a} - ({b})*i\n"
         f"  verified: {str(witness.verified).lower()}"
     )
 
@@ -270,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="witness chain composing a germ down to f_k")
     p.add_argument("poly")
     p.add_argument("--k", type=int, required=True, help="degree of the harmonic leading term")
-    p.add_argument("--tolerance", type=float, default=1e-30)
     p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("biharm", help="witness that f_k + R ~ f_k for R with vanishing 2-fold Laplacian")

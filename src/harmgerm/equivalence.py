@@ -19,13 +19,12 @@ Every witness re-verifies by exact composition; nothing is trusted.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import mpmath
 
 from .determinacy import DeterminacyReport, determined_bound_report
 from .graded import solve_membership, translation_solution
@@ -41,10 +40,7 @@ from .jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from .polyring import X, Y, Poly, format_poly, laplacian, laplacian_power
-
-# Candidate roots are rationalised with denominators at most this large.
-_MAX_ROOT_DENOMINATOR = 10**9
+from .polyring import X, Y, Poly, _scalar, format_poly, laplacian_power
 
 
 class MembershipError(ValueError):
@@ -157,66 +153,80 @@ def _verified_chain(source, target, maps, bound, certificate=None) -> WitnessCha
 # -- leading-term normalisation ----------------------------------------------
 
 
-def _gaussian_pow(re: Fraction, im: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    out_re, out_im = Fraction(1), Fraction(0)
-    for _ in range(n):
-        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
-    return out_re, out_im
+def _gaussian_pow(re, im, n: int):
+    """(re + im*i)^n by repeated squaring, for ints or Fractions."""
+    out_re, out_im = 1, 0
+    while True:
+        if n & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        n >>= 1
+        if not n:
+            return out_re, out_im
+        re, im = re * re - im * im, 2 * re * im
 
 
-@dataclass(frozen=True)
-class NumericWitness:
-    """High-precision numeric substitute when no rational root map exists.
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for an integer n >= 0, exactly."""
+    if n < 2:
+        return n
+    shift = max(0, n.bit_length() - 64) // k
+    x = (int((n >> shift * k) ** (1 / k)) + 1) << shift
+    # one Newton step lands at or above the root (AM-GM); then it descends
+    y = ((k - 1) * x + n // x ** (k - 1)) // k
+    while True:
+        x, y = y, ((k - 1) * y + n // y ** (k - 1)) // k
+        if y >= x:
+            return x
 
-    The linear map (x, y) -> (re*x - im*y, im*x + re*y) composes the
-    degree-k generator onto a*f_k + b*g_k up to a residual below the
-    stated tolerance (max absolute coefficient of the difference).
-    """
 
-    k: int
-    a: Fraction
-    b: Fraction
-    root_re: str
-    root_im: str
-    residual: str
-    tolerance: float
-    verified: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "numeric",
-            "k": self.k,
-            "a": str(self.a),
-            "b": str(self.b),
-            "root": {"re": self.root_re, "im": self.root_im},
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verified": self.verified,
-        }
+def _round_div(n: int, d: int) -> int:
+    """n/d rounded to an integer, for d > 0."""
+    return (2 * n + d) // (2 * d)
 
 
 def exact_kth_root(re: Fraction, im: Fraction, k: int):
     """A Gaussian-rational delta with delta^k == re + im*i, or None.
 
-    Candidates come from rationalising the k numeric roots; each one is
-    checked by exact arithmetic, so a returned root is exact regardless
-    of the numeric precision used to find it.
+    A root with common denominator d makes d^k the odd part of the lcm of
+    the two denominators, and d has ceil(e/k) factors of 2 when the lcm
+    has e. Then beta = d*delta is a Gaussian integer with
+    beta^k == G = d^k*(re + im*i), and the norm of G is a k-th power. The
+    k complex roots of G, principal root first, seed Newton's step
+    rounded to Gaussian integers; the first beta with beta^k == G
+    exactly gives delta. Floats only seed the search: a poor seed can
+    miss a root, never return a wrong one.
     """
-    with mpmath.workdps(60):
-        c = mpmath.mpc(
-            mpmath.mpf(re.numerator) / re.denominator,
-            mpmath.mpf(im.numerator) / im.denominator,
-        )
-        base = mpmath.power(c, mpmath.mpf(1) / k)
-        for j in range(k):
-            cand = base * mpmath.exp(mpmath.mpc(0, 2) * mpmath.pi * j / k)
-            try:
-                p = Fraction(float(cand.real)).limit_denominator(_MAX_ROOT_DENOMINATOR)
-                q = Fraction(float(cand.imag)).limit_denominator(_MAX_ROOT_DENOMINATOR)
-            except (OverflowError, ValueError):
-                continue
-            if _gaussian_pow(p, q, k) == (re, im):
-                return p, q
+    lcm = math.lcm(re.denominator, im.denominator)
+    twos = (lcm & -lcm).bit_length() - 1
+    odd = _iroot(lcm >> twos, k)
+    if odd**k != lcm >> twos:
+        return None
+    den = odd << -(-twos // k)
+    scale = den**k
+    gr = re.numerator * (scale // re.denominator)
+    gi = im.numerator * (scale // im.denominator)
+    norm = gr * gr + gi * gi
+    if _iroot(norm, k) ** k != norm:
+        return None
+    # G / 2^(m*k) fits a float, and its roots are those of G over 2^m
+    m = max(0, max(gr.bit_length(), gi.bit_length()) - 900) // k
+    seed = complex(gr / (1 << m * k), gi / (1 << m * k))
+    radius, angle = abs(seed) ** (1 / k), cmath.phase(seed)
+    # a seed carries about 45 correct bits and each step doubles them
+    steps = (norm.bit_length() // (90 * k)).bit_length() + 2
+    for j in range(k):
+        w = cmath.rect(radius, (angle + 2 * math.pi * j) / k)
+        br, bi = round(Fraction(w.real) * 2**m), round(Fraction(w.imag) * 2**m)
+        for _ in range(steps):
+            ur, ui = _gaussian_pow(br, bi, k - 1)
+            qr, qi = br * ur - bi * ui, br * ui + bi * ur
+            if qr == gr and qi == gi:
+                return Fraction(br, den), Fraction(bi, den)
+            d = k * (ur * ur + ui * ui)
+            if not d:
+                break
+            nr, ni = (k - 1) * qr + gr, (k - 1) * qi + gi
+            br, bi = _round_div(nr * ur + ni * ui, d), _round_div(ni * ur - nr * ui, d)
     return None
 
 
@@ -225,72 +235,59 @@ def _linear_rotation_map(p: Fraction, q: Fraction, bound: int) -> JetMap:
     return jet_map(X * p - Y * q, X * q + Y * p, bound)
 
 
-def normalize_harmonic(
-    a: Fraction | int,
-    b: Fraction | int,
-    k: int,
-    tolerance: float = 1e-30,
-) -> WitnessChain | NumericWitness:
+@dataclass(frozen=True)
+class RescalingWitness:
+    """z -> delta*z composes f_k onto a*f_k + b*g_k for every delta with
+    delta^k = a - ib, since f_k(delta*z) = Re(delta^k * z^k).
+
+    Stands in for a witness chain when no such delta is Gaussian
+    rational. `verified` is the exact identity
+    a*f_k + b*g_k == Re((a - ib)*(x + iy)^k), expanded binomially.
+    """
+
+    k: int
+    a: Fraction
+    b: Fraction
+    verified: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "rescaling",
+            "k": self.k,
+            "a": str(self.a),
+            "b": str(self.b),
+            "verified": self.verified,
+        }
+
+
+def _rescaled_generator(a: Fraction, b: Fraction, k: int) -> Poly:
+    """Re((a - ib)*(x + iy)^k): the term x^(k-j)*y^j carries i^j."""
+    parts = (a, b, -a, -b)
+    return Poly({(k - j, j): math.comb(k, j) * parts[j % 4] for j in range(k + 1)})
+
+
+def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessChain | RescalingWitness:
     """Witness that a*f_k + b*g_k is right equivalent to f_k.
 
     With c = a - ib, a linear map z -> delta*z with delta^k = c composes
-    f_k exactly onto the target whenever delta exists with rational real
-    and imaginary parts. Otherwise the root is computed to high
-    precision and a numeric witness with a coefficient residual bound is
-    returned; that bound, `tolerance`, must be finite and positive.
+    f_k exactly onto the target. When delta exists with rational real
+    and imaginary parts the result is a verified witness chain of that
+    map; otherwise it is an exact RescalingWitness. a and b are ints or
+    Fractions; anything else is a TypeError.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = Fraction(_scalar(a))
+    b = Fraction(_scalar(b))
     if not a and not b:
         raise ValueError("the zero form has no normalisation")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     pair = harmonic_pair(k)
     target = pair.f * a + pair.g * b
     root = exact_kth_root(a, -b, k)
     if root is not None:
         phi = _linear_rotation_map(root[0], root[1], k)
         return _verified_chain(pair.f, target, [phi], k)
-
-    digits = max(50, int(-mpmath.log10(tolerance)) * 2 + 10)
-    with mpmath.workdps(digits):
-        c = mpmath.mpc(
-            mpmath.mpf(a.numerator) / a.denominator,
-            -mpmath.mpf(b.numerator) / b.denominator,
-        )
-        delta = mpmath.power(c, mpmath.mpf(1) / k)
-        # The map is (x, y) -> (Re(delta)x - Im(delta)y, Im(delta)x + Re(delta)y),
-        # so phi1 + i*phi2 carries coefficient delta on x and i*delta on y.
-        # Expanding its k-th power by repeated multiplication is the honest
-        # composition of f_k with the map.
-        w = {(1, 0): delta, (0, 1): delta * mpmath.mpc(0, 1)}
-        power = {(0, 0): mpmath.mpc(1)}
-        for _ in range(k):
-            nxt = {}
-            for (a1, b1), c1 in power.items():
-                for (a2, b2), c2 in w.items():
-                    key = (a1 + a2, b1 + b2)
-                    nxt[key] = nxt.get(key, mpmath.mpc(0)) + c1 * c2
-            power = nxt
-        residual = mpmath.mpf(0)
-        for (ea, eb) in {exps for exps, _ in target.terms()} | set(power):
-            composed_coeff = power.get((ea, eb), mpmath.mpc(0)).real
-            target_coeff = target.coeff(ea, eb)
-            diff = abs(composed_coeff - mpmath.mpf(target_coeff.numerator) / target_coeff.denominator)
-            residual = max(residual, diff)
-        verified = residual < mpmath.mpf(tolerance)
-        return NumericWitness(
-            k=k,
-            a=a,
-            b=b,
-            root_re=mpmath.nstr(delta.real, 40),
-            root_im=mpmath.nstr(delta.imag, 40),
-            residual=mpmath.nstr(residual, 10),
-            tolerance=tolerance,
-            verified=verified,
-        )
+    return RescalingWitness(k, a, b, _rescaled_generator(a, b, k) == target)
 
 
 # -- absorption steps ---------------------------------------------------------
@@ -455,14 +452,18 @@ def reduce_germ(
 
 def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None:
     """(a, b) with degree-k part of germ == a*f_k + b*g_k; None when that
-    part is zero or not harmonic."""
+    part is zero or not harmonic.
+
+    f_k = Re((x + iy)^k) and g_k = Im((x + iy)^k) carry x^k with 1 and 0
+    and x^(k-1)*y with 0 and k, so those two coefficients give a and b.
+    """
     leading = germ.graded_component(k)
-    if not leading or laplacian(leading):
+    a = leading.coeff(k, 0)
+    b = leading.coeff(k - 1, 1) / k
+    pair = harmonic_pair(k)
+    if not leading or leading != pair.f * a + pair.g * b:
         return None
-    solved = solve_membership(leading, k, 0)
-    if solved is None:
-        return None
-    return solved[0].coeff(0, 0), solved[1].coeff(0, 0)
+    return a, b
 
 
 def reduce_general(germ: Poly, k: int) -> WitnessChain:
@@ -498,7 +499,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
         if root is None:
             raise ValueError(
                 "leading form needs an irrational rescaling; "
-                "only pure harmonic germs are handled numerically"
+                "only a pure harmonic form has a rescaling witness"
             )
         phi = _linear_rotation_map(root[0], root[1], bound)
         reduced = jet_compose(jet_truncate(germ, bound), phi).poly

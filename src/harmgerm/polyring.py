@@ -6,8 +6,8 @@ integer numerators over one shared positive denominator, in lowest
 terms, so the hot products multiply plain ints (Monagan & Pearce,
 "Sparse polynomial multiplication and division in Maple 14", 2009);
 every public accessor returns reduced Fractions. All arithmetic is exact;
-nothing in this module (or the rest of the library) touches floating
-point. The canonical term order is total degree descending, then
+no float enters the library except as a seed of the exact root search in
+`equivalence`. The canonical term order is total degree descending, then
 x-exponent descending, which is also the printing order:
 
     x^5 - 10*x^3*y^2 + 5*x*y^4

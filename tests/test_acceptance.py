@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
-Every check is exact rational arithmetic (zero tolerance) except the
-explicitly numeric leading-form fallback, which has its own stated
-residual bound. Each test prints one PASS/FAIL line; run with
+Every check is exact rational arithmetic with zero tolerance. Each test
+prints one PASS/FAIL line; run with
 
     pytest tests/test_acceptance.py -v -s
 """

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import harmgerm.equivalence
 from harmgerm.cli import RANGES, main
-from harmgerm.equivalence import WitnessChain
+from harmgerm.equivalence import WitnessChain, _gaussian_pow
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import format_poly
 
@@ -148,7 +152,22 @@ class TestReduceCommand:
         code, out, _ = run_cli(capsys, "--format", "json", "reduce", "2*x*y", "--k", "2")
         payload = json.loads(out)
         assert code == 0
-        assert payload["kind"] == "numeric" and payload["verified"] is True
+        assert payload["kind"] == "rescaling" and payload["verified"] is True
+
+    def test_root_beyond_a_double_with_perturbation(self, capsys):
+        # c*f_5 + x^2*f_4 with c = (10^10+1)^5: delta = 1/(10^10+1) is rational
+        germ = harmonic_pair(5).f * (10**10 + 1) ** 5 + P("x^2") * harmonic_pair(4).f
+        code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "5")
+        payload = json.loads(out)
+        assert code == 0 and payload["verified"] is True
+        assert payload["maps"][0] == {"x": "1/10000000001*x", "y": "1/10000000001*y"}
+
+    def test_pure_form_beyond_a_double(self, capsys):
+        germ = harmonic_pair(5).f / (10**10 + 1) ** 5
+        code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "5")
+        payload = json.loads(out)
+        assert code == 0 and payload["verified"] is True
+        assert payload["maps"] == [{"x": "1/10000000001*x", "y": "1/10000000001*y"}]
 
 
 class TestReduceSingleVerification:
@@ -173,6 +192,14 @@ class TestReduceSingleVerification:
         code, out, err = run_cli(capsys, "reduce", format_poly(self.GERM), "--k", "6")
         assert code == 1 and out == ""
         assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+def test_import_leaves_out_mpmath():
+    # the package has no runtime dependency
+    src = pathlib.Path(harmgerm.equivalence.__file__).parents[1]
+    script = "import sys, harmgerm.cli; sys.exit('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
 class TestBiharmCommand:
@@ -223,16 +250,20 @@ class TestRangeErrors:
             ("determinacy", "1", "--k", "0"),
             ("biharm", "x^6", "--k", "4"),
             ("biharm", "x^6", "--k", "-3"),
-            ("reduce", "2*x*y", "--k", "2", "--tolerance", "0"),
-            ("reduce", "2*x*y", "--k", "2", "--tolerance", "-1"),
-            ("reduce", "2*x*y", "--k", "2", "--tolerance", "nan"),
-            ("reduce", "2*x*y", "--k", "2", "--tolerance", "inf"),
         ],
     )
     def test_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and "requires --" in err
+
+    def test_tolerance_is_an_unknown_option(self, capsys):
+        # the exact root search has no tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "2*x*y", "--k", "2", "--tolerance", "1e-30"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tolerance" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -300,6 +331,21 @@ class TestWorkBudget:
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err == f"usage error: {argv[0]} requires {message}\n"
+
+    @pytest.mark.parametrize("twist", ("root", "norm", "unit"))
+    def test_long_coefficients_at_the_degree_limit(self, capsys, twist):
+        # pure forms a*f_28 + b*g_28 with c = a - ib = delta^28, coefficients
+        # of about 580 digits (the parser takes 600); c + 1 fails the norm
+        # test, and i*c passes it but has no 28th root
+        re, im = _gaussian_pow(10**20 + 7, 3 * 10**20 + 1, 28)
+        re, im = {"root": (re, im), "norm": (re + 1, im), "unit": (-im, re)}[twist]
+        pair = harmonic_pair(28)
+        germ = pair.f * re - pair.g * im
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "28")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and err == ""
+        assert json.loads(out).get("kind") == (None if twist == "root" else "rescaling")
 
     @pytest.mark.parametrize(
         "argv",

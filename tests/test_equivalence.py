@@ -3,15 +3,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmgerm.equivalence
 from harmgerm.equivalence import (
     MembershipError,
-    NumericWitness,
+    RescalingWitness,
     WitnessChain,
     WitnessFault,
+    _gaussian_pow,
     absorption_profile,
     exact_kth_root,
+    leading_coefficients,
     normalize_harmonic,
     reduce_general,
     reduce_germ,
@@ -74,10 +78,10 @@ class TestNormalizeHarmonic:
         assert composed.poly == -f2
 
     def test_irrational_root_goes_numeric(self):
+        # no Gaussian-rational square root of -i: the exact rescaling witness
         witness = normalize_harmonic(0, -1, 2)
-        assert isinstance(witness, NumericWitness)
-        assert witness.verified
-        assert float(witness.residual.replace("e", "E")) < 1e-30
+        assert isinstance(witness, RescalingWitness)
+        assert witness == RescalingWitness(2, Fraction(0), Fraction(-1), True)
 
     def test_scaling_with_exact_root(self):
         chain = normalize_harmonic(32, 0, 5)
@@ -88,16 +92,108 @@ class TestNormalizeHarmonic:
         with pytest.raises(ValueError):
             normalize_harmonic(0, 0, 3)
 
-    @pytest.mark.parametrize("tolerance", (0.0, -1.0, float("nan"), float("inf")))
-    def test_tolerance_must_be_finite_and_positive(self, tolerance):
-        # checked up front, also when an exact root needs no tolerance
-        for a, b in ((0, -1), (1, 0)):
-            with pytest.raises(ValueError, match="tolerance"):
-                normalize_harmonic(a, b, 2, tolerance=tolerance)
+    @pytest.mark.parametrize("k", (2, 3, 5, 8))
+    def test_rescaling_identity_is_checked(self, k):
+        # c = 2 + i/3 has no Gaussian-rational k-th root for k > 1, as 3 is
+        # no k-th power; the binomial expansion of Re(c*(x + iy)^k) must
+        # match the recurrence's pair
+        witness = normalize_harmonic(2, Fraction(-1, 3), k)
+        assert witness == RescalingWitness(k, Fraction(2), Fraction(-1, 3), True)
+
+    @pytest.mark.parametrize("bad", (0.1, "1/8", None))
+    def test_inexact_coefficients_rejected(self, bad):
+        # floats are silently inexact; Poly raises the same TypeError
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            normalize_harmonic(bad, 0, 3)
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            normalize_harmonic(1, bad, 3)
 
     def test_exact_root_search(self):
         assert exact_kth_root(Fraction(-1), Fraction(0), 2) in ((0, 1), (0, -1))
         assert exact_kth_root(Fraction(0), Fraction(1), 2) is None
+
+
+# exact_kth_root of 1/c for c = (1+i)^k, keyed by k % 4. These roots are
+# the rescaling maps of every (1+i)-rescaled germ, and so of the recorded
+# benchmark digests: the principal-first candidate order must keep them.
+_INVERSE_ROOTS = {
+    0: (Fraction(1, 2), Fraction(1, 2)),
+    1: (Fraction(1, 2), Fraction(-1, 2)),
+    2: (Fraction(-1, 2), Fraction(1, 2)),
+    3: (Fraction(1, 2), Fraction(-1, 2)),
+}
+
+
+@st.composite
+def _gaussian_rational(draw):
+    """A nonzero p + qi with parts up to 2^200 and denominators above 10^9."""
+    parts = []
+    for _ in range(2):
+        num = draw(st.integers(-(2**200), 2**200))
+        den = draw(st.one_of(st.integers(1, 50), st.integers(10**9 + 1, 10**30)))
+        parts.append(Fraction(num, den))
+    if not any(parts):
+        parts[0] = Fraction(1, 10**9 + 7)
+    return tuple(parts)
+
+
+class TestExactRoot:
+    @given(_gaussian_rational(), st.integers(1, 28))
+    @settings(max_examples=150, deadline=None)
+    def test_root_of_a_power(self, delta, k):
+        c = _gaussian_pow(*delta, k)
+        root = exact_kth_root(*c, k)
+        assert root is not None and _gaussian_pow(*root, k) == c
+        p, q = delta
+        assert root in ((p, q), (-p, -q), (-q, p), (q, -p))
+
+    @pytest.mark.parametrize("k", range(5, 29))
+    def test_rescaled_forms_keep_their_roots(self, k):
+        c = _gaussian_pow(Fraction(1), Fraction(1), k)
+        norm = c[0] ** 2 + c[1] ** 2
+        assert exact_kth_root(*c, k) == (1, 1)
+        assert exact_kth_root(c[0] / norm, -c[1] / norm, k) == _INVERSE_ROOTS[k % 4]
+
+    @pytest.mark.parametrize("k", (2, 5, 12, 28))
+    def test_perfect_norm_without_root(self, k):
+        # delta^k times (3+4i)/5, of norm 1: the norm stays a k-th power
+        re, im = _gaussian_pow(Fraction(7, 3), Fraction(-2, 11), k)
+        assert exact_kth_root((3 * re - 4 * im) / 5, (4 * re + 3 * im) / 5, k) is None
+
+    @pytest.mark.parametrize("k", (2, 6, 12, 28))
+    def test_unit_without_root(self, k):
+        # i*delta^k passes the denominator and norm tests, but for even k
+        # no Newton candidate reaches an exact root
+        re, im = _gaussian_pow(Fraction(7, 3), Fraction(-2, 11), k)
+        assert exact_kth_root(-im, re, k) is None
+
+    def test_roots_beyond_a_double(self):
+        delta = (Fraction(2**40 + 1, 3), Fraction(1, 5))
+        assert exact_kth_root(*_gaussian_pow(*delta, 3), 3) == delta
+        c = Fraction(1, (10**10 + 1) ** 5)
+        assert exact_kth_root(c, Fraction(0), 5) == (Fraction(1, 10**10 + 1), 0)
+
+    def test_pure_form_beyond_a_double_gets_a_chain(self):
+        chain = normalize_harmonic(Fraction(1, (10**10 + 1) ** 5), 0, 5)
+        assert isinstance(chain, WitnessChain) and chain.verify()
+        assert chain.maps[0].x.poly == P("1/10000000001*x")
+
+
+class TestLeadingCoefficients:
+    def test_matches_membership_solve(self):
+        rng = Xoshiro256StarStar(derive_seed(11, 0))
+        for k in range(1, 15):
+            pair = harmonic_pair(k)
+            forms = [Poly.zero(), R2 * random_homogeneous(rng, k - 2) if k > 1 else P("0")]
+            for _ in range(3):
+                a, b = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                forms.append(pair.f * a + pair.g * b)
+                forms.append(pair.f * a + pair.g * b + random_homogeneous(rng, k))
+            for form in forms:
+                germ = form + P("x") * harmonic_pair(k).f
+                solved = solve_membership(form, k, 0) if form else None
+                expected = solved and (solved[0].coeff(0, 0), solved[1].coeff(0, 0))
+                assert leading_coefficients(germ, k) == expected, (k, form)
 
 
 class TestRootAbsorb:
@@ -396,5 +492,4 @@ class TestWitnessSerialization:
     def test_numeric_witness_json(self):
         witness = normalize_harmonic(0, -1, 2)
         payload = witness.to_json_dict()
-        assert payload["kind"] == "numeric"
-        assert payload["verified"] is True
+        assert payload == {"kind": "rescaling", "k": 2, "a": "0", "b": "-1", "verified": True}
