@@ -250,6 +250,11 @@ class TestRangeErrors:
             ("determinacy", "1", "--k", "0"),
             ("biharm", "x^6", "--k", "4"),
             ("biharm", "x^6", "--k", "-3"),
+            ("harmonic", "--k", "0"),
+            ("almansi", "x^4", "--s", "-1"),
+            # a germ that is not a pure harmonic form needs k >= 5
+            ("reduce", "2*x*y + x^3", "--k", "2"),
+            ("reduce", "x^4 - 6*x^2*y^2 + y^4 + x^5", "--k", "4"),
         ],
     )
     def test_usage_error(self, capsys, argv):
