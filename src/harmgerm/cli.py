@@ -38,8 +38,8 @@ RANGES = {
     "span": {"k": (1, 300), "s": (0, 300)},
     "almansi": {"s": (1, 400)},
     "determinacy": {"k": (1, 24)},
-    "reduce": {"k": (1, 28)},
-    "biharm": {"k": (5, 28)},
+    "reduce": {"k": (1, 36)},
+    "biharm": {"k": (5, 36)},
     "selftest": {"max_degree": (1, None)},
 }
 # Highest accepted degree of the input polynomial.
@@ -222,6 +222,19 @@ def cmd_selftest(args) -> int:
     return 0 if report.passed else 1
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser that reads a single-dash word which is none of its
+    options as a positional, so a polynomial with a leading minus sign
+    ("-x^2", "-4*x*y") is the `poly` argument rather than an unknown
+    option. `-h`, the long options and `--` are unaffected."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-"):
+            if arg_string[:2] not in self._option_string_actions:
+                return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmgerm",
@@ -232,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("harmonic", help="print the degree-k harmonic generator pair")
     p.add_argument("--k", type=int, required=True)

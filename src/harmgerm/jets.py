@@ -7,28 +7,35 @@ diffeomorphism fixing the origin. Composition truncates eagerly at every
 multiplication, which changes nothing modulo the bound and keeps the
 intermediate polynomials small.
 
-Composition has two routes, chosen by the map alone. A radial map, one
-whose complex form phi.x + i*phi.y is exactly divisible by z = x + iy,
-is z -> z*rho. There the jet is rewritten as sum C_ij z^i zbar^j, and
-each term becomes C_ij z^i zbar^j rho^i conj(rho)^j. That product only
-matters up to degree bound - i - j, which is far below the bound for the
-high-order jets the reduction composes. Since the jet is real,
-C_ji = conj(C_ij), so only the terms with i >= j are formed. Every other
-map (translations, shears) substitutes its components into x and y.
+Composition has three routes, chosen by the map alone, in this order. A
+radial map, one whose complex form phi.x + i*phi.y is exactly divisible
+by z = x + iy, is z -> z*rho. There the jet is rewritten as
+sum C_ij z^i zbar^j, and each term becomes C_ij z^i zbar^j rho^i
+conj(rho)^j. That product only matters up to degree bound - i - j, which
+is far below the bound for the high-order jets the reduction composes.
+Since the jet is real, C_ji = conj(C_ij), so only the terms with i >= j
+are formed. A map id + tau whose linear part is the identity composes
+by its Taylor expansion, which stops once its terms pass the bound; for
+the reduction's translations that is h + h_x*tau_x + h_y*tau_y. Every
+other map (a shear, a linear change of coordinates) substitutes its
+components into x and y. All three are exact general compositions, so a
+witness re-verified through them is checked independently of how its
+maps were built.
 
-The inverse radial scale map solves a fixed point by graded passes:
-pass d fixes the degree-d part of rho from the degrees below d, so it
-runs at truncation d, and the last pass gives the unique solution with
-no convergence test (van der Hoeven, "Relax, but don't be too lazy",
-JSC 2002).
+Powers (1 + w)^alpha of a jet with zero constant term are built degree by
+degree with Miller's recurrence (Knuth, TAOCP vol. 2, 4.7). The inverse
+radial scale map is solved online (van der Hoeven, "Relax, but don't be
+too lazy", JSC 2002): its degree-d part reads only the degrees below d
+of the composition and of the powers of rho, so each is computed once.
 
 Complex coefficients appear only inside this module (as real/imaginary
 pairs of Polys, in (x, y) or in (z, zbar) exponents); every public
 result is real, and an imaginary part left in a real result is an
 error. The change of variables between (x, y) and (z, zbar), the
-exponent reindexing and the multiplications by a single monomial work
-on Poly's integer numerators over one denominator (`_num`, `_den`) and
-wrap their results with `Poly._of`, so they build no Fraction per term.
+exponent reindexing, the multiplications by a single monomial and the
+sums of products in the recurrences work on Poly's integer numerators
+over one denominator (`_num`, `_den`) and wrap their results with
+`Poly._of`, so they build no Fraction per term.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import poly_mul
 from .polyring import ONE, X, Y, Poly
 
 
@@ -99,19 +107,64 @@ def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:
 def jet_compose(h: Jet, phi: JetMap) -> Jet:
     """The jet of h(phi_x, phi_y) at the common bound.
 
-    A radial map z -> z*rho composes in (z, zbar) coordinates (see the
-    module docstring); any other map substitutes its components, with
-    their powers cached across terms. Every product is truncated at the
-    bound.
+    Three routes, chosen by the map alone (see the module docstring): a
+    radial map z -> z*rho composes in (z, zbar) coordinates; a map whose
+    linear part is the identity composes by its Taylor expansion; any
+    other map substitutes its components, with their powers cached
+    across terms. Every product is truncated at the bound.
     """
     if h.bound != phi.bound:
         raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
+    bound = h.bound
     rho = _radial_factor(phi)
     if rho is not None:
-        return Jet(_compose_radial((h.poly,), rho, h.bound)[0], h.bound)
-    bound = h.bound
-    pow_x = [Poly.constant(1)]
-    pow_y = [Poly.constant(1)]
+        return Jet(_compose_radial((h.poly,), rho, bound)[0], bound)
+    if _identity_linear_part(phi):
+        return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
+    return Jet(_compose_substituted(h.poly, phi.x.poly, phi.y.poly, bound), bound)
+
+
+def _identity_linear_part(phi: JetMap) -> bool:
+    px, py = phi.x.poly, phi.y.poly
+    return (px.coeff(1, 0), px.coeff(0, 1), py.coeff(1, 0), py.coeff(0, 1)) == (1, 0, 0, 1)
+
+
+def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
+    """h(x + tx, y + ty) modulo degrees above the bound, for tx, ty of order >= 2.
+
+    By Taylor's theorem the composition is sum_n (1/n!) sum_(a+b=n)
+    C(n, a) (d^a/dx^a d^b/dy^b h) tx^a ty^b. With m the order of (tx, ty),
+    the n-th term has order at least ord h + n(m - 1), so the sum stops at
+    n = (bound - ord h) // (m - 1). A translation of the reduction at
+    offset s has m - 1 = s >= (k - 3)/2 and composes jets of order k at
+    bound 2k - 4, so only h + h_x*tx + h_y*ty survives there.
+    """
+    m = min(tx.order(), ty.order())
+    if not h or m > bound:
+        return h
+    last = min((bound - h.order()) // (m - 1), h.degree())
+    pow_x, pow_y = [ONE], [ONE]
+    derivatives = [h]  # d^a/dx^a d^b/dy^b h at index a, for the current a + b
+    total = h
+    for n in range(1, last + 1):
+        derivatives = [derivatives[0].diff("y")] + [d.diff("x") for d in derivatives]
+        if len(pow_x) <= n:
+            pow_x.append(pow_x[-1].mul_truncated(tx, bound))
+            pow_y.append(pow_y[-1].mul_truncated(ty, bound))
+        term = Poly.zero()
+        for a, d in enumerate(derivatives):
+            if d:
+                factor = pow_x[a].mul_truncated(pow_y[n - a], bound - d.order())
+                piece = d.mul_truncated(factor, bound)
+                term = term + (piece.scale(math.comb(n, a)) if 0 < a < n else piece)
+        total = total + (term.scale(Fraction(1, math.factorial(n))) if n > 1 else term)
+    return total
+
+
+def _compose_substituted(h: Poly, px: Poly, py: Poly, bound: int) -> Poly:
+    """h(px, py) modulo degrees above the bound, by direct substitution."""
+    pow_x = [ONE]
+    pow_y = [ONE]
 
     def power(cache, base, n):
         while len(cache) <= n:
@@ -119,10 +172,10 @@ def jet_compose(h: Jet, phi: JetMap) -> Jet:
         return cache[n]
 
     total = Poly.zero()
-    for (a, b), c in h.poly.terms():
-        piece = power(pow_x, phi.x.poly, a).mul_truncated(power(pow_y, phi.y.poly, b), bound)
+    for (a, b), c in h.terms():
+        piece = power(pow_x, px, a).mul_truncated(power(pow_y, py, b), bound)
         total = total + piece * c
-    return Jet(total, bound)
+    return total
 
 
 def jet_map_compose(phi: JetMap, psi: JetMap) -> JetMap:
@@ -144,27 +197,18 @@ def jets_equivalent_mod(h1: Jet, h2: Jet, k: int) -> bool:
     return not difference or difference.order() > k
 
 
-def binomial_coefficients(alpha: Fraction, count: int) -> list[Fraction]:
-    """Generalised binomial coefficients C(alpha, m) for m = 0..count-1."""
-    coeffs = [Fraction(1)]
-    for m in range(1, count):
-        coeffs.append(coeffs[-1] * (alpha - (m - 1)) / m)
-    return coeffs
-
-
 def jet_root(w: Jet, k: int) -> Jet:
     """The unique jet r with constant term 1 and r^k == 1 + w modulo the bound.
 
-    Computed by the binomial series (1 + w)^(1/k); w must have zero
-    constant term, so the series terminates at the bound.
+    Computed degree by degree with the graded power recurrence for
+    (1 + w)^(1/k) (see `_power_component`); w must have zero constant
+    term.
     """
     if k < 1:
         raise ValueError("root index must be at least 1")
     if w.poly.coeff(0, 0):
         raise ValueError("root argument must have zero constant term")
-    root = _cjet_series(
-        _CJet(w.poly, Poly.zero(), w.bound), binomial_coefficients(Fraction(1, k), w.bound + 1)
-    )
+    root = _graded_power(_CJet(w.poly, Poly.zero(), w.bound), Fraction(1, k))
     return Jet(root.re, w.bound)
 
 
@@ -215,19 +259,76 @@ def _cjet_const(c: Fraction, bound: int) -> _CJet:
     return _CJet(Poly.constant(c), Poly.zero(), bound)
 
 
-def _cjet_series(w: _CJet, coeffs: list[Fraction]) -> _CJet:
-    """Evaluate sum_m coeffs[m] * w^m, truncating at w's bound.
-
-    Requires w to have zero constant term so that the series terminates.
-    """
-    total = _cjet_const(coeffs[0], w.bound)
-    power = _cjet_const(Fraction(1), w.bound)
-    for m in range(1, len(coeffs)):
-        power = power * w
-        if power.is_zero():
-            break
-        total = total + power.scale(coeffs[m])
+def _cjet_sum(parts, bound: int) -> _CJet:
+    total = _CJet(Poly.zero(), Poly.zero(), bound)
+    for part in parts:
+        if not part.is_zero():
+            total = total + part
     return total
+
+
+def _graded(w: _CJet) -> list[_CJet]:
+    """The homogeneous components of w, degrees 0..w.bound, each at w's bound."""
+    parts = [({}, {}) for _ in range(w.bound + 1)]
+    for index, p in enumerate((w.re, w.im)):
+        for (a, b), v in p._num.items():
+            parts[a + b][index][(a, b)] = v
+    return [_CJet(Poly._of(re, w.re._den), Poly._of(im, w.im._den), w.bound) for re, im in parts]
+
+
+def _dot(terms, bound: int) -> _CJet:
+    """sum c*x*y over the (c, x, y) of `terms`, c an int and x, y pairs, at `bound`.
+
+    Every real product's numerators go straight into one int sum over the
+    lcm of the products' denominators, so the sum builds two Polys in all.
+    """
+    products = []
+    for c, x, y in terms:
+        for p, q, sign, imaginary in (
+            (x.re, y.re, c, False),
+            (x.im, y.im, -c, False),
+            (x.re, y.im, c, True),
+            (x.im, y.re, c, True),
+        ):
+            if p and q:
+                products.append((sign, poly_mul(p._num, q._num, bound), p._den * q._den, imaginary))
+    den = math.lcm(*(d for _, _, d, _ in products))
+    re, im = {}, {}
+    for sign, num, d, imaginary in products:
+        m = sign * (den // d)
+        target = im if imaginary else re
+        for key, v in num.items():
+            target[key] = target.get(key, 0) + m * v
+    re, im = ({key: v for key, v in part.items() if v} for part in (re, im))
+    return _CJet(Poly._of(re, den), Poly._of(im, den), bound)
+
+
+def _power_component(w: list[_CJet], p: list[_CJet], alpha: Fraction) -> _CJet:
+    """The degree-d component of P = (1 + W)^alpha, d = len(p).
+
+    w[t] is the degree-t component of W (w[0] is zero) for t = 1..d, and
+    p holds P's components below d, p[0] = 1. Differentiating P along
+    the Euler field gives (1 + W) E(P) = alpha E(W) P, whose degree-d part
+    is Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+
+        d P_d = sum_(t=1..d) ((alpha + 1) t - d) W_t P_(d-t).
+
+    With alpha = r/q the weights are the ints (r + q) t - q d, and the sum
+    is divided by q d once.
+    """
+    d = len(p)
+    r, q = alpha.numerator, alpha.denominator
+    total = _dot((((r + q) * t - q * d, w[t], p[d - t]) for t in range(1, d + 1)), w[0].bound)
+    return total.scale(Fraction(1, q * d))
+
+
+def _graded_power(w: _CJet, alpha: Fraction) -> _CJet:
+    """(1 + w)^alpha modulo degrees above w's bound, for w with zero constant term."""
+    components = _graded(w)
+    powers = [_cjet_const(Fraction(1), w.bound)]
+    for _ in range(w.bound):
+        powers.append(_power_component(components, powers, alpha))
+    return _cjet_sum(powers, w.bound)
 
 
 # -- (z, zbar) coordinates -----------------------------------------------------
@@ -236,6 +337,12 @@ def _cjet_series(w: _CJet, coeffs: list[Fraction]) -> _CJet:
 def _reindexed(p: Poly, key) -> Poly:
     """p with every exponent pair (a, b) moved to key(a, b), a bijection."""
     return Poly._of({key(a, b): v for (a, b), v in p._num.items()}, p._den)
+
+
+def _scaled_shift(p: _CJet, c_re: Fraction, c_im: Fraction, i: int, bound: int) -> _CJet:
+    """(c_re + i*c_im) * z^i * p, dropping the degrees above bound."""
+    re, im = _shifted(p.re, i, 0, bound), _shifted(p.im, i, 0, bound)
+    return _CJet(re * c_re - im * c_im, re * c_im + im * c_re, bound)
 
 
 def _shifted(p: Poly, i: int, j: int, bound: int) -> Poly:
@@ -258,7 +365,7 @@ def _binomial_product(a: int, b: int) -> list[int]:
 # Images of single monomials under the change of variables, as
 # (exponents, coefficient, imaginary) triples: every coefficient is real
 # or purely imaginary. A composition at bound N meets at most
-# (N + 1)(N + 2)/2 monomials: 1431 at bound 52, the CLI's largest k = 28.
+# (N + 1)(N + 2)/2 monomials: 2415 at bound 68, the CLI's largest k = 36.
 @functools.lru_cache(maxsize=4096)
 def _z_image(a: int, b: int) -> tuple:
     """x^a*y^b in (z, zbar): x = (z + zbar)/2 and y = (z - zbar)/(2i) give
@@ -399,12 +506,12 @@ def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
 
         f_k o phi == f_k + u*f_k + v*g_k   (modulo the bound)
 
-    since (z*rho)^k = z^k * (1 + u - iv) up to truncation.
+    since (z*rho)^k = z^k * (1 + u - iv) up to truncation. rho is built
+    degree by degree with the graded power recurrence (`_power_component`).
     """
     _check_scale_arguments(u, v)
     bound = u.bound
-    w = _CJet(u.poly, -v.poly, bound)
-    rho = _cjet_series(w, binomial_coefficients(Fraction(1, k), bound + 1))
+    rho = _graded_power(_CJet(u.poly, -v.poly, bound), Fraction(1, k))
     return _scale_map_from_root(rho, bound)
 
 
@@ -414,15 +521,22 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     Composing f_k + u*f_k + v*g_k with phi recovers f_k modulo the
     bound, undoing the effect of complex_scale_map at jet level without
     any leftover higher-order terms. rho is the unique solution of
-    rho = (1 + (u - iv) o phi(rho))^(-1/k) with constant term 1. Since u
-    and v have zero constant term, the degree-d part of the right-hand
-    side depends only on the degrees of rho below d. So pass d = 1, 2,
-    ... evaluates it at truncation d from the previous pass, and the
-    last pass leaves the solution itself.
+    rho = (1 + W)^(-1/k) with constant term 1, where W = w o phi and
+    w = u - iv = sum C_ij z^i zbar^j. Since w has zero constant term, the
+    degree-d part of W reads only the degrees of rho below d:
+
+        W_d = sum_(i+j<=d) C_ij z^i zbar^j sum_(a+b=d-i-j) (rho^i)_a conj(rho^j)_b.
+
+    So the solve is online (van der Hoeven, "Relax, but don't be too
+    lazy", JSC 2002): for d = 1, 2, ... it forms W_d, sets rho_d by the
+    graded power recurrence (`_power_component`), and extends the powers
+    of rho by their degree-d components. Every component is computed
+    once. The terms with one j share the row B_j = sum_i C_ij z^i rho^i,
+    so W_d = sum_j zbar^j sum_b conj(rho^j)_b (B_j)_(d-j-b).
 
     Everything a germ of order k can see of the map sits in component
-    degrees up to bound - k + 1, so the passes stop at that much
-    smaller internal bound and the result is lifted afterwards.
+    degrees up to bound - k + 1, so the solve stops at that much smaller
+    internal bound and the result is lifted afterwards.
     """
     _check_scale_arguments(u, v)
     if k < 1:
@@ -431,11 +545,53 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     inner = bound - k
     if inner < 0:
         return identity_map(bound)
-    coeffs = binomial_coefficients(Fraction(-1, k), inner + 1)
-    rho = _cjet_const(Fraction(1), 0)
+    w = _change_variables(_CJet(u.poly.truncate(inner), -v.poly.truncate(inner), inner), _z_image)
+    # rows[j]: the (i, C_ij) of w; need[n]: the highest degree of rho^n read
+    rows: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+    need = [0] + [-1] * inner
+    for i, j in sorted(w.re._num.keys() | w.im._num.keys()):
+        rows.setdefault(j, []).append((i, w.re.coeff(i, j), w.im.coeff(i, j)))
+        need[i] = max(need[i], inner - i - j)
+        need[j] = max(need[j], inner - i - j)
+    for n in range(inner - 1, -1, -1):
+        need[n] = max(need[n], need[n + 1])
+    zero, one = _CJet(Poly.zero(), Poly.zero(), inner), _cjet_const(Fraction(1), inner)
+    # powers[n][a] = (rho^n)_a and conj_powers[n][a] = conj(rho^n)_a, n <= top;
+    # rho^0 = 1 has every component, rho = rho^1 grows to the internal bound
+    top = max([1] + [n for n in range(inner + 1) if need[n] >= 0])
+    powers = [[one] + [zero] * inner] + [[one] for _ in range(top)]
+    conj_powers = [[one] for _ in range(top + 1)]
+    rho = powers[1]
+    w_parts = [zero]
+    # row_parts[j][e] = (B_j)_e; B_0 has no constant term, as w has none
+    row_parts: dict[int, list[_CJet]] = {j: [] if j else [zero] for j in rows}
+    alpha = Fraction(-1, k)
     for d in range(1, inner + 1):
-        rho_zz = _change_variables(rho, _z_image)
-        u_d, v_d = _compose_radial((u.poly.truncate(d), v.poly.truncate(d)), rho_zz, d)
-        rho = _cjet_series(_CJet(u_d, -v_d, d), coeffs)
-    phi = _scale_map_from_root(rho, inner + 1)
+        pieces = []
+        for j, columns in rows.items():
+            e = d - j
+            if e < 0:
+                continue
+            # (B_j)_e from the powers below d, then sum_b conj(rho^j)_b (B_j)_(e-b)
+            row = row_parts[j]
+            terms = (
+                _scaled_shift(powers[i][e - i], c_re, c_im, i, inner)
+                for i, c_re, c_im in columns
+                if e >= i
+            )
+            row.append(_cjet_sum(terms, inner))
+            conj = conj_powers[j]
+            part = _dot(((1, conj[b], row[e - b]) for b in range(min(e, len(conj) - 1) + 1)), inner)
+            pieces.append(_CJet(_shifted(part.re, 0, j, inner), _shifted(part.im, 0, j, inner), inner))
+        w_parts.append(_cjet_sum(pieces, inner))
+        rho.append(_power_component(w_parts, rho, alpha))
+        for n in range(2, top + 1):
+            if d <= need[n]:
+                prev = powers[n - 1]
+                powers[n].append(_dot(((1, rho[t], prev[d - t]) for t in range(d + 1)), inner))
+        for n in range(1, top + 1):
+            if d <= need[n]:
+                conj_powers[n].append(powers[n][d].conjugate_zz())
+    rho_xy = _change_variables(_cjet_sum(rho, inner), _xy_image)
+    phi = _scale_map_from_root(rho_xy, inner + 1)
     return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)

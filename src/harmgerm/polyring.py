@@ -61,8 +61,8 @@ class Poly:
     equality compares `_den` and `_num` directly. Coefficients are ints or
     Fractions and exponents are ints; anything else is a TypeError. Apart
     from this class, only `jets` reads `_num`/`_den`: its (z, zbar) change
-    of variables and monomial shifts work on them and wrap the result
-    with `_of`.
+    of variables, monomial shifts and sums of products work on them and
+    wrap the result with `_of`.
     """
 
     __slots__ = ("_num", "_den", "_hash")

@@ -298,6 +298,61 @@ class TestRangeErrors:
         assert err.startswith("parse error: ")
 
 
+class TestLeadingMinus:
+    """A polynomial as format_poly prints it, leading minus included, is the
+    poly argument of every command that takes one, before or after the
+    options, and gives what the `--` form gives."""
+
+    CASES = [
+        ("split", format_poly(-P("x^2")), ()),
+        ("almansi", format_poly(-P("x^4")), ("--s", "3")),
+        ("determinacy", format_poly(rescaled(harmonic_pair(2).f)), ("--k", "2")),
+        ("reduce", format_poly(rescaled(harmonic_pair(2).f)), ("--k", "2")),
+        ("reduce", format_poly(-harmonic_pair(5).f - P("x^2") * harmonic_pair(4).f), ("--k", "5")),
+        ("biharm", format_poly(-P("x") * harmonic_pair(5).f), ("--k", "5")),
+    ]
+
+    @pytest.mark.parametrize("command, poly, options", CASES)
+    def test_round_trip(self, capsys, command, poly, options):
+        assert poly.startswith("-")
+        expected = run_cli(capsys, command, *options, "--", poly)
+        assert expected[0] == 0 and expected[2] == ""
+        assert run_cli(capsys, command, poly, *options) == expected
+        assert run_cli(capsys, command, *options, poly) == expected
+        assert run_cli(capsys, "--format", "json", command, poly, *options)[0] == 0
+
+    def test_spaceless_forms_are_covered(self):
+        assert {poly for _, poly, _ in self.CASES} >= {"-x^2", "-x^4", "-4*x*y"}
+
+    def test_parse_error_positions_are_the_users(self, capsys):
+        code, out, err = run_cli(capsys, "split", "-x^^2")
+        assert (code, out) == (2, "")
+        assert err == "parse error: expected exponent (at position 3)\n"
+        assert run_cli(capsys, "split", "--", "-x^^2") == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [("split", "-h"), ("reduce", "--help"), ("reduce", "-4*x*y", "-h")])
+    def test_help_still_wins(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: harmgerm ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("reduce", "-4*x*y", "--k"), "argument --k: expected one argument"),
+            (("harmonic", "--k", "3", "-x"), "unrecognized arguments: -x"),
+            (("reduce", "-4*x*y", "--k", "2", "--tolerance", "1"), "unrecognized arguments: --tolerance"),
+        ],
+    )
+    def test_options_still_checked(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert message in captured.err
+
+
 class TestWorkBudget:
     @pytest.mark.parametrize(
         "argv",
@@ -326,8 +381,8 @@ class TestWorkBudget:
             (("almansi", "x^401", "--s", "1"), "a polynomial of degree <= 400"),
             (("split", "x^801"), "a polynomial of degree <= 800"),
             (("determinacy", "x^2", "--k", "25"), "--k <= 24"),
-            (("reduce", "x^5", "--k", "29"), "--k <= 28"),
-            (("biharm", "x^6", "--k", "29"), "--k <= 28"),
+            (("reduce", "x^5", "--k", "37"), "--k <= 36"),
+            (("biharm", "x^6", "--k", "37"), "--k <= 36"),
         ],
     )
     def test_just_above_limit(self, capsys, argv, message):
@@ -339,15 +394,15 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("twist", ("root", "norm", "unit"))
     def test_long_coefficients_at_the_degree_limit(self, capsys, twist):
-        # pure forms a*f_28 + b*g_28 with c = a - ib = delta^28, coefficients
-        # of about 580 digits (the parser takes 600); c + 1 fails the norm
-        # test, and i*c passes it but has no 28th root
-        re, im = _gaussian_pow(10**20 + 7, 3 * 10**20 + 1, 28)
+        # pure forms a*f_36 + b*g_36 with c = a - ib = delta^36, coefficients
+        # of about 570 digits (the parser takes 600); c + 1 fails the norm
+        # test, and i*c passes it but has no 36th root
+        re, im = _gaussian_pow(10**15 + 7, 3 * 10**15 + 1, 36)
         re, im = {"root": (re, im), "norm": (re + 1, im), "unit": (-im, re)}[twist]
-        pair = harmonic_pair(28)
+        pair = harmonic_pair(36)
         germ = pair.f * re - pair.g * im
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "28")
+        code, out, err = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "36")
         assert time.perf_counter() - start < 2
         assert code == 0 and err == ""
         assert json.loads(out).get("kind") == (None if twist == "root" else "rescaling")

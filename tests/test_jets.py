@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -20,10 +21,21 @@ from harmgerm.jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from harmgerm.jets import _change_variables, _CJet, _reindexed, _shifted, _xy_image, _z_image
+from harmgerm.jets import (
+    JetMap,
+    _change_variables,
+    _CJet,
+    _compose_radial,
+    _radial_factor,
+    _reindexed,
+    _scale_map_from_root,
+    _shifted,
+    _xy_image,
+    _z_image,
+)
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 
-from conftest import P, oracle_compose
+from conftest import P, counted, oracle_compose
 
 
 def random_zero_order_poly(data, max_degree, min_degree=1):
@@ -229,6 +241,102 @@ class TestIntegerHelpers:
         assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
 
 
+@contextlib.contextmanager
+def route_counters():
+    """The calls of each composition route made inside the block."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield {
+            name: counted(monkeypatch, harmgerm.jets, f"_compose_{name}")
+            for name in ("radial", "taylor", "substituted")
+        }
+
+
+def routes_taken(counters):
+    return {name: len(calls) for name, calls in counters.items() if calls}
+
+
+class TestTaylorRoute:
+    """Maps id + tau with tau of order m >= 2 compose by Taylor expansion.
+
+    Sympy substitutes and expands in full, so the jets stay at bound 6."""
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, m, data):
+        bound = data.draw(st.integers(m, 6))
+        order = data.draw(st.integers(0, bound))
+        h = non_dyadic_poly(data, min(bound, order + 2), order)
+        a = data.draw(st.integers(0, m))
+        tx = Poly.monomial(a, m - a, Fraction(1, 3)) + non_dyadic_poly(data, min(bound, m + 1), m)
+        ty = non_dyadic_poly(data, min(bound, m + 1), m)
+        phi = jet_map(P("x") + tx, P("y") + ty, bound)
+        assume(_radial_factor(phi) is None)
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(h, bound), phi)
+        assert routes_taken(counters) == {"taylor": 1}
+        assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
+
+    @pytest.mark.parametrize(
+        "h, tx, ty, bound",
+        [
+            ("x^3 - 3*x*y^2 + 1/7*x*y", "1/3*y^2", "2/9*x^2 - x*y", 6),
+            ("x^2 + 5/3*y^2", "x^2*y", "1/9*y^3", 6),
+            ("1 + x + y^2", "7/3*x*y", "-1/7*x^2", 4),
+        ],
+    )
+    def test_terms_beyond_first_order_survive(self, h, tx, ty, bound):
+        phi = jet_map(P("x") + P(tx), P("y") + P(ty), bound)
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(P(h), bound), phi).poly
+        assert routes_taken(counters) == {"taylor": 1}
+        assert composed == oracle_compose(P(h), phi.x.poly, phi.y.poly, bound)
+        first_order = P(h) + P(h).diff("x") * P(tx) + P(h).diff("y") * P(ty)
+        assert composed != first_order.truncate(bound)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_other_linear_parts_substitute(self, data):
+        bound = data.draw(st.integers(2, 5))
+        a, b, c, d = (data.draw(st.integers(-2, 2)) for _ in range(4))
+        assume(a * d - b * c and (a, b, c, d) != (1, 0, 0, 1))
+        h = non_dyadic_poly(data, min(bound, 4), data.draw(st.integers(0, min(bound, 4))))
+        px = Poly({(1, 0): a, (0, 1): b}) + non_dyadic_poly(data, min(bound, 3), 2)
+        py = Poly({(1, 0): c, (0, 1): d}) + non_dyadic_poly(data, min(bound, 3), 2)
+        phi = jet_map(px, py, bound)
+        assume(_radial_factor(phi) is None)
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(h, bound), phi)
+        assert routes_taken(counters) == {"substituted": 1}
+        assert composed.poly == oracle_compose(h, px, py, bound)
+
+    def test_radial_maps_keep_the_radial_route(self):
+        # linear part the identity, but z -> z*(1 + x*y + i*x^2/3) is radial
+        phi = radial_map(P("1 + x*y"), P("1/3*x^2"), 5)
+        h = P("x^4 - 6*x^2*y^2 + y^4 + 1/7*x^5")
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(h, 5), phi)
+        assert routes_taken(counters) == {"radial": 1}
+        assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, 5)
+
+    def test_reduction_translations_take_the_taylor_route(self):
+        from harmgerm.equivalence import absorption_profile, reduce_germ
+        from harmgerm.graded import kernel_basis
+        from harmgerm.rng import Xoshiro256StarStar, random_in_span
+
+        k = 8
+        rng = Xoshiro256StarStar(5)
+        rhos = {
+            s: random_in_span(rng, kernel_basis(k + s, power).basis)
+            for s, power in absorption_profile(k).exponents
+        }
+        with route_counters() as counters:
+            chain = reduce_germ(k, rhos)
+        assert chain.verified and len(chain.maps) == 3
+        # translations at offsets 3 and 4, composed in the reduction and
+        # again in verify(); the scale map once, in verify()
+        assert routes_taken(counters) == {"taylor": 4, "radial": 1}
+
+
 class TestMapCompose:
     def test_identity_neutral(self):
         phi = jet_map(P("x + x^2 - y^2"), P("y + 3*x*y"), 4)
@@ -373,6 +481,107 @@ class TestScaleMap:
         germ = pair.f + u * pair.f + v * pair.g
         phi = inverse_scale_map(jet_truncate(u, bound), jet_truncate(v, bound), k)
         assert jet_compose(jet_truncate(germ, bound), phi).poly == pair.f.truncate(bound)
+
+
+# The parent algorithms of the graded power recurrence and the online
+# solve, kept as references: the binomial series sum_m C(alpha, m) w^m and
+# the solve that recomposes every degree below d on pass d.
+
+
+def reference_binomial_coefficients(alpha, count):
+    coeffs = [Fraction(1)]
+    for m in range(1, count):
+        coeffs.append(coeffs[-1] * (alpha - (m - 1)) / m)
+    return coeffs
+
+
+def reference_series(w, coeffs):
+    total = _CJet(Poly.constant(coeffs[0]), Poly.zero(), w.bound)
+    power = _CJet(Poly.constant(1), Poly.zero(), w.bound)
+    for m in range(1, len(coeffs)):
+        power = power * w
+        if power.is_zero():
+            break
+        total = total + power.scale(coeffs[m])
+    return total
+
+
+def reference_jet_root(w, k):
+    coeffs = reference_binomial_coefficients(Fraction(1, k), w.bound + 1)
+    return Jet(reference_series(_CJet(w.poly, Poly.zero(), w.bound), coeffs).re, w.bound)
+
+
+def reference_complex_scale_map(u, v, k):
+    coeffs = reference_binomial_coefficients(Fraction(1, k), u.bound + 1)
+    return _scale_map_from_root(reference_series(_CJet(u.poly, -v.poly, u.bound), coeffs), u.bound)
+
+
+def reference_inverse_scale_map(u, v, k):
+    bound = u.bound
+    inner = bound - k
+    if inner < 0:
+        return identity_map(bound)
+    coeffs = reference_binomial_coefficients(Fraction(-1, k), inner + 1)
+    rho = _CJet(Poly.constant(1), Poly.zero(), 0)
+    for d in range(1, inner + 1):
+        rho_zz = _change_variables(rho, _z_image)
+        u_d, v_d = _compose_radial((u.poly.truncate(d), v.poly.truncate(d)), rho_zz, d)
+        rho = reference_series(_CJet(u_d, -v_d, d), coeffs)
+    phi = _scale_map_from_root(rho, inner + 1)
+    return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
+
+
+def complex_product(p, q, bound):
+    """(p.re + i p.im)(q.re + i q.im) in (x, y), by four real products."""
+    re = p[0].mul_truncated(q[0], bound) - p[1].mul_truncated(q[1], bound)
+    im = p[0].mul_truncated(q[1], bound) + p[1].mul_truncated(q[0], bound)
+    return re, im
+
+
+class TestGradedPowerAndOnlineSolve:
+    """The graded power recurrence and the online solve return exactly
+    what the binomial series and the pass-based solve return."""
+
+    @given(st.integers(1, 8), st.integers(0, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_scale_map_matches_passes(self, k, extra, data):
+        bound = k + extra
+        u = jet_truncate(non_dyadic_poly(data, min(bound, 5), 1), bound)
+        v = jet_truncate(non_dyadic_poly(data, min(bound, 5), 1), bound)
+        assert inverse_scale_map(u, v, k) == reference_inverse_scale_map(u, v, k)
+
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_defining_identity(self, k, level, data):
+        # ((1 + u - iv) o phi) * rho^k == 1 up to the degree phi is solved to
+        bound = k + level
+        u = non_dyadic_poly(data, min(bound, 3), 1)
+        v = non_dyadic_poly(data, min(bound, 3), 1)
+        phi = inverse_scale_map(jet_truncate(u, bound), jet_truncate(v, bound), k)
+        rho_zz = _radial_factor(phi)
+        assert rho_zz is not None
+        rho = _change_variables(rho_zz, _xy_image)
+        at_level = jet_map(phi.x.poly, phi.y.poly, level)
+        lhs = (
+            P("1") + jet_compose(jet_truncate(u, level), at_level).poly,
+            -jet_compose(jet_truncate(v, level), at_level).poly,
+        )
+        for _ in range(k):
+            lhs = complex_product(lhs, (rho.re, rho.im), level)
+        assert lhs == (P("1"), Poly.zero())
+
+    @given(st.integers(1, 8), st.integers(1, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_complex_scale_map_matches_series(self, k, bound, data):
+        u = jet_truncate(non_dyadic_poly(data, min(bound, 4), 1), bound)
+        v = jet_truncate(non_dyadic_poly(data, min(bound, 4), 1), bound)
+        assert complex_scale_map(u, v, k) == reference_complex_scale_map(u, v, k)
+
+    @given(st.integers(1, 8), st.integers(0, 8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_jet_root_matches_series(self, k, bound, data):
+        w = jet_truncate(non_dyadic_poly(data, min(bound, 4), 1), bound)
+        assert jet_root(w, k) == reference_jet_root(w, k)
 
 
 class TestInverseScaleMapBounds:
