@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import monomial_basis
+from .graded import monomial_basis, translation_solution
 from .harmonic import harmonic_pair
 from .polyring import Poly
 
@@ -238,29 +238,22 @@ class TranslationAbsorption:
 def translation_absorption(k: int) -> TranslationAbsorption:
     """Absorb the full degree-(2k-3) slice by translations, degree k >= 5.
 
-    One elimination over [x^a*y^b*f_(k-1) ... | x^a*y^b*g_(k-1) ... |
-    degree-(2k-3) monomials], multipliers of degree k-2 in the column
-    order of `graded.solve_membership`, gives each monomial's canonical
-    (u, v) and stops at the first uncovered one. Each entry is then
-    checked exactly against k*(u*f_(k-1) - v*g_(k-1)) == monomial.
+    Each degree-(2k-3) monomial's (u, v) is read off by
+    `graded.translation_solution`, with no elimination, and checked exactly
+    against k*(u*f_(k-1) - v*g_(k-1)) == monomial; the entries stop at the
+    first monomial that fails.
     """
     degree = 2 * k - 3
     pair = harmonic_pair(k - 1)
-    multipliers = monomial_basis(k - 2)
-    columns = [Poly.monomial(a, b) * gen for gen in (pair.f, pair.g) for a, b in multipliers]
-    basis = monomial_basis(degree)
-    monomials = [Poly.monomial(a, b) for a, b in basis]
-    _, missing, combinations = _eliminate(columns, monomials, basis)
-    n = len(multipliers)
     entries = []
-    ok = missing is None
-    for mono, combo in zip(monomials, combinations):
-        u = Poly(zip(multipliers, combo[:n])) / k
-        v = -Poly(zip(multipliers, combo[n:])) / k
-        entries.append((mono, u, v))
-        if (pair.f * u - pair.g * v) * k != mono:
+    ok = True
+    for a, b in monomial_basis(degree):
+        mono = Poly.monomial(a, b)
+        solved = translation_solution(mono, k)
+        if solved is None or (pair.f * solved[0] - pair.g * solved[1]) * k != mono:
             ok = False
             break
+        entries.append((mono, *solved))
     return TranslationAbsorption(k, degree, tuple(entries), ok)
 
 

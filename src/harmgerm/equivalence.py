@@ -33,6 +33,7 @@ from .jets import (
     Jet,
     JetMap,
     complex_scale_map,
+    harmonic_multiple,
     identity_map,
     inverse_scale_map,
     jet_compose,
@@ -294,12 +295,14 @@ def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessC
 
 
 def _scale_solution(rho: Poly, k: int) -> tuple[Poly, Poly]:
-    """Write rho (components above degree k) as u*f_k + v*g_k, or raise."""
+    """Write rho (components above degree k) as u*f_k + v*g_k, or raise.
+
+    Below degree 2k, where the reduction works, `harmonic_multiple` reads the unique pair."""
     u = Poly.zero()
     v = Poly.zero()
     for degree, component in rho.components().items():
         s = degree - k
-        solved = solve_membership(component, k, s) if s >= 0 else None
+        solved = harmonic_multiple(component, k) if degree < 2 * k else solve_membership(component, k, s)
         if solved is None:
             raise MembershipError(
                 f"degree-{degree} component is not a harmonic multiple of degree {k}: "
@@ -454,16 +457,14 @@ def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None
     """(a, b) with degree-k part of germ == a*f_k + b*g_k; None when that
     part is zero or not harmonic.
 
-    f_k = Re((x + iy)^k) and g_k = Im((x + iy)^k) carry x^k with 1 and 0
-    and x^(k-1)*y with 0 and k, so those two coefficients give a and b.
+    The degree-k part is a harmonic multiple of degree k with constant
+    multipliers, read off its (z, zbar) coefficients by `harmonic_multiple`.
     """
     leading = germ.graded_component(k)
-    a = leading.coeff(k, 0)
-    b = leading.coeff(k - 1, 1) / k
-    pair = harmonic_pair(k)
-    if not leading or leading != pair.f * a + pair.g * b:
+    solved = harmonic_multiple(leading, k) if leading else None
+    if solved is None:
         return None
-    return a, b
+    return solved[0].coeff(0, 0), solved[1].coeff(0, 0)
 
 
 def reduce_general(germ: Poly, k: int) -> WitnessChain:

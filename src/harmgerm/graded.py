@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .harmonic import harmonic_pair
+from .jets import harmonic_multiple
 from .linalg import RationalMatrix
 from .polyring import Poly, laplacian_power, monomial_basis, poly_to_vector, vector_to_poly
 
@@ -152,10 +153,12 @@ def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:
     first-order change of f_k under the translation (x, y) -> (x + u, y + v).
     u and v are homogeneous of degree deg(target) - (k-1); None when the
     target lies outside the span of those multiples of f_(k-1), g_(k-1).
+    Below degree 2k-2 the pair is unique and read off by `harmonic_multiple`.
     """
-    if not target:
-        return Poly.zero(), Poly.zero()
-    solved = solve_membership(target, k - 1, target.degree() - (k - 1))
+    m, degree = k - 1, target.degree()
+    if not target.is_homogeneous():
+        return None
+    solved = harmonic_multiple(target, m) if degree < 2 * m else solve_membership(target, m, degree - m)
     if solved is None:
         return None
     cu, cv = solved

@@ -415,6 +415,24 @@ def _change_variables(w: _CJet, image) -> _CJet:
     return _CJet(Poly._of(re, den), Poly._of(im, den), w.bound)
 
 
+def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
+    """(u, v) with u*f_m + v*g_m == p, for p of degree below 2m; None if there is none.
+
+    u*f_m + v*g_m = Re(W*z^m) with W = u - iv. Below degree 2m no term
+    C_ij z^i zbar^j of p has both i, j >= m, so (u, v) exists exactly when
+    C_ij = 0 wherever i, j < m, and then W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j
+    is unique (Axler, Bourdon & Ramey, Harmonic Function Theory, GTM 137).
+    """
+    if p and p.degree() >= 2 * m:
+        raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
+    c = _change_variables(_CJet(p, Poly.zero(), 2 * m), _z_image)
+    if any(i < m and j < m for part in (c.re, c.im) for i, j in part._num):
+        return None
+    re, im = ({(i - m, j): 2 * v for (i, j), v in part._num.items() if i >= m} for part in (c.re, c.im))
+    w = _change_variables(_CJet(Poly._of(re, c.re._den), Poly._of(im, c.im._den), m), _xy_image)
+    return w.re, -w.im
+
+
 def _radial_factor(phi: JetMap) -> _CJet | None:
     """rho in (z, zbar) coordinates when phi.x + i*phi.y == z*rho exactly,
     otherwise None."""

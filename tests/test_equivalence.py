@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmgerm.equivalence
+from harmgerm import graded, linalg
+from harmgerm.determinacy import determined_bound_report
 from harmgerm.equivalence import (
     MembershipError,
     RescalingWitness,
@@ -230,6 +232,14 @@ class TestRootAbsorb:
         chain = root_absorb(5, Poly.zero(), 6)
         assert chain.verified and chain.source == chain.target
 
+    def test_degree_2k_component_keeps_canonical_solve(self):
+        # at degree 2k = 10 the (u, v) is not unique; the chain is the one
+        # built from solve_membership's canonical pair
+        chain = root_absorb(5, P("x^5") * harmonic_pair(5).f, 12)
+        assert chain.verified
+        digest = hashlib.sha256(chain.to_json().encode()).hexdigest()
+        assert digest == "395b910b16597e0d8a8bb5e757e24092dcdccfdca2696f14b4f805a563e3afd6"
+
 
 class TestTranslationAbsorb:
     def test_k5_example(self):
@@ -373,6 +383,16 @@ class TestSingleVerification:
         verifies = counted(monkeypatch, WitnessChain, "verify")
         assert verify_biharmonic(7, R).verified
         assert len(verifies) == 1
+
+    @pytest.mark.parametrize("k", (8, 10, 12))
+    def test_reduction_runs_no_elimination(self, monkeypatch, k):
+        rhos, tail = every_offset_instance(k, 0)
+        determined_bound_report(k, Poly.zero())
+        rrefs = counted(monkeypatch, linalg, "rref")
+        solves = counted(monkeypatch, graded, "solve_membership")
+        direct_solves = counted(monkeypatch, harmgerm.equivalence, "solve_membership")
+        assert reduce_germ(k, rhos, tail).verified
+        assert rrefs == [] and solves == [] and direct_solves == []
 
     def test_tampered_scale_map_is_caught(self, tampered_scale_map):
         rhos, tail = every_offset_instance(8, 0)

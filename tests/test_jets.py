@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import harmgerm.jets
+from harmgerm.graded import solve_membership
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import (
     BoundMismatchError,
     Jet,
     complex_scale_map,
+    harmonic_multiple,
     identity_map,
     inverse_scale_map,
     jet_compose,
@@ -34,6 +36,7 @@ from harmgerm.jets import (
     _z_image,
 )
 from harmgerm.polyring import Poly, format_poly, monomial_basis
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
 from conftest import P, counted, oracle_compose
 
@@ -253,6 +256,36 @@ def route_counters():
 
 def routes_taken(counters):
     return {name: len(calls) for name, calls in counters.items() if calls}
+
+
+class TestHarmonicMultiple:
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_matches_membership_solve(self, m):
+        # below degree 2m the pair is unique, so the coefficient read and
+        # the canonical elimination must agree exactly
+        rng = Xoshiro256StarStar(derive_seed(2016, m))
+        pair = harmonic_pair(m)
+        for n in range(m, 2 * m):
+            u = random_homogeneous(rng, n - m) / rng.randint(1, 7)
+            v = random_homogeneous(rng, n - m) / rng.randint(1, 7)
+            p = u * pair.f + v * pair.g
+            assert harmonic_multiple(p, m) == (u, v) == solve_membership(p, m, n - m), (m, n)
+            if n <= 2 * m - 2:
+                # every degree-(2m-1) form is a multiple; below it a random
+                # form almost never is
+                q = p + random_homogeneous(rng, n)
+                assert harmonic_multiple(q, m) is None, (m, n)
+                assert solve_membership(q, m, n - m) is None, (m, n)
+        assert harmonic_multiple(Poly.zero(), m) == (Poly.zero(), Poly.zero())
+
+    @pytest.mark.parametrize("m", (1, 2, 5, 9))
+    def test_degree_2m_rejected(self, m):
+        # from degree 2m on, the pair is not unique
+        with pytest.raises(ValueError):
+            harmonic_multiple(P(f"x^{m}") * harmonic_pair(m).f, m)
+
+    def test_below_degree_m_is_none(self):
+        assert harmonic_multiple(P("x^3 + y"), 4) is None
 
 
 class TestTaylorRoute:
