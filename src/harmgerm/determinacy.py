@@ -29,11 +29,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from . import linalg
 from .graded import monomial_basis, translation_solution
 from .harmonic import harmonic_pair
-from .polyring import Poly
+from .polyring import Poly, linear_combination
 
 
 def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
@@ -94,38 +96,31 @@ class DeterminacyCertificate:
     combinations: tuple[tuple[Fraction, ...], ...]
 
 
-def _truncated_multiples(h: Poly, level: int, max_multiplier_degree: int | None = None) -> list[Poly]:
-    """The nonzero x^a*y^b * dh/dx_i truncated at `level`, multiplier degree ascending.
+def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
+    """(generator, order) for each nonzero Jacobian generator of h."""
+    return [(gen, gen.order()) for gen in jacobian_generators(h) if gen]
 
-    Multipliers run over 1 <= a+b <= max_multiplier_degree (default:
-    every degree that can still contribute below the truncation), so a
-    capped list is a prefix of the uncapped one.
+
+def _truncated_multiples(
+    generators: list[tuple[Poly, int]], level: int, max_multiplier_degree: int | None = None
+) -> Iterator[tuple[int, Poly]]:
+    """(order, x^a*y^b * gen truncated at `level`) per nonzero product, multiplier degree ascending.
+
+    `generators` is `_ordered_generators(h)`. Multipliers run over
+    1 <= a+b <= max_multiplier_degree (default: every degree that can
+    still contribute below the truncation), so a capped list is a prefix
+    of the uncapped one. Each product is an exponent shift of a
+    generator; with a generator of order e and a multiplier of degree d
+    it has order d + e, and it is zero once d + e exceeds `level`.
     """
-    hx, hy = jacobian_generators(h)
-    generator_order = min(p.order() for p in (hx, hy) if p) if (hx or hy) else level + 1
-    cap = level - generator_order + 1 if generator_order <= level else 0
+    cap = level - min((e for _, e in generators), default=level)
     if max_multiplier_degree is not None:
         cap = min(cap, max_multiplier_degree)
-    products = []
-    for d in range(1, max(cap, 0) + 1):
+    for d in range(1, cap + 1):
         for a, b in monomial_basis(d):
-            mono = Poly.monomial(a, b)
-            for gen in (hx, hy):
-                truncated = mono.mul_truncated(gen, level)
-                if truncated:
-                    products.append(truncated)
-    return products
-
-
-def _top_block_complete(h: Poly, level: int, max_multiplier_degree: int | None) -> bool:
-    """True when the multiplier cap keeps every product of order exactly `level`."""
-    if max_multiplier_degree is None:
-        return True
-    return all(
-        level - gen.order() <= max_multiplier_degree
-        for gen in jacobian_generators(h)
-        if gen and gen.order() < level
-    )
+            for gen, e in generators:
+                if d + e <= level:
+                    yield d + e, gen.shifted(a, b, level)
 
 
 def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
@@ -163,12 +158,18 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         raise ValueError("zero germ is never finitely determined")
     if h.order() > level:
         raise ValueError(f"germ order {h.order()} exceeds the certificate level {level}")
-    products = _truncated_multiples(h, level, max_multiplier_degree)
+    generators = _ordered_generators(h)
+    multiples = list(_truncated_multiples(generators, level, max_multiplier_degree))
+    products = [p for _, p in multiples]
     top_basis = monomial_basis(level)
     monomials = [Poly.monomial(a, b) for a, b in top_basis]
-    top = [j for j, p in enumerate(products) if p.order() == level]
+    top = [j for j, (order, _) in enumerate(multiples) if order == level]
     decided = False
-    if len(top) <= len(monomials) and _top_block_complete(h, level, max_multiplier_degree):
+    # (a): the cap keeps multiplier degree `level` - e for every generator order e < `level`
+    complete = max_multiplier_degree is None or all(
+        level - e <= max_multiplier_degree for _, e in generators if e < level
+    )
+    if len(top) <= len(monomials) and complete:
         decided, missing, top_combinations = _eliminate([products[j] for j in top], monomials, top_basis)
         zero = Fraction(0)
         combinations = []
@@ -193,16 +194,19 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
 def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     """Independent containment check of a True certificate.
 
-    Re-derives the truncated multiples of the Jacobian generators of
-    `cert.germ` at `cert.level` and requires `cert.products` to be a
-    prefix of them (a multiplier cap shortens the list). Then multiplies
-    each stored combination back out with plain polynomial arithmetic
-    and requires it to equal its degree-`level` monomial. No elimination
-    is run. A level below 1 has no monomials to check and is rejected.
+    Re-derives the first `len(cert.products)` truncated multiples of the
+    Jacobian generators of `cert.germ` at `cert.level` and requires
+    `cert.products` to equal them (a multiplier cap shortens the list).
+    Then multiplies each stored combination back out as one exact integer
+    sum and requires it to equal its degree-`level` monomial. No
+    elimination is run. A level below 1 has no monomials to check and is
+    rejected.
     """
     if not cert.verdict or cert.level < 1:
         return False
-    if list(cert.products) != _truncated_multiples(cert.germ, cert.level)[: len(cert.products)]:
+    generators = _ordered_generators(cert.germ)
+    derived = islice(_truncated_multiples(generators, cert.level), len(cert.products))
+    if list(cert.products) != [p for _, p in derived]:
         return False
     monomials = monomial_basis(cert.level)
     if len(cert.combinations) != len(monomials):
@@ -210,11 +214,7 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     for (a, b), coeffs in zip(monomials, cert.combinations):
         if len(coeffs) != len(cert.products):
             return False
-        combo = Poly.zero()
-        for c, p in zip(coeffs, cert.products):
-            if c:
-                combo = combo + p * c
-        if combo != Poly.monomial(a, b):
+        if linear_combination(zip(coeffs, cert.products)) != Poly.monomial(a, b):
             return False
     return True
 

@@ -96,9 +96,8 @@ def product_space(s: int, k: int) -> GradedSubspace:
     pair = harmonic_pair(k)
     generators = []
     for a, b in monomial_basis(s):
-        mono = Poly.monomial(a, b)
-        generators.append(mono * pair.f)
-        generators.append(mono * pair.g)
+        generators.append(pair.f.shifted(a, b))
+        generators.append(pair.g.shifted(a, b))
     return GradedSubspace.from_polys(s + k, generators)
 
 
@@ -134,9 +133,9 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     monos = monomial_basis(s)
     columns = []
     for a, b in monos:
-        columns.append(poly_to_vector(Poly.monomial(a, b) * pair.f, k + s))
+        columns.append(poly_to_vector(pair.f.shifted(a, b), k + s))
     for a, b in monos:
-        columns.append(poly_to_vector(Poly.monomial(a, b) * pair.g, k + s))
+        columns.append(poly_to_vector(pair.g.shifted(a, b), k + s))
     solution = linalg.solve_canonical(columns, poly_to_vector(target, k + s))
     if solution is None:
         return None

@@ -125,7 +125,7 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     radial_monos = monomial_basis(k - 2)
     columns = [poly_to_vector(pair.f, k), poly_to_vector(pair.g, k)]
     for a, b in radial_monos:
-        columns.append(poly_to_vector(R2 * Poly.monomial(a, b), k))
+        columns.append(poly_to_vector(R2.shifted(a, b), k))
     solution = linalg.solve_canonical(columns, poly_to_vector(p, k))
     if solution is None:
         raise AssertionError("direct sum decomposition failed; this cannot happen")

@@ -32,10 +32,10 @@ Complex coefficients appear only inside this module (as real/imaginary
 pairs of Polys, in (x, y) or in (z, zbar) exponents); every public
 result is real, and an imaginary part left in a real result is an
 error. The change of variables between (x, y) and (z, zbar), the
-exponent reindexing, the multiplications by a single monomial and the
-sums of products in the recurrences work on Poly's integer numerators
-over one denominator (`_num`, `_den`) and wrap their results with
-`Poly._of`, so they build no Fraction per term.
+exponent reindexing and the sums of products in the recurrences work on
+Poly's integer numerators over one denominator (`_num`, `_den`) and
+wrap their results with `Poly._of`, so they build no Fraction per term;
+a multiplication by a single monomial is `Poly.shifted`.
 """
 
 from __future__ import annotations
@@ -341,14 +341,8 @@ def _reindexed(p: Poly, key) -> Poly:
 
 def _scaled_shift(p: _CJet, c_re: Fraction, c_im: Fraction, i: int, bound: int) -> _CJet:
     """(c_re + i*c_im) * z^i * p, dropping the degrees above bound."""
-    re, im = _shifted(p.re, i, 0, bound), _shifted(p.im, i, 0, bound)
+    re, im = p.re.shifted(i, 0, bound), p.im.shifted(i, 0, bound)
     return _CJet(re * c_re - im * c_im, re * c_im + im * c_re, bound)
-
-
-def _shifted(p: Poly, i: int, j: int, bound: int) -> Poly:
-    """p * z^i*zbar^j (or x^i*y^j), dropping the degrees above bound."""
-    top = bound - i - j
-    return Poly._of({(a + i, b + j): v for (a, b), v in p._num.items() if a + b <= top}, p._den)
 
 
 def _binomial_product(a: int, b: int) -> list[int]:
@@ -485,11 +479,11 @@ def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Pol
                 weight = 1 if i == j else 2
                 a = c.re._num.get((i, j), 0) * re_unit * weight
                 b = c.im._num.get((i, j), 0) * im_unit * weight
-                p, q = (_shifted(part, i, 0, top) for part in (powers[i].re, powers[i].im))
+                p, q = powers[i].re.shifted(i, 0, top), powers[i].im.shifted(i, 0, top)
                 row = row + _CJet(p.scale(a) - q.scale(b), p.scale(b) + q.scale(a), top)
             if j:
                 row = row * powers[j].conjugate_zz()
-                row = _CJet(_shifted(row.re, 0, j, bound), _shifted(row.im, 0, j, bound), bound)
+                row = _CJet(row.re.shifted(0, j, bound), row.im.shifted(0, j, bound), bound)
             total = total + row
         total = total.scale(Fraction(1, 2 * den))
         result = _change_variables(total + total.conjugate_zz(), _xy_image)
@@ -504,8 +498,8 @@ def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Pol
 
 def _scale_map_from_root(rho: _CJet, bound: int) -> JetMap:
     """The map z -> z * rho split into real coordinates."""
-    px = X.mul_truncated(rho.re, bound) - Y.mul_truncated(rho.im, bound)
-    py = X.mul_truncated(rho.im, bound) + Y.mul_truncated(rho.re, bound)
+    px = rho.re.shifted(1, 0, bound) - rho.im.shifted(0, 1, bound)
+    py = rho.im.shifted(1, 0, bound) + rho.re.shifted(0, 1, bound)
     return jet_map(px, py, bound)
 
 
@@ -600,7 +594,7 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
             row.append(_cjet_sum(terms, inner))
             conj = conj_powers[j]
             part = _dot(((1, conj[b], row[e - b]) for b in range(min(e, len(conj) - 1) + 1)), inner)
-            pieces.append(_CJet(_shifted(part.re, 0, j, inner), _shifted(part.im, 0, j, inner), inner))
+            pieces.append(_CJet(part.re.shifted(0, j, inner), part.im.shifted(0, j, inner), inner))
         w_parts.append(_cjet_sum(pieces, inner))
         rho.append(_power_component(w_parts, rho, alpha))
         for n in range(2, top + 1):

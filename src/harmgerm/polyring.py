@@ -59,10 +59,11 @@ class Poly:
     positive denominator `_den`, in lowest terms: gcd(_den, *_num.values())
     is 1, and the zero polynomial has _den == 1. The form is canonical, so
     equality compares `_den` and `_num` directly. Coefficients are ints or
-    Fractions and exponents are ints; anything else is a TypeError. Apart
-    from this class, only `jets` reads `_num`/`_den`: its (z, zbar) change
-    of variables, monomial shifts and sums of products work on them and
-    wrap the result with `_of`.
+    Fractions and exponents are ints; anything else is a TypeError.
+    `shifted` is the one way to multiply by a monomial x^a*y^b: it moves
+    the exponents and multiplies nothing. Apart from this module, only
+    `jets` reads `_num`/`_den`: its (z, zbar) change of variables and sums
+    of products work on them and wrap the result with `_of`.
     """
 
     __slots__ = ("_num", "_den", "_hash")
@@ -238,6 +239,20 @@ class Poly:
         """Product with all terms above max_degree dropped during the multiply."""
         return Poly._of(poly_mul(self._num, other._num, max_degree), self._den * other._den)
 
+    def shifted(self, a: int, b: int, max_degree: int | None = None) -> "Poly":
+        """x^a*y^b * self, with the terms above max_degree dropped (None keeps all).
+
+        An exponent shift of the numerators. `_of` divides out the content
+        that dropping terms can expose: (x^3/6 + 2x/3).shifted(1, 0, 3) is
+        2/3*x^2, over the denominator 3.
+        """
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise TypeError(f"exponents must be ints, not ({a!r}, {b!r})")
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent ({a}, {b})")
+        top = _INF if max_degree is None else max_degree - a - b
+        return Poly._of({(i + a, j + b): v for (i, j), v in self._num.items() if i + j <= top}, self._den)
+
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "Poly":
@@ -275,6 +290,27 @@ X = Poly.monomial(1, 0)
 Y = Poly.monomial(0, 1)
 ONE = Poly.constant(1)
 R2 = Poly({(2, 0): 1, (0, 2): 1})
+
+
+def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
+    """sum(c*p) over the (c, p) of `pairs`, as one integer sum.
+
+    Every numerator goes over the lcm of the denominators c.denominator *
+    p._den, so the sum builds one Poly instead of one per term.
+    """
+    pairs = list(pairs)
+    # one check per coefficient type, so the zeros (most entries of a
+    # certificate's combination) cost no call; an inexact zero still raises
+    for c in {type(c): c for c, _ in pairs}.values():
+        _scalar(c)
+    pairs = [(c, p) for c, p in pairs if c]
+    den = math.lcm(*(c.denominator * p._den for c, p in pairs))
+    total: dict[Exponents, int] = {}
+    for c, p in pairs:
+        m = c.numerator * (den // (c.denominator * p._den))
+        for key, v in p._num.items():
+            total[key] = total.get(key, 0) + v * m
+    return Poly._of({key: v for key, v in total.items() if v}, den)
 
 
 def monomial_basis(d: int) -> tuple[Exponents, ...]:

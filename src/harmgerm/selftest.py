@@ -140,8 +140,8 @@ def _check_harmonic_pairs(out, cap, seed):
         ok = ok and pair.f.is_homogeneous() and pair.f.degree() == k
         if k < top:
             nxt = harmonic_pair(k + 1)
-            ok = ok and nxt.f == X * pair.f - Y * pair.g
-            ok = ok and nxt.g == X * pair.g + Y * pair.f
+            ok = ok and nxt.f == pair.f.shifted(1, 0) - pair.g.shifted(0, 1)
+            ok = ok and nxt.g == pair.g.shifted(1, 0) + pair.f.shifted(0, 1)
         out.append(CheckResult("harmonic/pair-recurrence", f"k={k}", PASS if ok else FAIL))
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from harmgerm import determinacy, graded, linalg
+from harmgerm import determinacy, graded, linalg, polyring
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
@@ -23,6 +23,7 @@ import sympy
 X, Y = sympy.symbols("x y", real=True)
 
 GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2632d372"
+GOLDEN_COMBINATIONS = "bf43771daf1e2e04176e74a9e6bd841cb26784e5d098cf3d0a4badd60daa8368"
 
 
 class TestJacobianGenerators:
@@ -182,17 +183,34 @@ def certificate_digest() -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
+def certify_germ(k, index=0):
+    """The perfbench `certify` germ of seed 1: f_k plus a seeded tail in degrees k+1..2k-3."""
+    rng = Xoshiro256StarStar(derive_seed(1, 2, 0, index))
+    return harmonic_pair(k).f + random_order_tail(rng, k)
+
+
+def combinations_digest() -> str:
+    """SHA-256 over the stored combinations of every certificate of
+    `certificate_grid`, then of `certify_germ(k, i)` at level 2k-3 for
+    k = 8..12 and i = 0..2."""
+    cases = [(germ, level, cap) for germ, level, cap in certificate_grid() if germ.order() <= level]
+    cases += [(certify_germ(k, i), 2 * k - 3, None) for k in range(8, 13) for i in range(3)]
+    records = []
+    for germ, level, cap in cases:
+        cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+        records.append([[str(c) for c in combo] for combo in cert.combinations])
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
 class TestCertificateGolden:
     def test_digest_unchanged(self):
         # any change to a verdict, a missing monomial, the products or
         # their order, or a reverification outcome changes the digest
         assert certificate_digest() == GOLDEN_CERTIFICATES
 
-
-def certify_germ(k, index=0):
-    """The perfbench `certify` germ of seed 1: f_k plus a seeded tail in degrees k+1..2k-3."""
-    rng = Xoshiro256StarStar(derive_seed(1, 2, 0, index))
-    return harmonic_pair(k).f + random_order_tail(rng, k)
+    def test_combinations_unchanged(self):
+        # the stored combinations, which re-verification multiplies back out
+        assert combinations_digest() == GOLDEN_COMBINATIONS
 
 
 class TestTamperedCertificate:
@@ -219,6 +237,17 @@ class TestTamperedCertificate:
         nonzero = next(i for i, c in enumerate(first) if c)
         changed = first[:nonzero] + (first[nonzero] * 2,) + first[nonzero + 1 :]
         combinations = (changed,) + cert.combinations[1:]
+        assert not reverify_certificate(dataclasses.replace(cert, combinations=combinations))
+
+    def test_doubled_combination(self, cert):
+        # sums to twice its monomial
+        doubled = tuple(c * 2 for c in cert.combinations[0])
+        combinations = (doubled,) + cert.combinations[1:]
+        assert not reverify_certificate(dataclasses.replace(cert, combinations=combinations))
+
+    def test_swapped_combinations(self, cert):
+        first, second, *rest = cert.combinations
+        combinations = (second, first, *rest)
         assert not reverify_certificate(dataclasses.replace(cert, combinations=combinations))
 
     def test_shortened_combinations(self, cert):
@@ -315,6 +344,15 @@ class TestSingleElimination:
         solves = counted(monkeypatch, linalg, "solve_canonical")
         assert reverify_certificate(cert)
         assert rrefs == [] and solves == []
+
+    @pytest.mark.parametrize("k", (8, 9, 10))
+    def test_certificate_runs_no_product(self, monkeypatch, k):
+        # the products are monomial shifts and the re-check one integer sum
+        germ = certify_germ(k, k - 8)
+        products = counted(monkeypatch, polyring, "poly_mul")
+        cert = check_determinacy(germ, 2 * k - 3)
+        assert reverify_certificate(cert)
+        assert products == []
 
     def test_report_requires_reverification(self, monkeypatch):
         # __wrapped__ bypasses the report cache

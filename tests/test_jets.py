@@ -31,7 +31,6 @@ from harmgerm.jets import (
     _radial_factor,
     _reindexed,
     _scale_map_from_root,
-    _shifted,
     _xy_image,
     _z_image,
 )
@@ -227,7 +226,7 @@ class TestIntegerHelpers:
         conj = _CJet(p, q, degree).conjugate_zz()
         assert conj.re == swapped and conj.im == -_reindexed(q, lambda a, b: (b, a))
         bound = data.draw(st.integers(0, degree + i + j))
-        shifted = _shifted(p, i, j, bound)
+        shifted = p.shifted(i, j, bound)
         assert shifted == (p * Poly.monomial(i, j)).truncate(bound)
         for result in (swapped, conj.re, conj.im, shifted):
             assert_lowest_terms(result)

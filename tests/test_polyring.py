@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from harmgerm.polyring import (
     PolyParseError,
     format_poly,
     laplacian,
+    linear_combination,
     monomial_basis,
     parse_poly,
 )
@@ -133,9 +135,9 @@ def assert_canonical(p, expected):
 
 
 class TestRepresentation:
-    @given(term_maps, term_maps, coefficients, st.integers(0, 12))
+    @given(term_maps, term_maps, coefficients, st.integers(0, 12), exponents)
     @settings(max_examples=150, deadline=None)
-    def test_every_operation_stays_canonical(self, p, q, c, d):
+    def test_every_operation_stays_canonical(self, p, q, c, d, shift):
         pp, qq = Poly(p), Poly(q)
         assert_canonical(pp, p)
         keys = set(p) | set(q)
@@ -144,6 +146,13 @@ class TestRepresentation:
         assert_canonical(-pp, {k: -v for k, v in p.items()})
         assert_canonical(pp * qq, reference_mul(p, q))
         assert_canonical(pp.mul_truncated(qq, d), reference_mul(p, q, d))
+        assert_canonical(pp.shifted(*shift), reference_mul(p, {shift: 1}))
+        assert_canonical(pp.shifted(*shift, d), reference_mul(p, {shift: 1}, d))
+        third = Fraction(-1, 3)
+        assert_canonical(
+            linear_combination([(c, pp), (third, qq), (0, pp)]),
+            {k: c * p.get(k, 0) + third * q.get(k, 0) for k in keys},
+        )
         assert_canonical(pp.scale(c), {k: v * c for k, v in p.items()})
         assert_canonical(pp.diff("x"), {(a - 1, b): v * a for (a, b), v in p.items() if a})
         assert_canonical(pp.diff("y"), {(a, b - 1): v * b for (a, b), v in p.items() if b})
@@ -163,6 +172,16 @@ class TestRepresentation:
     def test_equal_constants_share_one_form(self):
         assert Poly.constant(Fraction(2, 4)) == Poly.constant(Fraction(1, 2))
 
+    def test_truncated_shift_divides_out_the_exposed_content(self):
+        # x^3/6 + 2x/3 is (x^3 + 4x)/6; dropping x^4 leaves 4x^2/6
+        shifted = parse_poly("1/6*x^3 + 2/3*x").shifted(1, 0, 3)
+        assert shifted == Poly.monomial(2, 0, Fraction(2, 3))
+        assert shifted._den == 3
+
+    def test_empty_linear_combination_is_zero(self):
+        assert linear_combination([]) == Poly.zero()
+        assert linear_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
+
 
 class TestExactInputsOnly:
     """A float coefficient or exponent would be silently inexact: TypeError."""
@@ -180,11 +199,20 @@ class TestExactInputsOnly:
             lambda: 0.5 * X,
             lambda: X / 0.5,
             lambda: X / "2",
+            lambda: X.shifted(1.0, 0),
+            lambda: X.shifted(0, 2.0, 3),
+            lambda: linear_combination([(0.5, X)]),
+            lambda: linear_combination([(0.0, X)]),
+            lambda: linear_combination([(Decimal(0), X)]),
         ],
     )
     def test_inexact_input_is_a_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            X.shifted(-1, 0)
 
     def test_exact_inputs_still_accepted(self):
         assert Poly({(1, 0): Fraction(1, 10)}) == X.scale(Fraction(1, 10)) == X / 10
