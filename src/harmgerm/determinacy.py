@@ -33,9 +33,9 @@ from itertools import islice
 from typing import Iterator
 
 from . import linalg
-from .graded import monomial_basis, translation_solution
+from .graded import translation_solution
 from .harmonic import harmonic_pair
-from .polyring import Poly, linear_combination
+from .polyring import Poly, linear_combination, monomial_basis
 
 
 def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:

@@ -17,8 +17,6 @@ from .jets import harmonic_multiple
 from .linalg import RationalMatrix
 from .polyring import Poly, laplacian_power, monomial_basis, poly_to_vector, vector_to_poly
 
-Exponents = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class GradedSubspace:

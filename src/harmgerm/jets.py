@@ -7,19 +7,20 @@ diffeomorphism fixing the origin. Composition truncates eagerly at every
 multiplication, which changes nothing modulo the bound and keeps the
 intermediate polynomials small.
 
-Composition has three routes, chosen by the map alone, in this order. A
+Composition has two routes, chosen by the map alone, in this order. A
 radial map, one whose complex form phi.x + i*phi.y is exactly divisible
 by z = x + iy, is z -> z*rho. There the jet is rewritten as
 sum C_ij z^i zbar^j, and each term becomes C_ij z^i zbar^j rho^i
 conj(rho)^j. That product only matters up to degree bound - i - j, which
 is far below the bound for the high-order jets the reduction composes.
 Since the jet is real, C_ji = conj(C_ij), so only the terms with i >= j
-are formed. A map id + tau whose linear part is the identity composes
-by its Taylor expansion, which stops once its terms pass the bound; for
-the reduction's translations that is h + h_x*tau_x + h_y*tau_y. Every
-other map (a shear, a linear change of coordinates) substitutes its
-components into x and y. All three are exact general compositions, so a
-witness re-verified through them is checked independently of how its
+are formed. Every other map, written id + tau, composes by its Taylor
+expansion, which is finite because the jet is a polynomial: it stops at
+n = deg h, or sooner once its terms pass the bound when tau has order
+at least 2. For the reduction's translations only the first-order part
+h + h_x*tau_x + h_y*tau_y is left; a shear or a linear change of
+coordinates runs the whole sum. Both are exact general compositions, so
+a witness re-verified through them is checked independently of how its
 maps were built.
 
 Powers (1 + w)^alpha of a jet with zero constant term are built degree by
@@ -107,11 +108,10 @@ def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:
 def jet_compose(h: Jet, phi: JetMap) -> Jet:
     """The jet of h(phi_x, phi_y) at the common bound.
 
-    Three routes, chosen by the map alone (see the module docstring): a
-    radial map z -> z*rho composes in (z, zbar) coordinates; a map whose
-    linear part is the identity composes by its Taylor expansion; any
-    other map substitutes its components, with their powers cached
-    across terms. Every product is truncated at the bound.
+    Two routes, chosen by the map alone (see the module docstring): a
+    radial map z -> z*rho composes in (z, zbar) coordinates; any other
+    map id + tau composes by its Taylor expansion in tau. Every product
+    is truncated at the bound.
     """
     if h.bound != phi.bound:
         raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
@@ -119,22 +119,16 @@ def jet_compose(h: Jet, phi: JetMap) -> Jet:
     rho = _radial_factor(phi)
     if rho is not None:
         return Jet(_compose_radial((h.poly,), rho, bound)[0], bound)
-    if _identity_linear_part(phi):
-        return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
-    return Jet(_compose_substituted(h.poly, phi.x.poly, phi.y.poly, bound), bound)
-
-
-def _identity_linear_part(phi: JetMap) -> bool:
-    px, py = phi.x.poly, phi.y.poly
-    return (px.coeff(1, 0), px.coeff(0, 1), py.coeff(1, 0), py.coeff(0, 1)) == (1, 0, 0, 1)
+    return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
 
 
 def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
-    """h(x + tx, y + ty) modulo degrees above the bound, for tx, ty of order >= 2.
+    """h(x + tx, y + ty) modulo degrees above the bound, for tx, ty of order >= 1.
 
     By Taylor's theorem the composition is sum_n (1/n!) sum_(a+b=n)
-    C(n, a) (d^a/dx^a d^b/dy^b h) tx^a ty^b. With m the order of (tx, ty),
-    the n-th term has order at least ord h + n(m - 1), so the sum stops at
+    C(n, a) (d^a/dx^a d^b/dy^b h) tx^a ty^b, and every term with n > deg h
+    vanishes. With m the order of (tx, ty), the n-th term has order at
+    least ord h + n(m - 1); so for m >= 2 the sum stops sooner, at
     n = (bound - ord h) // (m - 1). A translation of the reduction at
     offset s has m - 1 = s >= (k - 3)/2 and composes jets of order k at
     bound 2k - 4, so only h + h_x*tx + h_y*ty survives there.
@@ -142,15 +136,14 @@ def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
     m = min(tx.order(), ty.order())
     if not h or m > bound:
         return h
-    last = min((bound - h.order()) // (m - 1), h.degree())
+    last = h.degree() if m == 1 else min((bound - h.order()) // (m - 1), h.degree())
     pow_x, pow_y = [ONE], [ONE]
     derivatives = [h]  # d^a/dx^a d^b/dy^b h at index a, for the current a + b
     total = h
     for n in range(1, last + 1):
         derivatives = [derivatives[0].diff("y")] + [d.diff("x") for d in derivatives]
-        if len(pow_x) <= n:
-            pow_x.append(pow_x[-1].mul_truncated(tx, bound))
-            pow_y.append(pow_y[-1].mul_truncated(ty, bound))
+        pow_x.append(pow_x[-1].mul_truncated(tx, bound))
+        pow_y.append(pow_y[-1].mul_truncated(ty, bound))
         term = Poly.zero()
         for a, d in enumerate(derivatives):
             if d:
@@ -158,23 +151,6 @@ def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
                 piece = d.mul_truncated(factor, bound)
                 term = term + (piece.scale(math.comb(n, a)) if 0 < a < n else piece)
         total = total + (term.scale(Fraction(1, math.factorial(n))) if n > 1 else term)
-    return total
-
-
-def _compose_substituted(h: Poly, px: Poly, py: Poly, bound: int) -> Poly:
-    """h(px, py) modulo degrees above the bound, by direct substitution."""
-    pow_x = [ONE]
-    pow_y = [ONE]
-
-    def power(cache, base, n):
-        while len(cache) <= n:
-            cache.append(cache[-1].mul_truncated(base, bound))
-        return cache[n]
-
-    total = Poly.zero()
-    for (a, b), c in h.terms():
-        piece = power(pow_x, px, a).mul_truncated(power(pow_y, py, b), bound)
-        total = total + piece * c
     return total
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -27,7 +28,7 @@ from harmgerm.equivalence import (
 )
 from harmgerm.graded import kernel_basis, solve_membership
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.jets import jet_compose, jet_truncate
+from harmgerm.jets import _radial_factor, jet_compose, jet_truncate
 from harmgerm.polyring import R2, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
@@ -436,6 +437,19 @@ class TestReduceGeneral:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             reduce_general(P("x^4 - 6*x^2*y^2 + y^4 + x^5"), 4)
+
+    def test_tampered_prefix_map_is_caught(self):
+        # the prefix is the linear map z -> z/2 of the rescaled leading
+        # form; nudged, it is no longer radial and verify() composes it by
+        # its Taylor expansion
+        germ = P("32*x^5 - 320*x^3*y^2 + 160*x*y^4 + x^2*(x^4 - 6*x^2*y^2 + y^4)")
+        chain = reduce_general(germ, 5)
+        assert chain.verify()
+        prefix = chain.maps[0]
+        nudged = jet_truncate(prefix.x.poly + P("x^2") * Fraction(1, 7), prefix.bound)
+        maps = (dataclasses.replace(prefix, x=nudged),) + chain.maps[1:]
+        assert _radial_factor(maps[0]) is None
+        assert dataclasses.replace(chain, maps=maps).verify() is False
 
 
 class TestBiharmonic:

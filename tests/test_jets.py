@@ -110,10 +110,11 @@ def radial_map(rho_re, rho_im, bound):
 
 
 class TestComposePaths:
-    """Both composition paths against sympy substitution.
+    """Both composition routes against sympy substitution.
 
     A map whose complex form phi.x + i*phi.y is divisible by z composes in
-    (z, zbar) coordinates; every other map substitutes its components."""
+    (z, zbar) coordinates; every other map composes by its Taylor
+    expansion."""
 
     # sympy expands the substitution in full before truncating, so the
     # jets and maps stay at degree 4 and 3
@@ -249,7 +250,7 @@ def route_counters():
     with pytest.MonkeyPatch.context() as monkeypatch:
         yield {
             name: counted(monkeypatch, harmgerm.jets, f"_compose_{name}")
-            for name in ("radial", "taylor", "substituted")
+            for name in ("radial", "taylor")
         }
 
 
@@ -288,7 +289,7 @@ class TestHarmonicMultiple:
 
 
 class TestTaylorRoute:
-    """Maps id + tau with tau of order m >= 2 compose by Taylor expansion.
+    """Every map id + tau that is not radial composes by Taylor expansion.
 
     Sympy substitutes and expands in full, so the jets stay at bound 6."""
 
@@ -327,7 +328,7 @@ class TestTaylorRoute:
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
-    def test_other_linear_parts_substitute(self, data):
+    def test_other_linear_parts_take_the_taylor_route(self, data):
         bound = data.draw(st.integers(2, 5))
         a, b, c, d = (data.draw(st.integers(-2, 2)) for _ in range(4))
         assume(a * d - b * c and (a, b, c, d) != (1, 0, 0, 1))
@@ -338,8 +339,27 @@ class TestTaylorRoute:
         assume(_radial_factor(phi) is None)
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(h, bound), phi)
-        assert routes_taken(counters) == {"substituted": 1}
+        assert routes_taken(counters) == {"taylor": 1}
         assert composed.poly == oracle_compose(h, px, py, bound)
+
+    @pytest.mark.parametrize(
+        "h, px, py, bound",
+        [
+            # the reflection z -> zbar: linear, not radial
+            ("x^3 - 3*x*y^2 + 1/7*x^2*y + 2/3*y", "x", "-y", 4),
+            # a pure linear shear, with deg h equal to the bound
+            ("x^4 - 1/3*x*y^3 + 5/7*y^2 + x", "x + y", "y", 4),
+            # tau_x = 0 has infinite order inside the min
+            ("x^3*y + 2/9*x^2 - y^3 + 4*y", "x", "2*y + x^2", 5),
+        ],
+    )
+    def test_linear_parts_of_order_one(self, h, px, py, bound):
+        phi = jet_map(P(px), P(py), bound)
+        assert _radial_factor(phi) is None
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(P(h), bound), phi)
+        assert routes_taken(counters) == {"taylor": 1}
+        assert composed.poly == oracle_compose(P(h), P(px), P(py), bound)
 
     def test_radial_maps_keep_the_radial_route(self):
         # linear part the identity, but z -> z*(1 + x*y + i*x^2/3) is radial
@@ -387,21 +407,25 @@ class TestMapCompose:
         swap = jet_map(P("y"), P("x"), 3)
         assert jet_map_compose(swap, swap) == identity_map(3)
 
-    @given(st.data())
+    @given(st.booleans(), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_associativity_with_composition(self, data):
+    def test_associativity_with_composition(self, linear, data):
+        # with `linear`, both maps draw a linear part other than the identity
         bound = 6
         h = jet_truncate(random_zero_order_poly(data, 3), bound)
-        phi = jet_map(
-            P("x") + random_zero_order_poly(data, 3, 2),
-            P("y") + random_zero_order_poly(data, 3, 2),
-            bound,
-        )
-        psi = jet_map(
-            P("x") + random_zero_order_poly(data, 3, 2),
-            P("y") + random_zero_order_poly(data, 3, 2),
-            bound,
-        )
+
+        def draw_map():
+            a, b, c, d = 1, 0, 0, 1
+            if linear:
+                a, b, c, d = (data.draw(st.integers(-2, 2)) for _ in range(4))
+                assume(a * d - b * c and (a, b, c, d) != (1, 0, 0, 1))
+            return jet_map(
+                Poly({(1, 0): a, (0, 1): b}) + random_zero_order_poly(data, 3, 2),
+                Poly({(1, 0): c, (0, 1): d}) + random_zero_order_poly(data, 3, 2),
+                bound,
+            )
+
+        phi, psi = draw_map(), draw_map()
         assert jet_compose(jet_compose(h, phi), psi) == jet_compose(
             h, jet_map_compose(phi, psi)
         )
