@@ -2,8 +2,10 @@
 
 These are the library's two hot loops. `poly_mul` takes coefficients
 from any exact ring (ints or Fractions); `Poly` passes it the integer
-numerators of its two operands. `rref` keeps its arithmetic on Python
-ints and builds Fractions only at the end.
+numerators of its two operands. `rref` accepts Fractions or ints, keeps
+its arithmetic on Python ints and builds Fractions only at the end;
+library callers (`linalg`, `graded`) pass integer rows read by
+`polyring.integer_coordinates`.
 """
 
 from fractions import Fraction

@@ -43,35 +43,6 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-def _eliminate(columns, targets, basis):
-    """One elimination of the coordinate matrix [columns | targets].
-
-    `basis` lists the exponents that index the rows. Returns
-    (independent, missing, combinations): whether every column is a
-    pivot, the index of the first target outside the span of the
-    columns (None when there is none), and, for each target before it,
-    the RREF-canonical combination of the columns (free coefficients
-    zero) that equals it. The first target whose column is a pivot is
-    that first missing one, since every earlier target lies in the span
-    of the columns.
-    """
-    polys = columns + targets
-    rr, pivots = linalg.rref([tuple(p.coeff(a, b) for p in polys) for a, b in basis])
-    width = len(columns)
-    missing = next((col - width for col in pivots if col >= width), None)
-    combinations = []
-    for j in range(len(targets) if missing is None else missing):
-        # most entries are zero; sharing one zero keeps the stored
-        # combinations from pinning the elimination's memory
-        combo = [Fraction(0)] * width
-        for row, col in zip(rr, pivots):
-            if row[width + j]:
-                combo[col] = row[width + j]
-        combinations.append(tuple(combo))
-    independent = sum(col < width for col in pivots) == width
-    return independent, missing, combinations
-
-
 @dataclass(frozen=True)
 class DeterminacyCertificate:
     """Outcome of the criterion at one level.
@@ -170,7 +141,9 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         level - e <= max_multiplier_degree for _, e in generators if e < level
     )
     if len(top) <= len(monomials) and complete:
-        decided, missing, top_combinations = _eliminate([products[j] for j in top], monomials, top_basis)
+        decided, missing, top_combinations = linalg.solve_canonical(
+            [products[j] for j in top], monomials, top_basis
+        )
         zero = Fraction(0)
         combinations = []
         for top_combo in top_combinations:
@@ -180,7 +153,7 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
             combinations.append(tuple(combo))
     if not decided:
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
-        _, missing, combinations = _eliminate(products, monomials, basis)
+        _, missing, combinations = linalg.solve_canonical(products, monomials, basis)
     return DeterminacyCertificate(
         germ=h,
         level=level,

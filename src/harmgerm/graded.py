@@ -9,13 +9,12 @@ subspace equality is basis identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .harmonic import harmonic_pair
 from .jets import harmonic_multiple
 from .linalg import RationalMatrix
-from .polyring import Poly, laplacian_power, monomial_basis, poly_to_vector, vector_to_poly
+from .polyring import Poly, integer_coordinates, laplacian_power, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -27,25 +26,19 @@ class GradedSubspace:
 
     @classmethod
     def from_polys(cls, degree: int, polys) -> "GradedSubspace":
-        rows = [poly_to_vector(p, degree) for p in polys if p]
-        rr, _ = linalg.rref(rows)
-        return cls(degree, tuple(vector_to_poly(row, degree) for row in rr))
+        """Span of homogeneous degree-`degree` polys; any other term raises ValueError."""
+        basis = monomial_basis(degree)
+        # each row is scaled by its own denominator, which keeps the row span
+        rr, _ = linalg.rref(integer_coordinates(polys, basis)[0])
+        return cls(degree, tuple(Poly(zip(basis, row)) for row in rr))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [poly_to_vector(p, self.degree) for p in self.basis]
-
     def contains(self, p: Poly) -> bool:
-        if not p:
-            return True
-        # the stored basis is already in RREF, so each row's leading
-        # column is its pivot; no re-elimination needed
-        rows = self.vectors()
-        pivots = [next(j for j, c in enumerate(row) if c) for row in rows]
-        return linalg.in_rowspace(rows, pivots, poly_to_vector(p, self.degree))
+        """Whether p lies in the span; a term of p outside P_degree raises ValueError."""
+        return linalg.solve_canonical(self.basis, [p], monomial_basis(self.degree))[1] is None
 
 
 def full_space(d: int) -> GradedSubspace:
@@ -60,24 +53,27 @@ def laplacian_matrix(k: int, s: int) -> RationalMatrix:
     degree-k monomials. For k < 2s the target space is trivial and the
     matrix has no rows.
     """
-    if s < 0:
-        raise ValueError("negative Laplacian power")
-    source = monomial_basis(k)
     target = monomial_basis(k - 2 * s)
-    columns = [laplacian_power(Poly.monomial(a, b), s) for a, b in source]
+    columns = _laplacian_images(k, s)
     entries = tuple(
         tuple(col.coeff(ta, tb) for col in columns) for ta, tb in target
     )
-    return RationalMatrix(len(target), len(source), entries)
+    return RationalMatrix(len(target), len(columns), entries)
+
+
+def _laplacian_images(k: int, s: int) -> list[Poly]:
+    """The s-fold Laplacian of each degree-k monomial, x-exponent descending."""
+    if s < 0:
+        raise ValueError("negative Laplacian power")
+    return [laplacian_power(Poly.monomial(a, b), s) for a, b in monomial_basis(k)]
 
 
 def kernel_basis(k: int, s: int) -> GradedSubspace:
     """RREF basis of the kernel of the s-fold Laplacian inside P_k."""
     if k < 0:
         return GradedSubspace(k, ())
-    matrix = laplacian_matrix(k, s)
-    vectors = linalg.nullspace(matrix.entries, matrix.cols)
-    return GradedSubspace.from_polys(k, [vector_to_poly(v, k) for v in vectors])
+    vectors = linalg.nullspace(_laplacian_images(k, s), monomial_basis(k - 2 * s))
+    return GradedSubspace.from_polys(k, [Poly(zip(monomial_basis(k), v)) for v in vectors])
 
 
 def product_space(s: int, k: int) -> GradedSubspace:
@@ -105,8 +101,9 @@ def subspace_compare(a: GradedSubspace, b: GradedSubspace) -> str:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     if a.basis == b.basis:
         return "equal"
-    a_in_b = all(b.contains(p) for p in a.basis)
-    b_in_a = all(a.contains(p) for p in b.basis)
+    basis = monomial_basis(a.degree)
+    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[1] is None
+    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[1] is None
     if a_in_b and b_in_a:
         return "equal"
     if a_in_b:
@@ -129,14 +126,11 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
         return None
     pair = harmonic_pair(k)
     monos = monomial_basis(s)
-    columns = []
-    for a, b in monos:
-        columns.append(poly_to_vector(pair.f.shifted(a, b), k + s))
-    for a, b in monos:
-        columns.append(poly_to_vector(pair.g.shifted(a, b), k + s))
-    solution = linalg.solve_canonical(columns, poly_to_vector(target, k + s))
-    if solution is None:
+    columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
+    _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
+    if missing is not None:
         return None
+    solution = solutions[0]
     n = len(monos)
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})

@@ -26,7 +26,6 @@ from .polyring import (
     Poly,
     laplacian_power,
     monomial_basis,
-    poly_to_vector,
 )
 
 
@@ -123,12 +122,11 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
         raise ValueError("harmonic split needs degree k >= 2")
     pair = harmonic_pair(k)
     radial_monos = monomial_basis(k - 2)
-    columns = [poly_to_vector(pair.f, k), poly_to_vector(pair.g, k)]
-    for a, b in radial_monos:
-        columns.append(poly_to_vector(R2.shifted(a, b), k))
-    solution = linalg.solve_canonical(columns, poly_to_vector(p, k))
-    if solution is None:
+    columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
+    _, missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
+    if missing is not None:
         raise AssertionError("direct sum decomposition failed; this cannot happen")
+    solution = solutions[0]
     h = pair.f * solution[0] + pair.g * solution[1]
     q = Poly({exps: c for exps, c in zip(radial_monos, solution[2:]) if c})
     return h, q
@@ -177,10 +175,11 @@ def almansi_decompose(u: Poly, s: int) -> AlmansiDecomposition:
             break
         for h in harmonic_basis(d - 2 * j):
             layout.append((j, h))
-            columns.append(poly_to_vector(R2**j * h, d))
-    solution = linalg.solve_canonical(columns, poly_to_vector(u, d))
-    if solution is None:
+            columns.append(R2**j * h)
+    _, missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
+    if missing is not None:
         raise AssertionError("Almansi solve failed despite vanishing iterated Laplacian")
+    solution = solutions[0]
     layers = [Poly.zero()] * s
     for (j, h), c in zip(layout, solution):
         if c:

@@ -1,9 +1,14 @@
-"""Small exact linear algebra toolkit over the rationals.
+"""Exact linear algebra on the coordinates of polynomials.
 
-Everything is built on one kernel: reduced row echelon form with leading
-coefficient 1 and deterministic pivoting (first nonzero, columns left to
-right). RREF is a canonical form, so two row spans are equal exactly when
-their RREF rows coincide.
+Every elimination is one call to the `rref` kernel: reduced row echelon
+form with leading coefficient 1 and deterministic pivoting (first
+nonzero, columns left to right), a canonical form. `solve_canonical` and
+`nullspace` are the one solve: each polynomial is a column of its integer
+numerators over its own denominator (`polyring.integer_coordinates`), so
+no Fraction is built per matrix cell. Scaling column j by den_j commutes
+with row operations, so the pivot columns stay the same and each RREF
+entry of column j is the rational one times den_j / den(its row's pivot
+column); every returned entry is rescaled once by the inverse factor.
 """
 
 from __future__ import annotations
@@ -13,8 +18,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._kernels import rref
+from .polyring import Exponents, Poly, integer_coordinates
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -30,57 +38,57 @@ class RationalMatrix:
             raise ValueError("inconsistent matrix dimensions")
 
 
-def reduce_vector(rref_rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Fraction]) -> Vector:
-    """Residual of `vec` after eliminating all pivot coordinates."""
-    residual = list(Fraction(c) for c in vec)
-    for row, col in zip(rref_rows, pivots):
-        factor = residual[col]
-        if factor:
-            for j, entry in enumerate(row):
-                if entry:
-                    residual[j] -= factor * entry
-    return tuple(residual)
+def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):
+    """(RREF rows, pivots, column denominators) of the integer matrix whose columns are the polys."""
+    columns, dens = integer_coordinates(polys, basis)
+    rr, pivots = rref(list(zip(*columns)))
+    return rr, pivots, dens
 
 
-def in_rowspace(rref_rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Fraction]) -> bool:
-    return not any(reduce_vector(rref_rows, pivots, vec))
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
-    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    rr, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, col in zip(rr, pivots):
-            v[col] = -row[free]
-        basis.append(tuple(v))
-    return basis
+def _column(echelon, j: int, width: int) -> list[Fraction]:
+    """Column j of the rational RREF, by pivot column; rows nonzero there pivot below `width`."""
+    rr, pivots, dens = echelon
+    # most entries are zero; sharing one zero keeps stored combinations
+    # from pinning the elimination's memory
+    out = [_ZERO] * width
+    for row, col in zip(rr, pivots):
+        if row[j]:
+            out[col] = row[j] if dens[col] == dens[j] else row[j] * dens[col] / dens[j]
+    return out
 
 
 def solve_canonical(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Vector | None:
-    """Solve sum_j c_j * columns[j] = target.
+    columns: Sequence[Poly], targets: Sequence[Poly], basis: Sequence[Exponents]
+) -> tuple[bool, int | None, list[Vector]]:
+    """Write each target as a combination of the columns, in one elimination.
 
-    Returns the RREF-canonical solution (free variables zero), or None
-    when the system is inconsistent.
+    `basis` lists the exponents that index the rows; a term outside it
+    raises ValueError. Returns (independent, missing, combinations):
+    whether every column is a pivot, the index of the first target
+    outside the span of the columns (None when there is none), and, for
+    each target before it, the RREF-canonical combination of the columns
+    (free coefficients zero) that equals it. The first target whose
+    column is a pivot is that first missing one, since every earlier
+    target lies in the span of the columns.
     """
-    ncols = len(columns)
-    height = len(target)
-    if any(len(col) != height for col in columns):
-        raise ValueError("column height mismatch")
-    augmented = [
-        tuple(col[i] for col in columns) + (Fraction(target[i]),) for i in range(height)
-    ]
-    rr, pivots = rref(augmented)
-    solution = [Fraction(0)] * ncols
-    for row, col in zip(rr, pivots):
-        if col == ncols:
-            return None
-        solution[col] = row[ncols]
-    return tuple(solution)
+    echelon = _echelon([*columns, *targets], basis)
+    pivots, width = echelon[1], len(columns)
+    missing = next((col - width for col in pivots if col >= width), None)
+    solved = range(width, width + (len(targets) if missing is None else missing))
+    combinations = [tuple(_column(echelon, t, width)) for t in solved]
+    return sum(col < width for col in pivots) == width, missing, combinations
+
+
+def nullspace(columns: Sequence[Poly], basis: Sequence[Exponents]) -> list[Vector]:
+    """Basis of {v : sum_j v_j * columns[j] == 0}, one vector per free column.
+
+    Each vector is 1 at its free column and 0 at every other free column;
+    `basis` is as in `solve_canonical`.
+    """
+    echelon = _echelon(columns, basis)
+    relations = []
+    for free in sorted(set(range(len(columns))) - set(echelon[1])):
+        v = [-c for c in _column(echelon, free, len(columns))]
+        v[free] = Fraction(1)
+        relations.append(tuple(v))
+    return relations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._kernels import poly_mul
 
@@ -63,7 +63,9 @@ class Poly:
     `shifted` is the one way to multiply by a monomial x^a*y^b: it moves
     the exponents and multiplies nothing. Apart from this module, only
     `jets` reads `_num`/`_den`: its (z, zbar) change of variables and sums
-    of products work on them and wrap the result with `_of`.
+    of products work on them and wrap the result with `_of`. Linear
+    algebra gets them through `integer_coordinates`, which reads the
+    numerators as integer coordinates over `_den`.
     """
 
     __slots__ = ("_num", "_den", "_hash")
@@ -320,15 +322,26 @@ def monomial_basis(d: int) -> tuple[Exponents, ...]:
     return tuple((d - j, j) for j in range(d + 1))
 
 
-def poly_to_vector(p: Poly, d: int) -> tuple[Fraction, ...]:
-    """Coordinates of a homogeneous degree-d polynomial in the monomial basis."""
-    if p and (not p.is_homogeneous() or p.degree() != d):
-        raise ValueError(f"expected a homogeneous polynomial of degree {d}, got {p}")
-    return tuple(p.coeff(a, b) for a, b in monomial_basis(d))
+def integer_coordinates(
+    polys: Iterable[Poly], basis: Sequence[Exponents]
+) -> tuple[list[list[int]], list[int]]:
+    """(vectors, dens): the coefficient of basis[i] in polys[j] is vectors[j][i] / dens[j].
 
-
-def vector_to_poly(vec, d: int) -> Poly:
-    return Poly({exps: c for exps, c in zip(monomial_basis(d), vec) if c})
+    Each vector holds the integer numerators over the polynomial's own
+    denominator; a term outside `basis` raises ValueError.
+    """
+    index = {exps: i for i, exps in enumerate(basis)}
+    vectors, dens = [], []
+    for p in polys:
+        vector = [0] * len(index)
+        for key, v in p._num.items():
+            i = index.get(key)
+            if i is None:
+                raise ValueError(f"term {format_poly(Poly.monomial(*key))} of {p} is outside the basis")
+            vector[i] = v
+        vectors.append(vector)
+        dens.append(p._den)
+    return vectors, dens
 
 
 def laplacian(p: Poly) -> Poly:

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from harmgerm import determinacy, graded, linalg, polyring
+from harmgerm._kernels import rref
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
@@ -264,17 +267,63 @@ class TestTamperedCertificate:
         assert not reverify_certificate(vacuous)
 
 
+# The per-vector Fraction algorithms the library used before its one
+# integer solve, kept here so that `reference_certificate` does not run
+# the code under test.
+Vector = tuple[Fraction, ...]
+
+
+def reduce_vector(rref_rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Fraction]) -> Vector:
+    """Residual of `vec` after eliminating all pivot coordinates."""
+    residual = list(Fraction(c) for c in vec)
+    for row, col in zip(rref_rows, pivots):
+        factor = residual[col]
+        if factor:
+            for j, entry in enumerate(row):
+                if entry:
+                    residual[j] -= factor * entry
+    return tuple(residual)
+
+
+def in_rowspace(rref_rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Fraction]) -> bool:
+    return not any(reduce_vector(rref_rows, pivots, vec))
+
+
+def solve_canonical(
+    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+) -> Vector | None:
+    """Solve sum_j c_j * columns[j] = target.
+
+    Returns the RREF-canonical solution (free variables zero), or None
+    when the system is inconsistent.
+    """
+    ncols = len(columns)
+    height = len(target)
+    if any(len(col) != height for col in columns):
+        raise ValueError("column height mismatch")
+    augmented = [
+        tuple(col[i] for col in columns) + (Fraction(target[i]),) for i in range(height)
+    ]
+    rr, pivots = rref(augmented)
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(rr, pivots):
+        if col == ncols:
+            return None
+        solution[col] = row[ncols]
+    return tuple(solution)
+
+
 def reference_certificate(products, level):
     """(missing, combinations) by the per-monomial algorithm: a rowspace
     test per monomial, then one canonical solve per monomial."""
     basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
     columns = [tuple(p.coeff(a, b) for a, b in basis) for p in products]
     targets = [tuple(int(exps == (a, b)) for exps in basis) for a, b in monomial_basis(level)]
-    rr, pivots = linalg.rref(columns)
+    rr, pivots = rref(columns)
     for (a, b), target in zip(monomial_basis(level), targets):
-        if not linalg.in_rowspace(rr, pivots, target):
+        if not in_rowspace(rr, pivots, target):
             return Poly.monomial(a, b), ()
-    return None, tuple(linalg.solve_canonical(columns, target) for target in targets)
+    return None, tuple(solve_canonical(columns, target) for target in targets)
 
 
 # germs with degenerate leading forms: a Morse form, a degenerate

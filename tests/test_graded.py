@@ -135,6 +135,31 @@ class TestSubspaceCompare:
         assert a.basis == b.basis
 
 
+# a polynomial of another degree and a non-homogeneous one, against P_2
+OUTSIDE_P2 = [P("x^3"), P("x^2 + y")]
+
+
+class TestOutsideTheDegreeRaises:
+    @pytest.mark.parametrize("p", OUTSIDE_P2)
+    def test_from_polys(self, p):
+        with pytest.raises(ValueError):
+            GradedSubspace.from_polys(2, [P("x*y"), p])
+
+    @pytest.mark.parametrize("p", OUTSIDE_P2)
+    def test_contains(self, p):
+        # the harmonics of degree 2 must not swallow x^3 as a zero vector
+        with pytest.raises(ValueError):
+            kernel_basis(2, 1).contains(p)
+
+    @pytest.mark.parametrize("p", OUTSIDE_P2)
+    def test_subspace_compare(self, p):
+        mislabelled = GradedSubspace(2, (p,))
+        with pytest.raises(ValueError):
+            subspace_compare(mislabelled, full_space(2))
+        with pytest.raises(ValueError):
+            subspace_compare(kernel_basis(2, 1), mislabelled)
+
+
 class TestSolveMembership:
     def test_direct_factor(self):
         f4 = harmonic_pair(4).f
