@@ -11,6 +11,9 @@ library callers (`linalg`, `graded`) pass integer rows read by
 from fractions import Fraction
 from math import gcd
 
+# most output cells are zero; they share this one
+_ZERO = Fraction(0)
+
 
 def poly_mul(p, q, max_degree=None):
     """Multiply two sparse term maps {(a, b): c} with exact coefficients c.
@@ -105,7 +108,7 @@ def rref(rows):
     for i, col in enumerate(pivots):
         row = mat[i]
         pv = row[col]
-        out.append(tuple(Fraction(v, pv) for v in row))
+        out.append(tuple(Fraction(v, pv) if v else _ZERO for v in row))
     return tuple(out), tuple(pivots)
 
 

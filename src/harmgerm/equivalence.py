@@ -33,7 +33,6 @@ from .jets import (
     Jet,
     JetMap,
     complex_scale_map,
-    harmonic_multiple,
     identity_map,
     inverse_scale_map,
     jet_compose,
@@ -297,19 +296,17 @@ def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessC
 def _scale_solution(rho: Poly, k: int) -> tuple[Poly, Poly]:
     """Write rho (components above degree k) as u*f_k + v*g_k, or raise.
 
-    Below degree 2k, where the reduction works, `harmonic_multiple` reads the unique pair."""
-    u = Poly.zero()
-    v = Poly.zero()
+    `solve_membership` solves each component."""
+    u, v = Poly.zero(), Poly.zero()
     for degree, component in rho.components().items():
-        s = degree - k
-        solved = harmonic_multiple(component, k) if degree < 2 * k else solve_membership(component, k, s)
+        solved = solve_membership(component, k, degree - k)
         if solved is None:
             raise MembershipError(
                 f"degree-{degree} component is not a harmonic multiple of degree {k}: "
                 f"{component}",
                 degree,
             )
-        if s == 0:
+        if degree == k:
             raise MembershipError(
                 f"degree-{degree} component would rescale the leading term", degree
             )
@@ -458,13 +455,12 @@ def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None
     part is zero or not harmonic.
 
     The degree-k part is a harmonic multiple of degree k with constant
-    multipliers, read off its (z, zbar) coefficients by `harmonic_multiple`.
+    multipliers, which `solve_membership` reads off its (z, zbar)
+    coefficients.
     """
     leading = germ.graded_component(k)
-    solved = harmonic_multiple(leading, k) if leading else None
-    if solved is None:
-        return None
-    return solved[0].coeff(0, 0), solved[1].coeff(0, 0)
+    solved = solve_membership(leading, k, 0) if leading else None
+    return None if solved is None else (solved[0].coeff(0, 0), solved[1].coeff(0, 0))
 
 
 def reduce_general(germ: Poly, k: int) -> WitnessChain:

@@ -3,7 +3,9 @@
 P_d denotes the homogeneous polynomials of total degree d (dimension
 d+1, monomial basis x^d, x^(d-1)*y, ..., y^d; empty for d < 0). Subspaces
 of P_d are stored as RREF bases with respect to that monomial order, so
-subspace equality is basis identity.
+subspace equality is basis identity. `solve_membership` alone answers
+"is target = u*f_k + v*g_k?": by a (z, zbar) read-off below degree 2k,
+where the pair is unique, and by one canonical elimination from 2k on.
 """
 
 from __future__ import annotations
@@ -69,11 +71,17 @@ def _laplacian_images(k: int, s: int) -> list[Poly]:
 
 
 def kernel_basis(k: int, s: int) -> GradedSubspace:
-    """RREF basis of the kernel of the s-fold Laplacian inside P_k."""
+    """RREF basis of the kernel of the s-fold Laplacian inside P_k, in one elimination.
+
+    With the monomials reversed, each nullspace vector is 1 at its free
+    column, 0 at the other free ones and nonzero only at earlier pivots;
+    read forward, last vector first, they are the unique RREF basis.
+    """
     if k < 0:
         return GradedSubspace(k, ())
-    vectors = linalg.nullspace(_laplacian_images(k, s), monomial_basis(k - 2 * s))
-    return GradedSubspace.from_polys(k, [Poly(zip(monomial_basis(k), v)) for v in vectors])
+    vectors = linalg.nullspace(_laplacian_images(k, s)[::-1], monomial_basis(k - 2 * s))
+    monos = monomial_basis(k)
+    return GradedSubspace(k, tuple(Poly(zip(monos, v[::-1])) for v in reversed(vectors)))
 
 
 def product_space(s: int, k: int) -> GradedSubspace:
@@ -96,45 +104,46 @@ def product_space(s: int, k: int) -> GradedSubspace:
 
 
 def subspace_compare(a: GradedSubspace, b: GradedSubspace) -> str:
-    """Exact set relation: "equal", "a_in_b", "b_in_a" or "incomparable"."""
+    """Exact set relation: "equal", "a_in_b", "b_in_a" or "incomparable".
+
+    Both bases must be independent, as `GradedSubspace` holds them. One
+    solve of the smaller basis against the larger decides, since the
+    larger space cannot lie in the smaller one.
+    """
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     if a.basis == b.basis:
         return "equal"
-    basis = monomial_basis(a.degree)
-    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[1] is None
-    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[1] is None
-    if a_in_b and b_in_a:
+    small, large = (a, b) if a.dim <= b.dim else (b, a)
+    if linalg.solve_canonical(large.basis, small.basis, monomial_basis(a.degree))[1] is not None:
+        return "incomparable"
+    if small.dim == large.dim:
         return "equal"
-    if a_in_b:
-        return "a_in_b"
-    if b_in_a:
-        return "b_in_a"
-    return "incomparable"
+    return "a_in_b" if small is a else "b_in_a"
 
 
 def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     """Write target = u*f_k + v*g_k with u, v homogeneous of degree s.
 
     Returns None when no representation exists (including any degree
-    mismatch). With several solutions, free coefficients are set to zero,
-    so the answer is canonical.
+    mismatch). Below degree 2k (s < k) the pair is unique and read off by
+    `harmonic_multiple`; from 2k on one elimination sets the free
+    coefficients to zero, so the answer is canonical.
     """
     if not target:
         return Poly.zero(), Poly.zero()
     if not target.is_homogeneous() or target.degree() != k + s or s < 0:
         return None
+    if s < k:
+        return harmonic_multiple(target, k)
     pair = harmonic_pair(k)
     monos = monomial_basis(s)
     columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
     _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
-    solution = solutions[0]
     n = len(monos)
-    u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
-    v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
-    return u, v
+    return Poly(zip(monos, solutions[0][:n])), Poly(zip(monos, solutions[0][n:]))
 
 
 def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:
@@ -144,13 +153,7 @@ def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:
     first-order change of f_k under the translation (x, y) -> (x + u, y + v).
     u and v are homogeneous of degree deg(target) - (k-1); None when the
     target lies outside the span of those multiples of f_(k-1), g_(k-1).
-    Below degree 2k-2 the pair is unique and read off by `harmonic_multiple`.
+    `solve_membership` finds the pair.
     """
-    m, degree = k - 1, target.degree()
-    if not target.is_homogeneous():
-        return None
-    solved = harmonic_multiple(target, m) if degree < 2 * m else solve_membership(target, m, degree - m)
-    if solved is None:
-        return None
-    cu, cv = solved
-    return cu / k, -(cv / k)
+    solved = solve_membership(target, k - 1, target.degree() - (k - 1))
+    return None if solved is None else (solved[0] / k, -(solved[1] / k))

@@ -228,8 +228,6 @@ def _check_kernel_layer_decomposition(out, cap, seed):
         for s in range(1, 6):
             layered = []
             for j in range(min(s, d // 2 + 1)):
-                if d - 2 * j < 0:
-                    break
                 for h in harmonic_basis(d - 2 * j):
                     layered.append(R2**j * h)
             direct = graded.GradedSubspace.from_polys(d, layered)

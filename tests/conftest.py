@@ -1,6 +1,6 @@
 """Shared helpers: sympy-based oracles independent of the library's
-arithmetic, call counters, a tampered radial scale map and a tampered
-determinacy certificate."""
+arithmetic, an elimination oracle for harmonic multiples, call counters,
+a tampered radial scale map and a tampered determinacy certificate."""
 
 import dataclasses
 from fractions import Fraction
@@ -10,8 +10,10 @@ import sympy
 
 import harmgerm.cli
 import harmgerm.equivalence
+from harmgerm import linalg
+from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import jet_compose, jet_map, jet_truncate
-from harmgerm.polyring import Poly, parse_poly
+from harmgerm.polyring import Poly, monomial_basis, parse_poly
 
 X, Y = sympy.symbols("x y", real=True)
 
@@ -59,6 +61,27 @@ def rescaled(p: Poly) -> Poly:
     """p composed with z -> (1+i)z, i.e. (x, y) -> (x - y, x + y)."""
     bound = p.degree()
     return jet_compose(jet_truncate(p, bound), jet_map(P("x - y"), P("x + y"), bound)).poly
+
+
+def reference_membership(target: Poly, k: int, s: int):
+    """(u, v) with target == u*f_k + v*g_k, u and v homogeneous of degree s,
+    or None; one canonical elimination at every degree (free coefficients
+    zero), independent of the (z, zbar) read-off."""
+    if not target:
+        return Poly.zero(), Poly.zero()
+    if not target.is_homogeneous() or target.degree() != k + s or s < 0:
+        return None
+    pair = harmonic_pair(k)
+    monos = monomial_basis(s)
+    columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
+    _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
+    if missing is not None:
+        return None
+    solution = solutions[0]
+    n = len(monos)
+    u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
+    v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
+    return u, v
 
 
 def counted(monkeypatch, owner, name):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -233,6 +234,26 @@ class TestSelftestCommand:
         assert payload["passed"] is True
         # every check line in the text report appears in the JSON payload
         assert len(payload["checks"]) == len(text.strip().splitlines()) - 2
+
+    # sha256 of the report, pinned when the membership solves were rearranged
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["selftest"], "221720c73d52820f95ddb24094e2550e23b47ad465b30cf1259c958dec746d79"),
+            (
+                ["selftest", "--seed", "42", "--max-degree", "6"],
+                "d0d8b7d6fad4aab0b93d46c04bd13a8c4973dcf3fb881764f7a05dde939920cb",
+            ),
+            (
+                ["--format", "json", "selftest", "--seed", "7", "--max-degree", "7"],
+                "e0d7ba08bdf2b296d41f2b0234e5630cda87f5f8f03f9c55f762515109a90925",
+            ),
+        ],
+    )
+    def test_golden_report(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRangeErrors:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmgerm.equivalence
-from harmgerm import graded, linalg
+from harmgerm import linalg
 from harmgerm.determinacy import determined_bound_report
 from harmgerm.equivalence import (
     MembershipError,
@@ -32,7 +32,7 @@ from harmgerm.jets import _radial_factor, jet_compose, jet_truncate
 from harmgerm.polyring import R2, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, counted, rescaled
+from conftest import P, counted, reference_membership, rescaled
 
 
 class TestAbsorptionProfile:
@@ -194,7 +194,7 @@ class TestLeadingCoefficients:
                 forms.append(pair.f * a + pair.g * b + random_homogeneous(rng, k))
             for form in forms:
                 germ = form + P("x") * harmonic_pair(k).f
-                solved = solve_membership(form, k, 0) if form else None
+                solved = reference_membership(form, k, 0) if form else None
                 expected = solved and (solved[0].coeff(0, 0), solved[1].coeff(0, 0))
                 assert leading_coefficients(germ, k) == expected, (k, form)
 
@@ -390,10 +390,9 @@ class TestSingleVerification:
         rhos, tail = every_offset_instance(k, 0)
         determined_bound_report(k, Poly.zero())
         rrefs = counted(monkeypatch, linalg, "rref")
-        solves = counted(monkeypatch, graded, "solve_membership")
-        direct_solves = counted(monkeypatch, harmgerm.equivalence, "solve_membership")
+        solves = counted(monkeypatch, linalg, "solve_canonical")
         assert reduce_germ(k, rhos, tail).verified
-        assert rrefs == [] and solves == [] and direct_solves == []
+        assert rrefs == [] and solves == []
 
     def test_tampered_scale_map_is_caught(self, tampered_scale_map):
         rhos, tail = every_offset_instance(8, 0)

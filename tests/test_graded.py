@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmgerm import linalg
 from harmgerm.graded import (
     GradedSubspace,
     full_space,
@@ -15,11 +17,12 @@ from harmgerm.graded import (
     translation_solution,
 )
 from harmgerm.harmonic import harmonic_basis, harmonic_pair
-from harmgerm.polyring import R2, Poly, laplacian_power, monomial_basis
+from harmgerm.polyring import R2, Poly, format_poly, laplacian_power, monomial_basis
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
 import sympy
 
-from conftest import P
+from conftest import P, counted, reference_membership
 
 
 class TestLaplacianMatrix:
@@ -65,6 +68,47 @@ class TestKernelBasis:
     @pytest.mark.parametrize("k", range(1, 17))
     def test_dimension_formula(self, s, k):
         assert kernel_basis(k, s).dim == min(2 * s, k + 1)
+
+
+def basis_digest(spaces):
+    """sha256 of the format_poly bases, one line per space."""
+    lines = (";".join(format_poly(p) for p in space.basis) for space in spaces)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGoldenBases:
+    """The stored bases for k <= 24, s <= 8, pinned when kernel_basis
+    moved to one elimination."""
+
+    def test_kernel_bases(self):
+        spaces = (kernel_basis(k, s) for k in range(25) for s in range(9))
+        assert basis_digest(spaces) == (
+            "5c5b077e28117d00cdbda409a1142e5458b8cefaa6c001a9b9a1ab0cae5a4fa5"
+        )
+
+    def test_product_bases(self):
+        spaces = (product_space(s, k) for k in range(1, 25) for s in range(9))
+        assert basis_digest(spaces) == (
+            "d189d468a84db5b696f164074466df55c1761f333d7c8d48bb3fde12429805e1"
+        )
+
+
+def reference_kernel_basis(k, s):
+    """The kernel by the forward-order nullspace, re-reduced by from_polys."""
+    images = [laplacian_power(Poly.monomial(a, b), s) for a, b in monomial_basis(k)]
+    vectors = linalg.nullspace(images, monomial_basis(k - 2 * s))
+    return GradedSubspace.from_polys(k, [Poly(zip(monomial_basis(k), v)) for v in vectors])
+
+
+class TestKernelBasisOneElimination:
+    @pytest.mark.parametrize("s", range(11))
+    def test_matches_rereduced_nullspace(self, monkeypatch, s):
+        expected = [reference_kernel_basis(k, s) for k in range(31)]
+        rrefs = counted(monkeypatch, linalg, "rref")
+        for k, space in enumerate(expected):
+            before = len(rrefs)
+            assert kernel_basis(k, s) == space, (k, s)
+            assert len(rrefs) - before == 1, (k, s)
 
 
 class TestProductSpace:
@@ -135,6 +179,72 @@ class TestSubspaceCompare:
         assert a.basis == b.basis
 
 
+def reference_compare(a, b):
+    """The relation by two solves, each basis against the other."""
+    if a.basis == b.basis:
+        return "equal"
+    basis = monomial_basis(a.degree)
+    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[1] is None
+    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[1] is None
+    return {
+        (True, True): "equal",
+        (True, False): "a_in_b",
+        (False, True): "b_in_a",
+        (False, False): "incomparable",
+    }[a_in_b, b_in_a]
+
+
+def random_space(rng, d, n):
+    return GradedSubspace.from_polys(d, [random_homogeneous(rng, d) for _ in range(n)])
+
+
+def rebased(space, rng):
+    """The same subspace on an independent basis that is not in RREF: each
+    row scaled, the last added to the first, the order reversed."""
+    rows = [
+        p * Fraction(rng.randint(1, 9) * (-1) ** rng.randint(0, 1), rng.randint(1, 9))
+        for p in space.basis
+    ]
+    if len(rows) > 1:
+        rows[0] = rows[0] + rows[-1]
+    return GradedSubspace(space.degree, tuple(reversed(rows)))
+
+
+def compare_pairs():
+    """Equal, nested both ways, equal-dimension and zero-dimension pairs in P_0..P_6."""
+    rng = Xoshiro256StarStar(derive_seed(2016, 0))
+    pairs = []
+    for d in range(7):
+        zero = GradedSubspace(d, ())
+        pairs.append((zero, zero))
+        for n in range(1, d + 2):
+            a = random_space(rng, d, n)
+            wider = GradedSubspace.from_polys(d, [*a.basis, random_homogeneous(rng, d)])
+            other = random_space(rng, d, n)
+            pairs += [
+                (a, rebased(a, rng)),
+                (a, wider),
+                (rebased(wider, rng), a),
+                (a, other),
+                (rebased(a, rng), rebased(other, rng)),
+                (zero, a),
+                (rebased(a, rng), zero),
+            ]
+    return pairs
+
+
+class TestSubspaceCompareOneSolve:
+    def test_matches_two_solves(self, monkeypatch):
+        pairs = compare_pairs()
+        expected = [reference_compare(a, b) for a, b in pairs]
+        assert set(expected) == {"equal", "a_in_b", "b_in_a", "incomparable"}
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        for (a, b), relation in zip(pairs, expected):
+            before = len(solves)
+            assert subspace_compare(a, b) == relation, (a, b)
+            assert len(solves) - before == (a.basis != b.basis), (a, b)
+
+
 # a polynomial of another degree and a non-homogeneous one, against P_2
 OUTSIDE_P2 = [P("x^3"), P("x^2 + y")]
 
@@ -192,6 +302,25 @@ class TestSolveMembership:
         assert solved is not None
         su, sv = solved
         assert su * pair.f + sv * pair.g == target
+
+
+class TestSolveMembershipRoutes:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_read_off_below_2k_elimination_from_2k(self, monkeypatch, k):
+        rng = Xoshiro256StarStar(derive_seed(2016, k))
+        pair = harmonic_pair(k)
+        cases = []
+        for s in range(k + 3):
+            u = random_homogeneous(rng, s) / rng.randint(1, 7)
+            v = random_homogeneous(rng, s) / rng.randint(1, 7)
+            target = u * pair.f + v * pair.g
+            cases += [(target, s), (target + random_homogeneous(rng, k + s), s)]
+        expected = [reference_membership(target, k, s) for target, s in cases]
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        for (target, s), answer in zip(cases, expected):
+            before = len(solves)
+            assert solve_membership(target, k, s) == answer, (k, s)
+            assert len(solves) - before == (s >= k and bool(target)), (k, s)
 
 
 class TestTranslationSolution:
