@@ -14,7 +14,11 @@ Absorption works degree by degree, low degrees last:
 * offsets s < split_offset are cleared in one stroke by a radial scale
   map z -> z * rho, using that their sum is u*f_k + v*g_k exactly.
 
-Every witness re-verifies by exact composition; nothing is trusted.
+Every witness re-verifies exactly from its own maps; nothing is trusted.
+Every map is composed, except that a final radial scale map onto f_k is
+checked by its defining identity (`jets.radial_step_holds`), read off
+the composed jet and the map; when that identity does not apply, the
+map is composed too.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .jets import (
     jet_map,
     jet_truncate,
     jets_equivalent_mod,
+    radial_step_holds,
 )
 from .polyring import X, Y, Poly, _scalar, format_poly, laplacian_power
 
@@ -116,10 +121,27 @@ class WitnessChain:
         return current
 
     def verify(self) -> bool:
-        """Recompute the composition and check the jet identity exactly."""
-        composed = self.composed()
-        target = jet_truncate(self.target, composed.bound)
-        if not jets_equivalent_mod(composed, target, self.bound):
+        """Check the jet identity exactly, from the chain's own maps.
+
+        Every map but the last is composed. When the target is f_k, the
+        bound is below 2k and the last map is radial, z -> z*rho, the last
+        step is decided by its defining identity (`radial_step_holds`),
+        with w read off the composed jet and rho off the map. Otherwise,
+        or when that identity does not apply, the last map is composed
+        too and the result compared with the target.
+        """
+        current = jet_truncate(self.source, self.maps[0].bound if self.maps else self.bound)
+        for phi in self.maps[:-1]:
+            current = jet_compose(current, phi)
+        holds = None
+        k = self.target.degree() if self.target else 0
+        if self.maps and k >= 1 and self.target == harmonic_pair(k).f:
+            holds = radial_step_holds(current, self.maps[-1], k, self.bound)
+        if holds is None:
+            if self.maps:
+                current = jet_compose(current, self.maps[-1])
+            holds = jets_equivalent_mod(current, jet_truncate(self.target, current.bound), self.bound)
+        if not holds:
             return False
         if self.certificate is not None:
             if not self.certificate.ok or self.certificate.level > self.bound:
@@ -385,7 +407,8 @@ def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
     is composed forward, since it perturbs every higher degree, which
     the next step re-extracts. The radial scale map that clears the
     lower offsets is appended without composing: the caller's single
-    WitnessChain.verify() is the composition that checks it.
+    WitnessChain.verify() checks it, by its defining identity rather
+    than by a composition.
     """
     bound = 2 * k - 4
     pair = harmonic_pair(k)

@@ -23,6 +23,15 @@ coordinates runs the whole sum. Both are exact general compositions, so
 a witness re-verified through them is checked independently of how its
 maps were built.
 
+A witness's last step, h o phi == f_k for a radial phi = z*rho below
+degree 2k, can also be decided without composing h:
+`radial_step_holds` reads w = u - iv off h - f_k = u*f_k + v*g_k and
+checks the defining identity (1 + w o phi) * rho^k == 1 up to degree
+level - k, composing only w, in (z, zbar) coordinates. It gives no
+verdict, and the caller composes, for a map that is not radial, a rho
+whose constant term is not 1, an h - f_k that is not a harmonic multiple
+of order above k, or a level of 2k or more.
+
 Powers (1 + w)^alpha of a jet with zero constant term are built degree by
 degree with Miller's recurrence (Knuth, TAOCP vol. 2, 4.7). The inverse
 radial scale map is solved online (van der Hoeven, "Relax, but don't be
@@ -388,85 +397,162 @@ def _change_variables(w: _CJet, image) -> _CJet:
 def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     """(u, v) with u*f_m + v*g_m == p, for p of degree below 2m; None if there is none.
 
-    u*f_m + v*g_m = Re(W*z^m) with W = u - iv. Below degree 2m no term
-    C_ij z^i zbar^j of p has both i, j >= m, so (u, v) exists exactly when
-    C_ij = 0 wherever i, j < m, and then W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j
-    is unique (Axler, Bourdon & Ramey, Harmonic Function Theory, GTM 137).
+    u*f_m + v*g_m = Re(W*z^m) with W = u - iv; `_harmonic_quotient` reads
+    W off p's (z, zbar) coefficients.
     """
     if p and p.degree() >= 2 * m:
         raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
-    c = _change_variables(_CJet(p, Poly.zero(), 2 * m), _z_image)
+    w = _harmonic_quotient(_change_variables(_CJet(p, Poly.zero(), 2 * m), _z_image), m)
+    if w is None:
+        return None
+    w = _change_variables(w, _xy_image)
+    return w.re, -w.im
+
+
+def _harmonic_quotient(c: _CJet, m: int) -> _CJet | None:
+    """W in (z, zbar) with Re(W*z^m) == c, for c in (z, zbar) of degree below 2m.
+
+    Below degree 2m no term C_ij z^i zbar^j of c has both i, j >= m, so W
+    exists exactly when C_ij = 0 wherever i, j < m, and then
+    W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j is unique (Axler, Bourdon & Ramey,
+    Harmonic Function Theory, GTM 137). None when there is no such W.
+    """
     if any(i < m and j < m for part in (c.re, c.im) for i, j in part._num):
         return None
     re, im = ({(i - m, j): 2 * v for (i, j), v in part._num.items() if i >= m} for part in (c.re, c.im))
-    w = _change_variables(_CJet(Poly._of(re, c.re._den), Poly._of(im, c.im._den), m), _xy_image)
-    return w.re, -w.im
+    return _CJet(Poly._of(re, c.re._den), Poly._of(im, c.im._den), m)
 
 
 def _radial_factor(phi: JetMap) -> _CJet | None:
     """rho in (z, zbar) coordinates when phi.x + i*phi.y == z*rho exactly,
-    otherwise None."""
-    w = _change_variables(_CJet(phi.x.poly, phi.y.poly, phi.bound), _z_image)
-    if any(a == 0 for part in (w.re, w.im) for a, _ in part._num):
+    otherwise None.
+
+    z divides P = phi.x + i*phi.y exactly when P vanishes at z = 0, where
+    x = zbar/2 and y = i*zbar/2: when every homogeneous component of P
+    vanishes at (x, y) = (1, i). That test reads each term once, so a map
+    that is not radial never goes through the change of variables.
+    """
+    px, py = phi.x.poly, phi.y.poly
+    # at[(n, 0)], at[(n, 1)]: real and imaginary part of P_n(1, i), times px._den*py._den
+    at: dict[tuple[int, int], int] = {}
+    for p, turn, unit in ((px, 0, py._den), (py, 1, px._den)):
+        for (a, b), v in p._num.items():
+            q = (b + turn) % 4
+            key = (a + b, q % 2)
+            at[key] = at.get(key, 0) + (v * unit if q < 2 else -v * unit)
+    if any(at.values()):
         return None
+    w = _change_variables(_CJet(px, py, phi.bound), _z_image)
     re, im = (_reindexed(p, lambda a, b: (a - 1, b)) for p in (w.re, w.im))
     return _CJet(re, im, phi.bound - 1)
 
 
-def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Poly]:
-    """Each real polynomial of `parts` composed with z -> z*rho, rho in
-    (z, zbar) coordinates, modulo degrees above the bound.
-
-    With p = sum C_ij z^i zbar^j, the terms with i >= j are summed row by
-    row: for each j, B_j = sum_i C_ij z^i rho^i, then B_j conj(rho)^j
-    zbar^j. The diagonal counts half, so the result is S + conj(S). The
-    powers rho^n are shared by all parts and kept only to the degree
-    their terms need. z^i and zbar^j are exponent shifts. Each C_ij
-    scales by ints: its numerators over 2*den, twice the part's common
-    denominator (so the diagonal's half stays an int), and S is divided
-    by 2*den once at the end.
-    """
-    coefficients = [_change_variables(_CJet(p, Poly.zero(), bound), _z_image) for p in parts]
-    rows: list[dict[int, list[int]]] = []
+def _radial_powers(keys, rho: _CJet, bound: int) -> list[_CJet]:
+    """rho^0, rho^1, ..., each kept to the degree that the terms z^i zbar^j
+    with (i, j) in `keys` read of it at `bound`: bound - i - j, for rho^i
+    and for conj(rho)^j alike."""
     need = [-1] * (bound + 2)
-    for c in coefficients:
-        rows.append({})
-        for i, j in c.re._num.keys() | c.im._num.keys():
-            if i >= j:
-                rows[-1].setdefault(j, []).append(i)
-                need[i] = max(need[i], bound - i - j)
-                need[j] = max(need[j], bound - i - j)
+    for i, j in keys:
+        need[i] = max(need[i], bound - i - j)
+        need[j] = max(need[j], bound - i - j)
     for n in range(bound, -1, -1):
         need[n] = max(need[n], need[n + 1])
     powers = [_CJet(ONE, Poly.zero(), need[0])]
     while need[len(powers)] >= 0:
         top = need[len(powers)]
         powers.append(powers[-1].at(top) * rho.at(top))
+    return powers
 
+
+def _radial_sum(c: _CJet, terms, powers: list[_CJet], bound: int) -> _CJet:
+    """sum n*C_ij z^i rho^i zbar^j conj(rho^j) over the (i, j, n) of `terms`,
+    C_ij the (z, zbar) coefficients of c and n an int, modulo degrees
+    above the bound.
+
+    The terms with one j are summed as a row B_j = sum_i n*C_ij z^i rho^i,
+    then B_j conj(rho^j) zbar^j. z^i and zbar^j are exponent shifts. Each
+    C_ij scales by ints, its numerators over the parts' common denominator,
+    which divides the sum once at the end.
+    """
+    den = math.lcm(c.re._den, c.im._den)
+    re_unit, im_unit = den // c.re._den, den // c.im._den
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for i, j, n in terms:
+        rows.setdefault(j, []).append((i, n))
+    total = _CJet(Poly.zero(), Poly.zero(), bound)
+    for j, columns in rows.items():
+        top = bound - j
+        row = _CJet(Poly.zero(), Poly.zero(), top)
+        for i, n in columns:
+            a = c.re._num.get((i, j), 0) * re_unit * n
+            b = c.im._num.get((i, j), 0) * im_unit * n
+            p, q = powers[i].re.shifted(i, 0, top), powers[i].im.shifted(i, 0, top)
+            row = row + _CJet(p.scale(a) - q.scale(b), p.scale(b) + q.scale(a), top)
+        if j:
+            row = row * powers[j].conjugate_zz()
+            row = _CJet(row.re.shifted(0, j, bound), row.im.shifted(0, j, bound), bound)
+        total = total + row
+    return total.scale(Fraction(1, den))
+
+
+def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Poly]:
+    """Each real polynomial of `parts` composed with z -> z*rho, rho in
+    (z, zbar) coordinates, modulo degrees above the bound.
+
+    With p = sum C_ij z^i zbar^j, only the terms with i >= j are summed
+    (`_radial_sum`), the diagonal at half weight: as C_ji = conj(C_ij),
+    the result is S + conj(S). The powers of rho are shared by all parts.
+    """
+    coefficients = [_change_variables(_CJet(p, Poly.zero(), bound), _z_image) for p in parts]
+    terms = [
+        [(i, j, 1 if i == j else 2) for i, j in c.re._num.keys() | c.im._num.keys() if i >= j]
+        for c in coefficients
+    ]
+    powers = _radial_powers(((i, j) for part in terms for i, j, _ in part), rho, bound)
     composed = []
-    for c, row_columns in zip(coefficients, rows):
-        den = math.lcm(c.re._den, c.im._den)
-        re_unit, im_unit = den // c.re._den, den // c.im._den
-        total = _CJet(Poly.zero(), Poly.zero(), bound)
-        for j, columns in row_columns.items():
-            top = bound - j
-            row = _CJet(Poly.zero(), Poly.zero(), top)
-            for i in columns:
-                weight = 1 if i == j else 2
-                a = c.re._num.get((i, j), 0) * re_unit * weight
-                b = c.im._num.get((i, j), 0) * im_unit * weight
-                p, q = powers[i].re.shifted(i, 0, top), powers[i].im.shifted(i, 0, top)
-                row = row + _CJet(p.scale(a) - q.scale(b), p.scale(b) + q.scale(a), top)
-            if j:
-                row = row * powers[j].conjugate_zz()
-                row = _CJet(row.re.shifted(0, j, bound), row.im.shifted(0, j, bound), bound)
-            total = total + row
-        total = total.scale(Fraction(1, 2 * den))
+    for c, part in zip(coefficients, terms):
+        total = _radial_sum(c, part, powers, bound).scale(Fraction(1, 2))
         result = _change_variables(total + total.conjugate_zz(), _xy_image)
         if result.im:
             raise ArithmeticError(f"composition of a real jet left an imaginary part {result.im}")
         composed.append(result.re)
     return composed
+
+
+def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
+    """Whether h o phi == f_k in every degree up to `level`, decided without
+    composing h; None when this check does not apply.
+
+    It applies to a radial phi = z*rho with rho's constant term 1, for
+    k <= level < 2k, when h - f_k = u*f_k + v*g_k has order above k. Then
+    h = Re(z^k (1 + w)) with w = u - iv (`_harmonic_quotient`), and
+    h o phi - f_k = Re(z^k E) with E = rho^k (1 + W) - 1 and W = w o phi.
+    Up to `level` only E's degrees up to level - k count, and for E of
+    degree below k, Re(z^k E) = 0 only if E = 0 (its two halves share no
+    monomial). So h o phi == f_k up to `level` exactly when
+    (1 + W) rho^k == 1 up to degree level - k, or, rho^k being a unit,
+    when 1 + W == rho^(-k) there: the defining identity of
+    `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates at
+    bound level - k, where the composition of h would run at `level`.
+    """
+    if not k <= level < 2 * k or h.bound < level or phi.bound != h.bound:
+        return None
+    rho = _radial_factor(phi)
+    if rho is None or rho.re.coeff(0, 0) != 1 or rho.im.coeff(0, 0):
+        return None
+    c = _change_variables(_CJet(h.poly.truncate(level), Poly.zero(), level), _z_image)
+    # f_k = (z^k + zbar^k)/2
+    f_k = Poly({(k, 0): Fraction(1, 2), (0, k): Fraction(1, 2)})
+    w = _harmonic_quotient(_CJet(c.re - f_k, c.im, level), k)
+    if w is None or w.re.coeff(0, 0) or w.im.coeff(0, 0):
+        return None
+    top = level - k
+    w = w.at(top)
+    keys = w.re._num.keys() | w.im._num.keys()
+    composed = _radial_sum(w, [(i, j, 1) for i, j in keys], _radial_powers(keys, rho, top), top)
+    lhs = _cjet_const(Fraction(1), top) + composed
+    rhs = _graded_power(rho.at(top) + _cjet_const(Fraction(-1), top), Fraction(-k))
+    return lhs.re == rhs.re and lhs.im == rhs.im
 
 
 # -- radial scale maps ---------------------------------------------------------

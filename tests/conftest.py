@@ -1,6 +1,6 @@
 """Shared helpers: sympy-based oracles independent of the library's
 arithmetic, an elimination oracle for harmonic multiples, call counters,
-a tampered radial scale map and a tampered determinacy certificate."""
+tampered radial scale maps and a tampered determinacy certificate."""
 
 import dataclasses
 from fractions import Fraction
@@ -97,6 +97,19 @@ def counted(monkeypatch, owner, name):
     return calls
 
 
+def recorded_verdicts(monkeypatch):
+    """Record what each radial_step_holds call made by equivalence returns."""
+    verdicts = []
+    original = harmgerm.equivalence.radial_step_holds
+
+    def wrapper(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(harmgerm.equivalence, "radial_step_holds", wrapper)
+    return verdicts
+
+
 @pytest.fixture
 def tampered_scale_map(monkeypatch):
     """inverse_scale_map returns the true map with one coefficient nudged:
@@ -108,6 +121,27 @@ def tampered_scale_map(monkeypatch):
         return jet_map(phi.x.poly + P("x^2") * Fraction(1, 7), phi.y.poly, phi.bound)
 
     monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)
+
+
+@pytest.fixture
+def tampered_radial_map(monkeypatch):
+    """Call with m >= 2: inverse_scale_map then returns the true map plus
+    (f_m, g_m)/7. The map stays radial, z -> z*(rho + z^(m-1)/7), so
+    verify() checks it by its identity; f_k o phi moves in degree
+    k + m - 1, inside the bound 2k - 4 for m <= k - 3."""
+    original = harmgerm.equivalence.inverse_scale_map
+
+    def tamper(m):
+        pair = harmonic_pair(m)
+
+        def nudged(u, v, k):
+            phi = original(u, v, k)
+            eps = Fraction(1, 7)
+            return jet_map(phi.x.poly + pair.f * eps, phi.y.poly + pair.g * eps, phi.bound)
+
+        monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)
+
+    return tamper
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from harmgerm.equivalence import WitnessChain, _gaussian_pow
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import format_poly
 
-from conftest import P, counted, rescaled
+from conftest import P, counted, recorded_verdicts, rescaled
 
 
 def run_cli(capsys, *argv):
@@ -180,19 +180,37 @@ class TestReduceSingleVerification:
 
     def test_each_map_composed_once_by_verify(self, capsys, monkeypatch):
         composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        checks = counted(monkeypatch, harmgerm.equivalence, "radial_step_holds")
         verifies = counted(monkeypatch, WitnessChain, "verify")
         code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(self.GERM), "--k", "6")
         assert code == 0
         maps = json.loads(out)["maps"]
         assert len(maps) == 3 and len(verifies) == 1
         # the prefix map and the one translation compose forward once each;
-        # verify composes every map of the returned chain once more
-        assert len(composes) == 2 + len(maps)
+        # verify composes them once more and checks the final scale map
+        # by its identity
+        assert len(composes) == 2 + len(maps) - 1 and len(checks) == 1
 
-    def test_tampered_scale_map_is_internal_error(self, capsys, tampered_scale_map):
+    # f_8 + x*f_8 + y^2*g_8: offsets 1 and 2 both go to the one scale map
+    GERM_8 = harmonic_pair(8).f * P("1 + x") + P("y^2") * harmonic_pair(8).g
+
+    def test_tampered_scale_map_is_internal_error(self, capsys, monkeypatch, tampered_scale_map):
+        verdicts = recorded_verdicts(monkeypatch)
         code, out, err = run_cli(capsys, "reduce", format_poly(self.GERM), "--k", "6")
         assert code == 1 and out == ""
         assert err.startswith("internal error: ") and "Traceback" not in err
+        # not radial once nudged, so verify() composes it
+        assert verdicts == [None]
+
+    @pytest.mark.parametrize("m", (2, 3, 5))
+    def test_tampered_radial_map_is_internal_error(self, capsys, monkeypatch, tampered_radial_map, m):
+        # m = 2, 3 and k - 3 = 5; still radial, so the identity decides
+        tampered_radial_map(m)
+        verdicts = recorded_verdicts(monkeypatch)
+        code, out, err = run_cli(capsys, "reduce", format_poly(self.GERM_8), "--k", "8")
+        assert code == 1 and out == ""
+        assert err.startswith("internal error: ") and "Traceback" not in err
+        assert verdicts == [False]
 
 
 def test_import_leaves_out_mpmath():

@@ -28,11 +28,18 @@ from harmgerm.equivalence import (
 )
 from harmgerm.graded import kernel_basis, solve_membership
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.jets import _radial_factor, jet_compose, jet_truncate
+from harmgerm.jets import (
+    _radial_factor,
+    jet_compose,
+    jet_map,
+    jet_truncate,
+    jets_equivalent_mod,
+    radial_step_holds,
+)
 from harmgerm.polyring import R2, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, counted, reference_membership, rescaled
+from conftest import P, counted, recorded_verdicts, reference_membership, rescaled
 
 
 class TestAbsorptionProfile:
@@ -360,23 +367,27 @@ class TestSingleVerification:
     def test_reduce_germ_composes_once(self, monkeypatch):
         rhos, tail = every_offset_instance(8, 0)
         composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        checks = counted(monkeypatch, harmgerm.equivalence, "radial_step_holds")
         verifies = counted(monkeypatch, WitnessChain, "verify")
         chain = reduce_germ(8, rhos, tail)
         # two translations (offsets 3, 4) and the radial scale map
         assert len(chain.maps) == 3
-        # forward translations, then one verify through every map
-        assert len(composes) == 2 * len(chain.maps) - 1
+        # forward translations, then one verify: it composes the
+        # translations and checks the scale map by its identity
+        assert len(composes) == 2 * len(chain.maps) - 2 and len(checks) == 1
         assert len(verifies) == 1
 
     def test_reduce_general_verifies_once(self, monkeypatch):
         rhos, tail = every_offset_instance(8, 1)
         germ = rescaled(harmonic_pair(8).f + tail + sum(rhos.values(), Poly.zero()))
         composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        checks = counted(monkeypatch, harmgerm.equivalence, "radial_step_holds")
         verifies = counted(monkeypatch, WitnessChain, "verify")
         chain = reduce_general(germ, 8)
         assert len(chain.maps) == 4 and len(verifies) == 1
-        # prefix and two translations forward, then verify through every map
-        assert len(composes) == 3 + len(chain.maps)
+        # prefix and two translations forward, then verify composes every
+        # map but the scale map, which it checks by its identity
+        assert len(composes) == 3 + len(chain.maps) - 1 and len(checks) == 1
         assert chain.source == germ and chain.target == harmonic_pair(8).f
 
     def test_verify_biharmonic_verifies_once(self, monkeypatch):
@@ -394,10 +405,110 @@ class TestSingleVerification:
         assert reduce_germ(k, rhos, tail).verified
         assert rrefs == [] and solves == []
 
-    def test_tampered_scale_map_is_caught(self, tampered_scale_map):
+    def test_tampered_scale_map_is_caught(self, monkeypatch, tampered_scale_map):
         rhos, tail = every_offset_instance(8, 0)
+        verdicts = recorded_verdicts(monkeypatch)
         with pytest.raises(WitnessFault):
             reduce_germ(8, rhos, tail)
+        # the nudged map is not radial: verify() composes it instead
+        assert verdicts == [None]
+
+    @pytest.mark.parametrize("k, m", [(8, 2), (8, 3), (8, 5), (12, 2), (12, 3), (12, 9)])
+    def test_tampered_radial_map_is_caught(self, monkeypatch, tampered_radial_map, k, m):
+        # m = 2, 3 and k - 3; the map stays radial, so the identity decides
+        rhos, tail = every_offset_instance(k, 0)
+        tampered_radial_map(m)
+        verdicts = recorded_verdicts(monkeypatch)
+        with pytest.raises(WitnessFault):
+            reduce_germ(k, rhos, tail)
+        assert verdicts == [False]
+
+
+def _before_last(chain, maps=None):
+    """The jet that the chain's last map acts on, composed as verify() does."""
+    maps = chain.maps if maps is None else maps
+    h = jet_truncate(chain.source, maps[0].bound)
+    for phi in maps[:-1]:
+        h = jet_compose(h, phi)
+    return h
+
+
+def _nudged(phi, degree):
+    """phi with x^degree/7 added to its x-component: not radial."""
+    return dataclasses.replace(phi, x=jet_truncate(phi.x.poly + P("x") ** degree / 7, phi.bound))
+
+
+def _plus_harmonic(phi, m):
+    """phi plus (f_m, g_m)/7: z -> z*(rho + z^(m-1)/7), still radial."""
+    pair = harmonic_pair(m)
+    return jet_map(phi.x.poly + pair.f / 7, phi.y.poly + pair.g / 7, phi.bound)
+
+
+class TestRadialStepIdentity:
+    """radial_step_holds against composing the last map, on the chains
+    the reductions build and on tampered copies of them."""
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    @pytest.mark.parametrize("kind", ["reduce_germ", "reduce_general"])
+    def test_routes_agree(self, k, kind):
+        rhos, tail = every_offset_instance(k, 0)
+        if kind == "reduce_germ":
+            chain = reduce_germ(k, rhos, tail)
+        else:
+            chain = reduce_general(rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())), k)
+        level, target = chain.bound, jet_truncate(harmonic_pair(k).f, chain.bound)
+        phi, h = chain.maps[-1], _before_last(chain)
+        radial = _radial_factor(phi) is not None
+        # (jet, last map, whether the identity must decide)
+        cases = [(h, phi, radial)]
+        if radial:
+            # radially tampered at m = 2, 3 and k - 3: the last moves f_k in degree 2k - 4
+            cases += [(h, _plus_harmonic(phi, m), True) for m in sorted({2, 3, k - 3})]
+            # nudged off the radial route; composing it runs a long Taylor sum,
+            # so only the reduce_germ chains compare the two verdicts
+            assert radial_step_holds(h, _nudged(phi, 2), k, level) is None
+            if kind == "reduce_germ":
+                cases.append((h, _nudged(phi, 2), False))
+        if len(chain.maps) > 1:
+            # the map before the last nudged in degree k - 3, which moves
+            # the jet in degree 2k - 4; whether the identity applies then
+            # depends on the nudge
+            maps = chain.maps[:-2] + (_nudged(chain.maps[-2], k - 3), phi)
+            cases.append((_before_last(chain, maps), phi, None))
+        for index, (jet, last, decides) in enumerate(cases):
+            identity = radial_step_holds(jet, last, k, level)
+            composed = jets_equivalent_mod(jet_compose(jet, last), target, level)
+            # the chain itself holds; every tampered copy fails
+            assert composed == (index == 0), (k, index)
+            assert identity is None or identity == composed, (k, index)
+            if decides is not None:
+                assert (identity is not None) == decides, (k, index)
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    def test_reduce_germ_checks_its_scale_map_by_the_identity(self, monkeypatch, k):
+        rhos, tail = every_offset_instance(k, 1)
+        verdicts = recorded_verdicts(monkeypatch)
+        chain = reduce_germ(k, rhos, tail)
+        # k = 5 clears its one offset by a translation and has no scale map
+        has_scale_map = _radial_factor(chain.maps[-1]) is not None
+        assert has_scale_map == (k > 5)
+        assert verdicts == ([True] if has_scale_map else [None])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: root_absorb(6, P("x") * harmonic_pair(6).f, 8),
+            lambda: translation_absorb(5, 1, P("x^2") * harmonic_pair(4).f, 7),
+            lambda: normalize_harmonic(32, 0, 5),
+        ],
+        ids=["root_absorb", "translation_absorb", "normalize_harmonic"],
+    )
+    def test_other_targets_compose_every_map(self, monkeypatch, build):
+        chain = build()
+        composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        verdicts = recorded_verdicts(monkeypatch)
+        assert chain.verify()
+        assert len(composes) == len(chain.maps) == 1 and verdicts == []
 
 
 class TestReduceGeneral:

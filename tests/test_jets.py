@@ -21,6 +21,7 @@ from harmgerm.jets import (
     jet_root,
     jet_truncate,
     jets_equivalent_mod,
+    radial_step_holds,
 )
 from harmgerm.jets import (
     JetMap,
@@ -149,6 +150,29 @@ class TestComposePaths:
         assume(harmgerm.jets._radial_factor(phi) is None)
         composed = jet_compose(jet_truncate(h, bound), phi)
         assert composed.poly == oracle_compose(h, px, py, bound)
+
+    @given(st.integers(2, 6), st.sampled_from(["none", "harmonic", "x only"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_radial_test_matches_the_zbar_terms(self, bound, extra, data):
+        # evaluating at (x, y) = (1, i) finds a pure zbar^n term of
+        # phi.x + i*phi.y exactly when the change of variables does
+        phi = radial_map(
+            P("1") + random_rational_poly(data, bound - 1, 1), random_rational_poly(data, bound - 1), bound
+        )
+        px, py = phi.x.poly, phi.y.poly
+        m = data.draw(st.integers(2, bound))
+        c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 4)))
+        if extra == "harmonic":
+            # (f_m, g_m) adds z^m: still radial
+            px, py = px + harmonic_pair(m).f * c, py + harmonic_pair(m).g * c
+        elif extra == "x only":
+            px = px + random_rational_poly(data, m, m) * c
+        phi = jet_map(px, py, bound)
+        w = _change_variables(_CJet(px, py, bound), _z_image)
+        divisible = all(a for part in (w.re, w.im) for a, _ in part._num)
+        assert (_radial_factor(phi) is not None) == divisible
+        if extra != "x only":
+            assert divisible
 
     def test_imaginary_part_is_an_error(self, monkeypatch):
         # a wrong (z, zbar) -> (x, y) table leaves an imaginary part behind
@@ -384,8 +408,9 @@ class TestTaylorRoute:
             chain = reduce_germ(k, rhos)
         assert chain.verified and len(chain.maps) == 3
         # translations at offsets 3 and 4, composed in the reduction and
-        # again in verify(); the scale map once, in verify()
-        assert routes_taken(counters) == {"taylor": 4, "radial": 1}
+        # again in verify(); verify() checks the scale map by its identity
+        # and composes it by neither route
+        assert routes_taken(counters) == {"taylor": 4}
 
 
 class TestMapCompose:
@@ -700,3 +725,49 @@ class TestInverseScaleMapGolden:
         pair = harmonic_pair(k)
         germ = pair.f + P(u) * pair.f + P(v) * pair.g
         assert jet_compose(jet_truncate(germ, bound), phi).poly == pair.f
+
+
+class TestRadialStepHolds:
+    """radial_step_holds decides h o phi == f_k up to the level exactly as
+    composing does, whenever it gives a verdict."""
+
+    @given(st.integers(5, 9), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_composition(self, k, data):
+        level = 2 * k - 4
+        pair = harmonic_pair(k)
+        u = random_zero_order_poly(data, k - 4)
+        v = random_zero_order_poly(data, k - 4)
+        h = jet_truncate(pair.f + u * pair.f + v * pair.g, level)
+        solved = inverse_scale_map(jet_truncate(u, level), jet_truncate(v, level), k)
+        m = data.draw(st.integers(2, k - 3))
+        nudge = harmonic_pair(m)
+        tampered = jet_map(solved.x.poly + nudge.f / 3, solved.y.poly + nudge.g / 3, level)
+        other = radial_map(P("1") + random_zero_order_poly(data, 2), random_zero_order_poly(data, 2), level)
+        target = jet_truncate(pair.f, level)
+        for phi in (solved, tampered, other):
+            composed = jets_equivalent_mod(jet_compose(h, phi), target, level)
+            assert radial_step_holds(h, phi, k, level) is composed
+        assert radial_step_holds(h, solved, k, level) is True
+        assert radial_step_holds(h, tampered, k, level) is False
+
+    F6, G6 = harmonic_pair(6).f, harmonic_pair(6).g
+
+    @pytest.mark.parametrize(
+        "h, phi, level, why",
+        [
+            (F6, radial_map(P("1 + x"), P("y"), 12), 12, "level not below 2k"),
+            (F6, radial_map(P("1 + x"), P("y"), 10), 11, "level above the bound"),
+            (F6, jet_map(P("x + x^2"), P("y"), 10), 10, "map not radial"),
+            (F6, radial_map(P("2"), P("x"), 10), 10, "rho(0) is not 1"),
+            (F6 + P("x^7"), radial_map(P("1 + x"), P("y"), 10), 10, "not a harmonic multiple"),
+            (F6 * 2, radial_map(P("1 + x"), P("y"), 10), 10, "order k"),
+            (F6 + G6, radial_map(P("1 + x"), P("y"), 10), 10, "order k"),
+        ],
+    )
+    def test_does_not_apply(self, h, phi, level, why):
+        assert radial_step_holds(jet_truncate(h, phi.bound), phi, 6, level) is None, why
+
+    def test_bounds_must_match(self):
+        phi = radial_map(P("1 + x"), P("y"), 11)
+        assert radial_step_holds(jet_truncate(self.F6, 10), phi, 6, 10) is None
