@@ -38,14 +38,17 @@ radial scale map is solved online (van der Hoeven, "Relax, but don't be
 too lazy", JSC 2002): its degree-d part reads only the degrees below d
 of the composition and of the powers of rho, so each is computed once.
 
-Complex coefficients appear only inside this module (as real/imaginary
-pairs of Polys, in (x, y) or in (z, zbar) exponents); every public
-result is real, and an imaginary part left in a real result is an
-error. The change of variables between (x, y) and (z, zbar), the
-exponent reindexing and the sums of products in the recurrences work on
-Poly's integer numerators over one denominator (`_num`, `_den`) and
-wrap their results with `Poly._of`, so they build no Fraction per term;
-a multiplication by a single monomial is `Poly.shifted`.
+Complex coefficients appear only inside this module, as lists of
+homogeneous components: the degree-d component is two int lists of length
+d + 1, indexed by the first exponent (of x, or of z in (z, zbar)
+coordinates), over one positive denominator in lowest terms. A product of
+components is a convolution of the lists; a sum of products runs over the
+lcm of their denominators and divides out the content once. Every public
+result is real, and an imaginary part left in a real result is an error.
+Polys are split into components, and components joined back into Polys,
+only at the edges: the components read Poly's integer numerators (`_num`,
+`_den`), and the joins wrap theirs with `Poly._of`, so no Fraction is
+built per term; a multiplication by a single monomial is `Poly.shifted`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernels import poly_mul
 from .polyring import ONE, X, Y, Poly
 
 
@@ -127,7 +129,7 @@ def jet_compose(h: Jet, phi: JetMap) -> Jet:
     bound = h.bound
     rho = _radial_factor(phi)
     if rho is not None:
-        return Jet(_compose_radial((h.poly,), rho, bound)[0], bound)
+        return Jet(_compose_radial(h.poly, rho, bound), bound)
     return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
 
 
@@ -193,106 +195,102 @@ def jet_root(w: Jet, k: int) -> Jet:
         raise ValueError("root index must be at least 1")
     if w.poly.coeff(0, 0):
         raise ValueError("root argument must have zero constant term")
-    root = _graded_power(_CJet(w.poly, Poly.zero(), w.bound), Fraction(1, k))
-    return Jet(root.re, w.bound)
+    root = _graded_power(_split(w.poly, Poly.zero(), w.bound), Fraction(1, k), w.bound)
+    return Jet(_join(root)[0], w.bound)
 
 
-# -- complex-pair helpers ----------------------------------------------------
+# -- homogeneous components ----------------------------------------------------
+#
+# A component of degree d is a triple (re, im, den): two int lists of length
+# d + 1 over one denominator den > 0, in lowest terms, so
+# gcd(den, *re, *im) == 1 and the zero component has den 1. Entry a is the
+# coefficient (re[a] + i*im[a])/den of x^a*y^(d-a), or of z^a*zbar^(d-a) in
+# (z, zbar) coordinates. A complex jet is the list of its components,
+# degree 0 first; a product of components is a convolution of the lists in
+# either coordinates.
+
+_ONE = ([1], [0], 1)
 
 
-@dataclass(frozen=True)
-class _CJet:
-    """Real/imaginary pair of polynomials, truncated at a shared bound.
-
-    The exponents stand for x^a*y^b, or for z^a*zbar^b where the
-    radial composition works in (z, zbar) coordinates.
-    """
-
-    re: Poly
-    im: Poly
-    bound: int
-
-    def __add__(self, other: "_CJet") -> "_CJet":
-        return _CJet(self.re + other.re, self.im + other.im, self.bound)
-
-    def __mul__(self, other: "_CJet") -> "_CJet":
-        # three real products instead of four (Gauss)
-        b = self.bound
-        ac = self.re.mul_truncated(other.re, b)
-        bd = self.im.mul_truncated(other.im, b)
-        cross = (self.re + self.im).mul_truncated(other.re + other.im, b)
-        return _CJet(ac - bd, cross - ac - bd, b)
-
-    def scale(self, c: Fraction) -> "_CJet":
-        return _CJet(self.re * c, self.im * c, self.bound)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def at(self, bound: int) -> "_CJet":
-        """The same pair, with products truncated at `bound` from now on."""
-        return _CJet(self.re.truncate(bound), self.im.truncate(bound), bound)
-
-    def conjugate_zz(self) -> "_CJet":
-        """Complex conjugate of a (z, zbar) polynomial: swap the exponents
-        and negate the imaginary part."""
-        re, im = (_reindexed(p, lambda a, b: (b, a)) for p in (self.re, self.im))
-        return _CJet(re, -im, self.bound)
+def _component(re: list[int], im: list[int], den: int) -> tuple:
+    """The component (re, im, den) with the content divided out."""
+    g = math.gcd(den, *re, *im)
+    if g == 1:
+        return re, im, den
+    return [v // g for v in re], [v // g for v in im], den // g
 
 
-def _cjet_const(c: Fraction, bound: int) -> _CJet:
-    return _CJet(Poly.constant(c), Poly.zero(), bound)
+def _zero(d: int) -> tuple:
+    return [0] * (d + 1), [0] * (d + 1), 1
 
 
-def _cjet_sum(parts, bound: int) -> _CJet:
-    total = _CJet(Poly.zero(), Poly.zero(), bound)
-    for part in parts:
-        if not part.is_zero():
-            total = total + part
-    return total
-
-
-def _graded(w: _CJet) -> list[_CJet]:
-    """The homogeneous components of w, degrees 0..w.bound, each at w's bound."""
-    parts = [({}, {}) for _ in range(w.bound + 1)]
-    for index, p in enumerate((w.re, w.im)):
+def _split(re: Poly, im: Poly, bound: int) -> list[tuple]:
+    """The components of re + i*im in degrees 0..bound; terms above the bound are dropped."""
+    den = math.lcm(re._den, im._den)
+    parts = [([0] * (d + 1), [0] * (d + 1)) for d in range(bound + 1)]
+    for index, p in enumerate((re, im)):
+        unit = den // p._den
         for (a, b), v in p._num.items():
-            parts[a + b][index][(a, b)] = v
-    return [_CJet(Poly._of(re, w.re._den), Poly._of(im, w.im._den), w.bound) for re, im in parts]
+            if a + b <= bound:
+                parts[a + b][index][a] = v * unit
+    return [_component(r, i, den) for r, i in parts]
 
 
-def _dot(terms, bound: int) -> _CJet:
-    """sum c*x*y over the (c, x, y) of `terms`, c an int and x, y pairs, at `bound`.
+def _join(components: list[tuple]) -> tuple[Poly, Poly]:
+    """The real and imaginary parts of a list of components, as Polys."""
+    den = math.lcm(*(c[2] for c in components))
+    re: dict = {}
+    im: dict = {}
+    for d, (r, i, c_den) in enumerate(components):
+        unit = den // c_den
+        for target, values in ((re, r), (im, i)):
+            for a, v in enumerate(values):
+                if v:
+                    target[(a, d - a)] = v * unit
+    return Poly._of(re, den), Poly._of(im, den)
 
-    Every real product's numerators go straight into one int sum over the
-    lcm of the products' denominators, so the sum builds two Polys in all.
+
+def _conjugate(c: tuple) -> tuple:
+    """The complex conjugate of a (z, zbar) component: each z^a zbar^b
+    becomes z^b zbar^a, with its coefficient conjugated."""
+    re, im, den = c
+    return re[::-1], [-v for v in reversed(im)], den
+
+
+def _convolve(terms, d: int, divisor: int = 1) -> tuple:
+    """The degree-d component sum c*A*B / divisor over the (c, A, B) of
+    `terms`, c an int and deg A + deg B == d.
+
+    Every product goes over the lcm of the products' denominators, so the
+    sum is one pass of int arithmetic and the content is divided out once.
+    A's zero entries are skipped, so the sparser factor goes first.
     """
-    products = []
-    for c, x, y in terms:
-        for p, q, sign, imaginary in (
-            (x.re, y.re, c, False),
-            (x.im, y.im, -c, False),
-            (x.re, y.im, c, True),
-            (x.im, y.re, c, True),
-        ):
-            if p and q:
-                products.append((sign, poly_mul(p._num, q._num, bound), p._den * q._den, imaginary))
-    den = math.lcm(*(d for _, _, d, _ in products))
-    re, im = {}, {}
-    for sign, num, d, imaginary in products:
-        m = sign * (den // d)
-        target = im if imaginary else re
-        for key, v in num.items():
-            target[key] = target.get(key, 0) + m * v
-    re, im = ({key: v for key, v in part.items() if v} for part in (re, im))
-    return _CJet(Poly._of(re, den), Poly._of(im, den), bound)
+    live = [
+        (c, a, b)
+        for c, a, b in terms
+        if c and (any(a[0]) or any(a[1])) and (any(b[0]) or any(b[1]))
+    ]
+    den = math.lcm(*(a[2] * b[2] for _, a, b in live))
+    re, im = [0] * (d + 1), [0] * (d + 1)
+    for c, (a_re, a_im, a_den), (b_re, b_im, b_den) in live:
+        m = c * (den // (a_den * b_den))
+        for p, x in enumerate(a_re):
+            y = a_im[p]
+            if not (x or y):
+                continue
+            x *= m
+            y *= m
+            for q, u, v in zip(range(p, d + 1), b_re, b_im):
+                re[q] += x * u - y * v
+                im[q] += x * v + y * u
+    return _component(re, im, den * divisor)
 
 
-def _power_component(w: list[_CJet], p: list[_CJet], alpha: Fraction) -> _CJet:
+def _power_component(w: list[tuple], p: list[tuple], alpha: Fraction) -> tuple:
     """The degree-d component of P = (1 + W)^alpha, d = len(p).
 
-    w[t] is the degree-t component of W (w[0] is zero) for t = 1..d, and
-    p holds P's components below d, p[0] = 1. Differentiating P along
+    w[t] is the degree-t component of W for t = 1..d (w[0] is not read),
+    and p holds P's components below d, p[0] = 1. Differentiating P along
     the Euler field gives (1 + W) E(P) = alpha E(W) P, whose degree-d part
     is Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
 
@@ -303,57 +301,45 @@ def _power_component(w: list[_CJet], p: list[_CJet], alpha: Fraction) -> _CJet:
     """
     d = len(p)
     r, q = alpha.numerator, alpha.denominator
-    total = _dot((((r + q) * t - q * d, w[t], p[d - t]) for t in range(1, d + 1)), w[0].bound)
-    return total.scale(Fraction(1, q * d))
+    return _convolve((((r + q) * t - q * d, w[t], p[d - t]) for t in range(1, d + 1)), d, q * d)
 
 
-def _graded_power(w: _CJet, alpha: Fraction) -> _CJet:
-    """(1 + w)^alpha modulo degrees above w's bound, for w with zero constant term."""
-    components = _graded(w)
-    powers = [_cjet_const(Fraction(1), w.bound)]
-    for _ in range(w.bound):
-        powers.append(_power_component(components, powers, alpha))
-    return _cjet_sum(powers, w.bound)
+def _graded_power(w: list[tuple], alpha: Fraction, top: int) -> list[tuple]:
+    """The components of (1 + w)^alpha in degrees 0..top, for w of zero constant term."""
+    powers = [_ONE]
+    for _ in range(top):
+        powers.append(_power_component(w, powers, alpha))
+    return powers
 
 
 # -- (z, zbar) coordinates -----------------------------------------------------
 
 
-def _reindexed(p: Poly, key) -> Poly:
-    """p with every exponent pair (a, b) moved to key(a, b), a bijection."""
-    return Poly._of({key(a, b): v for (a, b), v in p._num.items()}, p._den)
-
-
-def _scaled_shift(p: _CJet, c_re: Fraction, c_im: Fraction, i: int, bound: int) -> _CJet:
-    """(c_re + i*c_im) * z^i * p, dropping the degrees above bound."""
-    re, im = p.re.shifted(i, 0, bound), p.im.shifted(i, 0, bound)
-    return _CJet(re * c_re - im * c_im, re * c_im + im * c_re, bound)
-
-
 def _binomial_product(a: int, b: int) -> list[int]:
-    """Coefficients of (1 + t)^a * (1 - t)^b, lowest degree first."""
-    return [
-        sum(
-            math.comb(a, p) * math.comb(b, m - p) * (-1) ** (m - p)
-            for p in range(max(0, m - b), min(a, m) + 1)
-        )
-        for m in range(a + b + 1)
-    ]
+    """Coefficients e_m of P = (1 + t)^a * (1 - t)^b, lowest degree first.
+
+    (1 - t^2) P' = ((a - b) - (a + b) t) P gives, in degree m, the exact
+    recurrence (m + 1) e_(m+1) = (a - b) e_m - (a + b - m + 1) e_(m-1).
+    """
+    n = a + b
+    e = [1, a - b][: n + 1]
+    for m in range(1, n):
+        e.append(((a - b) * e[m] - (n - m + 1) * e[m - 1]) // (m + 1))
+    return e
 
 
 # Images of single monomials under the change of variables, as
-# (exponents, coefficient, imaginary) triples: every coefficient is real
-# or purely imaginary. A composition at bound N meets at most
-# (N + 1)(N + 2)/2 monomials: 2415 at bound 68, the CLI's largest k = 36.
+# (shift, ((m, e, imaginary), ...)): the image is 2^(-shift) times the sum
+# of e times z^m zbar^(n-m), or x^m y^(n-m), with e an int and times i where
+# `imaginary`. A composition at bound N meets at most (N + 1)(N + 2)/2
+# monomials: 2415 at bound 68, the CLI's largest k = 36.
 @functools.lru_cache(maxsize=4096)
 def _z_image(a: int, b: int) -> tuple:
     """x^a*y^b in (z, zbar): x = (z + zbar)/2 and y = (z - zbar)/(2i) give
     i^b/2^n * sum_m e_m z^m zbar^(n-m), with e from (1 + t)^a (1 - t)^b."""
-    n = a + b
-    unit = Fraction((-1) ** (b // 2), 2**n)
-    return tuple(
-        ((m, n - m), e * unit, b % 2 == 1) for m, e in enumerate(_binomial_product(a, b)) if e
-    )
+    sign = (-1) ** (b // 2)
+    terms = tuple((m, sign * e, b % 2 == 1) for m, e in enumerate(_binomial_product(a, b)) if e)
+    return a + b, terms
 
 
 @functools.lru_cache(maxsize=4096)
@@ -361,37 +347,41 @@ def _xy_image(i: int, j: int) -> tuple:
     """z^i*zbar^j = (x + iy)^i (x - iy)^j in (x, y): sum_q i^q e_q x^(n-q) y^q,
     with e from (1 + t)^i (1 - t)^j."""
     n = i + j
-    return tuple(
-        ((n - q, q), e * (-1) ** (q // 2), q % 2 == 1)
+    terms = tuple(
+        (n - q, e * (-1) ** (q // 2), q % 2 == 1)
         for q, e in enumerate(_binomial_product(i, j))
         if e
     )
+    return 0, terms
 
 
-def _change_variables(w: _CJet, image) -> _CJet:
-    """Replace every monomial of w by its image, keeping complex coefficients.
+def _change_variables(w: list[tuple], image) -> list[tuple]:
+    """Replace every monomial of each component by its image (`_z_image`
+    or `_xy_image`), keeping complex coefficients.
 
-    Both parts go over one denominator: the lcm of theirs times the lcm of
-    the image coefficients' denominators. The images then add up as ints.
+    The image of a degree-d component is a degree-d component; its
+    numerators add up as ints over den * 2^shift.
     """
-    den = math.lcm(w.re._den, w.im._den)
-    terms = [
-        (imaginary_part, v * (den // p._den), image(a, b))
-        for imaginary_part, p in ((False, w.re), (True, w.im))
-        for (a, b), v in p._num.items()
-    ]
-    image_den = math.lcm(*{value.denominator for _, _, img in terms for _, value, _ in img})
-    re, im = {}, {}
-    for imaginary_part, v, img in terms:
-        for exps, value, imaginary in img:
-            t = v * value.numerator * (image_den // value.denominator)
-            if imaginary_part and imaginary:
-                t = -t
-            target = im if imaginary_part != imaginary else re
-            target[exps] = target.get(exps, 0) + t
-    den *= image_den
-    re, im = ({k: t for k, t in part.items() if t} for part in (re, im))
-    return _CJet(Poly._of(re, den), Poly._of(im, den), w.bound)
+    out = []
+    for d, (re, im, den) in enumerate(w):
+        if not (any(re) or any(im)):
+            out.append((re, im, den))
+            continue
+        new_re, new_im = [0] * (d + 1), [0] * (d + 1)
+        shift = 0
+        for a, (x, y) in enumerate(zip(re, im)):
+            if not (x or y):
+                continue
+            shift, terms = image(a, d - a)
+            for m, e, imaginary in terms:
+                if imaginary:
+                    new_re[m] -= y * e
+                    new_im[m] += x * e
+                else:
+                    new_re[m] += x * e
+                    new_im[m] += y * e
+        out.append(_component(new_re, new_im, den << shift))
+    return out
 
 
 def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
@@ -402,30 +392,34 @@ def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     """
     if p and p.degree() >= 2 * m:
         raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
-    w = _harmonic_quotient(_change_variables(_CJet(p, Poly.zero(), 2 * m), _z_image), m)
+    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), 2 * m - 1), _z_image), m)
     if w is None:
         return None
-    w = _change_variables(w, _xy_image)
-    return w.re, -w.im
+    u, v = _join(_change_variables(w, _xy_image))
+    return u, -v
 
 
-def _harmonic_quotient(c: _CJet, m: int) -> _CJet | None:
-    """W in (z, zbar) with Re(W*z^m) == c, for c in (z, zbar) of degree below 2m.
+def _harmonic_quotient(c: list[tuple], m: int) -> list[tuple] | None:
+    """The components of W in (z, zbar) with Re(W*z^m) == c, for c given by
+    its components below degree 2m; None when there is no such W.
 
     Below degree 2m no term C_ij z^i zbar^j of c has both i, j >= m, so W
     exists exactly when C_ij = 0 wherever i, j < m, and then
     W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j is unique (Axler, Bourdon & Ramey,
-    Harmonic Function Theory, GTM 137). None when there is no such W.
+    Harmonic Function Theory, GTM 137). W_e comes from c_(m+e).
     """
-    if any(i < m and j < m for part in (c.re, c.im) for i, j in part._num):
-        return None
-    re, im = ({(i - m, j): 2 * v for (i, j), v in part._num.items() if i >= m} for part in (c.re, c.im))
-    return _CJet(Poly._of(re, c.re._den), Poly._of(im, c.im._den), m)
+    for d, (re, im, _) in enumerate(c):
+        low = max(0, d - m + 1)
+        if any(re[low:m]) or any(im[low:m]):
+            return None
+    return [
+        _component([2 * v for v in re[m:]], [2 * v for v in im[m:]], den) for re, im, den in c[m:]
+    ]
 
 
-def _radial_factor(phi: JetMap) -> _CJet | None:
-    """rho in (z, zbar) coordinates when phi.x + i*phi.y == z*rho exactly,
-    otherwise None.
+def _radial_factor(phi: JetMap) -> list[tuple] | None:
+    """rho's (z, zbar) components, degrees 0..bound - 1, when
+    phi.x + i*phi.y == z*rho exactly; otherwise None.
 
     z divides P = phi.x + i*phi.y exactly when P vanishes at z = 0, where
     x = zbar/2 and y = i*zbar/2: when every homogeneous component of P
@@ -442,81 +436,102 @@ def _radial_factor(phi: JetMap) -> _CJet | None:
             at[key] = at.get(key, 0) + (v * unit if q < 2 else -v * unit)
     if any(at.values()):
         return None
-    w = _change_variables(_CJet(px, py, phi.bound), _z_image)
-    re, im = (_reindexed(p, lambda a, b: (a - 1, b)) for p in (w.re, w.im))
-    return _CJet(re, im, phi.bound - 1)
+    # P_0 = 0, and the zbar^d entry of every P_d is 0: P_d / z is rho_(d-1)
+    parts = _change_variables(_split(px, py, phi.bound), _z_image)
+    return [(re[1:], im[1:], den) for re, im, den in parts[1:]]
 
 
-def _radial_powers(keys, rho: _CJet, bound: int) -> list[_CJet]:
-    """rho^0, rho^1, ..., each kept to the degree that the terms z^i zbar^j
-    with (i, j) in `keys` read of it at `bound`: bound - i - j, for rho^i
-    and for conj(rho)^j alike."""
-    need = [-1] * (bound + 2)
-    for i, j in keys:
-        need[i] = max(need[i], bound - i - j)
-        need[j] = max(need[j], bound - i - j)
-    for n in range(bound, -1, -1):
-        need[n] = max(need[n], need[n + 1])
-    powers = [_CJet(ONE, Poly.zero(), need[0])]
-    while need[len(powers)] >= 0:
-        top = need[len(powers)]
-        powers.append(powers[-1].at(top) * rho.at(top))
-    return powers
+class _RadialImage:
+    """The components of W = w o (z -> z*rho), for w and rho given by their
+    (z, zbar) components; rho's list may grow while W is read.
 
+    With w = sum C_ij z^i zbar^j, the degree-d part of W is
 
-def _radial_sum(c: _CJet, terms, powers: list[_CJet], bound: int) -> _CJet:
-    """sum n*C_ij z^i rho^i zbar^j conj(rho^j) over the (i, j, n) of `terms`,
-    C_ij the (z, zbar) coefficients of c and n an int, modulo degrees
-    above the bound.
+        W_d = sum_(i+j<=d) C_ij z^i zbar^j sum_(a+b=d-i-j) (rho^i)_a conj(rho^j)_b.
 
-    The terms with one j are summed as a row B_j = sum_i n*C_ij z^i rho^i,
-    then B_j conj(rho^j) zbar^j. z^i and zbar^j are exponent shifts. Each
-    C_ij scales by ints, its numerators over the parts' common denominator,
-    which divides the sum once at the end.
+    The terms with one j share the row B_j = sum_i C_ij z^i rho^i, so
+    W_d = sum_j sum_b conj(rho^j)_b (zbar^j B_j)_(d-b): one convolution.
+    W_d reads rho's components up to d - ord w only. Each component of a
+    power of rho, of its conjugate and of a row is computed once, when
+    first read.
     """
-    den = math.lcm(c.re._den, c.im._den)
-    re_unit, im_unit = den // c.re._den, den // c.im._den
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for i, j, n in terms:
-        rows.setdefault(j, []).append((i, n))
-    total = _CJet(Poly.zero(), Poly.zero(), bound)
-    for j, columns in rows.items():
-        top = bound - j
-        row = _CJet(Poly.zero(), Poly.zero(), top)
-        for i, n in columns:
-            a = c.re._num.get((i, j), 0) * re_unit * n
-            b = c.im._num.get((i, j), 0) * im_unit * n
-            p, q = powers[i].re.shifted(i, 0, top), powers[i].im.shifted(i, 0, top)
-            row = row + _CJet(p.scale(a) - q.scale(b), p.scale(b) + q.scale(a), top)
-        if j:
-            row = row * powers[j].conjugate_zz()
-            row = _CJet(row.re.shifted(0, j, bound), row.im.shifted(0, j, bound), bound)
-        total = total + row
-    return total.scale(Fraction(1, den))
+
+    def __init__(self, w: list[tuple], rho: list[tuple]):
+        self.rho = rho
+        # rows[j]: the (i, C_ij z^i zbar^j) of w, i ascending, each term a component
+        self.rows: dict[int, list[tuple[int, tuple]]] = {}
+        for d, (re, im, den) in enumerate(w):
+            for i, (x, y) in enumerate(zip(re, im)):
+                if x or y:
+                    term_re, term_im = [0] * (d + 1), [0] * (d + 1)
+                    term_re[i], term_im[i] = x, y
+                    self.rows.setdefault(d - i, []).append((i, _component(term_re, term_im, den)))
+        self.powers: dict[int, list[tuple]] = {}
+        self.conjugates: dict[int, list[tuple]] = {}
+        self.row_parts: dict[int, list[tuple]] = {j: [] for j in self.rows}
+
+    def power(self, n: int, a: int) -> tuple:
+        """(rho^n)_a."""
+        if n == 1:
+            return self.rho[a]
+        if n == 0:
+            return _ONE if a == 0 else _zero(a)
+        parts = self.powers.setdefault(n, [])
+        while len(parts) <= a:
+            e = len(parts)
+            terms = [(1, self.rho[t], self.power(n - 1, e - t)) for t in range(e + 1)]
+            parts.append(_convolve(terms, e))
+        return parts[a]
+
+    def conjugate(self, n: int, b: int) -> tuple:
+        """conj(rho^n)_b."""
+        parts = self.conjugates.setdefault(n, [])
+        while len(parts) <= b:
+            parts.append(_conjugate(self.power(n, len(parts))))
+        return parts[b]
+
+    def row(self, j: int, e: int) -> tuple:
+        """(zbar^j B_j)_(e+j) = sum_i C_ij z^i zbar^j (rho^i)_(e-i)."""
+        parts = self.row_parts[j]
+        while len(parts) <= e:
+            f = len(parts)
+            terms = [(1, term, self.power(i, f - i)) for i, term in self.rows[j] if i <= f]
+            parts.append(_convolve(terms, f + j))
+        return parts[e]
+
+    def component(self, d: int) -> tuple:
+        """W_d."""
+        terms = [
+            (1, self.row(j, d - j - b), self.conjugate(j, b))
+            for j, columns in self.rows.items()
+            for b in range(d - j - columns[0][0] + 1)
+        ]
+        return _convolve(terms, d)
 
 
-def _compose_radial(parts: tuple[Poly, ...], rho: _CJet, bound: int) -> list[Poly]:
-    """Each real polynomial of `parts` composed with z -> z*rho, rho in
-    (z, zbar) coordinates, modulo degrees above the bound.
+def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
+    """The real polynomial p composed with z -> z*rho, rho given by its
+    (z, zbar) components, modulo degrees above the bound.
 
-    With p = sum C_ij z^i zbar^j, only the terms with i >= j are summed
-    (`_radial_sum`), the diagonal at half weight: as C_ji = conj(C_ij),
-    the result is S + conj(S). The powers of rho are shared by all parts.
+    With p = sum C_ij z^i zbar^j, only the terms with i >= j are composed,
+    the diagonal at half weight: as C_ji = conj(C_ij), the result is
+    S + conj(S).
     """
-    coefficients = [_change_variables(_CJet(p, Poly.zero(), bound), _z_image) for p in parts]
-    terms = [
-        [(i, j, 1 if i == j else 2) for i, j in c.re._num.keys() | c.im._num.keys() if i >= j]
-        for c in coefficients
-    ]
-    powers = _radial_powers(((i, j) for part in terms for i, j, _ in part), rho, bound)
-    composed = []
-    for c, part in zip(coefficients, terms):
-        total = _radial_sum(c, part, powers, bound).scale(Fraction(1, 2))
-        result = _change_variables(total + total.conjugate_zz(), _xy_image)
-        if result.im:
-            raise ArithmeticError(f"composition of a real jet left an imaginary part {result.im}")
-        composed.append(result.re)
-    return composed
+    half = []
+    for d, (re, im, den) in enumerate(_change_variables(_split(p, Poly.zero(), bound), _z_image)):
+        weights = [2 if 2 * i > d else 1 if 2 * i == d else 0 for i in range(d + 1)]
+        half_re = [w * v for w, v in zip(weights, re)]
+        half.append(_component(half_re, [w * v for w, v in zip(weights, im)], 2 * den))
+    image = _RadialImage(half, rho)
+    total = []
+    for d in range(bound + 1):
+        re, im, den = image.component(d)
+        total_re = [a + b for a, b in zip(re, reversed(re))]
+        total.append(_component(total_re, [a - b for a, b in zip(im, reversed(im))], den))
+    result, imaginary = _join(_change_variables(total, _xy_image))
+    if imaginary:
+        raise ArithmeticError(f"composition of a real jet left an imaginary part {imaginary}")
+    return result
 
 
 def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
@@ -532,44 +547,49 @@ def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
     monomial). So h o phi == f_k up to `level` exactly when
     (1 + W) rho^k == 1 up to degree level - k, or, rho^k being a unit,
     when 1 + W == rho^(-k) there: the defining identity of
-    `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates at
-    bound level - k, where the composition of h would run at `level`.
+    `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates up
+    to degree level - k, where the composition of h would run to `level`,
+    and the two sides are compared component by component.
     """
     if not k <= level < 2 * k or h.bound < level or phi.bound != h.bound:
         return None
     rho = _radial_factor(phi)
-    if rho is None or rho.re.coeff(0, 0) != 1 or rho.im.coeff(0, 0):
+    if rho is None or rho[0] != _ONE:
         return None
-    c = _change_variables(_CJet(h.poly.truncate(level), Poly.zero(), level), _z_image)
-    # f_k = (z^k + zbar^k)/2
-    f_k = Poly({(k, 0): Fraction(1, 2), (0, k): Fraction(1, 2)})
-    w = _harmonic_quotient(_CJet(c.re - f_k, c.im, level), k)
-    if w is None or w.re.coeff(0, 0) or w.im.coeff(0, 0):
+    c = _change_variables(_split(h.poly, Poly.zero(), level), _z_image)
+    # minus f_k = (z^k + zbar^k)/2
+    re, im, den = c[k]
+    re = [2 * v for v in re]
+    re[0] -= den
+    re[k] -= den
+    c[k] = _component(re, [2 * v for v in im], 2 * den)
+    w = _harmonic_quotient(c, k)
+    if w is None or any(w[0][0]) or any(w[0][1]):
         return None
     top = level - k
-    w = w.at(top)
-    keys = w.re._num.keys() | w.im._num.keys()
-    composed = _radial_sum(w, [(i, j, 1) for i, j in keys], _radial_powers(keys, rho, top), top)
-    lhs = _cjet_const(Fraction(1), top) + composed
-    rhs = _graded_power(rho.at(top) + _cjet_const(Fraction(-1), top), Fraction(-k))
-    return lhs.re == rhs.re and lhs.im == rhs.im
+    image = _RadialImage(w, rho)
+    # rho^(-k) = (1 + (rho - 1))^(-k)
+    inverse = _graded_power([_zero(0)] + rho[1:], Fraction(-k), top)
+    return all(image.component(d) == inverse[d] for d in range(1, top + 1))
 
 
 # -- radial scale maps ---------------------------------------------------------
 
 
-def _scale_map_from_root(rho: _CJet, bound: int) -> JetMap:
-    """The map z -> z * rho split into real coordinates."""
-    px = rho.re.shifted(1, 0, bound) - rho.im.shifted(0, 1, bound)
-    py = rho.im.shifted(1, 0, bound) + rho.re.shifted(0, 1, bound)
+def _scale_map_from_root(re: Poly, im: Poly, bound: int) -> JetMap:
+    """The map z -> z * (re + i*im) split into real coordinates."""
+    px = re.shifted(1, 0, bound) - im.shifted(0, 1, bound)
+    py = im.shifted(1, 0, bound) + re.shifted(0, 1, bound)
     return jet_map(px, py, bound)
 
 
-def _check_scale_arguments(u: Jet, v: Jet) -> None:
+def _check_scale_arguments(u: Jet, v: Jet, k: int) -> None:
     if u.bound != v.bound:
         raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
     if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
         raise ValueError("scale map arguments must have zero constant term")
+    if k < 1:
+        raise ValueError("root index must be at least 1")
 
 
 def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
@@ -583,10 +603,10 @@ def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     since (z*rho)^k = z^k * (1 + u - iv) up to truncation. rho is built
     degree by degree with the graded power recurrence (`_power_component`).
     """
-    _check_scale_arguments(u, v)
+    _check_scale_arguments(u, v, k)
     bound = u.bound
-    rho = _graded_power(_CJet(u.poly, -v.poly, bound), Fraction(1, k))
-    return _scale_map_from_root(rho, bound)
+    rho = _graded_power(_split(u.poly, -v.poly, bound), Fraction(1, k), bound)
+    return _scale_map_from_root(*_join(rho), bound)
 
 
 def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
@@ -596,76 +616,28 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     bound, undoing the effect of complex_scale_map at jet level without
     any leftover higher-order terms. rho is the unique solution of
     rho = (1 + W)^(-1/k) with constant term 1, where W = w o phi and
-    w = u - iv = sum C_ij z^i zbar^j. Since w has zero constant term, the
-    degree-d part of W reads only the degrees of rho below d:
-
-        W_d = sum_(i+j<=d) C_ij z^i zbar^j sum_(a+b=d-i-j) (rho^i)_a conj(rho^j)_b.
-
-    So the solve is online (van der Hoeven, "Relax, but don't be too
-    lazy", JSC 2002): for d = 1, 2, ... it forms W_d, sets rho_d by the
-    graded power recurrence (`_power_component`), and extends the powers
-    of rho by their degree-d components. Every component is computed
-    once. The terms with one j share the row B_j = sum_i C_ij z^i rho^i,
-    so W_d = sum_j zbar^j sum_b conj(rho^j)_b (B_j)_(d-j-b).
+    w = u - iv. Since w has zero constant term, the degree-d part of W
+    reads only the degrees of rho below d (`_RadialImage`). So the solve
+    is online (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
+    for d = 1, 2, ... it forms W_d and sets rho_d by the graded power
+    recurrence (`_power_component`). Every component is computed once.
 
     Everything a germ of order k can see of the map sits in component
     degrees up to bound - k + 1, so the solve stops at that much smaller
     internal bound and the result is lifted afterwards.
     """
-    _check_scale_arguments(u, v)
-    if k < 1:
-        raise ValueError("root index must be at least 1")
+    _check_scale_arguments(u, v, k)
     bound = u.bound
     inner = bound - k
     if inner < 0:
         return identity_map(bound)
-    w = _change_variables(_CJet(u.poly.truncate(inner), -v.poly.truncate(inner), inner), _z_image)
-    # rows[j]: the (i, C_ij) of w; need[n]: the highest degree of rho^n read
-    rows: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
-    need = [0] + [-1] * inner
-    for i, j in sorted(w.re._num.keys() | w.im._num.keys()):
-        rows.setdefault(j, []).append((i, w.re.coeff(i, j), w.im.coeff(i, j)))
-        need[i] = max(need[i], inner - i - j)
-        need[j] = max(need[j], inner - i - j)
-    for n in range(inner - 1, -1, -1):
-        need[n] = max(need[n], need[n + 1])
-    zero, one = _CJet(Poly.zero(), Poly.zero(), inner), _cjet_const(Fraction(1), inner)
-    # powers[n][a] = (rho^n)_a and conj_powers[n][a] = conj(rho^n)_a, n <= top;
-    # rho^0 = 1 has every component, rho = rho^1 grows to the internal bound
-    top = max([1] + [n for n in range(inner + 1) if need[n] >= 0])
-    powers = [[one] + [zero] * inner] + [[one] for _ in range(top)]
-    conj_powers = [[one] for _ in range(top + 1)]
-    rho = powers[1]
-    w_parts = [zero]
-    # row_parts[j][e] = (B_j)_e; B_0 has no constant term, as w has none
-    row_parts: dict[int, list[_CJet]] = {j: [] if j else [zero] for j in rows}
+    w = _change_variables(_split(u.poly, -v.poly, inner), _z_image)
+    rho = [_ONE]
+    image = _RadialImage(w, rho)
+    composed = [w[0]]
     alpha = Fraction(-1, k)
     for d in range(1, inner + 1):
-        pieces = []
-        for j, columns in rows.items():
-            e = d - j
-            if e < 0:
-                continue
-            # (B_j)_e from the powers below d, then sum_b conj(rho^j)_b (B_j)_(e-b)
-            row = row_parts[j]
-            terms = (
-                _scaled_shift(powers[i][e - i], c_re, c_im, i, inner)
-                for i, c_re, c_im in columns
-                if e >= i
-            )
-            row.append(_cjet_sum(terms, inner))
-            conj = conj_powers[j]
-            part = _dot(((1, conj[b], row[e - b]) for b in range(min(e, len(conj) - 1) + 1)), inner)
-            pieces.append(_CJet(part.re.shifted(0, j, inner), part.im.shifted(0, j, inner), inner))
-        w_parts.append(_cjet_sum(pieces, inner))
-        rho.append(_power_component(w_parts, rho, alpha))
-        for n in range(2, top + 1):
-            if d <= need[n]:
-                prev = powers[n - 1]
-                powers[n].append(_dot(((1, rho[t], prev[d - t]) for t in range(d + 1)), inner))
-        for n in range(1, top + 1):
-            if d <= need[n]:
-                conj_powers[n].append(powers[n][d].conjugate_zz())
-    rho_xy = _change_variables(_cjet_sum(rho, inner), _xy_image)
-    phi = _scale_map_from_root(rho_xy, inner + 1)
+        composed.append(image.component(d))
+        rho.append(_power_component(composed, rho, alpha))
+    phi = _scale_map_from_root(*_join(_change_variables(rho, _xy_image)), inner + 1)
     return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)

@@ -351,6 +351,9 @@ def every_offset_instance(k, i):
 GOLDEN_WITNESSES = {
     13: "9c10c3d023d302b4660cdd04b38344434ec24d776e7a4f267410fa29304ea754",
     14: "7a02d13a870b22858fd1521dabc9d8bd2c04267de16ea1d79f16263bbaa3fc82",
+    16: "5b425e436e906abb2532db073b7ddc233853ae4d1468514cac5a5a9ad0dd9414",
+    20: "15c241ad8d06d85c7dd9948011e995382e4c061b1a4721da49bf68e094dd1cc9",
+    24: "2bb1e3e9156e1be04542a3841d521176c4c58a4f835b06175e77aa93d13d70ab",
 }
 
 

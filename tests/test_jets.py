@@ -26,15 +26,19 @@ from harmgerm.jets import (
 from harmgerm.jets import (
     JetMap,
     _change_variables,
-    _CJet,
-    _compose_radial,
+    _compose_taylor,
+    _conjugate,
+    _convolve,
+    _graded_power,
+    _harmonic_quotient,
+    _join,
     _radial_factor,
-    _reindexed,
-    _scale_map_from_root,
+    _RadialImage,
+    _split,
     _xy_image,
     _z_image,
 )
-from harmgerm.polyring import Poly, format_poly, monomial_basis
+from harmgerm.polyring import X, Y, Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
 from conftest import P, counted, oracle_compose, reference_membership
@@ -168,8 +172,8 @@ class TestComposePaths:
         elif extra == "x only":
             px = px + random_rational_poly(data, m, m) * c
         phi = jet_map(px, py, bound)
-        w = _change_variables(_CJet(px, py, bound), _z_image)
-        divisible = all(a for part in (w.re, w.im) for a, _ in part._num)
+        w = _change_variables(_split(px, py, bound), _z_image)
+        divisible = not any(re[0] or im[0] for re, im, _ in w)
         assert (_radial_factor(phi) is not None) == divisible
         if extra != "x only":
             assert divisible
@@ -179,10 +183,10 @@ class TestComposePaths:
         image = harmgerm.jets._xy_image
 
         def broken(i, j):
-            terms = image(i, j)
+            shift, terms = image(i, j)
             if (i, j) != (1, 0):
-                return terms
-            return tuple((exps, value, True) for exps, value, _ in terms)
+                return shift, terms
+            return shift, tuple((m, e, True) for m, e, _ in terms)
 
         monkeypatch.setattr(harmgerm.jets, "_xy_image", broken)
         with pytest.raises(ArithmeticError, match="imaginary part"):
@@ -201,16 +205,39 @@ def non_dyadic_poly(data, max_degree, min_degree=0):
     return Poly(terms)
 
 
-def reference_change_variables(w, image):
-    """Term-by-term Fraction version of jets._change_variables."""
-    re, im = {}, {}
-    for imaginary_part, part in ((False, w.re), (True, w.im)):
+def gaussian_expand(forms):
+    """The product of linear forms {(1, 0): (re, im), (0, 1): (re, im)}, as
+    {(m, n): (re, im)} with Fraction parts."""
+    out = {(0, 0): (Fraction(1), Fraction(0))}
+    for form in forms:
+        product = {}
+        for (m, n), (a, b) in out.items():
+            for (dm, dn), (c, d) in form.items():
+                re, im = product.get((m + dm, n + dn), (0, 0))
+                product[(m + dm, n + dn)] = (re + a * c - b * d, im + a * d + b * c)
+        out = product
+    return out
+
+
+HALF = Fraction(1, 2)
+# x = (z + zbar)/2 and y = (z - zbar)/(2i) = -i*z/2 + i*zbar/2
+XY_IN_Z = ({(1, 0): (HALF, 0), (0, 1): (HALF, 0)}, {(1, 0): (0, -HALF), (0, 1): (0, HALF)})
+# z = x + iy and zbar = x - iy
+Z_IN_XY = ({(1, 0): (1, 0), (0, 1): (0, 1)}, {(1, 0): (1, 0), (0, 1): (0, -1)})
+
+
+def reference_change_variables(re, im, first, second):
+    """re + i*im with every monomial s^a t^b replaced by first^a * second^b,
+    expanded term by term in Fractions."""
+    out_re, out_im = {}, {}
+    for imaginary_part, part in ((False, re), (True, im)):
         for (a, b), c in part.terms():
-            for exps, value, imaginary in image(a, b):
-                t = -c * value if imaginary_part and imaginary else c * value
-                target = im if imaginary_part != imaginary else re
-                target[exps] = target.get(exps, 0) + t
-    return Poly(re), Poly(im)
+            for key, (u, v) in gaussian_expand([first] * a + [second] * b).items():
+                # c*(u + iv), times i for the imaginary part
+                t_re, t_im = (-c * v, c * u) if imaginary_part else (c * u, c * v)
+                out_re[key] = out_re.get(key, 0) + t_re
+                out_im[key] = out_im.get(key, 0) + t_im
+    return Poly(out_re), Poly(out_im)
 
 
 def assert_lowest_terms(p):
@@ -219,25 +246,37 @@ def assert_lowest_terms(p):
     assert math.gcd(p._den, *p._num.values()) == 1
 
 
+def assert_components(components):
+    """Each component has lists of length d + 1 over den > 0, in lowest
+    terms; the zero component has den 1."""
+    for d, (re, im, den) in enumerate(components):
+        assert len(re) == len(im) == d + 1
+        assert den >= 1 and math.gcd(den, *re, *im) == 1
+        if not any(re) and not any(im):
+            assert den == 1
+
+
 class TestIntegerHelpers:
-    """The (z, zbar) helpers work on Poly's integer numerators; each result
-    must equal the Fraction computation and be in lowest terms."""
+    """The component helpers work on integer lists; each result must equal
+    the Fraction computation and be in lowest terms."""
 
     @given(st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_change_variables_matches_fractions(self, degree, data):
-        w = _CJet(non_dyadic_poly(data, degree), non_dyadic_poly(data, degree), degree)
-        for image in (_z_image, _xy_image):
+        p, q = non_dyadic_poly(data, degree), non_dyadic_poly(data, degree)
+        w = _split(p, q, degree)
+        for image, forms in ((_z_image, XY_IN_Z), (_xy_image, Z_IN_XY)):
             out = _change_variables(w, image)
-            assert (out.re, out.im) == reference_change_variables(w, image)
-            assert out.bound == w.bound
-            assert_lowest_terms(out.re)
-            assert_lowest_terms(out.im)
+            assert _join(out) == reference_change_variables(p, q, *forms)
+            assert len(out) == degree + 1
+            assert_components(out)
+            for part in _join(out):
+                assert_lowest_terms(part)
 
     @given(st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_change_variables_round_trip(self, degree, data):
-        w = _CJet(non_dyadic_poly(data, degree), non_dyadic_poly(data, degree), degree)
+        w = _split(non_dyadic_poly(data, degree), non_dyadic_poly(data, degree), degree)
         assert _change_variables(_change_variables(w, _z_image), _xy_image) == w
 
     @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3), st.data())
@@ -245,14 +284,14 @@ class TestIntegerHelpers:
     def test_reindexing_and_shifts(self, degree, i, j, data):
         p = non_dyadic_poly(data, degree)
         q = non_dyadic_poly(data, degree)
-        swapped = _reindexed(p, lambda a, b: (b, a))
-        assert swapped == Poly({(b, a): c for (a, b), c in p.terms()})
-        conj = _CJet(p, q, degree).conjugate_zz()
-        assert conj.re == swapped and conj.im == -_reindexed(q, lambda a, b: (b, a))
+        # the conjugate of p + iq in (z, zbar) swaps the exponents and negates q
+        conj = _join([_conjugate(c) for c in _split(p, q, degree)])
+        swapped = Poly({(b, a): c for (a, b), c in p.terms()})
+        assert conj == (swapped, -Poly({(b, a): c for (a, b), c in q.terms()}))
         bound = data.draw(st.integers(0, degree + i + j))
         shifted = p.shifted(i, j, bound)
         assert shifted == (p * Poly.monomial(i, j)).truncate(bound)
-        for result in (swapped, conj.re, conj.im, shifted):
+        for result in (*conj, shifted):
             assert_lowest_terms(result)
 
     @given(st.integers(1, 4), st.integers(0, 2), st.data())
@@ -265,6 +304,37 @@ class TestIntegerHelpers:
         assert harmgerm.jets._radial_factor(phi) is not None
         composed = jet_compose(jet_truncate(h, bound), phi)
         assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_components_in_lowest_terms(self, degree, data):
+        p, q = non_dyadic_poly(data, degree, 1), non_dyadic_poly(data, degree, 1)
+        w = _split(p, q, degree)
+        z = _change_variables(w, _z_image)
+        rho = _radial_factor(radial_map(P("1") + p, q, degree + 1))
+        image = _RadialImage(z, rho)
+        pair = harmonic_pair(degree)
+        multiple = (p * pair.f + q * pair.g).truncate(2 * degree - 1)
+        quotient = _harmonic_quotient(
+            _change_variables(_split(multiple, Poly.zero(), 2 * degree - 1), _z_image), degree
+        )
+        assert quotient is not None
+        outputs = [
+            w,
+            z,
+            _change_variables(z, _xy_image),
+            [_conjugate(part) for part in z],
+            _graded_power(w, Fraction(-2, 3), degree),
+            [image.component(d) for d in range(degree + 1)],
+            quotient,
+            rho,
+        ]
+        for components in outputs:
+            assert_components(components)
+        for d, part in enumerate(w):
+            # a sum that cancels is the zero component, over 1
+            zero = _convolve([(1, part, part), (-1, part, part)], 2 * d)
+            assert zero == ([0] * (2 * d + 1), [0] * (2 * d + 1), 1)
 
 
 @contextlib.contextmanager
@@ -575,47 +645,51 @@ def reference_binomial_coefficients(alpha, count):
     return coeffs
 
 
-def reference_series(w, coeffs):
-    total = _CJet(Poly.constant(coeffs[0]), Poly.zero(), w.bound)
-    power = _CJet(Poly.constant(1), Poly.zero(), w.bound)
-    for m in range(1, len(coeffs)):
-        power = power * w
-        if power.is_zero():
-            break
-        total = total + power.scale(coeffs[m])
-    return total
-
-
-def reference_jet_root(w, k):
-    coeffs = reference_binomial_coefficients(Fraction(1, k), w.bound + 1)
-    return Jet(reference_series(_CJet(w.poly, Poly.zero(), w.bound), coeffs).re, w.bound)
-
-
-def reference_complex_scale_map(u, v, k):
-    coeffs = reference_binomial_coefficients(Fraction(1, k), u.bound + 1)
-    return _scale_map_from_root(reference_series(_CJet(u.poly, -v.poly, u.bound), coeffs), u.bound)
-
-
-def reference_inverse_scale_map(u, v, k):
-    bound = u.bound
-    inner = bound - k
-    if inner < 0:
-        return identity_map(bound)
-    coeffs = reference_binomial_coefficients(Fraction(-1, k), inner + 1)
-    rho = _CJet(Poly.constant(1), Poly.zero(), 0)
-    for d in range(1, inner + 1):
-        rho_zz = _change_variables(rho, _z_image)
-        u_d, v_d = _compose_radial((u.poly.truncate(d), v.poly.truncate(d)), rho_zz, d)
-        rho = reference_series(_CJet(u_d, -v_d, d), coeffs)
-    phi = _scale_map_from_root(rho, inner + 1)
-    return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
-
-
 def complex_product(p, q, bound):
     """(p.re + i p.im)(q.re + i q.im) in (x, y), by four real products."""
     re = p[0].mul_truncated(q[0], bound) - p[1].mul_truncated(q[1], bound)
     im = p[0].mul_truncated(q[1], bound) + p[1].mul_truncated(q[0], bound)
     return re, im
+
+
+def reference_series(w, coeffs, bound):
+    """sum_m coeffs[m] * w^m for a complex pair w = (re, im) of Polys."""
+    total = (Poly.constant(coeffs[0]), Poly.zero())
+    power = (Poly.constant(1), Poly.zero())
+    for m in range(1, len(coeffs)):
+        power = complex_product(power, w, bound)
+        if not power[0] and not power[1]:
+            break
+        total = (total[0] + power[0] * coeffs[m], total[1] + power[1] * coeffs[m])
+    return total
+
+
+def reference_jet_root(w, k):
+    coeffs = reference_binomial_coefficients(Fraction(1, k), w.bound + 1)
+    return Jet(reference_series((w.poly, Poly.zero()), coeffs, w.bound)[0], w.bound)
+
+
+def reference_complex_scale_map(u, v, k):
+    coeffs = reference_binomial_coefficients(Fraction(1, k), u.bound + 1)
+    return radial_map(*reference_series((u.poly, -v.poly), coeffs, u.bound), u.bound)
+
+
+def reference_inverse_scale_map(u, v, k):
+    # each pass composes u and v with the map by its Taylor expansion
+    bound = u.bound
+    inner = bound - k
+    if inner < 0:
+        return identity_map(bound)
+    coeffs = reference_binomial_coefficients(Fraction(-1, k), inner + 1)
+    rho = (Poly.constant(1), Poly.zero())
+    for d in range(1, inner + 1):
+        phi = radial_map(*rho, d)
+        tx, ty = phi.x.poly - X, phi.y.poly - Y
+        u_d = _compose_taylor(u.poly.truncate(d), tx, ty, d)
+        v_d = _compose_taylor(v.poly.truncate(d), tx, ty, d)
+        rho = reference_series((u_d, -v_d), coeffs, d)
+    phi = radial_map(*rho, inner + 1)
+    return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
 
 
 class TestGradedPowerAndOnlineSolve:
@@ -640,14 +714,14 @@ class TestGradedPowerAndOnlineSolve:
         phi = inverse_scale_map(jet_truncate(u, bound), jet_truncate(v, bound), k)
         rho_zz = _radial_factor(phi)
         assert rho_zz is not None
-        rho = _change_variables(rho_zz, _xy_image)
+        rho = _join(_change_variables(rho_zz, _xy_image))
         at_level = jet_map(phi.x.poly, phi.y.poly, level)
         lhs = (
             P("1") + jet_compose(jet_truncate(u, level), at_level).poly,
             -jet_compose(jet_truncate(v, level), at_level).poly,
         )
         for _ in range(k):
-            lhs = complex_product(lhs, (rho.re, rho.im), level)
+            lhs = complex_product(lhs, rho, level)
         assert lhs == (P("1"), Poly.zero())
 
     @given(st.integers(1, 8), st.integers(1, 7), st.data())
@@ -662,6 +736,19 @@ class TestGradedPowerAndOnlineSolve:
     def test_jet_root_matches_series(self, k, bound, data):
         w = jet_truncate(non_dyadic_poly(data, min(bound, 4), 1), bound)
         assert jet_root(w, k) == reference_jet_root(w, k)
+
+
+@pytest.mark.parametrize("k", (0, -1, -3))
+@pytest.mark.parametrize("build", ("jet_root", "complex_scale_map", "inverse_scale_map"))
+def test_root_index_below_one_rejected(build, k):
+    u, v = jet_truncate(P("x"), 4), jet_truncate(P("y"), 4)
+    calls = {
+        "jet_root": lambda: jet_root(u, k),
+        "complex_scale_map": lambda: complex_scale_map(u, v, k),
+        "inverse_scale_map": lambda: inverse_scale_map(u, v, k),
+    }
+    with pytest.raises(ValueError, match="root index must be at least 1"):
+        calls[build]()
 
 
 class TestInverseScaleMapBounds:
@@ -731,13 +818,15 @@ class TestRadialStepHolds:
     """radial_step_holds decides h o phi == f_k up to the level exactly as
     composing does, whenever it gives a verdict."""
 
-    @given(st.integers(5, 9), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_agrees_with_composition(self, k, data):
+    @given(st.integers(5, 9), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_composition(self, k, non_dyadic, data):
+        # non-dyadic multipliers give rho and W components over true lcms
         level = 2 * k - 4
         pair = harmonic_pair(k)
-        u = random_zero_order_poly(data, k - 4)
-        v = random_zero_order_poly(data, k - 4)
+        draw = non_dyadic_poly if non_dyadic else random_zero_order_poly
+        u = draw(data, k - 4, 1)
+        v = draw(data, k - 4, 1)
         h = jet_truncate(pair.f + u * pair.f + v * pair.g, level)
         solved = inverse_scale_map(jet_truncate(u, level), jet_truncate(v, level), k)
         m = data.draw(st.integers(2, k - 3))
