@@ -23,7 +23,7 @@ from .equivalence import (
     verify_biharmonic,
 )
 from .harmonic import almansi_decompose, harmonic_pair, harmonic_split
-from .polyring import PolyParseError, format_poly, parse_poly
+from .polyring import PolyParseError, format_poly, format_scalar, parse_poly
 from .selftest import format_report, run_selftest
 
 
@@ -201,7 +201,7 @@ def _chain_text(chain: WitnessChain) -> str:
 
 
 def _rescaling_text(witness: RescalingWitness) -> str:
-    a, b, k = witness.a, witness.b, witness.k
+    a, b, k = format_scalar(witness.a), format_scalar(witness.b), witness.k
     return (
         f"rescaling witness for ({a})*f_{k} + ({b})*g_{k}:\n"
         f"  z -> delta*z for every delta with delta^{k} = {a} - ({b})*i\n"

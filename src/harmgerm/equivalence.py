@@ -9,12 +9,15 @@ identity to a genuine right equivalence.
 Absorption works degree by degree, low degrees last:
 
 * offsets s >= split_offset are cleared by coordinate translations
-  (x, y) -> (x + u, y + v), ascending in s since each translation
-  perturbs every higher degree, which later steps then re-extract;
+  (x, y) -> (x + u, y + v), ascending in s. As 2 * split_offset >= k - 3,
+  up to the bound 2k - 4 a translation changes the higher degrees only
+  by its first-order term, so each is read off the germ's graded
+  components plus those terms of the earlier ones;
 * offsets s < split_offset are cleared in one stroke by a radial scale
   map z -> z * rho, using that their sum is u*f_k + v*g_k exactly.
 
-Every witness re-verifies exactly from its own maps; nothing is trusted.
+The construction composes nothing. Every witness re-verifies exactly
+from its own maps in WitnessChain.verify(); nothing is trusted there.
 Every map is composed, except that a final radial scale map onto f_k is
 checked by its defining identity (`jets.radial_step_holds`), read off
 the composed jet and the map; when that identity does not apply, the
@@ -36,16 +39,16 @@ from .harmonic import harmonic_pair
 from .jets import (
     Jet,
     JetMap,
+    clearing_scale_map,
     complex_scale_map,
     identity_map,
-    inverse_scale_map,
     jet_compose,
     jet_map,
     jet_truncate,
     jets_equivalent_mod,
     radial_step_holds,
 )
-from .polyring import X, Y, Poly, _scalar, format_poly, laplacian_power
+from .polyring import X, Y, Poly, _scalar, format_poly, format_scalar, laplacian_power
 
 
 class MembershipError(ValueError):
@@ -276,8 +279,8 @@ class RescalingWitness:
         return {
             "kind": "rescaling",
             "k": self.k,
-            "a": str(self.a),
-            "b": str(self.b),
+            "a": format_scalar(self.a),
+            "b": format_scalar(self.b),
             "verified": self.verified,
         }
 
@@ -403,40 +406,36 @@ def _check_kernel(k: int, degree: int, component: Poly, profile: AbsorptionProfi
 def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
     """Maps taking a validated f_k + perturbations + tail to f_k, unverified.
 
-    Translations clear offsets >= split_offset in ascending order; each
-    is composed forward, since it perturbs every higher degree, which
-    the next step re-extracts. The radial scale map that clears the
-    lower offsets is appended without composing: the caller's single
-    WitnessChain.verify() checks it, by its defining identity rather
-    than by a composition.
+    The translation at offset s, tau_s = -(u_s, v_s) of degree s + 1,
+    reads g_(k+s) + sum_(t<s) grad g_(k+s-t) . tau_t off the germ g's own
+    components (see the module docstring), and the scale map reads the
+    degrees below k + split_offset, which stay g's own. Nothing is
+    composed: the caller's single WitnessChain.verify() checks the maps.
     """
     bound = 2 * k - 4
-    pair = harmonic_pair(k)
-    current = jet_truncate(germ, bound)
+    parts = germ.components()
+    gradients = {d: (p.diff("x"), p.diff("y")) for d, p in parts.items() if k < d <= bound}
     maps: list[JetMap] = []
     for s in range(split_offset, k - 3):
-        delta = current.poly.graded_component(k + s)
+        delta = parts.get(k + s)
         if not delta:
             continue
         solved = translation_solution(delta, k)
         if solved is None:
-            raise WitnessFault(
-                f"re-extracted degree-{k + s} component left the translation-absorbable "
-                f"span; offending component {delta}"
-            )
+            raise WitnessFault(f"degree-{k + s} component left the translation span: {delta}")
         u, v = solved
-        phi = jet_map(X - u, Y - v, bound)
-        current = jet_compose(current, phi)
-        if current.poly.graded_component(k + s):
-            raise WitnessFault(f"translation failed to clear degree {k + s}")
-        maps.append(phi)
+        maps.append(jet_map(X - u, Y - v, bound))
+        # tau_s adds grad g_d . tau_s to degree d + s
+        for d, (gx, gy) in gradients.items():
+            if d + s <= bound:
+                parts[d + s] = parts.get(d + s, Poly.zero()) - gx * u - gy * v
 
-    low = current.poly - pair.f
-    if low and low.degree() >= k + split_offset:
-        raise WitnessFault("high-range degrees survived the translation sweep")
+    low = germ.truncate(k + split_offset - 1) - harmonic_pair(k).f
     if low:
-        u, v = _scale_solution(low, k)
-        maps.append(inverse_scale_map(Jet(u, bound), Jet(v, bound), k))
+        phi = clearing_scale_map(low, k, bound)
+        if phi is None:
+            raise WitnessFault(f"low degrees are not a harmonic multiple of f_{k}: {low}")
+        maps.append(phi)
     return maps
 
 

@@ -19,9 +19,11 @@ expansion, which is finite because the jet is a polynomial: it stops at
 n = deg h, or sooner once its terms pass the bound when tau has order
 at least 2. For the reduction's translations only the first-order part
 h + h_x*tau_x + h_y*tau_y is left; a shear or a linear change of
-coordinates runs the whole sum. Both are exact general compositions, so
-a witness re-verified through them is checked independently of how its
-maps were built.
+coordinates runs the whole sum. With m the order of tau, the n-th term's
+factor has order at least n*m, so each n-th derivative is cut at degree
+bound - n*m, and only h's degrees up to bound - m + 1 are differentiated.
+Both are exact general compositions, so a witness re-verified through
+them is checked independently of how its maps were built.
 
 A witness's last step, h o phi == f_k for a radial phi = z*rho below
 degree 2k, can also be decided without composing h:
@@ -142,19 +144,20 @@ def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
     least ord h + n(m - 1); so for m >= 2 the sum stops sooner, at
     n = (bound - ord h) // (m - 1). A translation of the reduction at
     offset s has m - 1 = s >= (k - 3)/2 and composes jets of order k at
-    bound 2k - 4, so only h + h_x*tx + h_y*ty survives there.
-    """
+    bound 2k - 4, so only h + h_x*tx + h_y*ty survives there. The n-th
+    derivatives are cut at degree bound - n*m (see the module docstring)."""
     m = min(tx.order(), ty.order())
     if not h or m > bound:
         return h
     last = h.degree() if m == 1 else min((bound - h.order()) // (m - 1), h.degree())
     pow_x, pow_y = [ONE], [ONE]
-    derivatives = [h]  # d^a/dx^a d^b/dy^b h at index a, for the current a + b
+    derivatives = [h.truncate(bound - m + 1)]  # d^a/dx^a d^b/dy^b h at index a, a + b = n
     total = h
     for n in range(1, last + 1):
         derivatives = [derivatives[0].diff("y")] + [d.diff("x") for d in derivatives]
-        pow_x.append(pow_x[-1].mul_truncated(tx, bound))
-        pow_y.append(pow_y[-1].mul_truncated(ty, bound))
+        derivatives = [d.truncate(bound - n * m) for d in derivatives]
+        pow_x.append(pow_x[-1].mul_truncated(tx, bound) if n > 1 else tx)
+        pow_y.append(pow_y[-1].mul_truncated(ty, bound) if n > 1 else ty)
         term = Poly.zero()
         for a, d in enumerate(derivatives):
             if d:
@@ -392,7 +395,7 @@ def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     """
     if p and p.degree() >= 2 * m:
         raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
-    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), 2 * m - 1), _z_image), m)
+    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), max(p.degree(), 0)), _z_image), m)
     if w is None:
         return None
     u, v = _join(_change_variables(w, _xy_image))
@@ -616,28 +619,39 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     bound, undoing the effect of complex_scale_map at jet level without
     any leftover higher-order terms. rho is the unique solution of
     rho = (1 + W)^(-1/k) with constant term 1, where W = w o phi and
-    w = u - iv. Since w has zero constant term, the degree-d part of W
-    reads only the degrees of rho below d (`_RadialImage`). So the solve
-    is online (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
-    for d = 1, 2, ... it forms W_d and sets rho_d by the graded power
-    recurrence (`_power_component`). Every component is computed once.
-
-    Everything a germ of order k can see of the map sits in component
-    degrees up to bound - k + 1, so the solve stops at that much smaller
-    internal bound and the result is lifted afterwards.
+    w = u - iv, solved online (`_inverse_scale_root`).
     """
     _check_scale_arguments(u, v, k)
     bound = u.bound
     inner = bound - k
     if inner < 0:
         return identity_map(bound)
-    w = _change_variables(_split(u.poly, -v.poly, inner), _z_image)
+    return _inverse_scale_root(_change_variables(_split(u.poly, -v.poly, inner), _z_image), k, bound)
+
+
+def clearing_scale_map(p: Poly, k: int, bound: int) -> JetMap | None:
+    """The map of `inverse_scale_map` for p = u*f_k + v*g_k, u and v of order
+    >= 1, with w = u - iv read off p's (z, zbar) coefficients once
+    (`_harmonic_quotient`); None for any other p. Needs k <= bound < 2k."""
+    if not k <= bound < 2 * k:
+        raise ValueError(f"bound {bound} outside k..2k - 1 for k = {k}")
+    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), bound), _z_image), k)
+    if w is None or any(w[0][0]) or any(w[0][1]):
+        return None
+    return _inverse_scale_root(w, k, bound)
+
+
+def _inverse_scale_root(w: list[tuple], k: int, bound: int) -> JetMap:
+    """The online solve of `inverse_scale_map` for w's (z, zbar) components,
+    w[0] = 0: W_d reads only rho's degrees below d (`_RadialImage`). A germ
+    of order k sees the map only up to degree bound - k + 1, so rho stops at
+    bound - k."""
     rho = [_ONE]
     image = _RadialImage(w, rho)
     composed = [w[0]]
     alpha = Fraction(-1, k)
-    for d in range(1, inner + 1):
+    for d in range(1, bound - k + 1):
         composed.append(image.component(d))
         rho.append(_power_component(composed, rho, alpha))
-    phi = _scale_map_from_root(*_join(_change_variables(rho, _xy_image)), inner + 1)
+    phi = _scale_map_from_root(*_join(_change_variables(rho, _xy_image)), bound - k + 1)
     return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)

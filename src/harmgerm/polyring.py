@@ -163,8 +163,10 @@ class Poly:
 
     def components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components, keyed by degree (nonzero only)."""
-        degrees = sorted({a + b for a, b in self._num})
-        return {d: self.graded_component(d) for d in degrees}
+        buckets: dict[int, dict[Exponents, int]] = {}
+        for key, v in self._num.items():
+            buckets.setdefault(key[0] + key[1], {})[key] = v
+        return {d: Poly._of(buckets[d], self._den) for d in sorted(buckets)}
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop all terms of total degree above max_degree."""
@@ -350,12 +352,17 @@ def laplacian(p: Poly) -> Poly:
 
 
 def laplacian_power(p: Poly, s: int) -> Poly:
-    """Apply the Laplacian s times."""
-    for _ in range(s):
-        if not p:
-            break
-        p = laplacian(p)
-    return p
+    """Apply the Laplacian s times, by Delta^s x^a y^b = sum_i C(s, i) (a)_(2i)
+    (b)_(2s-2i) x^(a-2i) y^(b-2s+2i), (n)_j = n!/(n-j)!, zero for j > n."""
+    if s < 1:
+        return p
+    out: dict[Exponents, int] = {}
+    for (a, b), v in p._num.items():
+        for i in range(max(0, s - b // 2), min(s, a // 2) + 1):
+            c = math.comb(s, i) * math.perm(a, 2 * i) * math.perm(b, 2 * s - 2 * i)
+            key = (a - 2 * i, b - 2 * s + 2 * i)
+            out[key] = out.get(key, 0) + v * c
+    return Poly._of({key: v for key, v in out.items() if v}, p._den)
 
 
 def _format_monomial(a: int, b: int) -> str:
@@ -365,6 +372,27 @@ def _format_monomial(a: int, b: int) -> str:
     if b:
         parts.append("y" if b == 1 else f"y^{b}")
     return "*".join(parts)
+
+
+def _decimal(n: int, width: int = 0) -> str:
+    """str(n).zfill(width) for an int n >= 0, at any size. n is split by
+    10^(2^j), j >= 8, so no str() call converts more than 512 digits: below
+    640, the lowest int -> str limit that Python lets a process set."""
+    if n.bit_length() <= 1700:  # below 10^512
+        return str(n).zfill(width)
+    size = 256
+    while 10 ** (2 * size) <= n:
+        size *= 2
+    high, low = divmod(n, 10**size)
+    return (_decimal(high) + _decimal(low, size)).zfill(width)
+
+
+def format_scalar(c: Scalar) -> str:
+    """str(c) for an int or Fraction c, exactly at any size: never bound by
+    sys.get_int_max_str_digits(), which this does not change."""
+    c = Fraction(_scalar(c))
+    text = ("-" if c < 0 else "") + _decimal(abs(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{_decimal(c.denominator)}"
 
 
 def format_poly(p: Poly) -> str:
@@ -377,11 +405,11 @@ def format_poly(p: Poly) -> str:
         mono = _format_monomial(a, b)
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = format_scalar(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{format_scalar(mag)}*{mono}"
         pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = body if sign == "+" else f"-{body}"
@@ -452,15 +480,14 @@ class _Parser:
         if kind == "op" and value in "+-":
             self.take()
             sign = -1 if value == "-" else 1
-        total = self.product().scale(sign)
+        terms = [(sign, self.product())]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                term = self.product()
-                total = total - term if value == "-" else total + term
+                terms.append((-1 if value == "-" else 1, self.product()))
             else:
-                return total
+                return linear_combination(terms)
 
     def product(self) -> Poly:
         result = self.factor()
@@ -493,8 +520,8 @@ class _Parser:
             return Poly.constant(num)
         if kind == "name":
             self.take()
-            exps = {"x": (1, 0), "y": (0, 1)}[value]
-            return Poly.monomial(*exps) ** self.exponent()
+            n = self.exponent()
+            return Poly.monomial(n, 0) if value == "x" else Poly.monomial(0, n)
         if kind == "op" and value == "(":
             self.take()
             self.depth += 1

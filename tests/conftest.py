@@ -84,6 +84,16 @@ def reference_membership(target: Poly, k: int, s: int):
     return u, v
 
 
+def read_digits(text: str) -> int:
+    """The int a decimal string stands for, read 400 digits at a time, so
+    no single int() call passes Python's int/str digit limit."""
+    n = 0
+    for i in range(0, len(text), 400):
+        chunk = text[i : i + 400]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
 def counted(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that records each call; return the record."""
     calls = []
@@ -112,34 +122,36 @@ def recorded_verdicts(monkeypatch):
 
 @pytest.fixture
 def tampered_scale_map(monkeypatch):
-    """inverse_scale_map returns the true map with one coefficient nudged:
-    x^2 in the x-component gains 1/7, which moves f_k o phi in degree k+1."""
-    original = harmgerm.equivalence.inverse_scale_map
+    """The reduction's clearing_scale_map returns the true map with one
+    coefficient nudged: x^2 in the x-component gains 1/7, which moves
+    f_k o phi in degree k+1."""
+    original = harmgerm.equivalence.clearing_scale_map
 
-    def nudged(u, v, k):
-        phi = original(u, v, k)
+    def nudged(p, k, bound):
+        phi = original(p, k, bound)
         return jet_map(phi.x.poly + P("x^2") * Fraction(1, 7), phi.y.poly, phi.bound)
 
-    monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)
+    monkeypatch.setattr(harmgerm.equivalence, "clearing_scale_map", nudged)
 
 
 @pytest.fixture
 def tampered_radial_map(monkeypatch):
-    """Call with m >= 2: inverse_scale_map then returns the true map plus
-    (f_m, g_m)/7. The map stays radial, z -> z*(rho + z^(m-1)/7), so
-    verify() checks it by its identity; f_k o phi moves in degree
-    k + m - 1, inside the bound 2k - 4 for m <= k - 3."""
-    original = harmgerm.equivalence.inverse_scale_map
+    """Call with m >= 2: the reduction's clearing_scale_map then returns
+    the true map plus (f_m, g_m)/7. The map stays radial,
+    z -> z*(rho + z^(m-1)/7), so verify() checks it by its identity;
+    f_k o phi moves in degree k + m - 1, inside the bound 2k - 4 for
+    m <= k - 3."""
+    original = harmgerm.equivalence.clearing_scale_map
 
     def tamper(m):
         pair = harmonic_pair(m)
 
-        def nudged(u, v, k):
-            phi = original(u, v, k)
+        def nudged(p, k, bound):
+            phi = original(p, k, bound)
             eps = Fraction(1, 7)
             return jet_map(phi.x.poly + pair.f * eps, phi.y.poly + pair.g * eps, phi.bound)
 
-        monkeypatch.setattr(harmgerm.equivalence, "inverse_scale_map", nudged)
+        monkeypatch.setattr(harmgerm.equivalence, "clearing_scale_map", nudged)
 
     return tamper
 

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import harmgerm.equivalence
 from harmgerm.cli import RANGES, main
-from harmgerm.equivalence import WitnessChain, _gaussian_pow
+from harmgerm.equivalence import WitnessChain, _gaussian_pow, absorption_profile, reduce_germ
+from harmgerm.graded import kernel_basis
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.polyring import format_poly
+from harmgerm.polyring import Poly, format_poly
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, counted, recorded_verdicts, rescaled
+from conftest import P, counted, read_digits, recorded_verdicts, rescaled
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +172,35 @@ class TestReduceCommand:
         assert code == 0 and payload["verified"] is True
         assert payload["maps"] == [{"x": "1/10000000001*x", "y": "1/10000000001*y"}]
 
+    def test_map_coefficients_beyond_the_str_limit(self, capsys):
+        # the benchmark's seed-1 k = 12 instance with its offset-1
+        # perturbation times 10^580: the witness maps' numerals run past
+        # the 4300 digits str() converts by default
+        k = 12
+        rng = Xoshiro256StarStar(derive_seed(1, 1, 0, 0))
+        rhos = {
+            s: random_in_span(rng, kernel_basis(k + s, power).basis)
+            for s, power in absorption_profile(k).exponents
+        }
+        tail = random_homogeneous(rng, 2 * k - 3)
+        rhos[1] = rhos[1] * 10**580
+        payload = json.loads(reduce_germ(k, rhos, tail).to_json())
+        assert payload["verified"] is True
+        assert max(len(m["x"]) for m in payload["maps"]) > 4300
+        germ = harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())
+        code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "12")
+        assert code == 0 and json.loads(out) == payload
+
+    @pytest.mark.parametrize("form", ("text", "json"))
+    def test_rescaling_witness_beyond_the_str_limit(self, capsys, form):
+        # a = 3*(10^600 - 3)^8 has 4,802 digits and no rational square root
+        factor = "9" * 599 + "7"
+        a = "*".join([factor] * 8 + ["3"])
+        code, out, _ = run_cli(capsys, "--format", form, "reduce", f"{a}*x^2 - {a}*y^2", "--k", "2")
+        assert code == 0
+        digits = json.loads(out)["a"] if form == "json" else out.split("(", 1)[1].split(")", 1)[0]
+        assert read_digits(digits) == 3 * (10**600 - 3) ** 8
+
 
 class TestReduceSingleVerification:
     # f_6 + x*f_6 + 6*x^3*f_5: offset 1 needs the radial scale map,
@@ -186,10 +217,10 @@ class TestReduceSingleVerification:
         assert code == 0
         maps = json.loads(out)["maps"]
         assert len(maps) == 3 and len(verifies) == 1
-        # the prefix map and the one translation compose forward once each;
-        # verify composes them once more and checks the final scale map
-        # by its identity
-        assert len(composes) == 2 + len(maps) - 1 and len(checks) == 1
+        # the prefix map composes the germ once; verify composes the prefix
+        # and the one translation and checks the final scale map by its
+        # identity
+        assert len(composes) == 1 + len(maps) - 1 and len(checks) == 1
 
     # f_8 + x*f_8 + y^2*g_8: offsets 1 and 2 both go to the one scale map
     GERM_8 = harmonic_pair(8).f * P("1 + x") + P("y^2") * harmonic_pair(8).g

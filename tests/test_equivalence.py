@@ -16,6 +16,7 @@ from harmgerm.equivalence import (
     WitnessChain,
     WitnessFault,
     _gaussian_pow,
+    _scale_solution,
     absorption_profile,
     exact_kth_root,
     leading_coefficients,
@@ -26,17 +27,19 @@ from harmgerm.equivalence import (
     translation_absorb,
     verify_biharmonic,
 )
-from harmgerm.graded import kernel_basis, solve_membership
+from harmgerm.graded import kernel_basis, solve_membership, translation_solution
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import (
+    Jet,
     _radial_factor,
+    inverse_scale_map,
     jet_compose,
     jet_map,
     jet_truncate,
     jets_equivalent_mod,
     radial_step_holds,
 )
-from harmgerm.polyring import R2, Poly, laplacian_power, parse_poly
+from harmgerm.polyring import R2, X, Y, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
 from conftest import P, counted, recorded_verdicts, reference_membership, rescaled
@@ -375,9 +378,9 @@ class TestSingleVerification:
         chain = reduce_germ(8, rhos, tail)
         # two translations (offsets 3, 4) and the radial scale map
         assert len(chain.maps) == 3
-        # forward translations, then one verify: it composes the
+        # the construction composes nothing; the one verify composes the
         # translations and checks the scale map by its identity
-        assert len(composes) == 2 * len(chain.maps) - 2 and len(checks) == 1
+        assert len(composes) == len(chain.maps) - 1 and len(checks) == 1
         assert len(verifies) == 1
 
     def test_reduce_general_verifies_once(self, monkeypatch):
@@ -388,9 +391,9 @@ class TestSingleVerification:
         verifies = counted(monkeypatch, WitnessChain, "verify")
         chain = reduce_general(germ, 8)
         assert len(chain.maps) == 4 and len(verifies) == 1
-        # prefix and two translations forward, then verify composes every
-        # map but the scale map, which it checks by its identity
-        assert len(composes) == 3 + len(chain.maps) - 1 and len(checks) == 1
+        # the rescaling prefix composes the germ once, then verify composes
+        # every map but the scale map, which it checks by its identity
+        assert len(composes) == 1 + len(chain.maps) - 1 and len(checks) == 1
         assert chain.source == germ and chain.target == harmonic_pair(8).f
 
     def test_verify_biharmonic_verifies_once(self, monkeypatch):
@@ -595,6 +598,61 @@ class TestBiharmonic:
             R = R + random_in_span(rng, kernel_basis(d, 2).basis)
         chain = verify_biharmonic(k, R)
         assert chain.verified
+
+
+def reference_reduction_maps(k, germ):
+    """The reduction's maps by the forward sweep: each translation is
+    composed into the jet with jet_compose and the next component is
+    re-extracted from the result; the scale map comes from the (u, v)
+    membership solve through inverse_scale_map."""
+    bound = 2 * k - 4
+    split = absorption_profile(k).split_offset
+    current = jet_truncate(germ, bound)
+    maps = []
+    for s in range(split, k - 3):
+        delta = current.poly.graded_component(k + s)
+        if delta:
+            u, v = translation_solution(delta, k)
+            maps.append(jet_map(X - u, Y - v, bound))
+            current = jet_compose(current, maps[-1])
+            assert not current.poly.graded_component(k + s)
+    low = current.poly - harmonic_pair(k).f
+    if low:
+        assert low.degree() < k + split
+        u, v = _scale_solution(low, k)
+        maps.append(inverse_scale_map(Jet(u, bound), Jet(v, bound), k))
+    return tuple(maps)
+
+
+class TestGradedSweep:
+    """The maps read off the germ's graded components equal the forward
+    sweep's, which composes every translation."""
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    @pytest.mark.parametrize("i", range(3))
+    def test_reduce_germ(self, k, i):
+        rhos, tail = every_offset_instance(k, i)
+        chain = reduce_germ(k, rhos, tail)
+        assert chain.maps == reference_reduction_maps(k, chain.source)
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    @pytest.mark.parametrize("i", range(3))
+    def test_rescaled_reduce_general(self, k, i):
+        rhos, tail = every_offset_instance(k, i)
+        germ = rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero()))
+        chain = reduce_general(germ, k)
+        reduced = jet_compose(jet_truncate(germ, chain.bound), chain.maps[0]).poly
+        assert chain.maps[1:] == reference_reduction_maps(k, reduced)
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    @pytest.mark.parametrize("i", range(3))
+    def test_verify_biharmonic(self, k, i):
+        rng = Xoshiro256StarStar(derive_seed(777, k, i))
+        R = Poly.zero()
+        for d in range(k + 1, 2 * k - 2):
+            R = R + random_in_span(rng, kernel_basis(d, 2).basis)
+        chain = verify_biharmonic(k, R)
+        assert chain.maps == reference_reduction_maps(k, chain.source)
 
 
 class TestIndependentComposition:

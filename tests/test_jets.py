@@ -454,6 +454,18 @@ class TestTaylorRoute:
         assert routes_taken(counters) == {"taylor": 1}
         assert composed.poly == oracle_compose(P(h), P(px), P(py), bound)
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_linear_shear_runs_the_whole_sum(self, d):
+        # tau = (y, 0) has order m = 1, so the n-th term matters up to n = d:
+        # the y^d term of (x + y)^d comes from the last one alone
+        h = Poly({(d, 0): Fraction(1, 3), (d - 1, 1): Fraction(-2, 7), (0, 1): 1})
+        phi = jet_map(P("x + y"), P("y"), d)
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(h, d), phi).poly
+        assert routes_taken(counters) == {"taylor": 1}
+        expanded = sum(((P("x + y") ** a * P("y") ** b).scale(c) for (a, b), c in h.terms()), Poly.zero())
+        assert composed == expanded
+
     def test_radial_maps_keep_the_radial_route(self):
         # linear part the identity, but z -> z*(1 + x*y + i*x^2/3) is radial
         phi = radial_map(P("1 + x*y"), P("1/3*x^2"), 5)
@@ -477,10 +489,10 @@ class TestTaylorRoute:
         with route_counters() as counters:
             chain = reduce_germ(k, rhos)
         assert chain.verified and len(chain.maps) == 3
-        # translations at offsets 3 and 4, composed in the reduction and
-        # again in verify(); verify() checks the scale map by its identity
-        # and composes it by neither route
-        assert routes_taken(counters) == {"taylor": 4}
+        # translations at offsets 3 and 4, composed only in verify(); the
+        # reduction reads them off the germ's components, and verify()
+        # checks the scale map by its identity, by neither route
+        assert routes_taken(counters) == {"taylor": 2}
 
 
 class TestMapCompose:

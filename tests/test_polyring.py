@@ -6,18 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import (
     X,
     Poly,
     PolyParseError,
+    _decimal,
     format_poly,
+    format_scalar,
     laplacian,
+    laplacian_power,
     linear_combination,
     monomial_basis,
     parse_poly,
 )
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import oracle_harmonic, oracle_laplacian
+from conftest import oracle_harmonic, oracle_laplacian, read_digits
 
 
 coefficients = st.builds(
@@ -245,6 +250,36 @@ class TestCalculus:
         assert laplacian(p) == oracle_laplacian(p)
 
 
+class TestLaplacianPower:
+    """The closed form against s applications of the diff-based Laplacian."""
+
+    @given(
+        st.integers(0, 12),
+        st.dictionaries(
+            st.tuples(st.integers(0, 16), st.integers(0, 16)),
+            st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 3, 7, 9, 21, 63))),
+            min_size=2,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_repeated_laplacian(self, s, terms):
+        p = Poly(terms)
+        expected = p
+        for _ in range(s):
+            expected = laplacian(expected)
+        assert laplacian_power(p, s) == expected
+
+    @pytest.mark.parametrize("s", range(13))
+    def test_non_homogeneous_over_3_7_9(self, s):
+        p = parse_poly("1/3*x^14*y^9 - 2/7*x^3*y^12 + 5/9*y^24 + 4/9*x^11*y^11 + x*y")
+        assert not p.is_homogeneous()
+        expected = p
+        for _ in range(s):
+            expected = laplacian(expected)
+        assert laplacian_power(p, s) == expected
+
+
 class TestGradingAndOrder:
     def test_graded_component(self):
         p = parse_poly("x^2 + x^3")
@@ -304,8 +339,47 @@ class TestProperties:
         lp = laplacian(p)
         assert not lp or (lp.is_homogeneous() and lp.degree() == k - 2)
 
+    @pytest.mark.parametrize("k", (8, 16, 24))
+    def test_dense_germ_roundtrip(self, k):
+        rng = Xoshiro256StarStar(derive_seed(2016, k))
+        germ = harmonic_pair(k).f
+        for d in range(k + 1, 2 * k - 2):
+            germ = germ + random_homogeneous(rng, d) / rng.randint(1, 9)
+        assert parse_poly(format_poly(germ)) == germ
+
     def test_canonical_string(self):
         f5 = parse_poly("5*x*y^4 - 10*x^3*y^2 + x^5")
         assert str(f5) == "x^5 - 10*x^3*y^2 + 5*x*y^4"
         assert str(Poly.zero()) == "0"
         assert str(parse_poly("-x^2 + y^2")) == "-x^2 + y^2"
+
+
+class TestExactDecimal:
+    """Ints longer than str()'s default 4300-digit limit format exactly."""
+
+    def test_coefficient_beyond_the_str_limit(self):
+        text = format_poly(Poly({(1, 0): 10**4400 + 1}))
+        assert text == "1" + "0" * 4399 + "1*x"
+
+    def test_fraction_beyond_the_str_limit(self):
+        p = Poly({(0, 2): Fraction(-(3**9000), 7**6000 * 2)})
+        text = format_poly(p)
+        assert text.startswith("-") and text.endswith("*y^2")
+        num, den = text[1:-4].split("/")
+        assert (read_digits(num), read_digits(den)) == (3**9000, 7**6000 * 2)
+
+    @pytest.mark.parametrize("digits", (511, 512, 513, 1024, 1025, 2048, 4300, 4301, 9000))
+    def test_digit_counts_at_chunk_boundaries(self, digits):
+        for n in (10 ** (digits - 1), 10**digits - 1, 10 ** (digits - 1) + 7 * 10 ** (digits // 2)):
+            text = _decimal(n)
+            assert len(text) == digits and read_digits(text) == n
+
+    def test_signed_scalars(self):
+        assert format_scalar(-(10**5000)) == "-1" + "0" * 5000
+        assert format_scalar(Fraction(-3, 10**4400)) == "-3/1" + "0" * 4400
+        assert format_scalar(7) == "7" and format_scalar(Fraction(0)) == "0"
+
+    @given(st.integers(0, 10**3000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_str(self, n):
+        assert _decimal(n) == str(n)
