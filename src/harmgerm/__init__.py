@@ -34,7 +34,6 @@ from .equivalence import (
 from .graded import (
     GradedSubspace,
     kernel_basis,
-    laplacian_matrix,
     product_space,
     solve_membership,
     subspace_compare,
@@ -98,7 +97,6 @@ __all__ = [
     "jets_equivalent_mod",
     "kernel_basis",
     "laplacian",
-    "laplacian_matrix",
     "normalize_harmonic",
     "parse_poly",
     "product_space",

@@ -27,10 +27,9 @@ inconclusive, never a disproof.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import linalg
 from .graded import translation_solution
@@ -43,8 +42,7 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-@dataclass(frozen=True)
-class DeterminacyCertificate:
+class DeterminacyCertificate(NamedTuple):
     """Outcome of the criterion at one level.
 
     `products` is the exhibited spanning set: the nonzero truncations of
@@ -192,8 +190,7 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TranslationAbsorption:
+class TranslationAbsorption(NamedTuple):
     """Explicit coordinate translations soaking up one homogeneous slice.
 
     For each degree-`degree` monomial m, a pair (u, v) of homogeneous
@@ -230,8 +227,7 @@ def translation_absorption(k: int) -> TranslationAbsorption:
     return TranslationAbsorption(k, degree, tuple(entries), ok)
 
 
-@dataclass(frozen=True)
-class DeterminacyReport:
+class DeterminacyReport(NamedTuple):
     """Combined determinacy statement for a germ f_k + R, order(R) > k.
 
     The criterion certificate establishes (2k-3)-determinacy; the

@@ -29,9 +29,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .determinacy import DeterminacyReport, determined_bound_report
 from .graded import solve_membership, translation_solution
@@ -63,8 +62,7 @@ class WitnessFault(RuntimeError):
     """Internal verification failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class AbsorptionProfile:
+class AbsorptionProfile(NamedTuple):
     """Per-offset Laplacian powers controlling absorbable perturbations.
 
     For a leading degree k >= 5 and offsets s = 1..k-4, a degree-(k+s)
@@ -99,8 +97,7 @@ def absorption_profile(k: int) -> AbsorptionProfile:
     return AbsorptionProfile(k, exponents, split)
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(NamedTuple):
     """A verified right-equivalence witness.
 
     Composing `source` with the maps in order agrees with `target` in
@@ -260,8 +257,7 @@ def _linear_rotation_map(p: Fraction, q: Fraction, bound: int) -> JetMap:
     return jet_map(X * p - Y * q, X * q + Y * p, bound)
 
 
-@dataclass(frozen=True)
-class RescalingWitness:
+class RescalingWitness(NamedTuple):
     """z -> delta*z composes f_k onto a*f_k + b*g_k for every delta with
     delta^k = a - ib, since f_k(delta*z) = Re(delta^k * z^k).
 

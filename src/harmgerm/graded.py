@@ -10,17 +10,15 @@ where the pair is unique, and by one canonical elimination from 2k on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
 from .jets import harmonic_multiple
-from .linalg import RationalMatrix
 from .polyring import Poly, integer_coordinates, laplacian_power, monomial_basis
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(NamedTuple):
     """Subspace of P_degree, held as a canonical RREF basis."""
 
     degree: int
@@ -46,21 +44,6 @@ class GradedSubspace:
 def full_space(d: int) -> GradedSubspace:
     """All of P_d."""
     return GradedSubspace(d, tuple(Poly.monomial(a, b) for a, b in monomial_basis(d)))
-
-
-def laplacian_matrix(k: int, s: int) -> RationalMatrix:
-    """Matrix of the s-fold Laplacian from P_k to P_(k-2s).
-
-    Rows are indexed by the degree-(k-2s) monomials, columns by the
-    degree-k monomials. For k < 2s the target space is trivial and the
-    matrix has no rows.
-    """
-    target = monomial_basis(k - 2 * s)
-    columns = _laplacian_images(k, s)
-    entries = tuple(
-        tuple(col.coeff(ta, tb) for col in columns) for ta, tb in target
-    )
-    return RationalMatrix(len(target), len(columns), entries)
 
 
 def _laplacian_images(k: int, s: int) -> list[Poly]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .polyring import (
@@ -37,8 +37,7 @@ class PolyharmonicError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class HarmonicPair:
+class HarmonicPair(NamedTuple):
     """The harmonic basis pair of P_k: f = Re (x+iy)^k, g = Im (x+iy)^k."""
 
     k: int
@@ -68,8 +67,7 @@ def harmonic_basis(d: int) -> tuple[Poly, ...]:
     return (pair.f, pair.g)
 
 
-@dataclass(frozen=True)
-class ProductIdentityReport:
+class ProductIdentityReport(NamedTuple):
     """Outcome of the three radial product identities at offsets (s, k).
 
     first:            f_s*r^(2(k-s)) == f_k*f_(k-s) + g_k*g_(k-s)
@@ -132,8 +130,7 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     return h, q
 
 
-@dataclass(frozen=True)
-class AlmansiDecomposition:
+class AlmansiDecomposition(NamedTuple):
     """Almansi layers of an order-s polyharmonic homogeneous polynomial.
 
     components[j] is harmonic (possibly zero) of degree d - 2j, and

@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polyring import ONE, X, Y, Poly
 
@@ -67,18 +67,27 @@ class BoundMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Jet:
-    """A polynomial modulo terms of degree above `bound`."""
-
+class _JetFields(NamedTuple):
     poly: Poly
     bound: int
 
-    def __post_init__(self):
-        if self.bound < 0:
+
+class Jet(_JetFields):
+    """A polynomial modulo terms of degree above `bound`."""
+
+    __slots__ = ()
+
+    def __new__(cls, poly: Poly, bound: int):
+        if bound < 0:
             raise ValueError("jet bound must be non-negative")
-        if self.poly and self.poly.degree() > self.bound:
+        if poly and poly.degree() > bound:
             raise ValueError("polynomial exceeds the jet bound; use jet_truncate")
+        return super().__new__(cls, poly, bound)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`; route it through the checks
+        return cls(*iterable)
 
 
 def jet_truncate(p: Poly, bound: int) -> Jet:
@@ -86,23 +95,32 @@ def jet_truncate(p: Poly, bound: int) -> Jet:
     return Jet(p.truncate(bound), bound)
 
 
-@dataclass(frozen=True)
-class JetMap:
-    """Truncated diffeomorphism-germ (x, y) -> (x.poly, y.poly)."""
-
+class _JetMapFields(NamedTuple):
     x: Jet
     y: Jet
     bound: int
 
-    def __post_init__(self):
-        if self.x.bound != self.bound or self.y.bound != self.bound:
+
+class JetMap(_JetMapFields):
+    """Truncated diffeomorphism-germ (x, y) -> (x.poly, y.poly)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: Jet, y: Jet, bound: int):
+        self = super().__new__(cls, x, y, bound)
+        if x.bound != bound or y.bound != bound:
             raise BoundMismatchError("component bounds disagree with the map bound")
-        for component in (self.x, self.y):
+        for component in (x, y):
             if component.poly.coeff(0, 0):
                 raise ValueError("jet map must fix the origin (zero constant term)")
-        det = self.linear_determinant()
-        if not det:
+        if not self.linear_determinant():
             raise ValueError("jet map has singular linear part")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`; route it through the checks
+        return cls(*iterable)
 
     def linear_determinant(self) -> Fraction:
         px, py = self.x.poly, self.y.poly

@@ -13,7 +13,6 @@ column); every returned entry is rescaled once by the inverse factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,19 +22,6 @@ from .polyring import Exponents, Poly, integer_coordinates
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense rational matrix; entries[i][j] is row i, column j."""
-
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("inconsistent matrix dimensions")
 
 
 def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):

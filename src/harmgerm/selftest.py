@@ -10,8 +10,8 @@ data, so equal configurations produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import graded
 from .determinacy import check_determinacy, reverify_certificate
@@ -51,16 +51,14 @@ FAIL = "FAIL"
 EXPECTED = "EXPECTED-DISCREPANCY"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     params: str
     status: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     seed: int
     max_degree: int | None
     checks: tuple[CheckResult, ...]

@@ -2,7 +2,6 @@
 arithmetic, an elimination oracle for harmonic multiples, call counters,
 tampered radial scale maps and a tampered determinacy certificate."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -167,6 +166,6 @@ def tampered_certificate(monkeypatch):
         cert = original(h, level)
         first = cert.combinations[0]
         combinations = ((first[0] + 1,) + first[1:],) + cert.combinations[1:]
-        return dataclasses.replace(cert, combinations=combinations)
+        return cert._replace(combinations=combinations)
 
     monkeypatch.setattr(harmgerm.cli, "check_determinacy", nudged)

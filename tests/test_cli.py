@@ -252,6 +252,19 @@ def test_import_leaves_out_mpmath():
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
+def test_import_leaves_out_dataclasses():
+    # the result records are NamedTuples: a cold start pays for neither
+    # dataclasses nor the inspect module it pulls in
+    src = pathlib.Path(harmgerm.equivalence.__file__).parents[1]
+    script = (
+        "import sys; before = set(sys.modules); import harmgerm.cli; "
+        "sys.exit(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))) or None)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBiharmCommand:
     def test_valid(self, capsys):
         R = "x*(x^5 - 10*x^3*y^2 + 5*x*y^4)"

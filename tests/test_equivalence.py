@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -441,7 +440,7 @@ def _before_last(chain, maps=None):
 
 def _nudged(phi, degree):
     """phi with x^degree/7 added to its x-component: not radial."""
-    return dataclasses.replace(phi, x=jet_truncate(phi.x.poly + P("x") ** degree / 7, phi.bound))
+    return phi._replace(x=jet_truncate(phi.x.poly + P("x") ** degree / 7, phi.bound))
 
 
 def _plus_harmonic(phi, m):
@@ -563,9 +562,9 @@ class TestReduceGeneral:
         assert chain.verify()
         prefix = chain.maps[0]
         nudged = jet_truncate(prefix.x.poly + P("x^2") * Fraction(1, 7), prefix.bound)
-        maps = (dataclasses.replace(prefix, x=nudged),) + chain.maps[1:]
+        maps = (prefix._replace(x=nudged),) + chain.maps[1:]
         assert _radial_factor(maps[0]) is None
-        assert dataclasses.replace(chain, maps=maps).verify() is False
+        assert chain._replace(maps=maps).verify() is False
 
 
 class TestBiharmonic:

@@ -10,7 +10,6 @@ from harmgerm.graded import (
     GradedSubspace,
     full_space,
     kernel_basis,
-    laplacian_matrix,
     product_space,
     solve_membership,
     subspace_compare,
@@ -20,28 +19,7 @@ from harmgerm.harmonic import harmonic_basis, harmonic_pair
 from harmgerm.polyring import R2, Poly, format_poly, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-import sympy
-
 from conftest import P, counted, reference_membership
-
-
-class TestLaplacianMatrix:
-    def test_single_laplacian(self):
-        m = laplacian_matrix(2, 1)
-        assert (m.rows, m.cols) == (1, 3)
-        assert m.entries == ((Fraction(2), Fraction(0), Fraction(2)),)
-
-    def test_squared_laplacian_via_sympy(self):
-        m = laplacian_matrix(4, 2)
-        x, y = sympy.symbols("x y", real=True)
-        lap = lambda e: sympy.diff(e, x, 2) + sympy.diff(e, y, 2)
-        row = tuple(Fraction(int(lap(lap(x ** (4 - j) * y**j)))) for j in range(5))
-        assert m.entries == (row,)
-        assert row == (24, 0, 8, 0, 24)
-
-    def test_degree_underflow_is_zero_map(self):
-        m = laplacian_matrix(3, 2)
-        assert m.rows == 0 and m.cols == 4
 
 
 class TestKernelBasis:
@@ -53,10 +31,10 @@ class TestKernelBasis:
 
     def test_biharmonics(self):
         assert kernel_basis(4, 2).dim == 4
-        # rank of the (4,2) matrix is 1, so the kernel has dimension 5 - 1
-        from harmgerm.linalg import rref
-
-        rr, _ = rref(laplacian_matrix(4, 2).entries)
+        # the squared Laplacian maps P_4 onto the constants (rank 1), so the
+        # kernel has dimension 5 - 1
+        images = [laplacian_power(Poly.monomial(a, b), 2) for a, b in monomial_basis(4)]
+        rr, _ = linalg.rref([[image.coeff(0, 0) for image in images]])
         assert len(rr) == 1
 
     def test_underflow_gives_everything(self):

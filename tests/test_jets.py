@@ -1,5 +1,6 @@
 import contextlib
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,18 @@ class TestTruncate:
             Jet(P("x^4"), 3)
 
 
+# (record type, fields breaking one invariant, error, message); every
+# route that builds a record must raise it
+INVALID_RECORDS = {
+    "negative bound": (Jet, (P("x"), -1), ValueError, "non-negative"),
+    "overflow": (Jet, (P("x^4"), 3), ValueError, "exceeds"),
+    "constant term": (JetMap, (Jet(P("1 + x"), 3), Jet(P("y"), 3), 3), ValueError, "origin"),
+    "singular linear part": (JetMap, (Jet(P("x + y"), 3), Jet(P("x + y"), 3), 3), ValueError, "singular"),
+    "component bound mismatch": (JetMap, (Jet(P("x"), 3), Jet(P("y"), 2), 3), BoundMismatchError, "disagree"),
+}
+VALID_RECORDS = {Jet: Jet(P("x"), 3), JetMap: identity_map(3)}
+
+
 class TestJetMapInvariants:
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError, match="origin"):
@@ -76,6 +89,35 @@ class TestJetMapInvariants:
     def test_singular_linear_part_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             jet_map(P("x + y"), P("x + y"), 3)
+
+    @pytest.mark.parametrize("route", ("construct", "replace", "unpickle"))
+    @pytest.mark.parametrize("case", INVALID_RECORDS)
+    def test_every_route_checks(self, case, route):
+        cls, fields, error, message = INVALID_RECORDS[case]
+        with pytest.raises(error, match=message):
+            if route == "construct":
+                cls(*fields)
+            elif route == "replace":
+                VALID_RECORDS[cls]._replace(**dict(zip(cls._fields, fields)))
+            else:
+                # tuple.__new__ skips the checks, so the bytes hold a bad record
+                pickle.loads(pickle.dumps(tuple.__new__(cls, fields)))
+
+    @pytest.mark.parametrize("record", VALID_RECORDS.values(), ids=lambda r: type(r).__name__)
+    def test_valid_records_round_trip(self, record):
+        for copy in (pickle.loads(pickle.dumps(record)), record._replace()):
+            assert type(copy) is type(record) and copy == record
+
+    def test_reprs(self):
+        jet = Jet(P("x + y^2"), 2)
+        assert repr(jet) == "Jet(poly=Poly('y^2 + x'), bound=2)"
+        assert repr(jet_map(X, Y, 1)) == (
+            "JetMap(x=Jet(poly=Poly('x'), bound=1), y=Jet(poly=Poly('y'), bound=1), bound=1)"
+        )
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            Jet(P("x"), 3).bound = 4
 
 
 class TestCompose:
