@@ -2,17 +2,15 @@
 
 These are the library's two hot loops. `poly_mul` takes coefficients
 from any exact ring (ints or Fractions); `Poly` passes it the integer
-numerators of its two operands. `rref` accepts Fractions or ints, keeps
-its arithmetic on Python ints and builds Fractions only at the end;
-library callers (`linalg`, `graded`) pass integer rows read by
-`polyring.integer_coordinates`.
+numerators of its two operands. `rref` accepts Fractions or ints and
+works on Python ints throughout: it builds no Fraction, and returns each
+echelon row as primitive ints over its pivot entry. Library callers
+(`linalg`, `graded`) pass integer rows read by
+`polyring.integer_coordinates`, and build a Fraction only for an entry
+they return as one.
 """
 
-from fractions import Fraction
-from math import gcd
-
-# most output cells are zero; they share this one
-_ZERO = Fraction(0)
+from math import gcd, lcm
 
 
 def poly_mul(p, q, max_degree=None):
@@ -40,35 +38,31 @@ def poly_mul(p, q, max_degree=None):
 
 
 def _primitive_rows(rows):
-    """Scale rational rows to integer rows with content 1 (sign kept)."""
+    """Scale rational rows to integer rows with content 1 (sign kept); zero rows are dropped."""
     mat = []
     for row in rows:
-        den = 1
-        for c in row:
-            d = c.denominator
-            den = den * d // gcd(den, d)
+        den = lcm(*(c.denominator for c in row))
         ints = [c.numerator * (den // c.denominator) for c in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
-        mat.append(ints)
+        if g:
+            mat.append(ints)
     return mat
 
 
 def rref(rows):
-    """Reduced row echelon form of a rational matrix.
+    """Reduced row echelon form of a rational matrix, as integer rows.
 
-    `rows` is a sequence of equal-length sequences of Fractions (plain
-    ints also work). Returns `(rref_rows, pivot_cols)` where rref_rows
-    are tuples of Fractions with leading coefficient 1, ordered by pivot
-    column, zero rows dropped. Elimination is fraction-free: rows are
-    scaled to primitive integer vectors and cross-multiplied, dividing
-    by the row content after each step to bound entry growth.
+    `rows` is a sequence of equal-length sequences of Fractions or ints.
+    Returns `(rref_rows, pivot_cols)`: rref_rows are int tuples ordered by
+    pivot column, zero rows dropped, each with content 1 and a positive
+    entry at its pivot column, so row / row[pivot] is the row of the
+    rational RREF (leading coefficient 1). Elimination is fraction-free:
+    rows are scaled to primitive integer vectors and cross-multiplied,
+    dividing by the row content after each step to bound entry growth.
     """
     mat = _primitive_rows(rows)
-    mat = [row for row in mat if any(row)]
     if not mat:
         return (), ()
     nrows = len(mat)
@@ -94,9 +88,7 @@ def rref(rows):
             if not e:
                 continue
             new = [xv * pv - pvv * e for xv, pvv in zip(row, piv)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
+            g = gcd(*new)
             if g > 1:
                 new = [v // g for v in new]
             mat[i] = new
@@ -104,12 +96,9 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
-    out = []
-    for i, col in enumerate(pivots):
-        row = mat[i]
-        pv = row[col]
-        out.append(tuple(Fraction(v, pv) if v else _ZERO for v in row))
-    return tuple(out), tuple(pivots)
+    # every row kept its content 1; only the pivot's sign is left to fix
+    out = tuple(tuple(row) if row[col] > 0 else tuple(-v for v in row) for row, col in zip(mat, pivots))
+    return out, tuple(pivots)
 
 
 def active_backend() -> str:

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
-from .jets import harmonic_multiple
 from .polyring import Poly, integer_coordinates, laplacian_power, monomial_basis
+from .zcoords import harmonic_multiple
 
 
 class GradedSubspace(NamedTuple):
@@ -28,9 +28,11 @@ class GradedSubspace(NamedTuple):
     def from_polys(cls, degree: int, polys) -> "GradedSubspace":
         """Span of homogeneous degree-`degree` polys; any other term raises ValueError."""
         basis = monomial_basis(degree)
-        # each row is scaled by its own denominator, which keeps the row span
-        rr, _ = linalg.rref(integer_coordinates(polys, basis)[0])
-        return cls(degree, tuple(Poly(zip(basis, row)) for row in rr))
+        # each row is scaled by its own denominator, which keeps the row span;
+        # an echelon row over its pivot entry is a row of the rational RREF
+        rr, pivots = linalg.rref(integer_coordinates(polys, basis)[0])
+        terms = [{exps: v for exps, v in zip(basis, row) if v} for row in rr]
+        return cls(degree, tuple(Poly._of(num, row[col]) for num, row, col in zip(terms, rr, pivots)))
 
     @property
     def dim(self) -> int:
@@ -54,17 +56,32 @@ def _laplacian_images(k: int, s: int) -> list[Poly]:
 
 
 def kernel_basis(k: int, s: int) -> GradedSubspace:
-    """RREF basis of the kernel of the s-fold Laplacian inside P_k, in one elimination.
+    """RREF basis of the kernel of the s-fold Laplacian inside P_k.
 
-    With the monomials reversed, each nullspace vector is 1 at its free
-    column, 0 at the other free ones and nonzero only at earlier pivots;
-    read forward, last vector first, they are the unique RREF basis.
+    Delta^s keeps the parity of the x-exponent, so the monomials of each
+    parity form a system of their own, sharing no row with the other, and
+    each is one elimination. With the monomials reversed, each nullspace
+    vector is 1 at its free column, 0 at the other free ones and nonzero
+    only at earlier pivots; read forward and ordered by free column, they
+    are the unique RREF basis.
     """
     if k < 0:
         return GradedSubspace(k, ())
-    vectors = linalg.nullspace(_laplacian_images(k, s)[::-1], monomial_basis(k - 2 * s))
-    monos = monomial_basis(k)
-    return GradedSubspace(k, tuple(Poly(zip(monos, v[::-1])) for v in reversed(vectors)))
+    images = _laplacian_images(k, s)
+    monos, rows = monomial_basis(k), monomial_basis(k - 2 * s)
+    found = {}
+    for parity in (0, 1):
+        # monos[i] has x-exponent k - i; reversed, it ascends
+        columns = [i for i in reversed(range(k + 1)) if (k - i) % 2 == parity]
+        if not columns:
+            continue
+        relations = linalg.integer_nullspace(
+            [images[i] for i in columns], [exps for exps in rows if exps[0] % 2 == parity]
+        )
+        for free, numerators, den in relations:
+            vector = {monos[columns[j]]: v for j, v in numerators.items()}
+            found[columns[free]] = Poly._of(vector, den)
+    return GradedSubspace(k, tuple(found[i] for i in sorted(found)))
 
 
 def product_space(s: int, k: int) -> GradedSubspace:

@@ -10,23 +10,23 @@ every degree is computed directly; the pairs satisfy the recurrence
 The module also provides the two decompositions that drive everything
 else: the splitting of P_k into harmonics plus (x^2+y^2)*P_{k-2}, and
 the Almansi expansion of a polyharmonic homogeneous polynomial into
-harmonic layers weighted by powers of x^2+y^2.
+harmonic layers weighted by powers of x^2+y^2. Both are read off the
+coefficients C_i of z^i zbar^(d-i), z = x + iy (`zcoords`): with
+r^2 = z*zbar, the monomial z^i zbar^(d-i) is r^(2j) times z^(d-2j) or
+zbar^(d-2j), j = min(i, d - i), and those two are harmonic. The s-fold
+Laplacian, 4^s (d/dz d/dzbar)^s, kills z^i zbar^(d-i) exactly when
+i < s or d - i < s.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
-from .polyring import (
-    ONE,
-    R2,
-    Poly,
-    laplacian_power,
-    monomial_basis,
-)
+from .polyring import ONE, R2, Poly, laplacian_power, linear_combination
+from .zcoords import _change_component, _component, _homogeneous, _join, _xy_image, _z_image
 
 
 class PolyharmonicError(ValueError):
@@ -105,11 +105,28 @@ def check_product_identity(s: int, k: int) -> ProductIdentityReport:
     return ProductIdentityReport(s, k, first, printed, corrected)
 
 
+def _layer(c: tuple, j: int) -> Poly:
+    """C_(d-j) z^m + C_j zbar^m, m = d - 2j, for c the (z, zbar) component of
+    a real polynomial of degree d: its part r^(2j) times a harmonic. As
+    C_j = conj(C_(d-j)), that is 2 Re(C_(d-j) z^m) = 2 (a f_m - b g_m) with
+    C_(d-j) = a + ib, or the real C_j alone at m = 0."""
+    re, im, den = c
+    d = len(re) - 1
+    m = d - 2 * j
+    if m == 0:
+        return Poly.constant(Fraction(re[j], den))
+    pair = harmonic_pair(m)
+    return linear_combination(
+        [(Fraction(2 * re[d - j], den), pair.f), (Fraction(-2 * im[d - j], den), pair.g)]
+    )
+
+
 def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     """Split homogeneous p of degree k >= 2 as p = h + (x^2+y^2)*q, h harmonic.
 
     The splitting is the direct sum P_k = H_k + r^2*P_(k-2), so h and q
-    are unique; both come from one exact linear solve.
+    are unique; both are read off p's (z, zbar) coefficients C_i:
+    h = C_k z^k + C_0 zbar^k and q = sum_(0<i<k) C_i z^(i-1) zbar^(k-1-i).
     """
     if not p:
         raise ValueError("cannot split the zero polynomial (degree undefined)")
@@ -118,16 +135,10 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     k = p.degree()
     if k < 2:
         raise ValueError("harmonic split needs degree k >= 2")
-    pair = harmonic_pair(k)
-    radial_monos = monomial_basis(k - 2)
-    columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
-    _, missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
-    if missing is not None:
-        raise AssertionError("direct sum decomposition failed; this cannot happen")
-    solution = solutions[0]
-    h = pair.f * solution[0] + pair.g * solution[1]
-    q = Poly({exps: c for exps, c in zip(radial_monos, solution[2:]) if c})
-    return h, q
+    c = _change_component(_homogeneous(p, k), _z_image)
+    re, im, den = c
+    q = _change_component(_component(re[1:k], im[1:k], den), _xy_image)
+    return _layer(c, 0), _join([q])[0]
 
 
 class AlmansiDecomposition(NamedTuple):
@@ -141,17 +152,20 @@ class AlmansiDecomposition(NamedTuple):
     components: tuple[Poly, ...]
 
     def reconstruct(self) -> Poly:
+        """sum_j r^(2j) * components[j], by Horner's rule in r^2."""
         total = Poly.zero()
-        for j, h in enumerate(self.components):
-            total = total + R2**j * h
+        for h in reversed(self.components):
+            total = total * R2 + h
         return total
 
 
 def almansi_decompose(u: Poly, s: int) -> AlmansiDecomposition:
     """Expand u (homogeneous, s-fold Laplacian zero) into harmonic layers.
 
-    Raises PolyharmonicError when the s-fold Laplacian of u is nonzero;
-    the exception carries that nonzero iterate.
+    Layer j is read off u's (z, zbar) coefficients C_i as
+    C_(d-j) z^(d-2j) + C_j zbar^(d-2j), and the s-fold Laplacian vanishes
+    exactly when C_i = 0 for s <= i <= d - s. Raises PolyharmonicError
+    when it does not; the exception carries that nonzero iterate.
     """
     if s < 1:
         raise ValueError("polyharmonic order must be at least 1")
@@ -159,26 +173,13 @@ def almansi_decompose(u: Poly, s: int) -> AlmansiDecomposition:
         return AlmansiDecomposition(s, (Poly.zero(),) * s)
     if not u.is_homogeneous():
         raise ValueError(f"input is not homogeneous: {u}")
-    residual = laplacian_power(u, s)
-    if residual:
+    d = u.degree()
+    c = _change_component(_homogeneous(u, d), _z_image)
+    re, im, _ = c
+    if any(re[s : d - s + 1]) or any(im[s : d - s + 1]):
+        residual = laplacian_power(u, s)
         raise PolyharmonicError(
             f"input is not polyharmonic of order {s}: Laplacian^{s} = {residual}", residual
         )
-    d = u.degree()
-    columns = []
-    layout: list[tuple[int, Poly]] = []  # (layer index, harmonic generator)
-    for j in range(s):
-        if d - 2 * j < 0:
-            break
-        for h in harmonic_basis(d - 2 * j):
-            layout.append((j, h))
-            columns.append(R2**j * h)
-    _, missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
-    if missing is not None:
-        raise AssertionError("Almansi solve failed despite vanishing iterated Laplacian")
-    solution = solutions[0]
-    layers = [Poly.zero()] * s
-    for (j, h), c in zip(layout, solution):
-        if c:
-            layers[j] = layers[j] + h * c
-    return AlmansiDecomposition(s, tuple(layers))
+    layers = [_layer(c, j) for j in range(min(s, d // 2 + 1))]
+    return AlmansiDecomposition(s, tuple(layers) + (Poly.zero(),) * (s - len(layers)))

@@ -40,27 +40,33 @@ radial scale map is solved online (van der Hoeven, "Relax, but don't be
 too lazy", JSC 2002): its degree-d part reads only the degrees below d
 of the composition and of the powers of rho, so each is computed once.
 
-Complex coefficients appear only inside this module, as lists of
-homogeneous components: the degree-d component is two int lists of length
-d + 1, indexed by the first exponent (of x, or of z in (z, zbar)
-coordinates), over one positive denominator in lowest terms. A product of
-components is a convolution of the lists; a sum of products runs over the
-lcm of their denominators and divides out the content once. Every public
-result is real, and an imaginary part left in a real result is an error.
-Polys are split into components, and components joined back into Polys,
-only at the edges: the components read Poly's integer numerators (`_num`,
-`_den`), and the joins wrap theirs with `Poly._of`, so no Fraction is
-built per term; a multiplication by a single monomial is `Poly.shifted`.
+Complex coefficients are lists of homogeneous components, held and
+converted by `zcoords`. Every public result is real, and an imaginary part
+left in a real result is an error. A multiplication by a single monomial
+is `Poly.shifted`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .polyring import ONE, X, Y, Poly
+from .zcoords import (
+    _ONE,
+    _change_variables,
+    _component,
+    _conjugate,
+    _convolve,
+    _divisible_by_z,
+    _harmonic_quotient,
+    _join,
+    _split,
+    _xy_image,
+    _z_image,
+    _zero,
+)
 
 
 class BoundMismatchError(ValueError):
@@ -220,91 +226,7 @@ def jet_root(w: Jet, k: int) -> Jet:
     return Jet(_join(root)[0], w.bound)
 
 
-# -- homogeneous components ----------------------------------------------------
-#
-# A component of degree d is a triple (re, im, den): two int lists of length
-# d + 1 over one denominator den > 0, in lowest terms, so
-# gcd(den, *re, *im) == 1 and the zero component has den 1. Entry a is the
-# coefficient (re[a] + i*im[a])/den of x^a*y^(d-a), or of z^a*zbar^(d-a) in
-# (z, zbar) coordinates. A complex jet is the list of its components,
-# degree 0 first; a product of components is a convolution of the lists in
-# either coordinates.
-
-_ONE = ([1], [0], 1)
-
-
-def _component(re: list[int], im: list[int], den: int) -> tuple:
-    """The component (re, im, den) with the content divided out."""
-    g = math.gcd(den, *re, *im)
-    if g == 1:
-        return re, im, den
-    return [v // g for v in re], [v // g for v in im], den // g
-
-
-def _zero(d: int) -> tuple:
-    return [0] * (d + 1), [0] * (d + 1), 1
-
-
-def _split(re: Poly, im: Poly, bound: int) -> list[tuple]:
-    """The components of re + i*im in degrees 0..bound; terms above the bound are dropped."""
-    den = math.lcm(re._den, im._den)
-    parts = [([0] * (d + 1), [0] * (d + 1)) for d in range(bound + 1)]
-    for index, p in enumerate((re, im)):
-        unit = den // p._den
-        for (a, b), v in p._num.items():
-            if a + b <= bound:
-                parts[a + b][index][a] = v * unit
-    return [_component(r, i, den) for r, i in parts]
-
-
-def _join(components: list[tuple]) -> tuple[Poly, Poly]:
-    """The real and imaginary parts of a list of components, as Polys."""
-    den = math.lcm(*(c[2] for c in components))
-    re: dict = {}
-    im: dict = {}
-    for d, (r, i, c_den) in enumerate(components):
-        unit = den // c_den
-        for target, values in ((re, r), (im, i)):
-            for a, v in enumerate(values):
-                if v:
-                    target[(a, d - a)] = v * unit
-    return Poly._of(re, den), Poly._of(im, den)
-
-
-def _conjugate(c: tuple) -> tuple:
-    """The complex conjugate of a (z, zbar) component: each z^a zbar^b
-    becomes z^b zbar^a, with its coefficient conjugated."""
-    re, im, den = c
-    return re[::-1], [-v for v in reversed(im)], den
-
-
-def _convolve(terms, d: int, divisor: int = 1) -> tuple:
-    """The degree-d component sum c*A*B / divisor over the (c, A, B) of
-    `terms`, c an int and deg A + deg B == d.
-
-    Every product goes over the lcm of the products' denominators, so the
-    sum is one pass of int arithmetic and the content is divided out once.
-    A's zero entries are skipped, so the sparser factor goes first.
-    """
-    live = [
-        (c, a, b)
-        for c, a, b in terms
-        if c and (any(a[0]) or any(a[1])) and (any(b[0]) or any(b[1]))
-    ]
-    den = math.lcm(*(a[2] * b[2] for _, a, b in live))
-    re, im = [0] * (d + 1), [0] * (d + 1)
-    for c, (a_re, a_im, a_den), (b_re, b_im, b_den) in live:
-        m = c * (den // (a_den * b_den))
-        for p, x in enumerate(a_re):
-            y = a_im[p]
-            if not (x or y):
-                continue
-            x *= m
-            y *= m
-            for q, u, v in zip(range(p, d + 1), b_re, b_im):
-                re[q] += x * u - y * v
-                im[q] += x * v + y * u
-    return _component(re, im, den * divisor)
+# -- graded powers -------------------------------------------------------------
 
 
 def _power_component(w: list[tuple], p: list[tuple], alpha: Fraction) -> tuple:
@@ -333,129 +255,18 @@ def _graded_power(w: list[tuple], alpha: Fraction, top: int) -> list[tuple]:
     return powers
 
 
-# -- (z, zbar) coordinates -----------------------------------------------------
-
-
-def _binomial_product(a: int, b: int) -> list[int]:
-    """Coefficients e_m of P = (1 + t)^a * (1 - t)^b, lowest degree first.
-
-    (1 - t^2) P' = ((a - b) - (a + b) t) P gives, in degree m, the exact
-    recurrence (m + 1) e_(m+1) = (a - b) e_m - (a + b - m + 1) e_(m-1).
-    """
-    n = a + b
-    e = [1, a - b][: n + 1]
-    for m in range(1, n):
-        e.append(((a - b) * e[m] - (n - m + 1) * e[m - 1]) // (m + 1))
-    return e
-
-
-# Images of single monomials under the change of variables, as
-# (shift, ((m, e, imaginary), ...)): the image is 2^(-shift) times the sum
-# of e times z^m zbar^(n-m), or x^m y^(n-m), with e an int and times i where
-# `imaginary`. A composition at bound N meets at most (N + 1)(N + 2)/2
-# monomials: 2415 at bound 68, the CLI's largest k = 36.
-@functools.lru_cache(maxsize=4096)
-def _z_image(a: int, b: int) -> tuple:
-    """x^a*y^b in (z, zbar): x = (z + zbar)/2 and y = (z - zbar)/(2i) give
-    i^b/2^n * sum_m e_m z^m zbar^(n-m), with e from (1 + t)^a (1 - t)^b."""
-    sign = (-1) ** (b // 2)
-    terms = tuple((m, sign * e, b % 2 == 1) for m, e in enumerate(_binomial_product(a, b)) if e)
-    return a + b, terms
-
-
-@functools.lru_cache(maxsize=4096)
-def _xy_image(i: int, j: int) -> tuple:
-    """z^i*zbar^j = (x + iy)^i (x - iy)^j in (x, y): sum_q i^q e_q x^(n-q) y^q,
-    with e from (1 + t)^i (1 - t)^j."""
-    n = i + j
-    terms = tuple(
-        (n - q, e * (-1) ** (q // 2), q % 2 == 1)
-        for q, e in enumerate(_binomial_product(i, j))
-        if e
-    )
-    return 0, terms
-
-
-def _change_variables(w: list[tuple], image) -> list[tuple]:
-    """Replace every monomial of each component by its image (`_z_image`
-    or `_xy_image`), keeping complex coefficients.
-
-    The image of a degree-d component is a degree-d component; its
-    numerators add up as ints over den * 2^shift.
-    """
-    out = []
-    for d, (re, im, den) in enumerate(w):
-        if not (any(re) or any(im)):
-            out.append((re, im, den))
-            continue
-        new_re, new_im = [0] * (d + 1), [0] * (d + 1)
-        shift = 0
-        for a, (x, y) in enumerate(zip(re, im)):
-            if not (x or y):
-                continue
-            shift, terms = image(a, d - a)
-            for m, e, imaginary in terms:
-                if imaginary:
-                    new_re[m] -= y * e
-                    new_im[m] += x * e
-                else:
-                    new_re[m] += x * e
-                    new_im[m] += y * e
-        out.append(_component(new_re, new_im, den << shift))
-    return out
-
-
-def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
-    """(u, v) with u*f_m + v*g_m == p, for p of degree below 2m; None if there is none.
-
-    u*f_m + v*g_m = Re(W*z^m) with W = u - iv; `_harmonic_quotient` reads
-    W off p's (z, zbar) coefficients.
-    """
-    if p and p.degree() >= 2 * m:
-        raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
-    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), max(p.degree(), 0)), _z_image), m)
-    if w is None:
-        return None
-    u, v = _join(_change_variables(w, _xy_image))
-    return u, -v
-
-
-def _harmonic_quotient(c: list[tuple], m: int) -> list[tuple] | None:
-    """The components of W in (z, zbar) with Re(W*z^m) == c, for c given by
-    its components below degree 2m; None when there is no such W.
-
-    Below degree 2m no term C_ij z^i zbar^j of c has both i, j >= m, so W
-    exists exactly when C_ij = 0 wherever i, j < m, and then
-    W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j is unique (Axler, Bourdon & Ramey,
-    Harmonic Function Theory, GTM 137). W_e comes from c_(m+e).
-    """
-    for d, (re, im, _) in enumerate(c):
-        low = max(0, d - m + 1)
-        if any(re[low:m]) or any(im[low:m]):
-            return None
-    return [
-        _component([2 * v for v in re[m:]], [2 * v for v in im[m:]], den) for re, im, den in c[m:]
-    ]
+# -- radial composition --------------------------------------------------------
 
 
 def _radial_factor(phi: JetMap) -> list[tuple] | None:
     """rho's (z, zbar) components, degrees 0..bound - 1, when
     phi.x + i*phi.y == z*rho exactly; otherwise None.
 
-    z divides P = phi.x + i*phi.y exactly when P vanishes at z = 0, where
-    x = zbar/2 and y = i*zbar/2: when every homogeneous component of P
-    vanishes at (x, y) = (1, i). That test reads each term once, so a map
-    that is not radial never goes through the change of variables.
+    The divisibility test (`_divisible_by_z`) reads each term once, so a
+    map that is not radial never goes through the change of variables.
     """
     px, py = phi.x.poly, phi.y.poly
-    # at[(n, 0)], at[(n, 1)]: real and imaginary part of P_n(1, i), times px._den*py._den
-    at: dict[tuple[int, int], int] = {}
-    for p, turn, unit in ((px, 0, py._den), (py, 1, px._den)):
-        for (a, b), v in p._num.items():
-            q = (b + turn) % 4
-            key = (a + b, q % 2)
-            at[key] = at.get(key, 0) + (v * unit if q < 2 else -v * unit)
-    if any(at.values()):
+    if not _divisible_by_z(px, py):
         return None
     # P_0 = 0, and the zbar^d entry of every P_d is 0: P_d / z is rho_(d-1)
     parts = _change_variables(_split(px, py, phi.bound), _z_image)

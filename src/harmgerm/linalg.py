@@ -1,18 +1,22 @@
 """Exact linear algebra on the coordinates of polynomials.
 
 Every elimination is one call to the `rref` kernel: reduced row echelon
-form with leading coefficient 1 and deterministic pivoting (first
-nonzero, columns left to right), a canonical form. `solve_canonical` and
-`nullspace` are the one solve: each polynomial is a column of its integer
-numerators over its own denominator (`polyring.integer_coordinates`), so
-no Fraction is built per matrix cell. Scaling column j by den_j commutes
-with row operations, so the pivot columns stay the same and each RREF
-entry of column j is the rational one times den_j / den(its row's pivot
-column); every returned entry is rescaled once by the inverse factor.
+form with deterministic pivoting (first nonzero, columns left to right),
+a canonical form, handed out as integer rows over their pivot entries.
+`solve_canonical` and `nullspace` are the one solve: each polynomial is a
+column of its integer numerators over its own denominator
+(`polyring.integer_coordinates`), so no Fraction is built per matrix
+cell. Scaling column j by den_j commutes with row operations, so the
+pivot columns stay the same and each RREF entry of column j is the
+rational one times den_j / den(its row's pivot column). A Fraction is
+built only for an entry returned as one: a nonzero entry of a
+combination or of a nullspace vector. `integer_nullspace` returns the
+nullspace vectors as integers over one denominator each and builds none.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +29,8 @@ _ZERO = Fraction(0)
 
 
 def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):
-    """(RREF rows, pivots, column denominators) of the integer matrix whose columns are the polys."""
+    """(integer RREF rows, pivots, column denominators) of the integer
+    matrix whose columns are the polys."""
     columns, dens = integer_coordinates(polys, basis)
     rr, pivots = rref(list(zip(*columns)))
     return rr, pivots, dens
@@ -39,7 +44,7 @@ def _column(echelon, j: int, width: int) -> list[Fraction]:
     out = [_ZERO] * width
     for row, col in zip(rr, pivots):
         if row[j]:
-            out[col] = row[j] if dens[col] == dens[j] else row[j] * dens[col] / dens[j]
+            out[col] = Fraction(row[j] * dens[col], row[col] * dens[j])
     return out
 
 
@@ -65,16 +70,40 @@ def solve_canonical(
     return sum(col < width for col in pivots) == width, missing, combinations
 
 
+def integer_nullspace(
+    columns: Sequence[Poly], basis: Sequence[Exponents]
+) -> list[tuple[int, dict[int, int], int]]:
+    """`nullspace` in integers: (free, numerators, den) per free column.
+
+    The vector is numerators[j] / den at each column j it holds, and 0 at
+    every other column: den at `free`, the other entries at pivot columns.
+    """
+    rr, pivots, dens = _echelon(columns, basis)
+    relations = []
+    for free in sorted(set(range(len(columns))) - set(pivots)):
+        # minus column `free` of the rational RREF, as fractions n / d
+        entries = [
+            (col, -row[free] * dens[col], row[col] * dens[free])
+            for row, col in zip(rr, pivots)
+            if row[free]
+        ]
+        den = math.lcm(*(d for _, _, d in entries))
+        numerators = {col: n * (den // d) for col, n, d in entries}
+        numerators[free] = den
+        relations.append((free, numerators, den))
+    return relations
+
+
 def nullspace(columns: Sequence[Poly], basis: Sequence[Exponents]) -> list[Vector]:
     """Basis of {v : sum_j v_j * columns[j] == 0}, one vector per free column.
 
     Each vector is 1 at its free column and 0 at every other free column;
     `basis` is as in `solve_canonical`.
     """
-    echelon = _echelon(columns, basis)
     relations = []
-    for free in sorted(set(range(len(columns))) - set(echelon[1])):
-        v = [-c for c in _column(echelon, free, len(columns))]
-        v[free] = Fraction(1)
+    for _, numerators, den in integer_nullspace(columns, basis):
+        v = [_ZERO] * len(columns)
+        for j, n in numerators.items():
+            v[j] = Fraction(n, den)
         relations.append(tuple(v))
     return relations

@@ -113,10 +113,14 @@ class Poly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls({(0, 0): c})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: Scalar = 1) -> "Poly":
+        # an int coefficient at valid exponents is already in lowest terms
+        # over 1; everything else goes through the checks of __init__
+        if type(coeff) is int and type(a) is int and type(b) is int and a >= 0 and b >= 0:
+            return cls._of({(a, b): coeff} if coeff else {}, 1)
         return cls({(a, b): coeff})
 
     # -- inspection --------------------------------------------------------

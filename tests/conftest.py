@@ -1,6 +1,7 @@
 """Shared helpers: sympy-based oracles independent of the library's
-arithmetic, an elimination oracle for harmonic multiples, call counters,
-tampered radial scale maps and a tampered determinacy certificate."""
+arithmetic, the rational RREF, an elimination oracle for harmonic
+multiples, call counters, tampered radial scale maps and a tampered
+determinacy certificate."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import sympy
 import harmgerm.cli
 import harmgerm.equivalence
 from harmgerm import linalg
+from harmgerm._kernels import rref
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, monomial_basis, parse_poly
@@ -60,6 +62,12 @@ def rescaled(p: Poly) -> Poly:
     """p composed with z -> (1+i)z, i.e. (x, y) -> (x - y, x + y)."""
     bound = p.degree()
     return jet_compose(jet_truncate(p, bound), jet_map(P("x - y"), P("x + y"), bound)).poly
+
+
+def rational_rref(rows):
+    """The rational RREF rows and pivots: each integer row of `rref` over its pivot entry."""
+    rr, pivots = rref(rows)
+    return tuple(tuple(Fraction(v, row[col]) for v in row) for row, col in zip(rr, pivots)), pivots
 
 
 def reference_membership(target: Poly, k: int, s: int):

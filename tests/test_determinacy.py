@@ -6,7 +6,6 @@ from typing import Sequence
 import pytest
 
 from harmgerm import determinacy, linalg, polyring
-from harmgerm._kernels import rref
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
@@ -19,7 +18,7 @@ from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_order_tail
 
-from conftest import P, counted, from_sympy, to_sympy
+from conftest import P, counted, from_sympy, rational_rref, to_sympy
 import sympy
 
 X, Y = sympy.symbols("x y", real=True)
@@ -303,7 +302,7 @@ def solve_canonical(
     augmented = [
         tuple(col[i] for col in columns) + (Fraction(target[i]),) for i in range(height)
     ]
-    rr, pivots = rref(augmented)
+    rr, pivots = rational_rref(augmented)
     solution = [Fraction(0)] * ncols
     for row, col in zip(rr, pivots):
         if col == ncols:
@@ -318,7 +317,7 @@ def reference_certificate(products, level):
     basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
     columns = [tuple(p.coeff(a, b) for a, b in basis) for p in products]
     targets = [tuple(int(exps == (a, b)) for exps in basis) for a, b in monomial_basis(level)]
-    rr, pivots = rref(columns)
+    rr, pivots = rational_rref(columns)
     for (a, b), target in zip(monomial_basis(level), targets):
         if not in_rowspace(rr, pivots, target):
             return Poly.monomial(a, b), ()

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmgerm._kernels
+from harmgerm import linalg
 from harmgerm.graded import kernel_basis
 from harmgerm.harmonic import (
     PolyharmonicError,
     almansi_decompose,
     check_product_identity,
+    harmonic_basis,
     harmonic_pair,
     harmonic_split,
 )
-from harmgerm.polyring import R2, Poly, laplacian, monomial_basis
+from harmgerm.polyring import R2, Poly, laplacian, laplacian_power, monomial_basis
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
 from conftest import P, oracle_harmonic
 
@@ -161,3 +165,145 @@ class TestAlmansi:
             assert deco.reconstruct() == u
             for h in deco.components:
                 assert not laplacian(h)
+
+
+# The decompositions as the library solved them before the (z, zbar)
+# read-off: one canonical solve over P_d each, kept as references.
+
+
+def reference_split(p):
+    k = p.degree()
+    pair = harmonic_pair(k)
+    radial_monos = monomial_basis(k - 2)
+    columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
+    _, missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
+    assert missing is None
+    solution = solutions[0]
+    h = pair.f * solution[0] + pair.g * solution[1]
+    q = Poly({exps: c for exps, c in zip(radial_monos, solution[2:]) if c})
+    return h, q
+
+
+def reference_almansi(u, s):
+    """The layers, or the PolyharmonicError message and witness."""
+    if not u:
+        return (Poly.zero(),) * s
+    residual = laplacian_power(u, s)
+    if residual:
+        return f"input is not polyharmonic of order {s}: Laplacian^{s} = {residual}", residual
+    d = u.degree()
+    columns, layout = [], []
+    for j in range(s):
+        if d - 2 * j < 0:
+            break
+        for h in harmonic_basis(d - 2 * j):
+            layout.append((j, h))
+            columns.append(R2**j * h)
+    _, missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
+    assert missing is None
+    layers = [Poly.zero()] * s
+    for (j, h), c in zip(layout, solutions[0]):
+        if c:
+            layers[j] = layers[j] + h * c
+    return tuple(layers)
+
+
+def almansi_outcome(u, s):
+    try:
+        return almansi_decompose(u, s).components
+    except PolyharmonicError as err:
+        return str(err), err.witness
+
+
+def seeded_cases(top):
+    """(u, s) for every degree d <= top and every order s up to d//2 + 2:
+    a rational combination of the kernel basis of order s, and a random
+    rational polynomial of degree d, which fails the test when s <= d/2."""
+    rng = Xoshiro256StarStar(derive_seed(2016, 24))
+    cases = []
+    for d in range(top + 1):
+        for s in range(1, d // 2 + 3):
+            den = rng.randint(1, 9)
+            cases.append((random_in_span(rng, kernel_basis(d, s).basis) / den, s))
+            cases.append((random_homogeneous(rng, d) / den, s))
+    return cases
+
+
+def refuse_eliminations(monkeypatch):
+    """Make every elimination from here on raise."""
+
+    def refuse(rows):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(harmgerm._kernels, "rref", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+
+
+class TestReadOffMatchesSolve:
+    def test_split(self):
+        rng = Xoshiro256StarStar(derive_seed(2016, 25))
+        for d in range(2, 41):
+            for _ in range(3):
+                p = random_homogeneous(rng, d) / rng.randint(1, 9)
+                if p:
+                    assert harmonic_split(p) == reference_split(p), p
+
+    def test_above_the_cached_degree(self):
+        # the change of variables caches its tables up to degree 68 only
+        rng = Xoshiro256StarStar(derive_seed(2016, 28))
+        p = random_homogeneous(rng, 75) / 11
+        assert harmonic_split(p) == reference_split(p)
+        u = random_in_span(rng, kernel_basis(75, 3).basis) / 13
+        assert almansi_outcome(u, 3) == reference_almansi(u, 3)
+        assert almansi_outcome(p, 3) == reference_almansi(p, 3)
+
+    def test_almansi(self):
+        cases = seeded_cases(40)
+        # both outcomes, both kinds of input, at every degree including 0
+        assert any(isinstance(reference_almansi(u, s)[0], str) for u, s in cases)
+        assert any(u and u.degree() == 0 for u, _ in cases)
+        for u, s in cases:
+            assert almansi_outcome(u, s) == reference_almansi(u, s), (u, s)
+
+    def test_order_above_half_the_degree(self):
+        # Delta^s kills P_d for 2s > d: every input decomposes, into all its layers
+        rng = Xoshiro256StarStar(derive_seed(2016, 26))
+        for d in range(0, 15):
+            u = random_homogeneous(rng, d) / 7
+            for s in range(d // 2 + 1, d + 3):
+                deco = almansi_decompose(u, s)
+                assert deco.components == reference_almansi(u, s)
+                assert deco.reconstruct() == u
+
+
+class TestNoElimination:
+    def test_split(self, monkeypatch):
+        refuse_eliminations(monkeypatch)
+        rng = Xoshiro256StarStar(derive_seed(2016, 27))
+        for d in range(2, 20):
+            p = random_homogeneous(rng, d) / 3
+            h, q = harmonic_split(p)
+            assert h + R2 * q == p and not laplacian(h)
+
+    def test_almansi(self, monkeypatch):
+        cases = seeded_cases(16)
+        refuse_eliminations(monkeypatch)
+        for u, s in cases:
+            outcome = almansi_outcome(u, s)
+            if isinstance(outcome[0], str):
+                assert outcome[1] == laplacian_power(u, s)
+            else:
+                assert sum((R2**j * h for j, h in enumerate(outcome)), Poly.zero()) == u
+
+
+class TestPolyharmonicWitness:
+    def test_witness_is_the_iterated_laplacian(self):
+        failures = 0
+        for u, s in seeded_cases(24):
+            try:
+                almansi_decompose(u, s)
+            except PolyharmonicError as err:
+                failures += 1
+                assert err.witness == laplacian_power(u, s) and err.witness
+                assert str(err) == f"input is not polyharmonic of order {s}: Laplacian^{s} = {err.witness}"
+        assert failures

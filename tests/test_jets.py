@@ -13,7 +13,6 @@ from harmgerm.jets import (
     BoundMismatchError,
     Jet,
     complex_scale_map,
-    harmonic_multiple,
     identity_map,
     inverse_scale_map,
     jet_compose,
@@ -26,21 +25,24 @@ from harmgerm.jets import (
 )
 from harmgerm.jets import (
     JetMap,
-    _change_variables,
     _compose_taylor,
-    _conjugate,
-    _convolve,
     _graded_power,
-    _harmonic_quotient,
-    _join,
     _radial_factor,
     _RadialImage,
-    _split,
-    _xy_image,
-    _z_image,
 )
 from harmgerm.polyring import X, Y, Poly, format_poly, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
+from harmgerm.zcoords import (
+    _change_variables,
+    _conjugate,
+    _convolve,
+    _harmonic_quotient,
+    _join,
+    _split,
+    _xy_image,
+    _z_image,
+    harmonic_multiple,
+)
 
 from conftest import P, counted, oracle_compose, reference_membership
 

@@ -1,5 +1,6 @@
 """The arithmetic kernels against sympy: sparse products and rational RREF."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -117,7 +118,13 @@ def test_rref_matches_sympy(nrows, ncols, data):
     expected = tuple(
         tuple(Fraction(int(c.p), int(c.q)) for c in matrix.row(i)) for i in range(len(pivots))
     )
-    assert rref(rows) == (expected, tuple(pivots))
+    rr, got = rref(rows)
+    assert got == tuple(pivots)
+    # each integer row over its pivot entry is the rational RREF row
+    assert tuple(tuple(Fraction(v, row[col]) for v in row) for row, col in zip(rr, got)) == expected
+    for row, col in zip(rr, got):
+        assert all(type(v) is int for v in row)
+        assert row[col] > 0 and math.gcd(*row) == 1
 
 
 def test_rref_idempotent_and_canonical():
@@ -129,8 +136,16 @@ def test_rref_idempotent_and_canonical():
     rr, pivots = rref(rows)
     again, pivots2 = rref([list(r) for r in rr])
     assert rr == again and pivots == pivots2
-    for row, col in zip(rr, pivots):
-        assert row[col] == 1
+    assert rr == ((1, 2, 0), (0, 0, 1)) and pivots == (0, 2)
+
+
+def test_rref_rows_over_their_pivot_entries():
+    # 2x + 3y and x - y: the RREF rows are (1, 0, 1/5, ...) over pivot entries
+    rr, pivots = rref([[2, 3, 1], [1, -1, 0]])
+    assert pivots == (0, 1)
+    assert rr == ((5, 0, 1), (0, 5, 1))
+    # a negative pivot entry is turned positive, and Fractions read like ints
+    assert rref([[Fraction(-3, 2), Fraction(9, 4)]]) == (((2, -3),), (0,))
 
 
 def test_rref_drops_zero_rows():

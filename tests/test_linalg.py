@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmgerm import linalg
-from harmgerm._kernels import rref
 from harmgerm.polyring import Poly, monomial_basis
 
-from conftest import P
+from conftest import P, rational_rref
 
 POOL = [exps for d in range(4) for exps in monomial_basis(d)]
 DENOMINATORS = (1, 3, 7, 9)
@@ -24,7 +23,7 @@ def coordinate_rows(polys, basis):
 
 def reference_solve(columns, targets, basis):
     """(independent, missing, combinations) from one RREF of Fraction coordinates."""
-    rr, pivots = rref(coordinate_rows(list(columns) + list(targets), basis))
+    rr, pivots = rational_rref(coordinate_rows(list(columns) + list(targets), basis))
     width = len(columns)
     missing = next((col - width for col in pivots if col >= width), None)
     combinations = []
@@ -41,7 +40,7 @@ def reference_solve(columns, targets, basis):
 def reference_nullspace(columns, basis):
     """Right kernel of the Fraction coordinate matrix, one vector per free column."""
     ncols = len(columns)
-    rr, pivots = rref(coordinate_rows(columns, basis))
+    rr, pivots = rational_rref(coordinate_rows(columns, basis))
     pivot_set = set(pivots)
     vectors = []
     for free in range(ncols):

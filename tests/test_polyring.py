@@ -225,6 +225,49 @@ class TestExactInputsOnly:
         assert X.scale(0) == Poly.zero()
 
 
+class TestMonomialConstructors:
+    """Poly.monomial and Poly.constant wrap an int coefficient at valid int
+    exponents directly; every other input goes through Poly(...)."""
+
+    @given(
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.one_of(st.integers(-(10**30), 10**30), coefficients, st.booleans()),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_general_constructor(self, a, b, c):
+        general = Poly({(a, b): c})
+        assert_canonical(Poly.monomial(a, b, c), {(a, b): c})
+        assert Poly.monomial(a, b, c) == general
+        assert hash(Poly.monomial(a, b, c)) == hash(general)
+        assert Poly.constant(c) == Poly({(0, 0): c})
+        assert_canonical(Poly.constant(c), {(0, 0): c})
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (-2, 3)])
+    @pytest.mark.parametrize("c", [1, 0, Fraction(1, 2)])
+    def test_negative_exponent_rejected(self, a, b, c):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly.monomial(a, b, c)
+
+    @pytest.mark.parametrize("c", [0.5, 0.0, 2.0])
+    def test_float_coefficient_is_a_type_error(self, c):
+        with pytest.raises(TypeError):
+            Poly.monomial(1, 2, c)
+        with pytest.raises(TypeError):
+            Poly.constant(c)
+        with pytest.raises(TypeError):
+            Poly.monomial(c, 0)
+
+    def test_bool_coefficient_reads_as_its_int(self):
+        assert Poly.monomial(2, 1, True) == Poly.monomial(2, 1) == parse_poly("x^2*y")
+        assert Poly.monomial(2, 1, False) == Poly.zero()
+        assert Poly.constant(True) == Poly.constant(1)
+
+    def test_zero_coefficient_is_the_zero_polynomial(self):
+        for zero in (Poly.monomial(3, 4, 0), Poly.constant(0), Poly.constant(Fraction(0))):
+            assert zero == Poly.zero() and not zero._num and zero._den == 1
+
+
 class TestCalculus:
     def test_partial_x(self):
         assert parse_poly("x^3 - 3*x*y^2").diff("x") == parse_poly("3*x^2 - 3*y^2")
