@@ -1,16 +1,14 @@
-"""Arithmetic kernels: sparse polynomial products and rational RREF.
+"""Arithmetic kernels: sparse polynomial products and integer RREF.
 
 These are the library's two hot loops. `poly_mul` takes coefficients
 from any exact ring (ints or Fractions); `Poly` passes it the integer
-numerators of its two operands. `rref` accepts Fractions or ints and
-works on Python ints throughout: it builds no Fraction, and returns each
-echelon row as primitive ints over its pivot entry. Library callers
-(`linalg`, `graded`) pass integer rows read by
-`polyring.integer_coordinates`, and build a Fraction only for an entry
-they return as one.
+numerators of its two operands. `rref` takes integer rows, works on
+Python ints throughout and returns each echelon row as primitive ints
+over its pivot entry. Library callers (`linalg`, `graded`) pass integer
+rows read by `polyring.integer_coordinates`.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 def poly_mul(p, q, max_degree=None):
@@ -38,28 +36,24 @@ def poly_mul(p, q, max_degree=None):
 
 
 def _primitive_rows(rows):
-    """Scale rational rows to integer rows with content 1 (sign kept); zero rows are dropped."""
+    """Integer rows divided by their content (sign kept); zero rows are dropped."""
     mat = []
     for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
+        g = gcd(*row)
         if g:
-            mat.append(ints)
+            mat.append([v // g for v in row] if g > 1 else row)
     return mat
 
 
 def rref(rows):
-    """Reduced row echelon form of a rational matrix, as integer rows.
+    """Reduced row echelon form of an integer matrix, as integer rows.
 
-    `rows` is a sequence of equal-length sequences of Fractions or ints.
+    `rows` is a sequence of equal-length sequences of ints.
     Returns `(rref_rows, pivot_cols)`: rref_rows are int tuples ordered by
     pivot column, zero rows dropped, each with content 1 and a positive
     entry at its pivot column, so row / row[pivot] is the row of the
     rational RREF (leading coefficient 1). Elimination is fraction-free:
-    rows are scaled to primitive integer vectors and cross-multiplied,
+    rows are divided by their content and cross-multiplied,
     dividing by the row content after each step to bound entry growth.
     """
     mat = _primitive_rows(rows)

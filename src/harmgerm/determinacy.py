@@ -139,19 +139,20 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         level - e <= max_multiplier_degree for _, e in generators if e < level
     )
     if len(top) <= len(monomials) and complete:
-        decided, missing, top_combinations = linalg.solve_canonical(
-            [products[j] for j in top], monomials, top_basis
-        )
-        zero = Fraction(0)
-        combinations = []
-        for top_combo in top_combinations:
-            combo = [zero] * len(products)
-            for j, c in zip(top, top_combo):
-                combo[j] = c
-            combinations.append(tuple(combo))
+        decided, missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
     if not decided:
+        # the full solve's columns are all the products
+        top = range(len(products))
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
-        _, missing, combinations = linalg.solve_canonical(products, monomials, basis)
+        _, missing, solved = linalg.solve_canonical(products, monomials, basis)
+    # column j of the solve is product top[j]; every other product gets coefficient 0
+    zero = Fraction(0)
+    combinations = []
+    for numerators, den in solved:
+        combo = [zero] * len(products)
+        for j, n in numerators.items():
+            combo[top[j]] = Fraction(n, den)
+        combinations.append(tuple(combo))
     return DeterminacyCertificate(
         germ=h,
         level=level,

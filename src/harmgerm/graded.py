@@ -75,7 +75,7 @@ def kernel_basis(k: int, s: int) -> GradedSubspace:
         columns = [i for i in reversed(range(k + 1)) if (k - i) % 2 == parity]
         if not columns:
             continue
-        relations = linalg.integer_nullspace(
+        relations = linalg.nullspace(
             [images[i] for i in columns], [exps for exps in rows if exps[0] % 2 == parity]
         )
         for free, numerators, den in relations:
@@ -142,8 +142,11 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
+    numerators, den = solutions[0]
     n = len(monos)
-    return Poly(zip(monos, solutions[0][:n])), Poly(zip(monos, solutions[0][n:]))
+    u = {monos[j]: c for j, c in numerators.items() if j < n}
+    v = {monos[j - n]: c for j, c in numerators.items() if j >= n}
+    return Poly._of(u, den), Poly._of(v, den)
 
 
 def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:

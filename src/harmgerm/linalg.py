@@ -5,27 +5,21 @@ form with deterministic pivoting (first nonzero, columns left to right),
 a canonical form, handed out as integer rows over their pivot entries.
 `solve_canonical` and `nullspace` are the one solve: each polynomial is a
 column of its integer numerators over its own denominator
-(`polyring.integer_coordinates`), so no Fraction is built per matrix
-cell. Scaling column j by den_j commutes with row operations, so the
-pivot columns stay the same and each RREF entry of column j is the
-rational one times den_j / den(its row's pivot column). A Fraction is
-built only for an entry returned as one: a nonzero entry of a
-combination or of a nullspace vector. `integer_nullspace` returns the
-nullspace vectors as integers over one denominator each and builds none.
+(`polyring.integer_coordinates`), so the matrix holds ints only. Scaling
+column j by den_j commutes with row operations, so the pivot columns stay
+the same and each RREF entry of column j is the rational one times
+den_j / den(its row's pivot column). `_column` is the one reader of that
+entry: it returns a column of the rational RREF as integer numerators
+over one denominator, and this module builds no Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from ._kernels import rref
 from .polyring import Exponents, Poly, integer_coordinates
-
-Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
 
 
 def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):
@@ -36,21 +30,21 @@ def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):
     return rr, pivots, dens
 
 
-def _column(echelon, j: int, width: int) -> list[Fraction]:
-    """Column j of the rational RREF, by pivot column; rows nonzero there pivot below `width`."""
+def _column(echelon, j: int) -> tuple[dict[int, int], int]:
+    """Column j of the rational RREF as (numerators, den).
+
+    The entry in the row that pivots at column c is numerators[c] / den;
+    numerators holds the nonzero entries only, and den > 0.
+    """
     rr, pivots, dens = echelon
-    # most entries are zero; sharing one zero keeps stored combinations
-    # from pinning the elimination's memory
-    out = [_ZERO] * width
-    for row, col in zip(rr, pivots):
-        if row[j]:
-            out[col] = Fraction(row[j] * dens[col], row[col] * dens[j])
-    return out
+    entries = [(col, row[j] * dens[col], row[col] * dens[j]) for row, col in zip(rr, pivots) if row[j]]
+    den = math.lcm(*(d for _, _, d in entries))
+    return {col: n * (den // d) for col, n, d in entries}, den
 
 
 def solve_canonical(
     columns: Sequence[Poly], targets: Sequence[Poly], basis: Sequence[Exponents]
-) -> tuple[bool, int | None, list[Vector]]:
+) -> tuple[bool, int | None, list[tuple[dict[int, int], int]]]:
     """Write each target as a combination of the columns, in one elimination.
 
     `basis` lists the exponents that index the rows; a term outside it
@@ -58,52 +52,35 @@ def solve_canonical(
     whether every column is a pivot, the index of the first target
     outside the span of the columns (None when there is none), and, for
     each target before it, the RREF-canonical combination of the columns
-    (free coefficients zero) that equals it. The first target whose
-    column is a pivot is that first missing one, since every earlier
-    target lies in the span of the columns.
+    (free coefficients zero) that equals it, as (numerators, den): the
+    coefficient of column j is numerators.get(j, 0) / den. The first
+    target whose column is a pivot is that first missing one, since every
+    earlier target lies in the span of the columns.
     """
     echelon = _echelon([*columns, *targets], basis)
     pivots, width = echelon[1], len(columns)
     missing = next((col - width for col in pivots if col >= width), None)
     solved = range(width, width + (len(targets) if missing is None else missing))
-    combinations = [tuple(_column(echelon, t, width)) for t in solved]
+    combinations = [_column(echelon, t) for t in solved]
     return sum(col < width for col in pivots) == width, missing, combinations
 
 
-def integer_nullspace(
+def nullspace(
     columns: Sequence[Poly], basis: Sequence[Exponents]
 ) -> list[tuple[int, dict[int, int], int]]:
-    """`nullspace` in integers: (free, numerators, den) per free column.
+    """Basis of {v : sum_j v_j * columns[j] == 0}: (free, numerators, den) per free column.
 
-    The vector is numerators[j] / den at each column j it holds, and 0 at
-    every other column: den at `free`, the other entries at pivot columns.
+    The vector is numerators[j] / den at each column j it holds and 0 at
+    every other column. It holds `free`, where it is 1, and pivot columns
+    only, so it is 0 at every other free column. `basis` is as in
+    `solve_canonical`.
     """
-    rr, pivots, dens = _echelon(columns, basis)
+    echelon = _echelon(columns, basis)
     relations = []
-    for free in sorted(set(range(len(columns))) - set(pivots)):
-        # minus column `free` of the rational RREF, as fractions n / d
-        entries = [
-            (col, -row[free] * dens[col], row[col] * dens[free])
-            for row, col in zip(rr, pivots)
-            if row[free]
-        ]
-        den = math.lcm(*(d for _, _, d in entries))
-        numerators = {col: n * (den // d) for col, n, d in entries}
+    for free in sorted(set(range(len(columns))) - set(echelon[1])):
+        # minus column `free` of the rational RREF
+        numerators, den = _column(echelon, free)
+        numerators = {col: -n for col, n in numerators.items()}
         numerators[free] = den
         relations.append((free, numerators, den))
-    return relations
-
-
-def nullspace(columns: Sequence[Poly], basis: Sequence[Exponents]) -> list[Vector]:
-    """Basis of {v : sum_j v_j * columns[j] == 0}, one vector per free column.
-
-    Each vector is 1 at its free column and 0 at every other free column;
-    `basis` is as in `solve_canonical`.
-    """
-    relations = []
-    for _, numerators, den in integer_nullspace(columns, basis):
-        v = [_ZERO] * len(columns)
-        for j, n in numerators.items():
-            v[j] = Fraction(n, den)
-        relations.append(tuple(v))
     return relations

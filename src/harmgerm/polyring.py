@@ -62,7 +62,7 @@ class Poly:
     Fractions and exponents are ints; anything else is a TypeError.
     `shifted` is the one way to multiply by a monomial x^a*y^b: it moves
     the exponents and multiplies nothing. Apart from this module, only
-    `jets` reads `_num`/`_den`: it splits Polys into int component lists
+    `zcoords` reads `_num`/`_den`: it splits Polys into int component lists
     and wraps the lists it joins back with `_of`. Linear
     algebra gets them through `integer_coordinates`, which reads the
     numerators as integer coordinates over `_den`.

@@ -3,6 +3,7 @@ arithmetic, the rational RREF, an elimination oracle for harmonic
 multiples, call counters, tampered radial scale maps and a tampered
 determinacy certificate."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -65,9 +66,21 @@ def rescaled(p: Poly) -> Poly:
 
 
 def rational_rref(rows):
-    """The rational RREF rows and pivots: each integer row of `rref` over its pivot entry."""
-    rr, pivots = rref(rows)
+    """The rational RREF rows and pivots: each rational row is scaled to
+    integers for `rref`, and each integer row of `rref` is read over its
+    pivot entry."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(Fraction(c).denominator for c in row))
+        scaled.append([int(c * den) for c in row])
+    rr, pivots = rref(scaled)
     return tuple(tuple(Fraction(v, row[col]) for v in row) for row, col in zip(rr, pivots)), pivots
+
+
+def as_fractions(combination, width):
+    """The Fraction vector of a (numerators, den) combination over `width` columns."""
+    numerators, den = combination
+    return tuple(Fraction(numerators.get(j, 0), den) for j in range(width))
 
 
 def reference_membership(target: Poly, k: int, s: int):
@@ -84,7 +97,7 @@ def reference_membership(target: Poly, k: int, s: int):
     _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
-    solution = solutions[0]
+    solution = as_fractions(solutions[0], 2 * len(monos))
     n = len(monos)
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})

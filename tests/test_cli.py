@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 import harmgerm.equivalence
 from harmgerm.cli import RANGES, main
-from harmgerm.equivalence import WitnessChain, _gaussian_pow, absorption_profile, reduce_germ
+from harmgerm.equivalence import (
+    WitnessChain,
+    _gaussian_pow,
+    absorption_profile,
+    reduce_germ,
+    verify_biharmonic,
+)
 from harmgerm.graded import kernel_basis
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly
@@ -190,6 +197,25 @@ class TestReduceCommand:
         germ = harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())
         code, out, _ = run_cli(capsys, "--format", "json", "reduce", format_poly(germ), "--k", "12")
         assert code == 0 and json.loads(out) == payload
+
+    @pytest.mark.parametrize("form", ("text", "json"))
+    def test_biharmonic_witness_beyond_the_str_limit(self, capsys, form):
+        # a seed-1 biharmonic R at k = 12 times 10^590: its numerals have
+        # up to 597 digits, the witness maps' run past the 4300 digits
+        # str() converts by default
+        k = 12
+        rng = Xoshiro256StarStar(derive_seed(1, 1, 0, 0))
+        R = Poly.zero()
+        for d in range(k + 1, 2 * k - 3):
+            R = R + random_in_span(rng, kernel_basis(d, 2).basis)
+        R = R * 10**590
+        code, out, _ = run_cli(capsys, "--format", form, "biharm", format_poly(R), "--k", str(k))
+        assert code == 0
+        assert max(len(numeral) for numeral in re.findall(r"\d+", out)) > 4300
+        if form == "json":
+            assert json.loads(out) == json.loads(verify_biharmonic(k, R).to_json())
+        else:
+            assert "verified: true" in out
 
     @pytest.mark.parametrize("form", ("text", "json"))
     def test_rescaling_witness_beyond_the_str_limit(self, capsys, form):

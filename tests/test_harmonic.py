@@ -20,7 +20,7 @@ from harmgerm.harmonic import (
 from harmgerm.polyring import R2, Poly, laplacian, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, oracle_harmonic
+from conftest import P, as_fractions, oracle_harmonic
 
 
 class TestHarmonicPair:
@@ -178,7 +178,7 @@ def reference_split(p):
     columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
     _, missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
     assert missing is None
-    solution = solutions[0]
+    solution = as_fractions(solutions[0], len(columns))
     h = pair.f * solution[0] + pair.g * solution[1]
     q = Poly({exps: c for exps, c in zip(radial_monos, solution[2:]) if c})
     return h, q
@@ -202,7 +202,7 @@ def reference_almansi(u, s):
     _, missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
     assert missing is None
     layers = [Poly.zero()] * s
-    for (j, h), c in zip(layout, solutions[0]):
+    for (j, h), c in zip(layout, as_fractions(solutions[0], len(columns))):
         if c:
             layers[j] = layers[j] + h * c
     return tuple(layers)

@@ -1,5 +1,6 @@
 """The one solve on integer coordinates against the Fraction-coordinate
-algorithms it replaced, kept here as references."""
+algorithms it replaced, kept here as references; the integer results are
+read as Fractions to compare them."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from harmgerm import linalg
 from harmgerm.polyring import Poly, monomial_basis
 
-from conftest import P, rational_rref
+from conftest import P, as_fractions, rational_rref
 
 POOL = [exps for d in range(4) for exps in monomial_basis(d)]
 DENOMINATORS = (1, 3, 7, 9)
@@ -93,10 +94,13 @@ def systems(draw):
 @given(systems())
 def test_solve_matches_fraction_reference(system):
     columns, targets, basis = system
-    independent, missing, combinations = linalg.solve_canonical(columns, targets, basis)
+    independent, missing, solved = linalg.solve_canonical(columns, targets, basis)
+    for numerators, den in solved:
+        assert type(den) is int and den > 0
+        assert all(type(n) is int and n for n in numerators.values())
+    combinations = [as_fractions(combination, len(columns)) for combination in solved]
     assert (independent, missing, combinations) == reference_solve(columns, targets, basis)
     for combo, target in zip(combinations, targets):
-        assert all(type(c) is Fraction for c in combo)
         assert combine(combo, columns) == target
 
 
@@ -104,21 +108,25 @@ def test_solve_matches_fraction_reference(system):
 @given(systems())
 def test_nullspace_matches_fraction_reference(system):
     columns, _, basis = system
-    vectors = linalg.nullspace(columns, basis)
+    relations = linalg.nullspace(columns, basis)
+    vectors = [as_fractions((numerators, den), len(columns)) for _, numerators, den in relations]
     assert vectors == reference_nullspace(columns, basis)
+    for free, numerators, den in relations:
+        assert numerators[free] == den and all(type(n) is int and n for n in numerators.values())
     for v in vectors:
         assert not combine(v, columns)
 
 
 def test_rescales_by_the_pivot_and_target_denominators():
     # column x/3, target x/7: the integer matrix holds 1 and 1, the answer is 3/7
-    assert linalg.solve_canonical([P("1/3*x")], [P("1/7*x")], [(1, 0)]) == (True, None, [(Fraction(3, 7),)])
-    assert linalg.nullspace([P("1/3*x"), P("1/9*x")], [(1, 0)]) == [(Fraction(-1, 3), Fraction(1))]
+    assert linalg.solve_canonical([P("1/3*x")], [P("1/7*x")], [(1, 0)]) == (True, None, [({0: 3}, 7)])
+    # x/3 - 3 * x/9 == 0, with the -1/3 and 1 over the denominator 9
+    assert linalg.nullspace([P("1/3*x"), P("1/9*x")], [(1, 0)]) == [(1, {0: -3, 1: 9}, 9)]
 
 
 def test_empty_basis():
-    assert linalg.solve_canonical([Poly.zero()], [Poly.zero()], []) == (False, None, [(Fraction(0),)])
-    assert linalg.nullspace([Poly.zero()] * 2, []) == [(1, 0), (0, 1)]
+    assert linalg.solve_canonical([Poly.zero()], [Poly.zero()], []) == (False, None, [({}, 1)])
+    assert linalg.nullspace([Poly.zero()] * 2, []) == [(0, {0: 1}, 1), (1, {1: 1}, 1)]
 
 
 @pytest.mark.parametrize("outside", ["x^3", "x + x*y", "y^2"])
