@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks passed, 1 a verification or
-validation failed, 2 usage or parse errors. Text and JSON output carry
-the same data; identical invocations print identical bytes.
+validation failed or an internal error, 2 usage or parse errors. Each
+command formats its result once, into the JSON payload; the text view is
+rendered from that payload's strings, so text and JSON output carry the
+same data. Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from . import graded
 from .determinacy import check_determinacy, reverify_certificate
 from .equivalence import (
     RescalingWitness,
-    WitnessChain,
     WitnessFault,
     leading_coefficients,
     normalize_harmonic,
@@ -23,7 +24,7 @@ from .equivalence import (
     verify_biharmonic,
 )
 from .harmonic import almansi_decompose, harmonic_pair, harmonic_split
-from .polyring import PolyParseError, format_poly, format_scalar, parse_poly
+from .polyring import PolyParseError, format_poly, parse_poly
 from .selftest import format_report, run_selftest
 
 
@@ -75,11 +76,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_harmonic(args) -> int:
     pair = harmonic_pair(args.k)
-    _emit(
-        args,
-        {"k": args.k, "f": format_poly(pair.f), "g": format_poly(pair.g)},
-        f"f_{args.k} = {pair.f}\ng_{args.k} = {pair.g}",
-    )
+    f, g = format_poly(pair.f), format_poly(pair.g)
+    _emit(args, {"k": args.k, "f": f, "g": g}, f"f_{args.k} = {f}\ng_{args.k} = {g}")
     return 0
 
 
@@ -109,46 +107,37 @@ def cmd_span(args) -> int:
 
 
 def cmd_almansi(args) -> int:
-    u = args.poly
-    deco = almansi_decompose(u, args.s)
-    layers = [format_poly(h) for h in deco.components]
+    u = format_poly(args.poly)
+    layers = [format_poly(h) for h in almansi_decompose(args.poly, args.s).components]
     text = [f"almansi layers of {u} at order {args.s}:"]
     text.extend(f"  r^{2 * j} * ({h})" for j, h in enumerate(layers))
-    _emit(args, {"s": args.s, "input": format_poly(u), "layers": layers}, "\n".join(text))
+    _emit(args, {"s": args.s, "input": u, "layers": layers}, "\n".join(text))
     return 0
 
 
 def cmd_split(args) -> int:
-    p = args.poly
-    h, q = harmonic_split(p)
+    h, q = (format_poly(part) for part in harmonic_split(args.poly))
     _emit(
         args,
-        {"input": format_poly(p), "harmonic": format_poly(h), "radial_factor": format_poly(q)},
+        {"input": format_poly(args.poly), "harmonic": h, "radial_factor": q},
         f"harmonic part: {h}\nradial part:   (x^2 + y^2) * ({q})",
     )
     return 0
 
 
 def cmd_determinacy(args) -> int:
-    h = args.poly
     level = args.k
-    cert = check_determinacy(h, level)
+    cert = check_determinacy(args.poly, level)
     if cert.verdict and not reverify_certificate(cert):
         raise WitnessFault("determinacy certificate failed exact re-verification")
-    payload = {
-        "germ": format_poly(h),
-        "level": level,
-        "verdict": cert.verdict,
-        "products": len(cert.products),
-        "missing": format_poly(cert.missing) if cert.missing else None,
-    }
+    h = format_poly(args.poly)
+    missing = format_poly(cert.missing) if cert.missing else None
+    products = len(cert.products)
+    payload = {"germ": h, "level": level, "verdict": cert.verdict, "products": products, "missing": missing}
     if cert.verdict:
-        text = f"{h} is {level}-determined (criterion passed, {len(cert.products)} products)"
+        text = f"{h} is {level}-determined (criterion passed, {products} products)"
     else:
-        text = (
-            f"criterion inconclusive for {level}-determinacy of {h}; "
-            f"first uncovered monomial: {cert.missing}"
-        )
+        text = f"criterion inconclusive for {level}-determinacy of {h}; first uncovered monomial: {missing}"
     _emit(args, payload, text)
     return 0 if cert.verdict else 1
 
@@ -165,10 +154,9 @@ def cmd_reduce(args) -> int:
         if coeffs is None:
             raise ValueError("degree-k form is not harmonic")
         witness = normalize_harmonic(coeffs[0], coeffs[1], k)
-        if isinstance(witness, RescalingWitness):
-            _emit(args, witness.to_json_dict(), _rescaling_text(witness))
-        else:
-            _emit(args, witness.to_json_dict(), _chain_text(witness))
+        payload = witness.to_json_dict()
+        rescaling = isinstance(witness, RescalingWitness)
+        _emit(args, payload, _rescaling_text(payload) if rescaling else _chain_text(payload))
         return 0 if witness.verified else 1
     if k < 5:
         print(
@@ -176,43 +164,44 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
         return 2
-    chain = reduce_general(germ, k)
-    _emit(args, chain.to_json_dict(), _chain_text(chain))
+    payload = reduce_general(germ, k).to_json_dict()
+    _emit(args, payload, _chain_text(payload))
     return 0
 
 
-def _chain_text(chain: WitnessChain) -> str:
+def _chain_text(chain: dict) -> str:
+    """The text view of a WitnessChain's JSON payload."""
     lines = [
-        f"source:   {chain.source}",
-        f"target:   {chain.target}",
-        f"bound:    {chain.bound}",
-        f"verified: {str(chain.verified).lower()}",
+        f"source:   {chain['source']}",
+        f"target:   {chain['target']}",
+        f"bound:    {chain['bound']}",
+        f"verified: {str(chain['verified']).lower()}",
     ]
-    for i, phi in enumerate(chain.maps):
-        lines.append(f"map {i}: x -> {phi.x.poly}")
-        lines.append(f"       y -> {phi.y.poly}")
-    if chain.certificate is not None:
+    for i, phi in enumerate(chain["maps"]):
+        lines.append(f"map {i}: x -> {phi['x']}")
+        lines.append(f"       y -> {phi['y']}")
+    cert = chain["certificate"]
+    if cert is not None:
         lines.append(
-            f"determinacy: level {chain.certificate.level} "
-            f"(criterion at {chain.certificate.criterion.level}, "
-            f"ok={str(chain.certificate.ok).lower()})"
+            f"determinacy: level {cert['level']} "
+            f"(criterion at {cert['criterion_level']}, ok={str(cert['ok']).lower()})"
         )
     return "\n".join(lines)
 
 
-def _rescaling_text(witness: RescalingWitness) -> str:
-    a, b, k = format_scalar(witness.a), format_scalar(witness.b), witness.k
+def _rescaling_text(witness: dict) -> str:
+    """The text view of a RescalingWitness's JSON payload."""
+    a, b, k = witness["a"], witness["b"], witness["k"]
     return (
         f"rescaling witness for ({a})*f_{k} + ({b})*g_{k}:\n"
         f"  z -> delta*z for every delta with delta^{k} = {a} - ({b})*i\n"
-        f"  verified: {str(witness.verified).lower()}"
+        f"  verified: {str(witness['verified']).lower()}"
     )
 
 
 def cmd_biharm(args) -> int:
-    R = args.poly
-    chain = verify_biharmonic(args.k, R)
-    _emit(args, chain.to_json_dict(), _chain_text(chain))
+    payload = verify_biharmonic(args.k, args.poly).to_json_dict()
+    _emit(args, payload, _chain_text(payload))
     return 0
 
 
@@ -316,6 +305,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    except Exception as exc:  # a defect in a command: report it, print no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ i < s or d - i < s.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,9 +50,12 @@ def harmonic_pair(k: int) -> HarmonicPair:
     if k < 1:
         raise ValueError("harmonic pair needs degree k >= 1 (degree 0 is the constants)")
     # binomial expansion of (x + iy)^k: i^j = (-1)^(j//2), times i for odd j
+    # with C(k, j) by the recurrence C(k, j+1) = C(k, j)*(k - j)/(j + 1)
     real, imag = {}, {}
+    binom = 1
     for j in range(k + 1):
-        (imag if j % 2 else real)[(k - j, j)] = math.comb(k, j) * (-1) ** (j // 2)
+        (imag if j % 2 else real)[(k - j, j)] = binom * (-1) ** (j // 2)
+        binom = binom * (k - j) // (j + 1)
     return HarmonicPair(k, Poly(real), Poly(imag))
 
 

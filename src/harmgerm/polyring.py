@@ -422,8 +422,9 @@ def format_poly(p: Poly) -> str:
     return out
 
 
+# ASCII only: a Unicode digit or space is a parse error, never read as 0-9 or a blank
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[xy])|(?P<op>[-+*/^()])|(?P<bad>\S))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[xy])|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII
 )
 
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmgerm.cli
 import harmgerm.equivalence
+import harmgerm.polyring
 from harmgerm.cli import RANGES, main
 from harmgerm.equivalence import (
     WitnessChain,
@@ -303,6 +305,87 @@ class TestBiharmCommand:
         assert "Laplacian" in err
 
 
+def _chain_polys(payload):
+    return 2 + 2 * len(payload["maps"])
+
+
+class TestOutputFormattedOnce:
+    """Each command formats its result once, into the JSON payload, and the
+    text view is rendered from the payload's strings."""
+
+    @pytest.fixture
+    def format_calls(self, monkeypatch):
+        # every module-level reference to format_poly, Poly.__str__'s included
+        calls = []
+        original = harmgerm.polyring.format_poly
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("harmgerm") and getattr(module, "format_poly", None) is original:
+                monkeypatch.setattr(module, "format_poly", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["reduce", format_poly(TestReduceSingleVerification.GERM), "--k", "6"], _chain_polys),
+            (["reduce", "x^5 - 10*x^3*y^2 + 5*x*y^4 + x^2*(x^4 - 6*x^2*y^2 + y^4)", "--k", "5"], _chain_polys),
+            (["reduce", "-4*x*y", "--k", "2"], _chain_polys),
+            (["reduce", "2*x*y", "--k", "2"], lambda payload: 0),
+            (["biharm", "x*(x^5 - 10*x^3*y^2 + 5*x*y^4)", "--k", "5"], _chain_polys),
+            (["harmonic", "--k", "3"], lambda payload: 2),
+            (["almansi", "x^4", "--s", "3"], lambda payload: 1 + len(payload["layers"])),
+            (["split", "x^3"], lambda payload: 3),
+            (["determinacy", "x^2 - y^2", "--k", "2"], lambda payload: 1),
+            (["determinacy", "x^3", "--k", "3"], lambda payload: 2),
+        ],
+        ids=[
+            "reduce-three-maps", "reduce", "reduce-rotation", "reduce-rescaling", "biharm",
+            "harmonic", "almansi", "split", "determinacy", "determinacy-inconclusive",
+        ],
+    )
+    def test_each_polynomial_formatted_once(self, capsys, format_calls, argv, expected):
+        code, out, _ = run_cli(capsys, "--format", "json", *argv)
+        assert len(format_calls) == expected(json.loads(out))
+        count = len(format_calls)
+        assert run_cli(capsys, "--format", "text", *argv)[0] == code
+        assert len(format_calls) == 2 * count
+
+    # sha256 over each command's exit code and stdout, in order, pinned
+    # before the text view was rendered from the payload
+    COMMANDS = [
+        ["harmonic", "--k", "3"],
+        ["kernel", "--k", "4", "--s", "2"],
+        ["span", "--s", "1", "--k", "3"],
+        ["almansi", "x^4", "--s", "3"],
+        ["split", "x^3"],
+        ["determinacy", "x^2 - y^2", "--k", "2"],
+        ["reduce", "x^5 - 10*x^3*y^2 + 5*x*y^4 + x^2*(x^4 - 6*x^2*y^2 + y^4)", "--k", "5"],
+        ["biharm", "x*(x^5 - 10*x^3*y^2 + 5*x*y^4)", "--k", "5"],
+        ["reduce", "-4*x*y", "--k", "2"],
+        ["selftest", "--seed", "42"],
+        ["reduce", "2*x*y", "--k", "2"],
+        ["determinacy", "x^3", "--k", "3"],
+    ]
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "9d6c07fa4eeef5e4760c3fcfa52b2efce33ad8ea067a371abd3c52eb9295b22a"),
+            ("json", "e0c9542a5ade4050c917ab3417d9f4d587d23bb20d2ce0015921fc9e21fa4ea0"),
+        ],
+    )
+    def test_golden_output(self, capsys, fmt, digest):
+        outputs = hashlib.sha256()
+        for argv in self.COMMANDS:
+            code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+            outputs.update(f"{code}\n{out}".encode())
+        assert outputs.hexdigest() == digest
+
+
 class TestSelftestCommand:
     def test_passes_small_grid(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "7", "--max-degree", "6")
@@ -405,6 +488,30 @@ class TestRangeErrors:
         code, out, err = run_cli(capsys, "split", poly)
         assert code == 2 and out == ""
         assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "poly",
+        ["x^2\u0661", "\uff11*x", "x^2\u3000+ y^2", "3\u00a0x"],
+        ids=["arabic-indic digit", "fullwidth digit", "ideographic space", "no-break space"],
+    )
+    def test_non_ascii_digit_or_space_is_a_parse_error(self, capsys, poly):
+        code, out, err = run_cli(capsys, "split", poly)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: unexpected character")
+
+    @pytest.mark.parametrize(
+        "fault",
+        [ArithmeticError("composition of a real jet left an imaginary part y"), KeyError("offset 9 outside 1..4")],
+        ids=["ArithmeticError", "KeyError"],
+    )
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, fault):
+        def failing(args):
+            raise fault
+
+        monkeypatch.setattr(harmgerm.cli, "cmd_reduce", failing)
+        code, out, err = run_cli(capsys, "reduce", "x^5 - 10*x^3*y^2 + 5*x*y^4", "--k", "5")
+        assert code == 1 and out == ""
+        assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 class TestLeadingMinus:
@@ -547,7 +654,8 @@ _OPTION_INT = st.one_of(
     st.integers(max_value=-(10**6), min_value=-(10**40)),
 )
 _POLY_TEXT = st.one_of(
-    st.text(alphabet="xy0123456789+-*/^() ", max_size=12),
+    # with non-ASCII digits and spaces, which must be parse errors
+    st.text(alphabet="xy0123456789+-*/^() \u0661\uff11\u3000\u00a0", max_size=12),
     st.builds(
         lambda terms: " + ".join(f"{c}*x^{a}*y^{b}" for c, a, b in terms) or "0",
         st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 6), st.integers(0, 6)), max_size=4),

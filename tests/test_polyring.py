@@ -79,6 +79,19 @@ class TestParse:
             parse_poly(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x^2\u0661", 3), ("\uff11*x", 0), ("x^2\u3000+ y^2", 3), ("3\u00a0x", 1)],
+        ids=["arabic-indic digit", "fullwidth digit", "ideographic space", "no-break space"],
+    )
+    def test_non_ascii_digit_or_space_rejected(self, text, position):
+        with pytest.raises(PolyParseError, match="unexpected character") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    def test_unicode_minus_still_reads_as_minus(self):
+        assert parse_poly("\u2212x^2 \u2212 3*y") == parse_poly("-x^2 - 3*y")
+
     def test_leading_zeros_do_not_count(self):
         assert parse_poly("0" * 5000 + "3*x^" + "0" * 5000 + "1") == parse_poly("3*x")
         assert parse_poly("1/" + "0" * 5000 + "2") == parse_poly("1/2")
