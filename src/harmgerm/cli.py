@@ -76,8 +76,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_harmonic(args) -> int:
     pair = harmonic_pair(args.k)
-    f, g = format_poly(pair.f), format_poly(pair.g)
-    _emit(args, {"k": args.k, "f": f, "g": g}, f"f_{args.k} = {f}\ng_{args.k} = {g}")
+    payload = {"k": args.k, "f": format_poly(pair.f), "g": format_poly(pair.g)}
+    _emit(args, payload, f"f_{args.k} = {payload['f']}\ng_{args.k} = {payload['g']}")
     return 0
 
 
@@ -130,14 +130,21 @@ def cmd_determinacy(args) -> int:
     cert = check_determinacy(args.poly, level)
     if cert.verdict and not reverify_certificate(cert):
         raise WitnessFault("determinacy certificate failed exact re-verification")
-    h = format_poly(args.poly)
-    missing = format_poly(cert.missing) if cert.missing else None
-    products = len(cert.products)
-    payload = {"germ": h, "level": level, "verdict": cert.verdict, "products": products, "missing": missing}
+    payload = {
+        "germ": format_poly(args.poly),
+        "level": level,
+        "verdict": cert.verdict,
+        "products": len(cert.products),
+        "missing": format_poly(cert.missing) if cert.missing else None,
+    }
+    h = payload["germ"]
     if cert.verdict:
-        text = f"{h} is {level}-determined (criterion passed, {products} products)"
+        text = f"{h} is {level}-determined (criterion passed, {payload['products']} products)"
     else:
-        text = f"criterion inconclusive for {level}-determinacy of {h}; first uncovered monomial: {missing}"
+        text = (
+            f"criterion inconclusive for {level}-determinacy of {h}; "
+            f"first uncovered monomial: {payload['missing']}"
+        )
     _emit(args, payload, text)
     return 0 if cert.verdict else 1
 
@@ -300,12 +307,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except WitnessFault as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 0
-    except Exception as exc:  # a defect in a command: report it, print no traceback
+    except Exception as exc:  # a failed witness check or another defect: no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

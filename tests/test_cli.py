@@ -501,7 +501,10 @@ class TestRangeErrors:
 
     @pytest.mark.parametrize(
         "fault",
-        [ArithmeticError("composition of a real jet left an imaginary part y"), KeyError("offset 9 outside 1..4")],
+        [
+            ArithmeticError("composition of a real jet left an imaginary part y"),
+            KeyError("offset 9 outside 1..4"),
+        ],
         ids=["ArithmeticError", "KeyError"],
     )
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, fault):
@@ -702,3 +705,6 @@ class TestArbitraryArgv:
                 code = exc.code
         assert code in (0, 1, 2), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+        # main() turns a fault inside a command into "internal error:", so
+        # the fuzz would not see it through the exit code alone
+        assert "internal error:" not in err.getvalue(), argv
