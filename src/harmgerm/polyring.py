@@ -497,15 +497,19 @@ class _Parser:
     def product(self) -> Poly:
         result = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.factor()
-            elif kind in ("num", "name") or (kind == "op" and value == "("):
-                # adjacency, e.g. "3x" or "x^2(x+y)"
-                result = result * self.factor()
-            else:
+                pos = self.peek()[2]
+            elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
                 return result
+            # after "*" or by adjacency, e.g. "3x" or "x^2(x+y)"; a product
+            # of sums expands densely, as a power of one does
+            factor = self.factor()
+            degree = result.degree() + factor.degree()
+            if len(result) > 1 and len(factor) > 1 and degree > self.MAX_GROUP_DEGREE:
+                raise PolyParseError(f"expanded degree {degree} exceeds {self.MAX_GROUP_DEGREE}", pos)
+            result = result * factor
 
     def factor(self) -> Poly:
         kind, value, pos = self.peek()

@@ -500,6 +500,27 @@ class TestRangeErrors:
         assert err.startswith("parse error: unexpected character")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("harmonic", "--k", "\u0663"),
+            ("harmonic", "--k", "1_0"),
+            ("harmonic", "--k", " 3"),
+            ("kernel", "--s", "1", "--k", "\uff14"),
+            ("kernel", "--k", "4", "--s", "\u0661"),
+            ("selftest", "--seed", "\uff14\uff12"),
+            ("selftest", "--max-degree", "3\u00a0"),
+        ],
+        ids=["arabic-indic digit", "underscore", "padding", "fullwidth digit", "s", "seed", "max-degree"],
+    )
+    def test_non_ascii_integer_option_is_a_usage_error(self, capsys, argv):
+        # int() would read each of these as a number
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"invalid ascii_int value: {argv[-1]!r}" in captured.err
+
+    @pytest.mark.parametrize(
         "fault",
         [
             ArithmeticError("composition of a real jet left an imaginary part y"),
@@ -589,6 +610,14 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and "<=" in err
 
+    def test_product_of_grouped_sums_is_a_parse_error(self, capsys):
+        # 40 factors of degree 128 used to expand for 10 s before the degree cap
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "split", "*".join(["(x+y)^128"] * 40))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "parse error: expanded degree 256 exceeds 128 (at position 10)\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -665,6 +694,14 @@ _POLY_TEXT = st.one_of(
     ),
     st.builds(lambda v, n: f"{v}^{n}", st.sampled_from("xy"), st.integers(10**3, 10**6)),
 )
+# An integer option with a non-ASCII digit, "_" or a space in it, which
+# int() might read as a number but the CLI must refuse as a usage error.
+_NOT_AN_INT = st.builds(
+    lambda head, odd, tail: head + odd + tail,
+    st.text(alphabet="+-0123456789", max_size=3),
+    st.sampled_from(["\u0663", "\uff14", "\u0661", "_", " ", "\u00a0", "\u3000"]),
+    st.text(alphabet="0123456789_\u0663\uff14", max_size=3),
+)
 
 
 @st.composite
@@ -681,16 +718,20 @@ def _argv(draw):
     for option in ("k", "s"):
         # now and then a required option is missing
         if option in RANGES.get(command, {}) and draw(st.sampled_from([True] * 9 + [False])):
-            argv += [f"--{option}", str(draw(_OPTION_INT))]
+            argv += [f"--{option}", draw(st.one_of(_OPTION_INT.map(str), _NOT_AN_INT))]
     if command == "reduce" and draw(st.booleans()):
         argv += ["--tolerance", repr(draw(st.floats()))]
     if command == "selftest":
         if draw(st.booleans()):
-            argv += ["--seed", str(draw(st.integers()))]
+            argv += ["--seed", draw(st.one_of(st.integers().map(str), _NOT_AN_INT))]
         if draw(st.booleans()):
             # no upper limit here, and a large cap runs the whole grid
-            argv += ["--max-degree", str(draw(st.integers(-(10**40), 2)))]
+            argv += ["--max-degree", draw(st.one_of(st.integers(-(10**40), 2).map(str), _NOT_AN_INT))]
     return argv
+
+
+def _int_options(argv):
+    return [value for flag, value in zip(argv, argv[1:]) if flag in ("--k", "--s", "--seed", "--max-degree")]
 
 
 class TestArbitraryArgv:
@@ -704,6 +745,8 @@ class TestArbitraryArgv:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if any(not re.fullmatch(r"[+-]?[0-9]+", value) for value in _int_options(argv)):
+            assert code == 2, argv
         assert "Traceback" not in err.getvalue(), argv
         # main() turns a fault inside a command into "internal error:", so
         # the fuzz would not see it through the exit code alone

@@ -5,17 +5,16 @@ from typing import Sequence
 
 import pytest
 
-from harmgerm import determinacy, linalg, polyring
+from harmgerm import determinacy, graded, linalg, polyring, zcoords
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
     jacobian_generators,
     reverify_certificate,
-    translation_absorption,
 )
 from harmgerm.graded import translation_solution
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.polyring import Poly, format_poly, monomial_basis
+from harmgerm.polyring import Poly, format_poly, linear_combination, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_order_tail
 
 from conftest import P, counted, from_sympy, rational_rref, to_sympy
@@ -135,13 +134,47 @@ class TestDeterminedBoundReport:
 
     @pytest.mark.parametrize("k", (5, 6, 7))
     def test_translation_absorption_covers_slice(self, k):
-        absorption = translation_absorption(k)
-        assert absorption.verified
-        assert len(absorption.entries) == len(monomial_basis(2 * k - 3))
+        # the translations read off the criterion absorb the whole slice,
+        # with or without a tail
+        tail = random_order_tail(Xoshiro256StarStar(derive_seed(27, k)), k)
         pair = harmonic_pair(k - 1)
-        for mono, u, v in absorption.entries:
-            assert (pair.f * u - pair.g * v) * k == mono
-            assert u.is_homogeneous() and (not u or u.degree() == k - 2)
+        for germ_tail in (Poly.zero(), tail):
+            report = determined_bound_report(k, germ_tail)
+            assert report.ok
+            translations, lower_zero = top_block_translations(report.criterion, k)
+            assert lower_zero
+            assert len(translations) == len(monomial_basis(2 * k - 3))
+            for (a, b), (u, v) in zip(monomial_basis(2 * k - 3), translations):
+                assert (pair.f * u - pair.g * v) * k == Poly.monomial(a, b)
+                for w in (u, v):
+                    assert w.is_homogeneous() and (not w or w.degree() == k - 2)
+
+
+def top_block_translations(cert, k):
+    """((u, v) per degree-(2k-3) monomial, every lower coefficient zero) of a
+    level-(2k-3) certificate for f_k + tail.
+
+    Its last 2(k-1) products are the top block, x^a*y^b * k*f_(k-1) and
+    -x^a*y^b * k*g_(k-1) for each (a, b) of degree k-2 in turn, so a
+    combination's coefficients on the first of each pair are those of u and
+    on the second those of v.
+    """
+    pair = harmonic_pair(k - 1)
+    multipliers = monomial_basis(k - 2)
+    lower = len(cert.products) - 2 * len(multipliers)
+    for i, (a, b) in enumerate(multipliers):
+        shift = Poly.monomial(a, b)
+        assert cert.products[lower + 2 * i] == shift * pair.f * k
+        assert cert.products[lower + 2 * i + 1] == shift * pair.g * -k
+    translations = []
+    lower_zero = True
+    for combo in cert.combinations:
+        lower_zero &= not any(combo[:lower])
+        top = combo[lower:]
+        u = linear_combination((c, Poly.monomial(a, b)) for c, (a, b) in zip(top[::2], multipliers))
+        v = linear_combination((c, Poly.monomial(a, b)) for c, (a, b) in zip(top[1::2], multipliers))
+        translations.append((u, v))
+    return translations, lower_zero
 
 
 def certificate_grid():
@@ -410,18 +443,26 @@ class TestSingleElimination:
 
 
 class TestTranslationAbsorption:
-    @pytest.mark.parametrize("k", range(2, 15))
-    def test_matches_per_monomial_solutions(self, monkeypatch, k):
-        reference = tuple(
-            (mono, *translation_solution(mono, k))
-            for mono in (Poly.monomial(a, b) for a, b in monomial_basis(2 * k - 3))
-        )
+    @pytest.mark.parametrize("k", range(3, 15))
+    def test_matches_per_monomial_solutions(self, k):
+        # the report's criterion from k = 5; below, the same level-(2k-3)
+        # criterion on f_k, which the report does not cover
+        if k >= 5:
+            cert = determined_bound_report.__wrapped__(k, Poly.zero()).criterion
+        else:
+            cert = check_determinacy(harmonic_pair(k).f, 2 * k - 3)
+        assert cert.verdict and reverify_certificate(cert)
+        reference = [translation_solution(Poly.monomial(a, b), k) for a, b in monomial_basis(2 * k - 3)]
+        translations, lower_zero = top_block_translations(cert, k)
+        assert lower_zero
+        assert translations == reference
+
+    @pytest.mark.parametrize("k", (5, 8, 12))
+    def test_report_runs_one_elimination_and_no_read_off(self, monkeypatch, k):
         rrefs = counted(monkeypatch, linalg, "rref")
-        solves = counted(monkeypatch, linalg, "solve_canonical")
-        absorption = translation_absorption(k)
-        assert absorption.entries == reference
-        assert absorption.verified
-        assert rrefs == [] and solves == []
+        read_offs = [counted(monkeypatch, module, "harmonic_multiple") for module in (zcoords, graded)]
+        assert determined_bound_report.__wrapped__(k, Poly.zero()).ok
+        assert len(rrefs) == 1 and read_offs == [[], []]
 
     @pytest.mark.parametrize("k", range(5, 13))
     def test_report_fields_unchanged(self, k):

@@ -105,6 +105,28 @@ class TestParse:
             "x^6 - 6*x^4*y^2 + x^2*y^4"
         )
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(x+y)^129", 4),
+            ("(x+y)^64*(x-y)^65", 9),
+            ("(x+y)^64 (x-y)^65", 9),
+            ("*".join(["(x+y)^128"] * 40), 10),
+            ("(x+y)*" * 128 + "(x+y)", 768),
+        ],
+        ids=["power", "product", "adjacency", "forty factors", "linear factors"],
+    )
+    def test_grouped_sum_expansion_capped(self, text, position):
+        # a product of two sums expands densely, as a power of one does
+        with pytest.raises(PolyParseError, match="exceeds 128") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    def test_grouped_sum_expansion_at_the_cap_parses(self):
+        assert parse_poly("(x+y)^64*(x-y)^64") == parse_poly("(x^2-y^2)^64")
+        # a monomial factor keeps a product sparse at any degree
+        assert parse_poly("x^1000*(x+y)^128*y^1000") == Poly.monomial(1000, 1000) * parse_poly("(x+y)^128")
+
     @given(st.text(alphabet="xy0123456789+-*/^() ", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
