@@ -67,8 +67,8 @@ class AbsorptionProfile(NamedTuple):
 
     For a leading degree k >= 5 and offsets s = 1..k-4, a degree-(k+s)
     perturbation is absorbable when its exponents[s]-fold Laplacian
-    vanishes. The threshold jumps from s+1 to s+2 at s = (k-3)/2
-    (compared as exact rationals); split_offset is the smallest offset
+    vanishes. The threshold jumps from s+1 to s+2 at s = (k-3)/2, that
+    is, where 2s >= k - 3; split_offset = (k-2) // 2 is the smallest offset
     at or above the jump, where translation absorption takes over from
     the radial scale map.
     """
@@ -87,14 +87,8 @@ class AbsorptionProfile(NamedTuple):
 def absorption_profile(k: int) -> AbsorptionProfile:
     if k < 5:
         raise ValueError("absorption profile requires k >= 5")
-    threshold = Fraction(k - 3, 2)
-    exponents = tuple(
-        (s, s + 1 if s < threshold else s + 2) for s in range(1, k - 3)
-    )
-    split = 1
-    while split < threshold:
-        split += 1
-    return AbsorptionProfile(k, exponents, split)
+    exponents = tuple((s, s + 1 if 2 * s < k - 3 else s + 2) for s in range(1, k - 3))
+    return AbsorptionProfile(k, exponents, (k - 2) // 2)
 
 
 class WitnessChain(NamedTuple):

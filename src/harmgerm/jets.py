@@ -13,26 +13,27 @@ by z = x + iy, is z -> z*rho. There the jet is rewritten as
 sum C_ij z^i zbar^j, and each term becomes C_ij z^i zbar^j rho^i
 conj(rho)^j. That product only matters up to degree bound - i - j, which
 is far below the bound for the high-order jets the reduction composes.
-Since the jet is real, C_ji = conj(C_ij), so only the terms with i >= j
-are formed. Every other map, written id + tau, composes by its Taylor
-expansion, which is finite because the jet is a polynomial: it stops at
-n = deg h, or sooner once its terms pass the bound when tau has order
-at least 2. For the reduction's translations only the first-order part
-h + h_x*tau_x + h_y*tau_y is left; a shear or a linear change of
-coordinates runs the whole sum. With m the order of tau, the n-th term's
-factor has order at least n*m, so each n-th derivative is cut at degree
-bound - n*m, and only h's degrees up to bound - m + 1 are differentiated.
-Both are exact general compositions, so a witness re-verified through
-them is checked independently of how its maps were built.
+Every term is formed; as C_ji = conj(C_ij), the result is real, and an
+imaginary part left in it is an error. Every other map, written id + tau,
+composes by its Taylor expansion, which is finite because the jet is a
+polynomial: it stops at n = deg h, or sooner once its terms pass the
+bound when tau has order at least 2. For the reduction's translations
+only the first-order part h + h_x*tau_x + h_y*tau_y is left; a shear or
+a linear change of coordinates runs the whole sum. With m the order of
+tau, the n-th term's factor has order at least n*m, so each n-th
+derivative is cut at degree bound - n*m, and only h's degrees up to
+bound - m + 1 are differentiated. Both are exact general compositions,
+so a witness re-verified through them is checked independently of how
+its maps were built.
 
 A witness's last step, h o phi == f_k for a radial phi = z*rho below
 degree 2k, can also be decided without composing h:
-`radial_step_holds` reads w = u - iv off h - f_k = u*f_k + v*g_k and
-checks the defining identity (1 + w o phi) * rho^k == 1 up to degree
-level - k, composing only w, in (z, zbar) coordinates. It gives no
-verdict, and the caller composes, for a map that is not radial, a rho
-whose constant term is not 1, an h - f_k that is not a harmonic multiple
-of order above k, or a level of 2k or more.
+`radial_step_holds` reads 1 + w off h = Re(z^k (1 + w)) and checks the
+defining identity (1 + w o phi) * rho^k == 1 up to degree level - k,
+composing only w, in (z, zbar) coordinates. It gives no verdict, and the
+caller composes, for a map that is not radial, a rho whose constant term
+is not 1, an h - f_k that is not a harmonic multiple of order above k,
+or a level of 2k or more.
 
 Powers (1 + w)^alpha of a jet with zero constant term are built degree by
 degree with Miller's recurrence (Knuth, TAOCP vol. 2, 4.7). The inverse
@@ -345,22 +346,12 @@ def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
     """The real polynomial p composed with z -> z*rho, rho given by its
     (z, zbar) components, modulo degrees above the bound.
 
-    With p = sum C_ij z^i zbar^j, only the terms with i >= j are composed,
-    the diagonal at half weight: as C_ji = conj(C_ij), the result is
-    S + conj(S).
+    Every term C_ij z^i zbar^j of p is composed (`_RadialImage`); as
+    C_ji = conj(C_ij), an imaginary part left in the result is an error.
     """
-    half = []
-    for d, (re, im, den) in enumerate(_change_variables(_split(p, Poly.zero(), bound), _z_image)):
-        weights = [2 if 2 * i > d else 1 if 2 * i == d else 0 for i in range(d + 1)]
-        half_re = [w * v for w, v in zip(weights, re)]
-        half.append(_component(half_re, [w * v for w, v in zip(weights, im)], 2 * den))
-    image = _RadialImage(half, rho)
-    total = []
-    for d in range(bound + 1):
-        re, im, den = image.component(d)
-        total_re = [a + b for a, b in zip(re, reversed(re))]
-        total.append(_component(total_re, [a - b for a, b in zip(im, reversed(im))], den))
-    result, imaginary = _join(_change_variables(total, _xy_image))
+    image = _RadialImage(_change_variables(_split(p, Poly.zero(), bound), _z_image), rho)
+    composed = [image.component(d) for d in range(bound + 1)]
+    result, imaginary = _join(_change_variables(composed, _xy_image))
     if imaginary:
         raise ArithmeticError(f"composition of a real jet left an imaginary part {imaginary}")
     return result
@@ -371,15 +362,15 @@ def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
     composing h; None when this check does not apply.
 
     It applies to a radial phi = z*rho with rho's constant term 1, for
-    k <= level < 2k, when h - f_k = u*f_k + v*g_k has order above k. Then
-    h = Re(z^k (1 + w)) with w = u - iv (`_harmonic_quotient`), and
-    h o phi - f_k = Re(z^k E) with E = rho^k (1 + W) - 1 and W = w o phi.
-    Up to `level` only E's degrees up to level - k count, and for E of
-    degree below k, Re(z^k E) = 0 only if E = 0 (its two halves share no
-    monomial). So h o phi == f_k up to `level` exactly when
-    (1 + W) rho^k == 1 up to degree level - k, or, rho^k being a unit,
-    when 1 + W == rho^(-k) there: the defining identity of
-    `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates up
+    k <= level < 2k, when `_harmonic_quotient` reads h = Re(z^k (1 + w))
+    with w(0) = 0 off h, that is, when h - f_k = u*f_k + v*g_k has order
+    above k, w = u - iv. Then h o phi - f_k = Re(z^k E) with
+    E = rho^k (1 + W) - 1 and W = w o phi. Up to `level` only E's degrees
+    up to level - k count, and for E of degree below k, Re(z^k E) = 0 only
+    if E = 0 (its two halves share no monomial). So h o phi == f_k up to
+    `level` exactly when (1 + W) rho^k == 1 up to degree level - k, or,
+    rho^k being a unit, when 1 + W == rho^(-k) there: the defining identity
+    of `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates up
     to degree level - k, where the composition of h would run to `level`,
     and the two sides are compared component by component.
     """
@@ -388,18 +379,11 @@ def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
     rho = _radial_factor(phi)
     if rho is None or rho[0] != _ONE:
         return None
-    c = _change_variables(_split(h.poly, Poly.zero(), level), _z_image)
-    # minus f_k = (z^k + zbar^k)/2
-    re, im, den = c[k]
-    re = [2 * v for v in re]
-    re[0] -= den
-    re[k] -= den
-    c[k] = _component(re, [2 * v for v in im], 2 * den)
-    w = _harmonic_quotient(c, k)
-    if w is None or any(w[0][0]) or any(w[0][1]):
+    w = _harmonic_quotient(_change_variables(_split(h.poly, Poly.zero(), level), _z_image), k)
+    if w is None or w[0] != _ONE:
         return None
     top = level - k
-    image = _RadialImage(w, rho)
+    image = _RadialImage([_zero(0)] + w[1:], rho)
     # rho^(-k) = (1 + (rho - 1))^(-k)
     inverse = _graded_power([_zero(0)] + rho[1:], Fraction(-k), top)
     return all(image.component(d) == inverse[d] for d in range(1, top + 1))
@@ -482,5 +466,4 @@ def _inverse_scale_root(w: list[tuple], k: int, bound: int) -> JetMap:
     for d in range(1, bound - k + 1):
         composed.append(image.component(d))
         rho.append(_power_component(composed, rho, alpha))
-    phi = _scale_map_from_root(*_join(_change_variables(rho, _xy_image)), bound - k + 1)
-    return JetMap(Jet(phi.x.poly, bound), Jet(phi.y.poly, bound), bound)
+    return _scale_map_from_root(*_join(_change_variables(rho, _xy_image)), bound)

@@ -28,7 +28,6 @@ Exponents = tuple[int, int]
 Scalar = Union[int, Fraction]
 
 _INF = math.inf
-_ZERO = Fraction(0)
 
 
 class PolyParseError(ValueError):
@@ -68,7 +67,7 @@ class Poly:
     numerators as integer coordinates over `_den`.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -90,7 +89,6 @@ class Poly:
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._num = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
         self._den = den
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -104,7 +102,6 @@ class Poly:
         out = cls.__new__(cls)
         out._num = num
         out._den = den
-        out._hash = None
         return out
 
     @classmethod
@@ -132,8 +129,7 @@ class Poly:
         return tuple((key, Fraction(v, den)) for key, v in ordered)
 
     def coeff(self, a: int, b: int) -> Fraction:
-        v = self._num.get((a, b))
-        return _ZERO if v is None else Fraction(v, self._den)
+        return Fraction(self._num.get((a, b), 0), self._den)
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -281,9 +277,7 @@ class Poly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.terms())
-        return self._hash
+        return hash(self.terms())
 
     # -- formatting ----------------------------------------------------------
 
@@ -545,17 +539,24 @@ class _Parser:
             # exponentiating a sum expands densely; refuse unreasonable blowup
             degree = inner.degree()
             if exponent > 1 and degree > 0 and degree * exponent > self.MAX_GROUP_DEGREE:
-                raise PolyParseError(
-                    f"expanded degree {degree * exponent} exceeds {self.MAX_GROUP_DEGREE}", cpos
-                )
+                if len(inner) > 1:
+                    raise PolyParseError(
+                        f"expanded degree {degree * exponent} exceeds {self.MAX_GROUP_DEGREE}", cpos
+                    )
+                (n,) = inner._num.values()
+                if (max(abs(n), inner._den).bit_length() - 1) * exponent >= self.MAX_GROUP_BITS:
+                    raise PolyParseError(f"coefficient exceeds {self.MAX_GROUP_BITS} bits", cpos)
             return inner**exponent
         if kind is None:
             raise PolyParseError("unexpected end of input", pos)
         self.fail(f"unexpected {value!r}")
 
-    # single monomials stay sparse at any exponent; grouped sums do not
+    # single terms stay sparse at any exponent; their coefficients are capped at
+    # the bits of (10**600 - 1)**128, the largest power of one numeral that the
+    # degree cap admits: n**e needs more once (n.bit_length() - 1) * e reaches it
     MAX_EXPONENT = 10**6
     MAX_GROUP_DEGREE = 128
+    MAX_GROUP_BITS = 255_125
     # each level costs three stack frames; stay far below the recursion limit
     MAX_NESTING = 100
     # below 640, the lowest limit on int() that Python lets a process set

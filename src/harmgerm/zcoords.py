@@ -58,15 +58,6 @@ def _split(re: Poly, im: Poly, bound: int) -> list[tuple]:
     return [_component(r, i, den) for r, i in parts]
 
 
-def _homogeneous(p: Poly, d: int) -> tuple:
-    """The degree-d component of the real polynomial p; its other terms are dropped."""
-    re = [0] * (d + 1)
-    for (a, b), v in p._num.items():
-        if a + b == d:
-            re[a] = v
-    return _component(re, [0] * (d + 1), p._den)
-
-
 def _join(components: list[tuple]) -> tuple[Poly, Poly]:
     """The real and imaginary parts of a list of components, as Polys; each
     component's degree is its length less one."""

@@ -618,6 +618,14 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err == "parse error: expanded degree 256 exceeds 128 (at position 10)\n"
 
+    def test_one_term_power_with_a_huge_coefficient_is_a_parse_error(self, capsys):
+        # 9^1000000 would take 3.2 million bits; refused before it is computed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "split", "(9*x)^1000000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "parse error: coefficient exceeds 255125 bits (at position 4)\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -72,6 +72,19 @@ class TestAbsorptionProfile:
         with pytest.raises(ValueError):
             absorption_profile(4)
 
+    @pytest.mark.parametrize("k", range(5, 61))
+    def test_closed_form_matches_the_threshold_definition(self, k):
+        # sigma(s) = s + 1 below the rational threshold (k - 3)/2, s + 2 from
+        # it on; the split offset is the first integer offset at or above it
+        threshold = Fraction(k - 3, 2)
+        exponents = tuple((s, s + 1 if s < threshold else s + 2) for s in range(1, k - 3))
+        split = 1
+        while split < threshold:
+            split += 1
+        profile = absorption_profile(k)
+        assert profile == (k, exponents, split)
+        assert all(profile.exponent(s) == power for s, power in exponents)
+
 
 class TestNormalizeHarmonic:
     def test_identity(self):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import pickle
 from fractions import Fraction
@@ -537,6 +538,60 @@ class TestTaylorRoute:
         # reduction reads them off the germ's components, and verify()
         # checks the scale map by its identity, by neither route
         assert routes_taken(counters) == {"taylor": 2}
+
+
+class TestRadialRouteBeyondTheBenchmark:
+    """The radial route at bound 36, past the benchmark's bounds 10-16,
+    on CI's seeded germ construction at k = 20 (`Xoshiro256StarStar(2016)`,
+    one kernel perturbation per offset, then the tail)."""
+
+    K = 20
+
+    @staticmethod
+    def digest(chain):
+        return hashlib.sha256(chain.to_json().encode()).hexdigest()
+
+    def test_rotated_reduce(self):
+        from harmgerm.equivalence import absorption_profile, reduce_general
+        from harmgerm.graded import kernel_basis
+        from harmgerm.rng import random_in_span
+
+        k = self.K
+        rng = Xoshiro256StarStar(2016)
+        germ = harmonic_pair(k).f
+        for s, power in absorption_profile(k).exponents:
+            germ = germ + random_in_span(rng, kernel_basis(k + s, power).basis)
+        germ = germ + random_homogeneous(rng, 2 * k - 3)
+        # germ o (z -> (1 + i)z), composed exactly at its own degree
+        rotated = jet_compose(jet_truncate(germ, 2 * k - 3), radial_map(P("1"), P("1"), 2 * k - 3)).poly
+        with route_counters() as counters:
+            chain = reduce_general(rotated, k)
+        assert [call[2] for call in counters["radial"]] == [2 * k - 4] * 2
+        assert self.digest(chain) == "e41bd62ace333f582c704c018e5af53d471f4f1773404317a141b17e992a553a"
+
+    def test_biharmonic(self):
+        from harmgerm.equivalence import verify_biharmonic
+        from harmgerm.graded import kernel_basis
+        from harmgerm.rng import random_in_span
+
+        k = self.K
+        rng = Xoshiro256StarStar(2016)
+        r = sum((random_in_span(rng, kernel_basis(d, 2).basis) for d in range(k + 1, 2 * k - 3)), Poly.zero())
+        with route_counters() as counters:
+            chain = verify_biharmonic(k, r)
+        # the translations are radial: R's components are biharmonic
+        assert [call[2] for call in counters["radial"]] == [2 * k - 4] * 8
+        assert self.digest(chain) == "793841ab00f0b4384595051a7b23bd890d7d17254ca3bebe68a98ab8604fb02a"
+
+    def test_wrong_conjugate_is_an_error(self, monkeypatch):
+        # every (z, zbar) term is composed, so a wrong conj(rho^j) leaves an
+        # imaginary part behind instead of a wrong real jet
+        h = jet_truncate(P("x^3 - 2*x*y^2 + 1/3*y^4 + x*y"), 5)
+        phi = radial_map(P("1 + x"), P("y"), 5)  # z -> z(1 + z)
+        assert jet_compose(h, phi).poly == oracle_compose(h.poly, phi.x.poly, phi.y.poly, 5)
+        monkeypatch.setattr(harmgerm.jets, "_conjugate", lambda c: c)
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            jet_compose(h, phi)
 
 
 class TestMapCompose:

@@ -12,6 +12,7 @@ from harmgerm.polyring import (
     Poly,
     PolyParseError,
     _decimal,
+    _Parser,
     format_poly,
     format_scalar,
     laplacian,
@@ -121,6 +122,29 @@ class TestParse:
         with pytest.raises(PolyParseError, match="exceeds 128") as err:
             parse_poly(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(x)^129", Poly.monomial(129, 0)),
+            ("(2*x)^200", Poly.monomial(200, 0, 2**200)),
+            ("(x^2*y)^100", Poly.monomial(200, 100)),
+            ("(-1/3*x)^1001", Poly.monomial(1001, 0, Fraction(-1, 3**1001))),
+            # 2^255124 has 255125 bits, as many as the cap allows
+            ("(2*x)^255124", Poly.monomial(255124, 0, 2**255124)),
+        ],
+    )
+    def test_one_term_group_is_not_degree_capped(self, text, expected):
+        # a single term stays sparse at any exponent, as x^129 does
+        assert parse_poly(text) == expected
+
+    @pytest.mark.parametrize("text", ["(9*x)^1000000", "(1/5*x)^1000000", "(2*x)^255125"])
+    def test_one_term_group_coefficient_capped(self, text):
+        # 255125 bits: a 600-digit numeral to the 128th power, the largest
+        # coefficient that the degree cap admits
+        assert _Parser.MAX_GROUP_BITS == ((10**600 - 1) ** 128).bit_length()
+        with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits"):
+            parse_poly(text)
 
     def test_grouped_sum_expansion_at_the_cap_parses(self):
         assert parse_poly("(x+y)^64*(x-y)^64") == parse_poly("(x^2-y^2)^64")
