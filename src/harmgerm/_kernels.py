@@ -6,9 +6,14 @@ numerators of its two operands. `rref` takes integer rows, works on
 Python ints throughout and returns each echelon row as primitive ints
 over its pivot entry. Library callers (`linalg`, `graded`) pass integer
 rows read by `polyring.integer_coordinates`.
+
+`rref` is a forward elimination, which touches only the rows below each
+pivot, from its column on, and then a back-substitution that reduces
+the pivot columns and the columns that the caller reads, and no other.
+Both divide every row by its content to bound entry growth.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def poly_mul(p, q, max_degree=None):
@@ -45,7 +50,75 @@ def _primitive_rows(rows):
     return mat
 
 
-def rref(rows):
+def _forward(mat):
+    """Forward elimination in place, column by column; the pivot columns.
+
+    Each pivot is the sparsest row that is nonzero in its column, which
+    keeps the fill-in low. Only the rows below it are cleared, and only
+    from its column on, since they are zero to its left; each is divided
+    by its content. The first len(pivots) rows are then in echelon form,
+    and the pivot columns are the lexicographically first independent
+    ones, whichever rows the pivots were.
+    """
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, nrows) if mat[i][col]]
+        if not found:
+            continue
+        prow = max(found, key=lambda i: mat[i].count(0))
+        mat[r], mat[prow] = mat[prow], mat[r]
+        piv, zeros = mat[r][col:], [0] * col
+        for i in range(r + 1, nrows):
+            e = mat[i][col]
+            if e:
+                g = gcd(piv[0], e)
+                pv, e = piv[0] // g, e // g
+                new = [xv * pv - pvv * e for xv, pvv in zip(mat[i][col:], piv)]
+                g = gcd(*new)
+                mat[i] = zeros + ([v // g for v in new] if g > 1 else new)
+        pivots.append(col)
+        if r + 1 == nrows:
+            break
+    return pivots
+
+
+def _back_substitute(echelon, pivots, columns, ncols):
+    """Full-width RREF rows of echelon rows at the pivot columns and `columns`, 0 elsewhere.
+
+    Bottom-up, each row clears its entries at the later pivot columns all
+    at once, against the rows already reduced, over the lcm of their pivot
+    entries. Each of those divides the determinant of the pivot block
+    (Cramer's rule), and so does the lcm. Only the pivot columns and
+    `columns` are read, and each row is divided by its content, signed so
+    that its pivot entry is positive.
+    """
+    read = sorted(set(columns).difference(pivots))
+    n = len(echelon)
+    dens, sols = [0] * n, [None] * n
+    for i in reversed(range(n)):
+        row = echelon[i]
+        later = [(row[pivots[j]], j) for j in range(i + 1, n) if row[pivots[j]]]
+        den = lcm(*(dens[j] for _, j in later))
+        acc = [row[c] * den for c in read]
+        for e, j in later:
+            m = e * (den // dens[j])
+            acc = [a - m * s for a, s in zip(acc, sols[j])]
+        pv = row[pivots[i]] * den
+        g = gcd(pv, *acc) if pv > 0 else -gcd(pv, *acc)
+        dens[i], sols[i] = pv // g, [a // g for a in acc]
+    out = []
+    for col, pv, sol in zip(pivots, dens, sols):
+        full = [0] * ncols
+        full[col] = pv
+        for c, v in zip(read, sol):
+            full[c] = v
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def rref(rows, columns=None):
     """Reduced row echelon form of an integer matrix, as integer rows.
 
     `rows` is a sequence of equal-length sequences of ints.
@@ -55,44 +128,19 @@ def rref(rows):
     rational RREF (leading coefficient 1). Elimination is fraction-free:
     rows are divided by their content and cross-multiplied,
     dividing by the row content after each step to bound entry growth.
+
+    `columns`, when given, lists the columns that the caller reads; the
+    pivots are the same. Each row then holds the rational RREF row over
+    its pivot entry at the pivot columns and `columns`, with content 1
+    over them, and 0 at every other column.
     """
     mat = _primitive_rows(rows)
     if not mat:
         return (), ()
-    nrows = len(mat)
     ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        prow = -1
-        for i in range(r, nrows):
-            if mat[i][col]:
-                prow = i
-                break
-        if prow < 0:
-            continue
-        mat[r], mat[prow] = mat[prow], mat[r]
-        piv = mat[r]
-        pv = piv[col]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = mat[i]
-            e = row[col]
-            if not e:
-                continue
-            new = [xv * pv - pvv * e for xv, pvv in zip(row, piv)]
-            g = gcd(*new)
-            if g > 1:
-                new = [v // g for v in new]
-            mat[i] = new
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    # every row kept its content 1; only the pivot's sign is left to fix
-    out = tuple(tuple(row) if row[col] > 0 else tuple(-v for v in row) for row, col in zip(mat, pivots))
-    return out, tuple(pivots)
+    pivots = _forward(mat)
+    read = range(ncols) if columns is None else columns
+    return _back_substitute(mat[: len(pivots)], pivots, read, ncols), tuple(pivots)
 
 
 def active_backend() -> str:

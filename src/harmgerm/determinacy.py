@@ -84,11 +84,15 @@ def _truncated_multiples(
     cap = level - min((e for _, e in generators), default=level)
     if max_multiplier_degree is not None:
         cap = min(cap, max_multiplier_degree)
-    for d in range(1, cap + 1):
-        for a, b in monomial_basis(d):
-            for gen, e in generators:
-                if d + e <= level:
-                    yield d + e, gen.shifted(a, b, level)
+    degrees = range(1, cap + 1)
+    shifts = [(gen.shifts(degrees, level), e) for gen, e in generators]
+    for d in degrees:
+        # [] for a generator with d + e > level
+        blocks = [(next(multiples), d + e) for multiples, e in shifts]
+        for i in range(d + 1):
+            for products, order in blocks:
+                if products:
+                    yield order, products[i]
 
 
 def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:

@@ -1,8 +1,11 @@
 """Exact linear algebra on the coordinates of polynomials.
 
 Every elimination is one call to the `rref` kernel: reduced row echelon
-form with deterministic pivoting (first nonzero, columns left to right),
-a canonical form, handed out as integer rows over their pivot entries.
+form, a canonical form whose pivot columns are the lexicographically
+first independent ones, handed out as integer rows over their pivot
+entries. The kernel back-substitutes only the columns that its caller
+reads: `solve_canonical` asks for the target columns alone, so no free
+column is reduced, and `nullspace` for all of them.
 `solve_canonical` and `nullspace` are the one solve: each polynomial is a
 column of its integer numerators over its own denominator
 (`polyring.integer_coordinates`), so the matrix holds ints only. Scaling
@@ -22,11 +25,11 @@ from ._kernels import rref
 from .polyring import Exponents, Poly, integer_coordinates
 
 
-def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents]):
+def _echelon(polys: Sequence[Poly], basis: Sequence[Exponents], read=None):
     """(integer RREF rows, pivots, column denominators) of the integer
-    matrix whose columns are the polys."""
+    matrix whose columns are the polys; `read` is as `rref`'s `columns`."""
     columns, dens = integer_coordinates(polys, basis)
-    rr, pivots = rref(list(zip(*columns)))
+    rr, pivots = rref(list(zip(*columns)), columns=read)
     return rr, pivots, dens
 
 
@@ -57,8 +60,9 @@ def solve_canonical(
     target whose column is a pivot is that first missing one, since every
     earlier target lies in the span of the columns.
     """
-    echelon = _echelon([*columns, *targets], basis)
-    pivots, width = echelon[1], len(columns)
+    width = len(columns)
+    echelon = _echelon([*columns, *targets], basis, range(width, width + len(targets)))
+    pivots = echelon[1]
     missing = next((col - width for col in pivots if col >= width), None)
     solved = range(width, width + (len(targets) if missing is None else missing))
     combinations = [_column(echelon, t) for t in solved]

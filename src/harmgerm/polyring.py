@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._kernels import poly_mul
@@ -59,8 +62,9 @@ class Poly:
     is 1, and the zero polynomial has _den == 1. The form is canonical, so
     equality compares `_den` and `_num` directly. Coefficients are ints or
     Fractions and exponents are ints; anything else is a TypeError.
-    `shifted` is the one way to multiply by a monomial x^a*y^b: it moves
-    the exponents and multiplies nothing. Apart from this module, only
+    `shifted` (one monomial) and `shifts` (every monomial of some degrees)
+    are the ways to multiply by a monomial x^a*y^b: they move the
+    exponents and multiply nothing. Apart from this module, only
     `zcoords` reads `_num`/`_den`: it splits Polys into int component lists
     and wraps the lists it joins back with `_of`. Linear
     algebra gets them through `integer_coordinates`, which reads the
@@ -257,6 +261,34 @@ class Poly:
         top = _INF if max_degree is None else max_degree - a - b
         return Poly._of({(i + a, j + b): v for (i, j), v in self._num.items() if i + j <= top}, self._den)
 
+    def shifts(self, degrees: Iterable[int], max_degree: int) -> Iterator[list["Poly"]]:
+        """For each d of `degrees`: x^a*y^b * self over a + b = d, x-exponent
+        descending, truncated at max_degree; [] once no term is left.
+
+        Each product equals self.shifted(a, b, max_degree). The terms are
+        sorted by degree once; the terms that degree d keeps are one prefix
+        of them, whose content is divided out once, and every shift of that
+        prefix is built with no per-term degree test.
+        """
+        items = sorted(self._num.items(), key=lambda item: item[0][0] + item[0][1])
+        ends = [a + b for (a, b), _ in items]
+        for d in degrees:
+            kept = items[: bisect_right(ends, max_degree - d)]
+            if not kept:
+                yield []
+                continue
+            g = math.gcd(self._den, *map(itemgetter(1), kept))
+            den = self._den // g
+            if g > 1:
+                kept = [(key, v // g) for key, v in kept]
+            products = []
+            for a, b in monomial_basis(d):
+                p = Poly.__new__(Poly)
+                p._num = {(i + a, j + b): v for (i, j), v in kept}
+                p._den = den
+                products.append(p)
+            yield products
+
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "Poly":
@@ -301,11 +333,13 @@ def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
     p._den, so the sum builds one Poly instead of one per term.
     """
     pairs = list(pairs)
-    # one check per coefficient type, so the zeros (most entries of a
-    # certificate's combination) cost no call; an inexact zero still raises
-    for c in {type(c): c for c, _ in pairs}.values():
+    coeffs = list(map(itemgetter(0), pairs))
+    # one check per coefficient type, then the zeros (most entries of a
+    # certificate's combination) are dropped, both without a Python-level
+    # loop; an inexact zero still raises
+    for c in dict(zip(map(type, coeffs), coeffs)).values():
         _scalar(c)
-    pairs = [(c, p) for c, p in pairs if c]
+    pairs = list(compress(pairs, coeffs))
     den = math.lcm(*(c.denominator * p._den for c, p in pairs))
     total: dict[Exponents, int] = {}
     for c, p in pairs:
@@ -536,9 +570,10 @@ class _Parser:
             if cvalue != ")":
                 raise PolyParseError("expected ')'", cpos)
             exponent = self.exponent()
-            # exponentiating a sum expands densely; refuse unreasonable blowup
+            # exponentiating a sum expands densely, and a constant's coefficient
+            # grows at any exponent; refuse unreasonable blowup
             degree = inner.degree()
-            if exponent > 1 and degree > 0 and degree * exponent > self.MAX_GROUP_DEGREE:
+            if exponent > 1 and (degree == 0 or degree * exponent > self.MAX_GROUP_DEGREE):
                 if len(inner) > 1:
                     raise PolyParseError(
                         f"expanded degree {degree * exponent} exceeds {self.MAX_GROUP_DEGREE}", cpos

@@ -627,6 +627,18 @@ class TestWorkBudget:
         assert err == "parse error: coefficient exceeds 255125 bits (at position 4)\n"
 
     @pytest.mark.parametrize(
+        "text, position", [("(9)^1000000", 2), ("((9)^1000000)^1000000", 3), ("x + (9)^1000000*y", 6)]
+    )
+    def test_constant_group_power_with_a_huge_value_is_a_parse_error(self, capsys, text, position):
+        # (9)^1000000 used to build a 3.2-million-bit constant, and its
+        # millionth power never finished
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "split", text)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"parse error: coefficient exceeds 255125 bits (at position {position})\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (("harmonic", "--k", "14001"), "--k <= 14000"),

@@ -15,7 +15,7 @@ from harmgerm.determinacy import (
 from harmgerm.graded import translation_solution
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, linear_combination, monomial_basis
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_order_tail
+from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_order_tail
 
 from conftest import P, counted, from_sympy, rational_rref, to_sympy
 import sympy
@@ -24,6 +24,17 @@ X, Y = sympy.symbols("x y", real=True)
 
 GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2632d372"
 GOLDEN_COMBINATIONS = "bf43771daf1e2e04176e74a9e6bd841cb26784e5d098cf3d0a4badd60daa8368"
+# sha256 of the products and of the combinations of `dense_morse_germ(level)`
+GOLDEN_DENSE_MORSE = {
+    12: (
+        "62e421e10f02353b582b3db84a81aef3fd3aa708f0c88e6fa6affcdfa8d2aff2",
+        "43f1105876fbdd619af2e87523be0bbb5c3046caab73bf01071b5377717d37cd",
+    ),
+    16: (
+        "9143803aa96d87ade9cda7be77a7f7b7fdbef03d00b2b0f38e413538f7f9dfe8",
+        "96bf430a45358983a3efe6efe027943414a01611f4859cbff275d65888e9b037",
+    ),
+}
 
 
 class TestJacobianGenerators:
@@ -236,7 +247,27 @@ def combinations_digest() -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
+def dense_morse_germ(level):
+    """x^2 + 3xy + 2y^2 plus a seeded dense form in each degree 3..level: its
+    lower blocks are dependent, so its certificate takes the elimination
+    over every degree."""
+    rng = Xoshiro256StarStar(1)
+    germ = P("x^2 + 3*x*y + 2*y^2")
+    for d in range(3, level + 1):
+        germ = germ + random_homogeneous(rng, d)
+    return germ
+
+
 class TestCertificateGolden:
+    @pytest.mark.parametrize("level", sorted(GOLDEN_DENSE_MORSE))
+    def test_dense_morse_certificate_unchanged(self, level):
+        cert = check_determinacy(dense_morse_germ(level), level)
+        assert cert.verdict
+        products = json.dumps([format_poly(p) for p in cert.products])
+        combinations = json.dumps([[str(c) for c in combo] for combo in cert.combinations])
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (products, combinations))
+        assert digests == GOLDEN_DENSE_MORSE[level]
+
     def test_digest_unchanged(self):
         # any change to a verdict, a missing monomial, the products or
         # their order, or a reverification outcome changes the digest
@@ -290,6 +321,14 @@ class TestTamperedCertificate:
     def test_shortened_combination(self, cert):
         combinations = (cert.combinations[0][:-1],) + cert.combinations[1:]
         assert not reverify_certificate(cert._replace(combinations=combinations))
+
+    def test_inexact_zero_entry_raises(self, cert):
+        # every coefficient is type-checked, the zeros that the sum skips too
+        first = cert.combinations[0]
+        zero = next(i for i, c in enumerate(first) if not c)
+        changed = first[:zero] + (0.0,) + first[zero + 1 :]
+        with pytest.raises(TypeError, match="not float"):
+            reverify_certificate(cert._replace(combinations=(changed,) + cert.combinations[1:]))
 
     @pytest.mark.parametrize("level", (0, -1))
     def test_level_below_one(self, cert, level):

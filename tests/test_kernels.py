@@ -150,3 +150,54 @@ def test_rref_drops_zero_rows():
 def test_empty_inputs():
     assert poly_mul({}, {(1, 0): Fraction(1)}, None) == {}
     assert rref([]) == ((), ())
+    assert rref([], [0]) == ((), ())
+    assert rref([[0, 0]], [1]) == ((), ())
+
+
+@st.composite
+def systems(draw):
+    """(rows, columns): an integer matrix whose columns include zero ones and
+    combinations of earlier ones, with zero rows among its rows, and the
+    columns a caller reads, among them a last column outside the span of
+    the others."""
+    nrows = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(10**20), 10**20))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(("random", "zero", "dependent")), min_size=1, max_size=7)):
+        if kind == "dependent" and cols:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            p, q = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append([a * u + b * v for u, v in zip(p, q)])
+        elif kind == "zero":
+            cols.append([0] * nrows)
+        else:
+            cols.append([draw(entries) for _ in range(nrows)])
+    rows = [list(row) for row in zip(*cols)]
+    # one more row, nonzero only in an extra last column: that column is a pivot
+    rows.append([0] * len(cols) + [draw(st.integers(1, 9))])
+    for row in rows[:-1]:
+        row.append(draw(entries) if draw(st.booleans()) else 0)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * (len(cols) + 1))
+    read = draw(st.lists(st.integers(0, len(cols)), unique=True))
+    return rows, read
+
+
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_targeted_rref_agrees_with_the_whole_form(system):
+    rows, read = system
+    whole, pivots = rref(rows)
+    rr, got = rref(rows, read)
+    assert got == pivots and len(rr) == len(whole) and len(rows[0]) - 1 in pivots
+    kept = set(pivots) | set(read)
+    for row, full, col in zip(rr, whole, pivots):
+        assert all(type(v) is int for v in row) and len(row) == len(full)
+        assert row[col] > 0 and math.gcd(*row) == 1
+        # each row over its pivot entry is the rational RREF row, at the
+        # pivot columns and the columns read; it holds 0 elsewhere
+        for j in range(len(row)):
+            if j in kept:
+                assert Fraction(row[j], row[col]) == Fraction(full[j], full[col])
+            else:
+                assert row[j] == 0

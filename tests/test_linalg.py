@@ -117,6 +117,49 @@ def test_nullspace_matches_fraction_reference(system):
         assert not combine(v, columns)
 
 
+def fraction_gauss_jordan(rows):
+    """(rows, pivots) of the rational RREF, by Gauss-Jordan on Fractions:
+    no integer row and no kernel code."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        prow = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if prow is None:
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_matches_fraction_gauss_jordan(system):
+    # the missing target and the canonical combinations, against an
+    # elimination that shares no code with the integer kernel
+    columns, targets, basis = system
+    _, missing, solved = linalg.solve_canonical(columns, targets, basis)
+    width = len(columns)
+    rr, pivots = fraction_gauss_jordan(coordinate_rows([*columns, *targets], basis))
+    assert missing == next((col - width for col in pivots if col >= width), None)
+    expected = []
+    for t in range(width, width + (len(targets) if missing is None else missing)):
+        combo = [Fraction(0)] * width
+        for row, col in zip(rr, pivots):
+            if col < width:
+                combo[col] = row[t]
+            else:
+                # a row pivoting at a later target is 0 at this one
+                assert not row[t]
+        expected.append(tuple(combo))
+    assert [as_fractions(combination, width) for combination in solved] == expected
+
+
 def test_rescales_by_the_pivot_and_target_denominators():
     # column x/3, target x/7: the integer matrix holds 1 and 1, the answer is 3/7
     assert linalg.solve_canonical([P("1/3*x")], [P("1/7*x")], [(1, 0)]) == (True, None, [({0: 3}, 7)])

@@ -138,6 +138,36 @@ class TestParse:
         # a single term stays sparse at any exponent, as x^129 does
         assert parse_poly(text) == expected
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(9)^1000000", 2),
+            ("(1/5)^1000000", 4),
+            ("(2)^255125", 2),
+            ("((9)^1000000)^1000000", 3),
+            ("((3)^1000)^1000", 9),
+        ],
+    )
+    def test_constant_group_power_capped(self, text, position):
+        # a constant's power has no degree to cap, so the coefficient cap
+        # of a one-term group bounds it before it is computed
+        with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(1)^1000000", Poly.constant(1)),
+            ("(-1)^999999", Poly.constant(-1)),
+            ("(0)^1000000", Poly.zero()),
+            ("(2/3)^2", Poly.constant(Fraction(4, 9))),
+            ("(2)^255124", Poly.constant(2**255124)),
+        ],
+    )
+    def test_constant_group_power_within_the_cap_parses(self, text, expected):
+        assert parse_poly(text) == expected
+
     @pytest.mark.parametrize("text", ["(9*x)^1000000", "(1/5*x)^1000000", "(2*x)^255125"])
     def test_one_term_group_coefficient_capped(self, text):
         # 255125 bits: a 600-digit numeral to the 128th power, the largest
@@ -212,6 +242,12 @@ class TestRepresentation:
         assert_canonical(pp.mul_truncated(qq, d), reference_mul(p, q, d))
         assert_canonical(pp.shifted(*shift), reference_mul(p, {shift: 1}))
         assert_canonical(pp.shifted(*shift, d), reference_mul(p, {shift: 1}, d))
+        for degree, products in zip(range(4), pp.shifts(range(4), d)):
+            expected = [reference_mul(p, {key: 1}, d) for key in monomial_basis(degree)]
+            # every shift of one degree keeps the same terms, so all or none are zero
+            assert len(products) == (len(expected) if any(any(e.values()) for e in expected) else 0)
+            for product, terms in zip(products, expected):
+                assert_canonical(product, terms)
         third = Fraction(-1, 3)
         assert_canonical(
             linear_combination([(c, pp), (third, qq), (0, pp)]),
@@ -241,6 +277,9 @@ class TestRepresentation:
         shifted = parse_poly("1/6*x^3 + 2/3*x").shifted(1, 0, 3)
         assert shifted == Poly.monomial(2, 0, Fraction(2, 3))
         assert shifted._den == 3
+        products = next(parse_poly("1/6*x^3 + 2/3*x").shifts([1], 3))
+        assert products == [shifted, Poly.monomial(1, 1, Fraction(2, 3))]
+        assert [p._den for p in products] == [3, 3]
 
     def test_empty_linear_combination_is_zero(self):
         assert linear_combination([]) == Poly.zero()
