@@ -6,22 +6,30 @@ explicit chain of jet diffeomorphisms composing it down to f_k modulo
 m^(2k-3), together with a determinacy report that upgrades the jet
 identity to a genuine right equivalence.
 
-Absorption works degree by degree, low degrees last:
+The construction changes the germ's components up to degree 2k - 4 to
+(z, zbar) coordinates once (`zcoords`) and reads everything off their
+coefficients C_i of z^i zbar^(d-i): a p-fold Laplacian kernel condition
+is C_i = 0 for p <= i <= d - p, and the leading form a*f_k + b*g_k has
+C_k = (a - ib)/2. Absorption works degree by degree, low degrees last:
 
 * offsets s >= split_offset are cleared by coordinate translations
-  (x, y) -> (x + u, y + v), ascending in s. As 2 * split_offset >= k - 3,
-  up to the bound 2k - 4 a translation changes the higher degrees only
-  by its first-order term, so each is read off the germ's graded
-  components plus those terms of the earlier ones;
+  (x, y) -> (x - u, y - v), ascending in s; T = u + iv is read off the
+  degree-(k+s) component. As 2 * split_offset >= k - 3, up to the bound
+  2k - 4 a translation changes the higher degrees only by its
+  first-order term, 2 Re(dg/dz * T), which is taken off the components
+  in place;
 * offsets s < split_offset are cleared in one stroke by a radial scale
   map z -> z * rho, using that their sum is u*f_k + v*g_k exactly.
 
-The construction composes nothing. Every witness re-verifies exactly
-from its own maps in WitnessChain.verify(); nothing is trusted there.
-Every map is composed, except that a final radial scale map onto f_k is
-checked by its defining identity (`jets.radial_step_holds`), read off
-the composed jet and the map; when that identity does not apply, the
-map is composed too.
+The construction composes nothing and multiplies no Poly; only the maps
+leave it as (x, y) polynomials. Every witness re-verifies exactly from
+its own maps in WitnessChain.verify(); nothing is trusted there. The
+translations, built in (z, zbar), are composed there by their Taylor
+expansion in (x, y), so building and checking them share no arithmetic.
+Every map is composed, except that a final radial scale map onto f_k is checked by
+its defining identity (`jets.radial_step_holds`), read off the composed
+jet and the map; when that identity does not apply, the map is composed
+too.
 """
 
 from __future__ import annotations
@@ -48,6 +56,19 @@ from .jets import (
     radial_step_holds,
 )
 from .polyring import X, Y, Poly, _scalar, format_poly, format_scalar, laplacian_power
+from .zcoords import (
+    _ONE,
+    _change_component,
+    _component,
+    _convolve,
+    _dz,
+    _harmonic_quotient,
+    _in_kernel,
+    _join,
+    _real_part,
+    _xy_image,
+    _z_components,
+)
 
 
 class MembershipError(ValueError):
@@ -382,43 +403,65 @@ def translation_absorb(k: int, s: int, rho: Poly, bound: int) -> WitnessChain:
 # -- the full reduction -------------------------------------------------------
 
 
-def _check_kernel(k: int, degree: int, component: Poly, profile: AbsorptionProfile) -> None:
-    power = profile.exponent(degree - k)
-    residual = laplacian_power(component, power)
-    if residual:
-        raise MembershipError(
-            f"degree-{degree} component violates its kernel condition "
-            f"({power}-fold Laplacian = {residual})",
-            degree,
-        )
+def _kernel_violation(germ: Poly, degree: int, power: int) -> MembershipError:
+    """The error for a degree-`degree` component outside its kernel, with the
+    iterated Laplacian of that component as the residual it names."""
+    residual = laplacian_power(germ.graded_component(degree), power)
+    return MembershipError(
+        f"degree-{degree} component violates its kernel condition "
+        f"({power}-fold Laplacian = {residual})",
+        degree,
+    )
 
 
-def _reduction_maps(k: int, germ: Poly, split_offset: int) -> list[JetMap]:
+def _leading_pair(c: tuple) -> tuple[Fraction, Fraction] | None:
+    """(a, b) with a*f_k + b*g_k equal to the degree-k (z, zbar) component c;
+    None when c is zero or not harmonic.
+
+    a*f_k + b*g_k = Re((a - ib) z^k), so c is harmonic when C_i = 0 for
+    0 < i < k, and then C_k = (a - ib)/2.
+    """
+    re, im, den = c
+    if not (re[-1] or im[-1]) or not _in_kernel(c, 1):
+        return None
+    return Fraction(2 * re[-1], den), Fraction(-2 * im[-1], den)
+
+
+def _reduction_maps(k: int, germ: Poly, parts: list[tuple], split_offset: int) -> list[JetMap]:
     """Maps taking a validated f_k + perturbations + tail to f_k, unverified.
 
-    The translation at offset s, tau_s = -(u_s, v_s) of degree s + 1,
-    reads g_(k+s) + sum_(t<s) grad g_(k+s-t) . tau_t off the germ g's own
-    components (see the module docstring), and the scale map reads the
-    degrees below k + split_offset, which stay g's own. Nothing is
-    composed: the caller's single WitnessChain.verify() checks the maps.
+    `parts` holds the germ's (z, zbar) components in degrees 0..2k - 4;
+    the sweep updates it in place.
+    The translation at offset s, (x, y) -> (x - u, y - v) with
+    T = u + iv of degree s + 1, solves k*Re(T*z^(k-1)) == g_(k+s), the
+    degree-(k+s) component after the earlier translations:
+    T = W/k, with W the `_harmonic_quotient` of g_(k+s) at m = k - 1,
+    which exists as k + s < 2(k - 1). As 2 * split_offset >= k - 3, up to
+    degree 2k - 4 a translation changes the higher degrees only by its
+    first-order term, so each g_d of the germ itself loses
+    g_x*u + g_y*v = 2 Re(dg/dz * T) in degree d + s. The scale map reads
+    the degrees below k + split_offset, which stay the germ's own.
+    Nothing is composed: the caller's single WitnessChain.verify() checks
+    the maps in (x, y).
     """
     bound = 2 * k - 4
-    parts = germ.components()
-    gradients = {d: (p.diff("x"), p.diff("y")) for d, p in parts.items() if k < d <= bound}
+    slopes = {d: _dz(parts[d]) for d in range(k + 1, bound + 1) if any(parts[d][0]) or any(parts[d][1])}
     maps: list[JetMap] = []
     for s in range(split_offset, k - 3):
-        delta = parts.get(k + s)
-        if not delta:
+        delta = parts[k + s]
+        if not (any(delta[0]) or any(delta[1])):
             continue
-        solved = translation_solution(delta, k)
-        if solved is None:
-            raise WitnessFault(f"degree-{k + s} component left the translation span: {delta}")
-        u, v = solved
+        w = _harmonic_quotient([delta], k - 1)
+        if w is None:
+            shown = _join([_change_component(delta, _xy_image)])[0]
+            raise WitnessFault(f"degree-{k + s} component left the translation span: {shown}")
+        re, im, den = w[0]
+        t = _component(re, im, den * k)
+        u, v = _join([_change_component(t, _xy_image)])
         maps.append(jet_map(X - u, Y - v, bound))
-        # tau_s adds grad g_d . tau_s to degree d + s
-        for d, (gx, gy) in gradients.items():
+        for d, slope in slopes.items():
             if d + s <= bound:
-                parts[d + s] = parts.get(d + s, Poly.zero()) - gx * u - gy * v
+                parts[d + s] = _real_part(_convolve([(1, parts[d + s], _ONE), (-2, slope, t)], d + s))
 
     low = germ.truncate(k + split_offset - 1) - harmonic_pair(k).f
     if low:
@@ -466,13 +509,10 @@ def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None
     """(a, b) with degree-k part of germ == a*f_k + b*g_k; None when that
     part is zero or not harmonic.
 
-    The degree-k part is a harmonic multiple of degree k with constant
-    multipliers, which `solve_membership` reads off its (z, zbar)
-    coefficients.
+    The pair is read off the (z, zbar) coefficients of the degree-k part
+    (see `_leading_pair`).
     """
-    leading = germ.graded_component(k)
-    solved = solve_membership(leading, k, 0) if leading else None
-    return None if solved is None else (solved[0].coeff(0, 0), solved[1].coeff(0, 0))
+    return _leading_pair(_z_components(germ.graded_component(k), k)[k])
 
 
 def reduce_general(germ: Poly, k: int) -> WitnessChain:
@@ -486,18 +526,25 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
     rational real and imaginary parts; a similarity keeps every kernel
     condition. The maps of the reduction of the rescaled germ follow,
     and the whole chain passes one exact WitnessChain.verify().
+
+    The germ's components up to degree 2k - 4 are changed to (z, zbar)
+    coordinates once, and the construction reads everything off them:
+    each kernel condition as C_i = 0 for p <= i <= d - p, the leading
+    pair from C_k, and the translations (`_reduction_maps`). A rescaled
+    germ is changed once more. Only the maps are (x, y) polynomials.
     """
     if germ.order() < k:
         raise ValueError(f"germ has terms of degree below k = {k}")
     profile = absorption_profile(k)
-    for degree, component in germ.components().items():
-        if 1 <= degree - k <= k - 4:
-            _check_kernel(k, degree, component, profile)
-    coeffs = leading_coefficients(germ, k)
+    bound = 2 * k - 4
+    parts = _z_components(germ, bound)
+    for s, power in profile.exponents:
+        if not _in_kernel(parts[k + s], power):
+            raise _kernel_violation(germ, k + s, power)
+    coeffs = _leading_pair(parts[k])
     if coeffs is None:
         raise ValueError("leading degree-k part is zero or not harmonic")
 
-    bound = 2 * k - 4
     pair = harmonic_pair(k)
     maps: list[JetMap] = []
     reduced = germ
@@ -512,8 +559,9 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
             )
         phi = _linear_rotation_map(root[0], root[1], bound)
         reduced = jet_compose(jet_truncate(germ, bound), phi).poly
+        parts = _z_components(reduced, bound)
         maps.append(phi)
-    maps += _reduction_maps(k, reduced, profile.split_offset)
+    maps += _reduction_maps(k, reduced, parts, profile.split_offset)
     certificate = determined_bound_report(k, Poly.zero())
     return _verified_chain(germ, pair.f, maps, bound, certificate)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .polyring import ONE, R2, Poly, laplacian_power, linear_combination
-from .zcoords import _change_component, _component, _join, _split, _xy_image, _z_image
+from .zcoords import _change_component, _component, _in_kernel, _join, _xy_image, _z_components
 
 
 class PolyharmonicError(ValueError):
@@ -137,7 +137,7 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     k = p.degree()
     if k < 2:
         raise ValueError("harmonic split needs degree k >= 2")
-    c = _change_component(_split(p, Poly.zero(), k)[k], _z_image)
+    c = _z_components(p, k)[k]
     re, im, den = c
     q = _change_component(_component(re[1:k], im[1:k], den), _xy_image)
     return _layer(c, 0), _join([q])[0]
@@ -176,9 +176,8 @@ def almansi_decompose(u: Poly, s: int) -> AlmansiDecomposition:
     if not u.is_homogeneous():
         raise ValueError(f"input is not homogeneous: {u}")
     d = u.degree()
-    c = _change_component(_split(u, Poly.zero(), d)[d], _z_image)
-    re, im, _ = c
-    if any(re[s : d - s + 1]) or any(im[s : d - s + 1]):
+    c = _z_components(u, d)[d]
+    if not _in_kernel(c, s):
         residual = laplacian_power(u, s)
         raise PolyharmonicError(
             f"input is not polyharmonic of order {s}: Laplacian^{s} = {residual}", residual

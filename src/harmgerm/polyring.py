@@ -473,6 +473,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _bits(p: Poly) -> tuple[int, int]:
+    """The group rule's estimate, bit length less one, of p's largest
+    numerator and of its denominator: a product of two Polys has at least
+    the sum of their estimates in each."""
+    top = max(map(abs, p._num.values()), default=0)
+    return top.bit_length() - 1, p._den.bit_length() - 1
+
+
 class _Parser:
     """Recursive descent over tokens.
 
@@ -532,11 +540,14 @@ class _Parser:
             elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
                 return result
             # after "*" or by adjacency, e.g. "3x" or "x^2(x+y)"; a product
-            # of sums expands densely, as a power of one does
+            # of sums expands densely, as a power of one does, and any
+            # product multiplies the factors' numerators and denominators
             factor = self.factor()
             degree = result.degree() + factor.degree()
             if len(result) > 1 and len(factor) > 1 and degree > self.MAX_GROUP_DEGREE:
                 raise PolyParseError(f"expanded degree {degree} exceeds {self.MAX_GROUP_DEGREE}", pos)
+            if any(a + b >= self.MAX_GROUP_BITS for a, b in zip(_bits(result), _bits(factor))):
+                raise PolyParseError(f"coefficient exceeds {self.MAX_GROUP_BITS} bits", pos)
             result = result * factor
 
     def factor(self) -> Poly:

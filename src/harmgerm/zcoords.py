@@ -81,6 +81,30 @@ def _conjugate(c: tuple) -> tuple:
     return re[::-1], [-v for v in reversed(im)], den
 
 
+def _real_part(c: tuple) -> tuple:
+    """Re P = (P + conj P)/2 for the (z, zbar) component P = c."""
+    re, im, den = c
+    return _component(
+        [x + y for x, y in zip(re, reversed(re))], [x - y for x, y in zip(im, reversed(im))], 2 * den
+    )
+
+
+def _dz(c: tuple) -> tuple:
+    """d/dz of a (z, zbar) component of degree d >= 1: each C_a z^a zbar^(d-a)
+    becomes a*C_a z^(a-1) zbar^(d-a)."""
+    re, im, den = c
+    return _component([a * v for a, v in enumerate(re)][1:], [a * v for a, v in enumerate(im)][1:], den)
+
+
+def _in_kernel(c: tuple, p: int) -> bool:
+    """Whether the p-fold Laplacian, 4^p (d/dz d/dzbar)^p, kills the (z, zbar)
+    component c of degree d: it kills z^i zbar^(d-i) exactly when i < p or
+    d - i < p, so c lies in the kernel when C_i = 0 for p <= i <= d - p."""
+    re, im, _ = c
+    top = len(re) - p
+    return not (any(re[p:top]) or any(im[p:top]))
+
+
 def _convolve(terms, d: int, divisor: int = 1) -> tuple:
     """The degree-d component sum c*A*B / divisor over the (c, A, B) of
     `terms`, c an int and deg A + deg B == d.
@@ -192,6 +216,11 @@ def _change_variables(w: list[tuple], image) -> list[tuple]:
     return [_change_component(c, image) for c in w]
 
 
+def _z_components(p: Poly, bound: int) -> list[tuple]:
+    """The (z, zbar) components of the real polynomial p in degrees 0..bound."""
+    return _change_variables(_split(p, Poly.zero(), bound), _z_image)
+
+
 def _divisible_by_z(re: Poly, im: Poly) -> bool:
     """Whether z = x + iy divides P = re + i*im exactly.
 
@@ -217,7 +246,7 @@ def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     """
     if p and p.degree() >= 2 * m:
         raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
-    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), max(p.degree(), 0)), _z_image), m)
+    w = _harmonic_quotient(_z_components(p, max(p.degree(), 0)), m)
     if w is None:
         return None
     u, v = _join(_change_variables(w, _xy_image))
@@ -226,17 +255,22 @@ def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
 
 def _harmonic_quotient(c: list[tuple], m: int) -> list[tuple] | None:
     """The components of W in (z, zbar) with Re(W*z^m) == c, for c given by
-    its components below degree 2m; None when there is no such W.
+    components below degree 2m, each of its own degree (its length less
+    one); None when there is no such W.
 
     Below degree 2m no term C_ij z^i zbar^j of c has both i, j >= m, so W
     exists exactly when C_ij = 0 wherever i, j < m, and then
     W = 2 sum_(i>=m) C_ij z^(i-m) zbar^j is unique (Axler, Bourdon & Ramey,
-    Harmonic Function Theory, GTM 137). W_e comes from c_(m+e).
+    Harmonic Function Theory, GTM 137). W_e comes from c_(m+e), so the
+    components 0..n of c give those of W in degrees 0..n - m, and one
+    component of c, of degree m + e, gives W_e alone.
     """
-    for d, (re, im, _) in enumerate(c):
+    quotient = []
+    for re, im, den in c:
+        d = len(re) - 1
         low = max(0, d - m + 1)
         if any(re[low:m]) or any(im[low:m]):
             return None
-    return [
-        _component([2 * v for v in re[m:]], [2 * v for v in im[m:]], den) for re, im, den in c[m:]
-    ]
+        if d >= m:
+            quotient.append(_component([2 * v for v in re[m:]], [2 * v for v in im[m:]], den))
+    return quotient

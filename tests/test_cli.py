@@ -638,6 +638,20 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err == f"parse error: coefficient exceeds 255125 bits (at position {position})\n"
 
+    @pytest.mark.parametrize("factors", [2, 10, 11900])
+    def test_product_of_huge_constants_is_a_parse_error(self, capsys, factors):
+        # ten factors used to take 2 s and build a 4-million-bit coefficient,
+        # and the time grew quadratically with the count
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "split", "*".join(["(3)^255124"] * factors) + "*x")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "parse error: coefficient exceeds 255125 bits (at position 11)\n"
+
+    def test_product_just_under_the_coefficient_cap_parses(self, capsys):
+        code, out, err = run_cli(capsys, "split", "(2)^255000*(2)^124*x^2")
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmgerm.equivalence
+import harmgerm.graded
+import harmgerm.polyring
 from harmgerm import linalg
 from harmgerm.determinacy import determined_bound_report
 from harmgerm.equivalence import (
@@ -40,6 +42,7 @@ from harmgerm.jets import (
 )
 from harmgerm.polyring import R2, X, Y, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
+from harmgerm.zcoords import _in_kernel, _z_components
 
 from conftest import P, counted, recorded_verdicts, reference_membership, rescaled
 
@@ -578,6 +581,74 @@ class TestReduceGeneral:
         maps = (prefix._replace(x=nudged),) + chain.maps[1:]
         assert _radial_factor(maps[0]) is None
         assert chain._replace(maps=maps).verify() is False
+
+
+class TestReadOff:
+    """reduce_general reads its kernel checks, leading pair and translations
+    off one (z, zbar) form of the germ."""
+
+    @given(st.integers(5, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_read_off_agrees_with_the_laplacian(self, k, data):
+        powers = [p for _, p in absorption_profile(k).exponents]
+        d = data.draw(st.integers(k + 1, 2 * k - 4))
+        rng = Xoshiro256StarStar(data.draw(st.integers(0, 2**64 - 1)))
+        # a random component, or one in some power's kernel, possibly moved
+        # off it by one monomial, so that both verdicts occur
+        kind = data.draw(st.sampled_from(["random", "kernel", "nudged"]))
+        if kind == "random":
+            component = random_homogeneous(rng, d)
+        else:
+            component = random_in_span(rng, kernel_basis(d, data.draw(st.sampled_from(powers))).basis)
+        if kind == "nudged":
+            a = data.draw(st.integers(0, d))
+            component = component + Poly.monomial(a, d - a) * data.draw(st.integers(-3, 3))
+        c = _z_components(component, d)[d]
+        for p in powers:
+            assert _in_kernel(c, p) == (not laplacian_power(component, p)), (k, d, p, component)
+
+    @pytest.mark.parametrize(
+        "k, extra, degree, residual",
+        [
+            (8, "x^3*y^7 + x^2*y^9", 10, "3-fold Laplacian = 5040*x^3*y + 15120*x*y^3"),
+            (
+                10,
+                "x^8*y^6 - 3/2*x^5*y^9",
+                14,
+                "6-fold Laplacian = 290304000*x^2 - 979776000*x*y + 217728000*y^2",
+            ),
+            (7, "x^9 + y^10", 9, "4-fold Laplacian = 362880*x"),
+        ],
+    )
+    def test_kernel_violation_message(self, k, extra, degree, residual):
+        # the residual is the failing component's iterated Laplacian in (x, y)
+        with pytest.raises(MembershipError) as err:
+            reduce_general(harmonic_pair(k).f + P(extra), k)
+        assert err.value.degree == degree
+        assert str(err.value) == f"degree-{degree} component violates its kernel condition ({residual})"
+
+    @pytest.mark.parametrize("k", (8, 12))
+    @pytest.mark.parametrize("form", ["plain", "rescaled"])
+    def test_construction_multiplies_no_poly(self, monkeypatch, k, form):
+        rhos, tail = every_offset_instance(k, 0)
+        germ = harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())
+        if form == "rescaled":
+            germ = rescaled(germ)
+        determined_bound_report(k, Poly.zero())
+        # the construction alone: reduce_general without its verify()
+        monkeypatch.setattr(WitnessChain, "verify", lambda self: True)
+        products = counted(monkeypatch, harmgerm.polyring, "poly_mul")
+        laplacians = counted(monkeypatch, harmgerm.equivalence, "laplacian_power")
+        solves = counted(monkeypatch, harmgerm.graded, "solve_membership")
+        direct_solves = counted(monkeypatch, harmgerm.equivalence, "solve_membership")
+        scale_maps = counted(monkeypatch, harmgerm.equivalence, "clearing_scale_map")
+        chain = reduce_general(germ, k)
+        # a translation at every offset from the split on, the scale map and
+        # the rescaling prefix of a rescaled germ
+        translations = k - 3 - absorption_profile(k).split_offset
+        assert len(chain.maps) == translations + 1 + (form == "rescaled")
+        assert products == [] and laplacians == [] and solves == [] and direct_solves == []
+        assert len(scale_maps) == 1
 
 
 class TestBiharmonic:

@@ -168,6 +168,38 @@ class TestParse:
     def test_constant_group_power_within_the_cap_parses(self, text, expected):
         assert parse_poly(text) == expected
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("*".join(["(3)^255124"] * 10) + "*x", 11),
+            ("(2)^255000*(2)^125", 11),
+            ("(2)^255124*2", 11),
+            ("(1/2)^255000*(1/2)^125*x", 13),
+            ("x*(2)^200000*y*(2)^55125", 15),
+            ("*".join(["9" * 600] * 129), 128 * 601),
+        ],
+    )
+    def test_product_coefficient_capped(self, text, position):
+        # a product has at least the sum of its factors' bits, less one each,
+        # in its numerator and in its denominator; refused before it is built
+        with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(2)^255000*(2)^124", Poly.constant(2**255124)),
+            ("(1/2)^255000*(1/2)^124*x", Poly.monomial(1, 0) / 2**255124),
+            ("(1/2)^255124*(2)^255124", Poly.constant(1)),
+            ("*".join(["9" * 600] * 128), Poly.constant((10**600 - 1) ** 128)),
+            ("(x+y)^128*(2)^255000", parse_poly("(x+y)^128") * 2**255000),
+        ],
+    )
+    def test_product_coefficient_within_the_cap_parses(self, text, expected):
+        # just under the cap; numerators and denominators are estimated apart
+        assert parse_poly(text) == expected
+
     @pytest.mark.parametrize("text", ["(9*x)^1000000", "(1/5*x)^1000000", "(2*x)^255125"])
     def test_one_term_group_coefficient_capped(self, text):
         # 255125 bits: a 600-digit numeral to the 128th power, the largest
