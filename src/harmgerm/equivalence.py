@@ -21,8 +21,10 @@ C_k = (a - ib)/2. Absorption works degree by degree, low degrees last:
 * offsets s < split_offset are cleared in one stroke by a radial scale
   map z -> z * rho, using that their sum is u*f_k + v*g_k exactly.
 
-The construction composes nothing and multiplies no Poly; only the maps
-leave it as (x, y) polynomials. Every witness re-verifies exactly from
+A leading form other than f_k is first rotated onto it by z -> delta*z,
+applied to the components themselves (`jets._radial_components`). So the
+construction composes no (x, y) polynomial and multiplies no Poly; only
+the maps leave it as (x, y) polynomials. Every witness re-verifies exactly from
 its own maps in WitnessChain.verify(); nothing is trusted there. The
 translations, built in (z, zbar), are composed there by their Taylor
 expansion in (x, y), so building and checking them share no arithmetic.
@@ -46,7 +48,9 @@ from .harmonic import harmonic_pair
 from .jets import (
     Jet,
     JetMap,
-    clearing_scale_map,
+    _inverse_scale_root,
+    _radial_components,
+    _radial_factor,
     complex_scale_map,
     identity_map,
     jet_compose,
@@ -59,6 +63,7 @@ from .polyring import X, Y, Poly, _scalar, format_poly, format_scalar, laplacian
 from .zcoords import (
     _ONE,
     _change_component,
+    _change_variables,
     _component,
     _convolve,
     _dz,
@@ -68,6 +73,7 @@ from .zcoords import (
     _real_part,
     _xy_image,
     _z_components,
+    _zero,
 )
 
 
@@ -427,11 +433,11 @@ def _leading_pair(c: tuple) -> tuple[Fraction, Fraction] | None:
     return Fraction(2 * re[-1], den), Fraction(-2 * im[-1], den)
 
 
-def _reduction_maps(k: int, germ: Poly, parts: list[tuple], split_offset: int) -> list[JetMap]:
+def _reduction_maps(k: int, parts: list[tuple], split_offset: int) -> list[JetMap]:
     """Maps taking a validated f_k + perturbations + tail to f_k, unverified.
 
-    `parts` holds the germ's (z, zbar) components in degrees 0..2k - 4;
-    the sweep updates it in place.
+    `parts` holds the germ's (z, zbar) components in degrees 0..2k - 4,
+    its degree-k part f_k; the sweep updates it in place.
     The translation at offset s, (x, y) -> (x - u, y - v) with
     T = u + iv of degree s + 1, solves k*Re(T*z^(k-1)) == g_(k+s), the
     degree-(k+s) component after the earlier translations:
@@ -439,10 +445,10 @@ def _reduction_maps(k: int, germ: Poly, parts: list[tuple], split_offset: int) -
     which exists as k + s < 2(k - 1). As 2 * split_offset >= k - 3, up to
     degree 2k - 4 a translation changes the higher degrees only by its
     first-order term, so each g_d of the germ itself loses
-    g_x*u + g_y*v = 2 Re(dg/dz * T) in degree d + s. The scale map reads
-    the degrees below k + split_offset, which stay the germ's own.
-    Nothing is composed: the caller's single WitnessChain.verify() checks
-    the maps in (x, y).
+    g_x*u + g_y*v = 2 Re(dg/dz * T) in degree d + s. The scale map solves
+    for the w = u - iv that `_harmonic_quotient` reads off the degrees below
+    k + split_offset, which stay the germ's own. Nothing is composed: the
+    caller's single WitnessChain.verify() checks the maps in (x, y).
     """
     bound = 2 * k - 4
     slopes = {d: _dz(parts[d]) for d in range(k + 1, bound + 1) if any(parts[d][0]) or any(parts[d][1])}
@@ -463,12 +469,12 @@ def _reduction_maps(k: int, germ: Poly, parts: list[tuple], split_offset: int) -
             if d + s <= bound:
                 parts[d + s] = _real_part(_convolve([(1, parts[d + s], _ONE), (-2, slope, t)], d + s))
 
-    low = germ.truncate(k + split_offset - 1) - harmonic_pair(k).f
-    if low:
-        phi = clearing_scale_map(low, k, bound)
-        if phi is None:
-            raise WitnessFault(f"low degrees are not a harmonic multiple of f_{k}: {low}")
-        maps.append(phi)
+    w = _harmonic_quotient(parts[: k + split_offset], k)
+    if w is None:
+        low = _join(_change_variables(parts[: k + split_offset], _xy_image))[0] - harmonic_pair(k).f
+        raise WitnessFault(f"low degrees are not a harmonic multiple of f_{k}: {low}")
+    if any(any(re) or any(im) for re, im, _ in w[1:]):
+        maps.append(_inverse_scale_root([_zero(0)] + w[1:], k, bound))
     return maps
 
 
@@ -530,8 +536,8 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
     The germ's components up to degree 2k - 4 are changed to (z, zbar)
     coordinates once, and the construction reads everything off them:
     each kernel condition as C_i = 0 for p <= i <= d - p, the leading
-    pair from C_k, and the translations (`_reduction_maps`). A rescaled
-    germ is changed once more. Only the maps are (x, y) polynomials.
+    pair from C_k, and the maps (`_reduction_maps`); z -> delta*z rotates
+    the components themselves. Only the maps are (x, y) polynomials.
     """
     if germ.order() < k:
         raise ValueError(f"germ has terms of degree below k = {k}")
@@ -545,9 +551,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
     if coeffs is None:
         raise ValueError("leading degree-k part is zero or not harmonic")
 
-    pair = harmonic_pair(k)
     maps: list[JetMap] = []
-    reduced = germ
     if coeffs != (1, 0):
         a, b = coeffs
         norm = a * a + b * b
@@ -558,12 +562,11 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
                 "only a pure harmonic form has a rescaling witness"
             )
         phi = _linear_rotation_map(root[0], root[1], bound)
-        reduced = jet_compose(jet_truncate(germ, bound), phi).poly
-        parts = _z_components(reduced, bound)
+        parts = _radial_components(parts, _radial_factor(phi), bound)
         maps.append(phi)
-    maps += _reduction_maps(k, reduced, parts, profile.split_offset)
+    maps += _reduction_maps(k, parts, profile.split_offset)
     certificate = determined_bound_report(k, Poly.zero())
-    return _verified_chain(germ, pair.f, maps, bound, certificate)
+    return _verified_chain(germ, harmonic_pair(k).f, maps, bound, certificate)
 
 
 def verify_biharmonic(k: int, perturbation: Poly) -> WitnessChain:

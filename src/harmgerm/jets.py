@@ -13,7 +13,8 @@ by z = x + iy, is z -> z*rho. There the jet is rewritten as
 sum C_ij z^i zbar^j, and each term becomes C_ij z^i zbar^j rho^i
 conj(rho)^j. That product only matters up to degree bound - i - j, which
 is far below the bound for the high-order jets the reduction composes.
-Every term is formed; as C_ji = conj(C_ij), the result is real, and an
+Every term is formed, from (z, zbar) components to (z, zbar) components
+(`_radial_components`); as C_ji = conj(C_ij), the result is real, and an
 imaginary part left in it is an error. Every other map, written id + tau,
 composes by its Taylor expansion, which is finite because the jet is a
 polynomial: it stops at n = deg h, or sooner once its terms pass the
@@ -65,6 +66,7 @@ from .zcoords import (
     _join,
     _split,
     _xy_image,
+    _z_components,
     _z_image,
     _zero,
 )
@@ -342,15 +344,21 @@ class _RadialImage:
         return _convolve(terms, d)
 
 
+def _radial_components(w: list[tuple], rho: list[tuple], bound: int) -> list[tuple]:
+    """w o (z -> z*rho) in degrees 0..bound, each of w, rho and the result
+    given by its (z, zbar) components (`_RadialImage`)."""
+    image = _RadialImage(w, rho)
+    return [image.component(d) for d in range(bound + 1)]
+
+
 def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
     """The real polynomial p composed with z -> z*rho, rho given by its
     (z, zbar) components, modulo degrees above the bound.
 
-    Every term C_ij z^i zbar^j of p is composed (`_RadialImage`); as
+    `_radial_components` between the two changes of variables; as
     C_ji = conj(C_ij), an imaginary part left in the result is an error.
     """
-    image = _RadialImage(_change_variables(_split(p, Poly.zero(), bound), _z_image), rho)
-    composed = [image.component(d) for d in range(bound + 1)]
+    composed = _radial_components(_z_components(p, bound), rho, bound)
     result, imaginary = _join(_change_variables(composed, _xy_image))
     if imaginary:
         raise ArithmeticError(f"composition of a real jet left an imaginary part {imaginary}")
@@ -379,7 +387,7 @@ def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
     rho = _radial_factor(phi)
     if rho is None or rho[0] != _ONE:
         return None
-    w = _harmonic_quotient(_change_variables(_split(h.poly, Poly.zero(), level), _z_image), k)
+    w = _harmonic_quotient(_z_components(h.poly, level), k)
     if w is None or w[0] != _ONE:
         return None
     top = level - k
@@ -440,18 +448,6 @@ def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     if inner < 0:
         return identity_map(bound)
     return _inverse_scale_root(_change_variables(_split(u.poly, -v.poly, inner), _z_image), k, bound)
-
-
-def clearing_scale_map(p: Poly, k: int, bound: int) -> JetMap | None:
-    """The map of `inverse_scale_map` for p = u*f_k + v*g_k, u and v of order
-    >= 1, with w = u - iv read off p's (z, zbar) coefficients once
-    (`_harmonic_quotient`); None for any other p. Needs k <= bound < 2k."""
-    if not k <= bound < 2 * k:
-        raise ValueError(f"bound {bound} outside k..2k - 1 for k = {k}")
-    w = _harmonic_quotient(_change_variables(_split(p, Poly.zero(), bound), _z_image), k)
-    if w is None or any(w[0][0]) or any(w[0][1]):
-        return None
-    return _inverse_scale_root(w, k, bound)
 
 
 def _inverse_scale_root(w: list[tuple], k: int, bound: int) -> JetMap:

@@ -59,10 +59,12 @@ def oracle_compose(h: Poly, px: Poly, py: Poly, bound: int) -> Poly:
     return from_sympy(sympy.expand(expr)).truncate(bound)
 
 
-def rescaled(p: Poly) -> Poly:
-    """p composed with z -> (1+i)z, i.e. (x, y) -> (x - y, x + y)."""
+def rescaled(p: Poly, re=1, im=1) -> Poly:
+    """p composed with z -> (re + i*im)z, by default (1+i)z, i.e.
+    (x, y) -> (x - y, x + y)."""
     bound = p.degree()
-    return jet_compose(jet_truncate(p, bound), jet_map(P("x - y"), P("x + y"), bound)).poly
+    x, y = P("x"), P("y")
+    return jet_compose(jet_truncate(p, bound), jet_map(x * re - y * im, x * im + y * re, bound)).poly
 
 
 def rational_rref(rows):
@@ -142,36 +144,36 @@ def recorded_verdicts(monkeypatch):
 
 @pytest.fixture
 def tampered_scale_map(monkeypatch):
-    """The reduction's clearing_scale_map returns the true map with one
+    """The reduction's _inverse_scale_root returns the true map with one
     coefficient nudged: x^2 in the x-component gains 1/7, which moves
     f_k o phi in degree k+1."""
-    original = harmgerm.equivalence.clearing_scale_map
+    original = harmgerm.equivalence._inverse_scale_root
 
-    def nudged(p, k, bound):
-        phi = original(p, k, bound)
+    def nudged(w, k, bound):
+        phi = original(w, k, bound)
         return jet_map(phi.x.poly + P("x^2") * Fraction(1, 7), phi.y.poly, phi.bound)
 
-    monkeypatch.setattr(harmgerm.equivalence, "clearing_scale_map", nudged)
+    monkeypatch.setattr(harmgerm.equivalence, "_inverse_scale_root", nudged)
 
 
 @pytest.fixture
 def tampered_radial_map(monkeypatch):
-    """Call with m >= 2: the reduction's clearing_scale_map then returns
+    """Call with m >= 2: the reduction's _inverse_scale_root then returns
     the true map plus (f_m, g_m)/7. The map stays radial,
     z -> z*(rho + z^(m-1)/7), so verify() checks it by its identity;
     f_k o phi moves in degree k + m - 1, inside the bound 2k - 4 for
     m <= k - 3."""
-    original = harmgerm.equivalence.clearing_scale_map
+    original = harmgerm.equivalence._inverse_scale_root
 
     def tamper(m):
         pair = harmonic_pair(m)
 
-        def nudged(p, k, bound):
-            phi = original(p, k, bound)
+        def nudged(w, k, bound):
+            phi = original(w, k, bound)
             eps = Fraction(1, 7)
             return jet_map(phi.x.poly + pair.f * eps, phi.y.poly + pair.g * eps, phi.bound)
 
-        monkeypatch.setattr(harmgerm.equivalence, "clearing_scale_map", nudged)
+        monkeypatch.setattr(harmgerm.equivalence, "_inverse_scale_root", nudged)
 
     return tamper
 

@@ -245,10 +245,9 @@ class TestReduceSingleVerification:
         assert code == 0
         maps = json.loads(out)["maps"]
         assert len(maps) == 3 and len(verifies) == 1
-        # the prefix map composes the germ once; verify composes the prefix
-        # and the one translation and checks the final scale map by its
-        # identity
-        assert len(composes) == 1 + len(maps) - 1 and len(checks) == 1
+        # the prefix map composes nothing; verify composes the prefix and
+        # the one translation and checks the final scale map by its identity
+        assert len(composes) == len(maps) - 1 and len(checks) == 1
 
     # f_8 + x*f_8 + y^2*g_8: offsets 1 and 2 both go to the one scale map
     GERM_8 = harmonic_pair(8).f * P("1 + x") + P("y^2") * harmonic_pair(8).g

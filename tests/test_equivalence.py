@@ -17,6 +17,7 @@ from harmgerm.equivalence import (
     WitnessChain,
     WitnessFault,
     _gaussian_pow,
+    _reduction_maps,
     _scale_solution,
     absorption_profile,
     exact_kth_root,
@@ -406,9 +407,9 @@ class TestSingleVerification:
         verifies = counted(monkeypatch, WitnessChain, "verify")
         chain = reduce_general(germ, 8)
         assert len(chain.maps) == 4 and len(verifies) == 1
-        # the rescaling prefix composes the germ once, then verify composes
-        # every map but the scale map, which it checks by its identity
-        assert len(composes) == 1 + len(chain.maps) - 1 and len(checks) == 1
+        # the rescaling prefix composes nothing; verify composes every map
+        # but the scale map, which it checks by its identity
+        assert len(composes) == len(chain.maps) - 1 and len(checks) == 1
         assert chain.source == germ and chain.target == harmonic_pair(8).f
 
     def test_verify_biharmonic_verifies_once(self, monkeypatch):
@@ -641,7 +642,7 @@ class TestReadOff:
         laplacians = counted(monkeypatch, harmgerm.equivalence, "laplacian_power")
         solves = counted(monkeypatch, harmgerm.graded, "solve_membership")
         direct_solves = counted(monkeypatch, harmgerm.equivalence, "solve_membership")
-        scale_maps = counted(monkeypatch, harmgerm.equivalence, "clearing_scale_map")
+        scale_maps = counted(monkeypatch, harmgerm.equivalence, "_inverse_scale_root")
         chain = reduce_general(germ, k)
         # a translation at every offset from the split on, the scale map and
         # the rescaling prefix of a rescaled germ
@@ -649,6 +650,13 @@ class TestReadOff:
         assert len(chain.maps) == translations + 1 + (form == "rescaled")
         assert products == [] and laplacians == [] and solves == [] and direct_solves == []
         assert len(scale_maps) == 1
+
+    def test_scale_step_fault_names_the_low_degrees(self):
+        # x^9 is no harmonic multiple of f_8; the message shows the low
+        # degrees less f_8 as an (x, y) polynomial
+        with pytest.raises(WitnessFault) as err:
+            _reduction_maps(8, _z_components(harmonic_pair(8).f + P("x^9"), 12), 3)
+        assert str(err.value) == "low degrees are not a harmonic multiple of f_8: x^9"
 
 
 class TestBiharmonic:
@@ -719,13 +727,33 @@ class TestGradedSweep:
         assert chain.maps == reference_reduction_maps(k, chain.source)
 
     @pytest.mark.parametrize("k", range(5, 17))
-    @pytest.mark.parametrize("i", range(3))
-    def test_rescaled_reduce_general(self, k, i):
+    @pytest.mark.parametrize(
+        "i, delta",
+        [pytest.param(i, (1, 1), id=str(i)) for i in range(3)]
+        + [
+            pytest.param(i, delta, id=f"{name}-{i}")
+            for name, delta in (
+                ("2z", (2, 0)),
+                ("(1-2i)z", (1, -2)),
+                ("(3+4i)z_over_5", (Fraction(3, 5), Fraction(4, 5))),
+                ("z_over_3", (Fraction(1, 3), 0)),
+                ("iz", (0, 1)),
+            )
+            for i in range(3)
+        ],
+    )
+    def test_rescaled_reduce_general(self, k, i, delta):
+        # the germ after z -> delta*z; the chain rotates its (z, zbar)
+        # components back, and the reference composes that rotation in (x, y)
         rhos, tail = every_offset_instance(k, i)
-        germ = rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero()))
+        germ = rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero()), *delta)
         chain = reduce_general(germ, k)
-        reduced = jet_compose(jet_truncate(germ, chain.bound), chain.maps[0]).poly
-        assert chain.maps[1:] == reference_reduction_maps(k, reduced)
+        maps = chain.maps
+        reduced = germ
+        if leading_coefficients(germ, k) != (1, 0):  # not so for iz at k = 0 mod 4
+            reduced = jet_compose(jet_truncate(germ, chain.bound), maps[0]).poly
+            maps = maps[1:]
+        assert maps == reference_reduction_maps(k, reduced)
 
     @pytest.mark.parametrize("k", range(5, 17))
     @pytest.mark.parametrize("i", range(3))
