@@ -28,10 +28,10 @@ the maps leave it as (x, y) polynomials. Every witness re-verifies exactly from
 its own maps in WitnessChain.verify(); nothing is trusted there. The
 translations, built in (z, zbar), are composed there by their Taylor
 expansion in (x, y), so building and checking them share no arithmetic.
-Every map is composed, except that a final radial scale map onto f_k is checked by
-its defining identity (`jets.radial_step_holds`), read off the composed
-jet and the map; when that identity does not apply, the map is composed
-too.
+Every map is composed, except that a final radial scale map onto any
+Re(z^k (1 + w')), f_k included, is checked by its defining identity
+(`jets.radial_step_holds`), read off the composed jet, the target and the
+map; when that identity does not apply, the map is composed too.
 """
 
 from __future__ import annotations
@@ -144,20 +144,18 @@ class WitnessChain(NamedTuple):
     def verify(self) -> bool:
         """Check the jet identity exactly, from the chain's own maps.
 
-        Every map but the last is composed. When the target is f_k, the
-        bound is below 2k and the last map is radial, z -> z*rho, the last
+        Every map but the last is composed. When the last map is radial,
+        z -> z*rho, and the composed jet and the target are
+        Re(z^k (1 + w)) and Re(z^k (1 + w')) below degree 2k, the last
         step is decided by its defining identity (`radial_step_holds`),
-        with w read off the composed jet and rho off the map. Otherwise,
-        or when that identity does not apply, the last map is composed
-        too and the result compared with the target.
+        with w and w' read off the jet and the target and rho off the map.
+        Otherwise the last map is composed too and the result compared
+        with the target.
         """
         current = jet_truncate(self.source, self.maps[0].bound if self.maps else self.bound)
         for phi in self.maps[:-1]:
             current = jet_compose(current, phi)
-        holds = None
-        k = self.target.degree() if self.target else 0
-        if self.maps and k >= 1 and self.target == harmonic_pair(k).f:
-            holds = radial_step_holds(current, self.maps[-1], k, self.bound)
+        holds = radial_step_holds(current, self.maps[-1], self.target, self.bound) if self.maps else None
         if holds is None:
             if self.maps:
                 current = jet_compose(current, self.maps[-1])

@@ -7,34 +7,32 @@ diffeomorphism fixing the origin. Composition truncates eagerly at every
 multiplication, which changes nothing modulo the bound and keeps the
 intermediate polynomials small.
 
-Composition has two routes, chosen by the map alone, in this order. A
-radial map, one whose complex form phi.x + i*phi.y is exactly divisible
-by z = x + iy, is z -> z*rho. There the jet is rewritten as
-sum C_ij z^i zbar^j, and each term becomes C_ij z^i zbar^j rho^i
-conj(rho)^j. That product only matters up to degree bound - i - j, which
-is far below the bound for the high-order jets the reduction composes.
-Every term is formed, from (z, zbar) components to (z, zbar) components
-(`_radial_components`); as C_ji = conj(C_ij), the result is real, and an
-imaginary part left in it is an error. Every other map, written id + tau,
-composes by its Taylor expansion, which is finite because the jet is a
-polynomial: it stops at n = deg h, or sooner once its terms pass the
-bound when tau has order at least 2. For the reduction's translations
-only the first-order part h + h_x*tau_x + h_y*tau_y is left; a shear or
-a linear change of coordinates runs the whole sum. With m the order of
-tau, the n-th term's factor has order at least n*m, so each n-th
-derivative is cut at degree bound - n*m, and only h's degrees up to
-bound - m + 1 are differentiated. Both are exact general compositions,
-so a witness re-verified through them is checked independently of how
-its maps were built.
+Composition has two routes, chosen by the map alone. A linear map
+z -> delta*z, one whose complex form phi.x + i*phi.y is delta*z, composes
+in (z, zbar) coordinates: the jet is rewritten as sum C_ij z^i zbar^j,
+each term becomes C_ij z^i zbar^j delta^i conj(delta)^j, and as
+C_ji = conj(C_ij) the result is real; an imaginary part left in it is an
+error. Every other map, written id + tau, composes by its Taylor
+expansion, which is finite because the jet is a polynomial: it stops at
+n = deg h, or sooner once its terms pass the bound when tau has order at
+least 2, as for a radial scale map z -> z*rho with rho(0) = 1. For the
+reduction's translations only the first-order part
+h + h_x*tau_x + h_y*tau_y is left; a shear or a linear change of
+coordinates runs the whole sum. With m the order of tau, the n-th term's
+factor has order at least n*m, so each n-th derivative is cut at degree
+bound - n*m, and only h's degrees up to bound - m + 1 are differentiated.
+Both are exact general compositions, so a witness re-verified through
+them is checked independently of how its maps were built.
 
-A witness's last step, h o phi == f_k for a radial phi = z*rho below
-degree 2k, can also be decided without composing h:
-`radial_step_holds` reads 1 + w off h = Re(z^k (1 + w)) and checks the
-defining identity (1 + w o phi) * rho^k == 1 up to degree level - k,
-composing only w, in (z, zbar) coordinates. It gives no verdict, and the
-caller composes, for a map that is not radial, a rho whose constant term
-is not 1, an h - f_k that is not a harmonic multiple of order above k,
-or a level of 2k or more.
+A witness's last step, h o phi == target for a radial phi = z*rho and a
+target Re(z^k (1 + w')) of order k, below degree 2k, can also be decided
+without composing h: `radial_step_holds` reads 1 + w off
+h = Re(z^k (1 + w)) and 1 + w' off the target, and checks
+1 + w o phi == (1 + w') * rho^(-k) up to degree level - k, composing only
+w, in (z, zbar) coordinates. It gives no verdict, and the caller composes,
+for a map that is not radial, a rho whose constant term is not 1, an
+h - f_k or target - f_k that is not a harmonic multiple of order above
+k, or a level of 2k or more.
 
 Powers (1 + w)^alpha of a jet with zero constant term are built degree by
 degree with Miller's recurrence (Knuth, TAOCP vol. 2, 4.7). The inverse
@@ -61,7 +59,6 @@ from .zcoords import (
     _component,
     _conjugate,
     _convolve,
-    _divisible_by_z,
     _harmonic_quotient,
     _join,
     _split,
@@ -149,14 +146,14 @@ def jet_compose(h: Jet, phi: JetMap) -> Jet:
     """The jet of h(phi_x, phi_y) at the common bound.
 
     Two routes, chosen by the map alone (see the module docstring): a
-    radial map z -> z*rho composes in (z, zbar) coordinates; any other
+    linear map z -> delta*z composes in (z, zbar) coordinates; any other
     map id + tau composes by its Taylor expansion in tau. Every product
     is truncated at the bound.
     """
     if h.bound != phi.bound:
         raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
     bound = h.bound
-    rho = _radial_factor(phi)
+    rho = _radial_factor(phi) if phi.x.poly.degree() == phi.y.poly.degree() == 1 else None
     if rho is not None:
         return Jet(_compose_radial(h.poly, rho, bound), bound)
     return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
@@ -265,14 +262,12 @@ def _radial_factor(phi: JetMap) -> list[tuple] | None:
     """rho's (z, zbar) components, degrees 0..bound - 1, when
     phi.x + i*phi.y == z*rho exactly; otherwise None.
 
-    The divisibility test (`_divisible_by_z`) reads each term once, so a
-    map that is not radial never goes through the change of variables.
+    z divides P = phi.x + i*phi.y exactly when the zbar^d entry of every
+    (z, zbar) component P_d is 0; then, as P_0 = 0, P_d / z is rho_(d-1).
     """
-    px, py = phi.x.poly, phi.y.poly
-    if not _divisible_by_z(px, py):
+    parts = _change_variables(_split(phi.x.poly, phi.y.poly, phi.bound), _z_image)
+    if any(re[0] or im[0] for re, im, _ in parts):
         return None
-    # P_0 = 0, and the zbar^d entry of every P_d is 0: P_d / z is rho_(d-1)
-    parts = _change_variables(_split(px, py, phi.bound), _z_image)
     return [(re[1:], im[1:], den) for re, im, den in parts[1:]]
 
 
@@ -353,7 +348,8 @@ def _radial_components(w: list[tuple], rho: list[tuple], bound: int) -> list[tup
 
 def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
     """The real polynomial p composed with z -> z*rho, rho given by its
-    (z, zbar) components, modulo degrees above the bound.
+    (z, zbar) components, modulo degrees above the bound; `jet_compose`
+    sends it the linear maps z -> delta*z only.
 
     `_radial_components` between the two changes of variables; as
     C_ji = conj(C_ij), an imaginary part left in the result is an error.
@@ -365,36 +361,42 @@ def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
     return result
 
 
-def radial_step_holds(h: Jet, phi: JetMap, k: int, level: int) -> bool | None:
-    """Whether h o phi == f_k in every degree up to `level`, decided without
-    composing h; None when this check does not apply.
+def radial_step_holds(h: Jet, phi: JetMap, target: Poly, level: int) -> bool | None:
+    """Whether h o phi == target in every degree up to `level`, decided
+    without composing h; None when this check does not apply.
 
-    It applies to a radial phi = z*rho with rho's constant term 1, for
-    k <= level < 2k, when `_harmonic_quotient` reads h = Re(z^k (1 + w))
-    with w(0) = 0 off h, that is, when h - f_k = u*f_k + v*g_k has order
-    above k, w = u - iv. Then h o phi - f_k = Re(z^k E) with
-    E = rho^k (1 + W) - 1 and W = w o phi. Up to `level` only E's degrees
-    up to level - k count, and for E of degree below k, Re(z^k E) = 0 only
-    if E = 0 (its two halves share no monomial). So h o phi == f_k up to
-    `level` exactly when (1 + W) rho^k == 1 up to degree level - k, or,
-    rho^k being a unit, when 1 + W == rho^(-k) there: the defining identity
-    of `inverse_scale_map`'s rho. W is composed in (z, zbar) coordinates up
-    to degree level - k, where the composition of h would run to `level`,
-    and the two sides are compared component by component.
+    With k the order of the target, it applies to a radial phi = z*rho
+    with rho's constant term 1, for k <= level < 2k, when
+    `_harmonic_quotient` reads h = Re(z^k (1 + w)) and
+    target = Re(z^k (1 + w')) with w(0) = w'(0) = 0 off them, that is, when
+    h - f_k and target - f_k are harmonic multiples u*f_k + v*g_k of order
+    above k, w = u - iv. Then h o phi - target = Re(z^k E) with
+    E = rho^k (1 + W) - (1 + w') and W = w o phi. Up to `level` only E's
+    degrees up to level - k count, and for E of degree below k,
+    Re(z^k E) = 0 only if E = 0 (its two halves share no monomial). So
+    h o phi == target up to `level` exactly when, rho^k being a unit,
+    1 + W == (1 + w') rho^(-k) up to degree level - k; for target f_k,
+    w' = 0, that is the defining identity of `inverse_scale_map`'s rho. W
+    is composed in (z, zbar) coordinates up to degree level - k, where the
+    composition of h would run to `level`, and the two sides are compared
+    component by component.
     """
+    k = target.order()
     if not k <= level < 2 * k or h.bound < level or phi.bound != h.bound:
         return None
     rho = _radial_factor(phi)
     if rho is None or rho[0] != _ONE:
         return None
-    w = _harmonic_quotient(_z_components(h.poly, level), k)
-    if w is None or w[0] != _ONE:
+    w, w_target = (_harmonic_quotient(_z_components(p, level), k) for p in (h.poly, target))
+    if w is None or w_target is None or w[0] != _ONE or w_target[0] != _ONE:
         return None
     top = level - k
     image = _RadialImage([_zero(0)] + w[1:], rho)
-    # rho^(-k) = (1 + (rho - 1))^(-k)
-    inverse = _graded_power([_zero(0)] + rho[1:], Fraction(-k), top)
-    return all(image.component(d) == inverse[d] for d in range(1, top + 1))
+    # rho^(-k) = (1 + (rho - 1))^(-k), times 1 + w' unless w' = 0
+    rhs = _graded_power([_zero(0)] + rho[1:], Fraction(-k), top)
+    if any(any(re) or any(im) for re, im, _ in w_target[1:]):
+        rhs = [_convolve(((1, w_target[t], rhs[d - t]) for t in range(d + 1)), d) for d in range(top + 1)]
+    return all(image.component(d) == rhs[d] for d in range(1, top + 1))
 
 
 # -- radial scale maps ---------------------------------------------------------

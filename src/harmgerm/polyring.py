@@ -494,6 +494,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.expanded = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -543,9 +544,8 @@ class _Parser:
             # of sums expands densely, as a power of one does, and any
             # product multiplies the factors' numerators and denominators
             factor = self.factor()
-            degree = result.degree() + factor.degree()
-            if len(result) > 1 and len(factor) > 1 and degree > self.MAX_GROUP_DEGREE:
-                raise PolyParseError(f"expanded degree {degree} exceeds {self.MAX_GROUP_DEGREE}", pos)
+            if len(result) > 1 and len(factor) > 1:
+                self.expand(result.degree() + factor.degree(), pos)
             if any(a + b >= self.MAX_GROUP_BITS for a, b in zip(_bits(result), _bits(factor))):
                 raise PolyParseError(f"coefficient exceeds {self.MAX_GROUP_BITS} bits", pos)
             result = result * factor
@@ -584,11 +584,9 @@ class _Parser:
             # exponentiating a sum expands densely, and a constant's coefficient
             # grows at any exponent; refuse unreasonable blowup
             degree = inner.degree()
-            if exponent > 1 and (degree == 0 or degree * exponent > self.MAX_GROUP_DEGREE):
-                if len(inner) > 1:
-                    raise PolyParseError(
-                        f"expanded degree {degree * exponent} exceeds {self.MAX_GROUP_DEGREE}", cpos
-                    )
+            if exponent > 1 and len(inner) > 1:
+                self.expand(degree * exponent, cpos)
+            elif exponent > 1 and (degree == 0 or degree * exponent > self.MAX_GROUP_DEGREE):
                 (n,) = inner._num.values()
                 if (max(abs(n), inner._den).bit_length() - 1) * exponent >= self.MAX_GROUP_BITS:
                     raise PolyParseError(f"coefficient exceeds {self.MAX_GROUP_BITS} bits", cpos)
@@ -603,10 +601,23 @@ class _Parser:
     MAX_EXPONENT = 10**6
     MAX_GROUP_DEGREE = 128
     MAX_GROUP_BITS = 255_125
+    # the expanded degrees of one input's powers and products of sums add up
+    # to at most this, the charge of the longest product the degree cap
+    # admits, 127 linear sums: 2 + 3 + ... + 128
+    MAX_EXPANDED_DEGREE = MAX_GROUP_DEGREE * (MAX_GROUP_DEGREE + 1) // 2 - 1
     # each level costs three stack frames; stay far below the recursion limit
     MAX_NESTING = 100
     # below 640, the lowest limit on int() that Python lets a process set
     MAX_DIGITS = 600
+
+    def expand(self, degree: int, pos: int) -> None:
+        """Admit one dense expansion, a power or product of sums, of the
+        given degree: each is capped, and so is their total in one input."""
+        if degree > self.MAX_GROUP_DEGREE:
+            raise PolyParseError(f"expanded degree {degree} exceeds {self.MAX_GROUP_DEGREE}", pos)
+        self.expanded += degree
+        if self.expanded > self.MAX_EXPANDED_DEGREE:
+            raise PolyParseError(f"expanded degrees total more than {self.MAX_EXPANDED_DEGREE}", pos)
 
     def integer(self, text: str, pos: int) -> int:
         digits = text.lstrip("0") or "0"

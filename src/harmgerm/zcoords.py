@@ -221,23 +221,6 @@ def _z_components(p: Poly, bound: int) -> list[tuple]:
     return _change_variables(_split(p, Poly.zero(), bound), _z_image)
 
 
-def _divisible_by_z(re: Poly, im: Poly) -> bool:
-    """Whether z = x + iy divides P = re + i*im exactly.
-
-    It does when P vanishes at z = 0, where x = zbar/2 and y = i*zbar/2:
-    when every homogeneous component of P vanishes at (x, y) = (1, i).
-    That test reads each term once, with no change of variables.
-    """
-    # at[(n, 0)], at[(n, 1)]: real and imaginary part of P_n(1, i), times re._den*im._den
-    at: dict[tuple[int, int], int] = {}
-    for p, turn, unit in ((re, 0, im._den), (im, 1, re._den)):
-        for (a, b), v in p._num.items():
-            q = (b + turn) % 4
-            key = (a + b, q % 2)
-            at[key] = at.get(key, 0) + (v * unit if q < 2 else -v * unit)
-    return not any(at.values())
-
-
 def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     """(u, v) with u*f_m + v*g_m == p, for p of degree below 2m; None if there is none.
 

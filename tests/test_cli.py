@@ -617,6 +617,20 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err == "parse error: expanded degree 256 exceeds 128 (at position 10)\n"
 
+    def test_many_grouped_powers_are_a_parse_error_cold(self):
+        # 13,000 copies of (x+y)^128 fit in one argv string and used to run
+        # 20.7 s; the expanded-degree budget refuses the 65th
+        text = "+".join(["(x+y)^128"] * 13000)
+        src = pathlib.Path(harmgerm.equivalence.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmgerm.cli", "split", text], env=env, capture_output=True, text=True
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "parse error: expanded degrees total more than 8255 (at position 644)\n"
+
     def test_one_term_power_with_a_huge_coefficient_is_a_parse_error(self, capsys):
         # 9^1000000 would take 3.2 million bits; refused before it is computed
         start = time.perf_counter()

@@ -478,7 +478,8 @@ class TestRadialStepIdentity:
             chain = reduce_germ(k, rhos, tail)
         else:
             chain = reduce_general(rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero())), k)
-        level, target = chain.bound, jet_truncate(harmonic_pair(k).f, chain.bound)
+        level, f = chain.bound, harmonic_pair(k).f
+        target = jet_truncate(f, level)
         phi, h = chain.maps[-1], _before_last(chain)
         radial = _radial_factor(phi) is not None
         # (jet, last map, whether the identity must decide)
@@ -486,9 +487,9 @@ class TestRadialStepIdentity:
         if radial:
             # radially tampered at m = 2, 3 and k - 3: the last moves f_k in degree 2k - 4
             cases += [(h, _plus_harmonic(phi, m), True) for m in sorted({2, 3, k - 3})]
-            # nudged off the radial route; composing it runs a long Taylor sum,
-            # so only the reduce_germ chains compare the two verdicts
-            assert radial_step_holds(h, _nudged(phi, 2), k, level) is None
+            # nudged so that it is not radial; composing it runs a long Taylor
+            # sum, so only the reduce_germ chains compare the two verdicts
+            assert radial_step_holds(h, _nudged(phi, 2), f, level) is None
             if kind == "reduce_germ":
                 cases.append((h, _nudged(phi, 2), False))
         if len(chain.maps) > 1:
@@ -498,7 +499,7 @@ class TestRadialStepIdentity:
             maps = chain.maps[:-2] + (_nudged(chain.maps[-2], k - 3), phi)
             cases.append((_before_last(chain, maps), phi, None))
         for index, (jet, last, decides) in enumerate(cases):
-            identity = radial_step_holds(jet, last, k, level)
+            identity = radial_step_holds(jet, last, f, level)
             composed = jets_equivalent_mod(jet_compose(jet, last), target, level)
             # the chain itself holds; every tampered copy fails
             assert composed == (index == 0), (k, index)
@@ -519,18 +520,48 @@ class TestRadialStepIdentity:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: root_absorb(6, P("x") * harmonic_pair(6).f, 8),
             lambda: translation_absorb(5, 1, P("x^2") * harmonic_pair(4).f, 7),
             lambda: normalize_harmonic(32, 0, 5),
         ],
-        ids=["root_absorb", "translation_absorb", "normalize_harmonic"],
+        ids=["translation_absorb", "normalize_harmonic"],
     )
     def test_other_targets_compose_every_map(self, monkeypatch, build):
+        # a translation that is not radial, and a rotation whose rho(0) is not 1
         chain = build()
         composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
         verdicts = recorded_verdicts(monkeypatch)
         assert chain.verify()
-        assert len(composes) == len(chain.maps) == 1 and verdicts == []
+        assert len(composes) == len(chain.maps) == 1 and verdicts == [None]
+
+
+class TestRootAbsorbIdentity:
+    """root_absorb's chain ends on f_k + rho, not on f_k; the identity
+    still decides its one scale map, and rejects tampered copies of it."""
+
+    @pytest.mark.parametrize("k", (6, 8, 12))
+    def test_identity_decides(self, monkeypatch, k):
+        bound = 2 * k - 4
+        pair = harmonic_pair(k)
+        rng = Xoshiro256StarStar(derive_seed(2016, k))
+        rho = sum(
+            (
+                random_homogeneous(rng, s) * pair.f / rng.randint(1, 7) + random_homogeneous(rng, s) * pair.g
+                for s in range(1, bound - k + 1)
+            ),
+            Poly.zero(),
+        )
+        chain = root_absorb(k, rho, bound)
+        composes = counted(monkeypatch, harmgerm.equivalence, "jet_compose")
+        verdicts = recorded_verdicts(monkeypatch)
+        assert chain.verify() and composes == [] and verdicts == [True]
+        phi = chain.maps[0]
+        # still radial, moving f_k o phi in degree k + m - 1 <= bound
+        ms = sorted({2, 3, bound - k + 1})
+        for m in ms:
+            assert chain._replace(maps=(_plus_harmonic(phi, m),)).verify() is False, m
+        # not radial: composed by Taylor
+        assert chain._replace(maps=(_nudged(phi, 2),)).verify() is False
+        assert verdicts == [True] + [False] * len(ms) + [None]
 
 
 class TestReduceGeneral:

@@ -161,9 +161,8 @@ def radial_map(rho_re, rho_im, bound):
 class TestComposePaths:
     """Both composition routes against sympy substitution.
 
-    A map whose complex form phi.x + i*phi.y is divisible by z composes in
-    (z, zbar) coordinates; every other map composes by its Taylor
-    expansion."""
+    A linear map z -> delta*z composes in (z, zbar) coordinates; every
+    other map, radial or not, composes by its Taylor expansion."""
 
     # sympy expands the substitution in full before truncating, so the
     # jets and maps stay at degree 4 and 3
@@ -203,8 +202,9 @@ class TestComposePaths:
     @given(st.integers(2, 6), st.sampled_from(["none", "harmonic", "x only"]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_radial_test_matches_the_zbar_terms(self, bound, extra, data):
-        # evaluating at (x, y) = (1, i) finds a pure zbar^n term of
-        # phi.x + i*phi.y exactly when the change of variables does
+        # `_radial_factor` reads the zbar^n entries off the change of
+        # variables; z divides P = phi.x + i*phi.y exactly when every
+        # homogeneous component of P vanishes at (x, y) = (1, i), where z = 0
         phi = radial_map(
             P("1") + random_rational_poly(data, bound - 1, 1), random_rational_poly(data, bound - 1), bound
         )
@@ -217,8 +217,13 @@ class TestComposePaths:
         elif extra == "x only":
             px = px + random_rational_poly(data, m, m) * c
         phi = jet_map(px, py, bound)
-        w = _change_variables(_split(px, py, bound), _z_image)
-        divisible = not any(re[0] or im[0] for re, im, _ in w)
+        # at[(n, 0)], at[(n, 1)]: the real and imaginary parts of P_n(1, i)
+        at = {}
+        for p, turn in ((px, 0), (py, 1)):
+            for (a, b), c in p.terms():
+                q = (b + turn) % 4
+                at[(a + b, q % 2)] = at.get((a + b, q % 2), 0) + (c if q < 2 else -c)
+        divisible = not any(at.values())
         assert (_radial_factor(phi) is not None) == divisible
         if extra != "x only":
             assert divisible
@@ -427,7 +432,7 @@ class TestHarmonicMultiple:
 
 
 class TestTaylorRoute:
-    """Every map id + tau that is not radial composes by Taylor expansion.
+    """Every map id + tau other than z -> delta*z composes by Taylor expansion.
 
     Sympy substitutes and expands in full, so the jets stay at bound 6."""
 
@@ -511,10 +516,35 @@ class TestTaylorRoute:
         expanded = sum(((P("x + y") ** a * P("y") ** b).scale(c) for (a, b), c in h.terms()), Poly.zero())
         assert composed == expanded
 
-    def test_radial_maps_keep_the_radial_route(self):
-        # linear part the identity, but z -> z*(1 + x*y + i*x^2/3) is radial
-        phi = radial_map(P("1 + x*y"), P("1/3*x^2"), 5)
+    @pytest.mark.parametrize("kind", ["radial_map", "complex_scale_map", "biharmonic_translation"])
+    def test_radial_maps_take_the_taylor_route(self, kind):
         h = P("x^4 - 6*x^2*y^2 + y^4 + 1/7*x^5")
+        if kind == "radial_map":
+            # linear part the identity: z -> z*(1 + x*y + i*x^2/3)
+            phi = radial_map(P("1 + x*y"), P("1/3*x^2"), 5)
+        elif kind == "complex_scale_map":
+            phi = complex_scale_map(jet_truncate(P("1/3*x + y^2"), 4), jet_truncate(P("2*x*y - 1/5*y"), 4), 3)
+        else:
+            # R in the 2-fold Laplacian kernel: its translations z -> z - T
+            # have T divisible by z
+            from harmgerm.equivalence import verify_biharmonic
+            from harmgerm.graded import kernel_basis
+            from harmgerm.rng import random_in_span
+
+            rng = Xoshiro256StarStar(7)
+            r = sum((random_in_span(rng, kernel_basis(d, 2).basis) for d in range(8, 11)), Poly.zero())
+            phi = verify_biharmonic(7, r).maps[0]
+        assert _radial_factor(phi) is not None
+        h = jet_truncate(h, phi.bound)
+        with route_counters() as counters:
+            composed = jet_compose(h, phi)
+        assert routes_taken(counters) == {"taylor": 1}
+        assert composed.poly == oracle_compose(h.poly, phi.x.poly, phi.y.poly, phi.bound)
+
+    @pytest.mark.parametrize("re, im", [("1", "1"), ("2", "-1/3"), ("0", "1"), ("-3/7", "0")])
+    def test_rotations_take_the_radial_route(self, re, im):
+        phi = radial_map(P(re), P(im), 5)
+        h = P("x^4 - 6*x^2*y^2 + 2/3*y^5 + 1/7*x^3*y - x*y + 5*y")
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(h, 5), phi)
         assert routes_taken(counters) == {"radial": 1}
@@ -541,9 +571,10 @@ class TestTaylorRoute:
 
 
 class TestRadialRouteBeyondTheBenchmark:
-    """The radial route at bound 36, past the benchmark's bounds 10-16,
-    on CI's seeded germ construction at k = 20 (`Xoshiro256StarStar(2016)`,
-    one kernel perturbation per offset, then the tail)."""
+    """Bound 36, past the benchmark's bounds 10-16, on CI's seeded germ
+    construction at k = 20 (`Xoshiro256StarStar(2016)`, one kernel
+    perturbation per offset, then the tail): the rotation composes in
+    (z, zbar) coordinates, the radial biharmonic translations by Taylor."""
 
     K = 20
 
@@ -581,15 +612,17 @@ class TestRadialRouteBeyondTheBenchmark:
         r = sum((random_in_span(rng, kernel_basis(d, 2).basis) for d in range(k + 1, 2 * k - 3)), Poly.zero())
         with route_counters() as counters:
             chain = verify_biharmonic(k, r)
-        # the translations are radial: R's components are biharmonic
-        assert [call[2] for call in counters["radial"]] == [2 * k - 4] * 8
+        # the translations are radial, as R's components are biharmonic, but
+        # not linear: verify() composes them by Taylor and checks the scale
+        # map by its identity
+        assert routes_taken(counters) == {"taylor": 8}
         assert self.digest(chain) == "793841ab00f0b4384595051a7b23bd890d7d17254ca3bebe68a98ab8604fb02a"
 
     def test_wrong_conjugate_is_an_error(self, monkeypatch):
-        # every (z, zbar) term is composed, so a wrong conj(rho^j) leaves an
+        # every (z, zbar) term is composed, so a wrong conj(delta^j) leaves an
         # imaginary part behind instead of a wrong real jet
         h = jet_truncate(P("x^3 - 2*x*y^2 + 1/3*y^4 + x*y"), 5)
-        phi = radial_map(P("1 + x"), P("y"), 5)  # z -> z(1 + z)
+        phi = radial_map(P("1"), P("1"), 5)  # z -> (1 + i)z
         assert jet_compose(h, phi).poly == oracle_compose(h.poly, phi.x.poly, phi.y.poly, 5)
         monkeypatch.setattr(harmgerm.jets, "_conjugate", lambda c: c)
         with pytest.raises(ArithmeticError, match="imaginary part"):
@@ -928,8 +961,8 @@ class TestInverseScaleMapGolden:
 
 
 class TestRadialStepHolds:
-    """radial_step_holds decides h o phi == f_k up to the level exactly as
-    composing does, whenever it gives a verdict."""
+    """radial_step_holds decides h o phi == target up to the level exactly
+    as composing does, whenever it gives a verdict."""
 
     @given(st.integers(5, 9), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -949,9 +982,32 @@ class TestRadialStepHolds:
         target = jet_truncate(pair.f, level)
         for phi in (solved, tampered, other):
             composed = jets_equivalent_mod(jet_compose(h, phi), target, level)
-            assert radial_step_holds(h, phi, k, level) is composed
-        assert radial_step_holds(h, solved, k, level) is True
-        assert radial_step_holds(h, tampered, k, level) is False
+            assert radial_step_holds(h, phi, pair.f, level) is composed
+        assert radial_step_holds(h, solved, pair.f, level) is True
+        assert radial_step_holds(h, tampered, pair.f, level) is False
+
+    @given(st.integers(5, 8), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_composition_onto_other_targets(self, k, data):
+        # h = Re(z^k (1 + w)) onto target = Re(z^k (1 + w')): undo w, then
+        # apply w'; both maps and their composition are radial
+        level = 2 * k - 4
+        pair = harmonic_pair(k)
+        u, v, u_target, v_target = (non_dyadic_poly(data, k - 4, 1) for _ in range(4))
+        h = jet_truncate(pair.f + u * pair.f + v * pair.g, level)
+        target = pair.f + u_target * pair.f + v_target * pair.g
+        solved = jet_map_compose(
+            inverse_scale_map(jet_truncate(u, level), jet_truncate(v, level), k),
+            complex_scale_map(jet_truncate(u_target, level), jet_truncate(v_target, level), k),
+        )
+        m = data.draw(st.integers(2, k - 3))
+        nudge = harmonic_pair(m)
+        tampered = jet_map(solved.x.poly + nudge.f / 3, solved.y.poly + nudge.g / 3, level)
+        for phi in (solved, tampered):
+            composed = jets_equivalent_mod(jet_compose(h, phi), jet_truncate(target, level), level)
+            assert radial_step_holds(h, phi, target, level) is composed
+        assert radial_step_holds(h, solved, target, level) is True
+        assert radial_step_holds(h, tampered, target, level) is False
 
     F6, G6 = harmonic_pair(6).f, harmonic_pair(6).g
 
@@ -968,8 +1024,22 @@ class TestRadialStepHolds:
         ],
     )
     def test_does_not_apply(self, h, phi, level, why):
-        assert radial_step_holds(jet_truncate(h, phi.bound), phi, 6, level) is None, why
+        assert radial_step_holds(jet_truncate(h, phi.bound), phi, self.F6, level) is None, why
+
+    @pytest.mark.parametrize(
+        "target, why",
+        [
+            (F6 + P("x^7"), "not a harmonic multiple"),
+            (F6 * 2, "order-k part not f_k"),
+            (F6 + G6, "order-k part not f_k"),
+            (P("x^4"), "level not below twice its order"),
+            (Poly.zero(), "zero"),
+        ],
+    )
+    def test_does_not_apply_to_the_target(self, target, why):
+        phi = radial_map(P("1 + x"), P("y"), 10)
+        assert radial_step_holds(jet_truncate(self.F6, 10), phi, target, 10) is None, why
 
     def test_bounds_must_match(self):
         phi = radial_map(P("1 + x"), P("y"), 11)
-        assert radial_step_holds(jet_truncate(self.F6, 10), phi, 6, 10) is None
+        assert radial_step_holds(jet_truncate(self.F6, 10), phi, self.F6, 10) is None

@@ -213,6 +213,44 @@ class TestParse:
         # a monomial factor keeps a product sparse at any degree
         assert parse_poly("x^1000*(x+y)^128*y^1000") == Poly.monomial(1000, 1000) * parse_poly("(x+y)^128")
 
+    LINEAR_CHAIN = "*".join(f"(x+{i})" for i in range(1, 129))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+".join(["(x+y)^128"] * 64),
+            "+".join(["(x+y)^64*(x-y)^64"] * 32),
+            # 127 products of sums, of degrees 2, 3, ..., 128
+            LINEAR_CHAIN,
+            "+".join(["((x+y)^2)^64"] * 63),
+            # neither a one-term group nor a group to the first power is charged
+            "+".join(["(2*x)^128"] * 1000) + "+" + "+".join(["(x+y)^128"] * 64),
+            "+".join(["x^2*(x^4 - 6*x^2*y^2 + y^4)"] * 1000) + "+" + "+".join(["(x+y)^128"] * 64),
+        ],
+        ids=["powers", "products", "linear_chain", "nested", "one_term_groups", "first_powers"],
+    )
+    def test_expanded_degrees_within_the_budget_parse(self, text):
+        assert _Parser.MAX_EXPANDED_DEGREE == 8255 == sum(range(2, 129))
+        assert isinstance(parse_poly(text), Poly)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # at the closing parenthesis of a power, at the second factor of a product
+            ("+".join(["(x+y)^128"] * 65), 64 * 10 + 4),
+            ("+".join(["(x+y)^64*(x-y)^64"] * 33), 32 * 18 + 4),
+            (LINEAR_CHAIN + "+(x+y)^2", len(LINEAR_CHAIN) + 5),
+            ("(x+y)^2+" + LINEAR_CHAIN, len("(x+y)^2+" + LINEAR_CHAIN) - 7),
+            ("+".join(["((x+y)^2)^64"] * 64), 63 * 13 + 8),
+        ],
+        ids=["powers", "products", "linear_chain_then_power", "power_then_linear_chain", "nested"],
+    )
+    def test_expanded_degrees_past_the_budget_are_refused(self, text, position):
+        # each power or product of sums is charged its degree before it is expanded
+        with pytest.raises(PolyParseError, match="expanded degrees total more than 8255") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
     @given(st.text(alphabet="xy0123456789+-*/^() ", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
