@@ -610,26 +610,48 @@ class TestWorkBudget:
         assert err.startswith("usage error: ") and "<=" in err
 
     def test_product_of_grouped_sums_is_a_parse_error(self, capsys):
-        # 40 factors of degree 128 used to expand for 10 s before the degree cap
+        # 40 factors of degree 128 used to expand for 10 s; the work budget
+        # refuses the seventh product
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "split", "*".join(["(x+y)^128"] * 40))
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == "parse error: expanded degree 256 exceeds 128 (at position 10)\n"
+        assert err == "parse error: work budget of 268435456 exceeded (at position 70)\n"
 
-    def test_many_grouped_powers_are_a_parse_error_cold(self):
-        # 13,000 copies of (x+y)^128 fit in one argv string and used to run
-        # 20.7 s; the expanded-degree budget refuses the 65th
-        text = "+".join(["(x+y)^128"] * 13000)
+    @staticmethod
+    def split_cold(text):
         src = pathlib.Path(harmgerm.equivalence.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "harmgerm.cli", "split", text], env=env, capture_output=True, text=True
         )
-        assert time.perf_counter() - start < 1
+        return proc, time.perf_counter() - start
+
+    def test_many_grouped_powers_are_a_parse_error_cold(self):
+        # 13,000 copies of (x+y)^128 fit in one argv string and used to run
+        # 20.7 s; the work budget refuses the 91st
+        proc, elapsed = self.split_cold("+".join(["(x+y)^128"] * 13000))
+        assert elapsed < 1
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "parse error: expanded degrees total more than 8255 (at position 644)\n"
+        assert proc.stderr == "parse error: work budget of 268435456 exceeded (at position 904)\n"
+
+    POWER_610 = "(" + "9" * 600 + "*x+y)^128"
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [(POWER_610, 605), ("+".join([POWER_610] * 64), 605), ("(x+y+1)^128", 6)],
+        ids=["610_byte_power", "64_copies", "trinomial_power"],
+    )
+    def test_costly_expansions_are_a_parse_error_cold(self, text, position):
+        # the 610-byte power parsed in 5.7-9.5 s, 64 copies of it (39 KB) fit in
+        # one argv string, and (x+y+1)^128 took 1.4-2.5 s; each squaring is
+        # charged before it runs
+        assert len(text) < 131072
+        proc, elapsed = self.split_cold(text)
+        assert elapsed < 1
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"parse error: work budget of 268435456 exceeded (at position {position})\n"
 
     def test_one_term_power_with_a_huge_coefficient_is_a_parse_error(self, capsys):
         # 9^1000000 would take 3.2 million bits; refused before it is computed
@@ -654,12 +676,13 @@ class TestWorkBudget:
     @pytest.mark.parametrize("factors", [2, 10, 11900])
     def test_product_of_huge_constants_is_a_parse_error(self, capsys, factors):
         # ten factors used to take 2 s and build a 4-million-bit coefficient,
-        # and the time grew quadratically with the count
+        # and the time grew quadratically with the count; 3^255124 alone has
+        # 404362 bits, so the first factor is refused
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "split", "*".join(["(3)^255124"] * factors) + "*x")
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == "parse error: coefficient exceeds 255125 bits (at position 11)\n"
+        assert err == "parse error: coefficient exceeds 255125 bits (at position 2)\n"
 
     def test_product_just_under_the_coefficient_cap_parses(self, capsys):
         code, out, err = run_cli(capsys, "split", "(2)^255000*(2)^124*x^2")

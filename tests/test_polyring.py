@@ -3,9 +3,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import harmgerm.polyring
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import (
     X,
@@ -23,7 +24,7 @@ from harmgerm.polyring import (
 )
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import oracle_harmonic, oracle_laplacian, read_digits
+from conftest import counted, oracle_harmonic, oracle_laplacian, read_digits
 
 
 coefficients = st.builds(
@@ -32,6 +33,8 @@ coefficients = st.builds(
 exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
 term_maps = st.dictionaries(exponents, coefficients, max_size=8)
 polys = term_maps.map(Poly)
+# small enough that any power up to the 12th stays within the parser's work budget
+small_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6).map(Poly)
 
 
 class TestParse:
@@ -109,17 +112,17 @@ class TestParse:
     @pytest.mark.parametrize(
         "text, position",
         [
-            ("(x+y)^129", 4),
-            ("(x+y)^64*(x-y)^65", 9),
-            ("(x+y)^64 (x-y)^65", 9),
-            ("*".join(["(x+y)^128"] * 40), 10),
-            ("(x+y)*" * 128 + "(x+y)", 768),
+            ("(x+y+1)^128", 6),
+            ("(x+y+1)^40*(x-y+1)^40", 11),
+            ("(x+y+1)^40 (x-y+1)^40", 11),
+            ("*".join(["(x+y)^128"] * 40), 70),
+            ("(x+y+1)*" * 128 + "(x+y+1)", 792),
         ],
         ids=["power", "product", "adjacency", "forty factors", "linear factors"],
     )
     def test_grouped_sum_expansion_capped(self, text, position):
-        # a product of two sums expands densely, as a power of one does
-        with pytest.raises(PolyParseError, match="exceeds 128") as err:
+        # a power or product of sums is charged its cost before it is expanded
+        with pytest.raises(PolyParseError, match="work budget of 268435456 exceeded") as err:
             parse_poly(text)
         assert err.value.position == position
 
@@ -149,8 +152,8 @@ class TestParse:
         ],
     )
     def test_constant_group_power_capped(self, text, position):
-        # a constant's power has no degree to cap, so the coefficient cap
-        # of a one-term group bounds it before it is computed
+        # each square and product of a power is checked as it is built, so a
+        # constant's power stops a squaring or two past the cap
         with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits") as err:
             parse_poly(text)
         assert err.value.position == position
@@ -171,7 +174,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "text, position",
         [
-            ("*".join(["(3)^255124"] * 10) + "*x", 11),
+            ("*".join(["(3)^255124"] * 10) + "*x", 2),
             ("(2)^255000*(2)^125", 11),
             ("(2)^255124*2", 11),
             ("(1/2)^255000*(1/2)^125*x", 13),
@@ -180,8 +183,7 @@ class TestParse:
         ],
     )
     def test_product_coefficient_capped(self, text, position):
-        # a product has at least the sum of its factors' bits, less one each,
-        # in its numerator and in its denominator; refused before it is built
+        # each product is checked as built: its largest numerator and its denominator
         with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits") as err:
             parse_poly(text)
         assert err.value.position == position
@@ -197,13 +199,12 @@ class TestParse:
         ],
     )
     def test_product_coefficient_within_the_cap_parses(self, text, expected):
-        # just under the cap; numerators and denominators are estimated apart
+        # exactly at the cap, in a numerator or in a denominator
         assert parse_poly(text) == expected
 
     @pytest.mark.parametrize("text", ["(9*x)^1000000", "(1/5*x)^1000000", "(2*x)^255125"])
     def test_one_term_group_coefficient_capped(self, text):
-        # 255125 bits: a 600-digit numeral to the 128th power, the largest
-        # coefficient that the degree cap admits
+        # 255125 bits: a 600-digit numeral to the 128th power
         assert _Parser.MAX_GROUP_BITS == ((10**600 - 1) ** 128).bit_length()
         with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits"):
             parse_poly(text)
@@ -223,33 +224,104 @@ class TestParse:
             # 127 products of sums, of degrees 2, 3, ..., 128
             LINEAR_CHAIN,
             "+".join(["((x+y)^2)^64"] * 63),
-            # neither a one-term group nor a group to the first power is charged
+            # one-term groups and groups to the first power cost little
             "+".join(["(2*x)^128"] * 1000) + "+" + "+".join(["(x+y)^128"] * 64),
             "+".join(["x^2*(x^4 - 6*x^2*y^2 + y^4)"] * 1000) + "+" + "+".join(["(x+y)^128"] * 64),
+            "(x+y)^1000",
         ],
-        ids=["powers", "products", "linear_chain", "nested", "one_term_groups", "first_powers"],
+        ids=["powers", "products", "linear_chain", "nested", "one_term_groups", "first_powers", "long_power"],
     )
     def test_expanded_degrees_within_the_budget_parse(self, text):
-        assert _Parser.MAX_EXPANDED_DEGREE == 8255 == sum(range(2, 129))
         assert isinstance(parse_poly(text), Poly)
 
     @pytest.mark.parametrize(
         "text, position",
         [
             # at the closing parenthesis of a power, at the second factor of a product
-            ("+".join(["(x+y)^128"] * 65), 64 * 10 + 4),
-            ("+".join(["(x+y)^64*(x-y)^64"] * 33), 32 * 18 + 4),
-            (LINEAR_CHAIN + "+(x+y)^2", len(LINEAR_CHAIN) + 5),
-            ("(x+y)^2+" + LINEAR_CHAIN, len("(x+y)^2+" + LINEAR_CHAIN) - 7),
-            ("+".join(["((x+y)^2)^64"] * 64), 63 * 13 + 8),
+            ("+".join(["(x+y)^128"] * 200), 90 * 10 + 4),
+            ("+".join(["(x+y)^64*(x-y)^64"] * 100), 71 * 18 + 9),
+            (LINEAR_CHAIN + "+(x+y+1)^128", len(LINEAR_CHAIN) + 7),
+            # (x+y+1)^75 alone parses
+            ("(x+y+1)^75+" + LINEAR_CHAIN, 639),
+            ("+".join(["((x+y)^2)^64"] * 200), 90 * 13 + 8),
         ],
         ids=["powers", "products", "linear_chain_then_power", "power_then_linear_chain", "nested"],
     )
     def test_expanded_degrees_past_the_budget_are_refused(self, text, position):
-        # each power or product of sums is charged its degree before it is expanded
-        with pytest.raises(PolyParseError, match="expanded degrees total more than 8255") as err:
+        # the products of all of an input's powers and products share one budget
+        with pytest.raises(PolyParseError, match="work budget of 268435456 exceeded") as err:
             parse_poly(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(x+y)^129", parse_poly("x+y") ** 129),
+            ("(x+y)^64*(x-y)^65", parse_poly("x+y") ** 64 * parse_poly("x-y") ** 65),
+            ("(x+y)^64 (x-y)^65", parse_poly("x+y") ** 64 * parse_poly("x-y") ** 65),
+            ("(x+y)*" * 128 + "(x+y)", parse_poly("x+y") ** 129),
+            ("+".join(["(x+y)^128"] * 65), parse_poly("x+y") ** 128 * 65),
+            ("+".join(["(x+y)^64*(x-y)^64"] * 33), parse_poly("x^2-y^2") ** 64 * 33),
+            (LINEAR_CHAIN + "+(x+y)^2", parse_poly(LINEAR_CHAIN) + parse_poly("x+y") ** 2),
+            ("(x+y)^2+" + LINEAR_CHAIN, parse_poly(LINEAR_CHAIN) + parse_poly("x+y") ** 2),
+            ("+".join(["((x+y)^2)^64"] * 64), parse_poly("x+y") ** 128 * 64),
+            ("(x+y+1)^75", parse_poly("x+y+1") ** 75),
+        ],
+        ids=[
+            "power",
+            "product",
+            "adjacency",
+            "linear_factors",
+            "powers",
+            "products",
+            "linear_chain_then_power",
+            "power_then_linear_chain",
+            "nested",
+            "largest_trinomial_power",
+        ],
+    )
+    def test_cheap_expansions_past_degree_128_parse(self, text, expected):
+        # the budget charges what a product costs, whatever its degree
+        assert parse_poly(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(3)^255124", 2),
+            ("(3*x)^255124", 4),
+            ("(2)^255124+(2)^255124", 0),
+            ("x+((2)^255124+(2)^255124)", 3),
+        ],
+    )
+    def test_coefficient_cap_checks_the_bits_built(self, text, position):
+        # 3^255124 has 404362 bits; a sum of two 255125-bit terms has 255126
+        with pytest.raises(PolyParseError, match="coefficient exceeds 255125 bits") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    @given(small_polys, small_polys, st.integers(0, 12))
+    @example(Poly.zero(), Poly.constant(Fraction(-2, 3)), 0)
+    @example(Poly.constant(Fraction(-2, 3)), Poly.zero(), 12)
+    @settings(max_examples=60, deadline=None)
+    def test_metered_products_and_powers_match_poly_arithmetic(self, a, b, e):
+        # Poly.__pow__ and Poly.__mul__ are the reference
+        assert parse_poly(f"({format_poly(a)})^{e}") == a**e
+        assert parse_poly(f"({format_poly(a)})*({format_poly(b)})") == a * b
+
+    def test_refused_multiplication_never_runs(self, monkeypatch):
+        # squaring x + y and then (x+y)^2 costs 4 + 9 pairs and 6*6 + 8*8 digit
+        # products; the budget ends there, so (x+y)^8 is never computed
+        calls = counted(monkeypatch, harmgerm.polyring, "poly_mul")
+        budget = 13 * _Parser.PAIR_WORK + 100
+        monkeypatch.setattr(_Parser, "MAX_WORK", budget)
+        with pytest.raises(PolyParseError, match=f"work budget of {budget} exceeded") as err:
+            parse_poly("(x+y)^64")
+        assert (len(calls), err.value.position) == (2, 4)
+        calls.clear()
+        monkeypatch.setattr(_Parser, "MAX_WORK", 3 * _Parser.PAIR_WORK)
+        with pytest.raises(PolyParseError, match="work budget") as err:
+            parse_poly("(x+y)*(x-y)")
+        assert (len(calls), err.value.position) == (0, 6)
 
     @given(st.text(alphabet="xy0123456789+-*/^() ", max_size=40))
     @settings(max_examples=200, deadline=None)
