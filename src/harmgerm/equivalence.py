@@ -22,10 +22,11 @@ C_k = (a - ib)/2. Absorption works degree by degree, low degrees last:
   map z -> z * rho, using that their sum is u*f_k + v*g_k exactly.
 
 A leading form other than f_k is first rotated onto it by z -> delta*z,
-applied to the components themselves (`jets._radial_components`). So the
-construction composes no (x, y) polynomial and multiplies no Poly; only
-the maps leave it as (x, y) polynomials. Every witness re-verifies exactly from
-its own maps in WitnessChain.verify(); nothing is trusted there. The
+which multiplies each coefficient C_ij of the components by
+delta^i conj(delta)^j (`jets._rotated`). So the construction composes no
+(x, y) polynomial and multiplies no Poly; only the maps leave it as (x, y)
+polynomials. Every witness re-verifies exactly from its own maps in
+WitnessChain.verify(); nothing is trusted there. The
 translations, built in (z, zbar), are composed there by their Taylor
 expansion in (x, y), so building and checking them share no arithmetic.
 Every map is composed, except that a final radial scale map onto any
@@ -49,8 +50,8 @@ from .jets import (
     Jet,
     JetMap,
     _inverse_scale_root,
-    _radial_components,
-    _radial_factor,
+    _rotated,
+    _scale_map_from_root,
     complex_scale_map,
     identity_map,
     jet_compose,
@@ -71,6 +72,7 @@ from .zcoords import (
     _in_kernel,
     _join,
     _real_part,
+    _split,
     _xy_image,
     _z_components,
     _zero,
@@ -271,11 +273,6 @@ def exact_kth_root(re: Fraction, im: Fraction, k: int):
     return None
 
 
-def _linear_rotation_map(p: Fraction, q: Fraction, bound: int) -> JetMap:
-    """The real form of z -> (p + qi) * z."""
-    return jet_map(X * p - Y * q, X * q + Y * p, bound)
-
-
 class RescalingWitness(NamedTuple):
     """z -> delta*z composes f_k onto a*f_k + b*g_k for every delta with
     delta^k = a - ib, since f_k(delta*z) = Re(delta^k * z^k).
@@ -325,7 +322,7 @@ def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessC
     target = pair.f * a + pair.g * b
     root = exact_kth_root(a, -b, k)
     if root is not None:
-        phi = _linear_rotation_map(root[0], root[1], k)
+        phi = _scale_map_from_root(Poly.constant(root[0]), Poly.constant(root[1]), k)
         return _verified_chain(pair.f, target, [phi], k)
     return RescalingWitness(k, a, b, _rescaled_generator(a, b, k) == target)
 
@@ -559,9 +556,9 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
                 "leading form needs an irrational rescaling; "
                 "only a pure harmonic form has a rescaling witness"
             )
-        phi = _linear_rotation_map(root[0], root[1], bound)
-        parts = _radial_components(parts, _radial_factor(phi), bound)
-        maps.append(phi)
+        re, im = Poly.constant(root[0]), Poly.constant(root[1])
+        maps.append(_scale_map_from_root(re, im, bound))
+        parts = _rotated(parts, _split(re, im, 0)[0])
     maps += _reduction_maps(k, parts, profile.split_offset)
     certificate = determined_bound_report(k, Poly.zero())
     return _verified_chain(germ, harmonic_pair(k).f, maps, bound, certificate)

@@ -155,7 +155,7 @@ def jet_compose(h: Jet, phi: JetMap) -> Jet:
     bound = h.bound
     rho = _radial_factor(phi) if phi.x.poly.degree() == phi.y.poly.degree() == 1 else None
     if rho is not None:
-        return Jet(_compose_radial(h.poly, rho, bound), bound)
+        return Jet(_compose_radial(h.poly, rho[0], bound), bound)
     return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
 
 
@@ -339,22 +339,30 @@ class _RadialImage:
         return _convolve(terms, d)
 
 
-def _radial_components(w: list[tuple], rho: list[tuple], bound: int) -> list[tuple]:
-    """w o (z -> z*rho) in degrees 0..bound, each of w, rho and the result
-    given by its (z, zbar) components (`_RadialImage`)."""
-    image = _RadialImage(w, rho)
-    return [image.component(d) for d in range(bound + 1)]
+def _rotated(w: list[tuple], delta: tuple) -> list[tuple]:
+    """w o (z -> delta*z), for w given by its (z, zbar) components and delta
+    by its degree-0 component: each C_ij z^i zbar^j gains delta^i conj(delta)^j."""
+    powers = [[(1, 0)], [(1, 0)]]  # the numerators of delta^n and of conj(delta)^n
+    for row, ((p,), (q,), _) in zip(powers, (delta, _conjugate(delta))):
+        for _ in range(len(w) - 1):
+            a, b = row[-1]
+            row.append((a * p - b * q, a * q + b * p))
+    rotated = []
+    for d, (re, im, den) in enumerate(w):
+        gains = [(a * c - b * e, a * e + b * c) for (a, b), (c, e) in zip(powers[0], powers[1][d::-1])]
+        new_re = [x * g - y * h for x, y, (g, h) in zip(re, im, gains)]
+        new_im = [x * h + y * g for x, y, (g, h) in zip(re, im, gains)]
+        rotated.append(_component(new_re, new_im, den * delta[2] ** d))
+    return rotated
 
 
-def _compose_radial(p: Poly, rho: list[tuple], bound: int) -> Poly:
-    """The real polynomial p composed with z -> z*rho, rho given by its
-    (z, zbar) components, modulo degrees above the bound; `jet_compose`
-    sends it the linear maps z -> delta*z only.
-
-    `_radial_components` between the two changes of variables; as
-    C_ji = conj(C_ij), an imaginary part left in the result is an error.
+def _compose_radial(p: Poly, delta: tuple, bound: int) -> Poly:
+    """The real polynomial p composed with z -> delta*z modulo degrees above
+    the bound, delta given by its degree-0 (z, zbar) component: `_rotated`
+    between the two changes of variables. As C_ji = conj(C_ij), an
+    imaginary part left in the result is an error.
     """
-    composed = _radial_components(_z_components(p, bound), rho, bound)
+    composed = _rotated(_z_components(p, bound), delta)
     result, imaginary = _join(_change_variables(composed, _xy_image))
     if imaginary:
         raise ArithmeticError(f"composition of a real jet left an imaginary part {imaginary}")

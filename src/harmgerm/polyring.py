@@ -486,9 +486,9 @@ class _Parser:
     inputs like "x^2*(x^4 - 6*x^2*y^2 + y^4)".
 
     Every product and power (by square-and-multiply) goes through
-    `multiply`, which charges its cost to one work budget per input before
-    it runs, whatever the degrees, terms or numerals; every product and sum
-    is `capped`.
+    `multiply`, and every sum through `total`; each charges its cost to one
+    work budget per input before it runs, whatever the degrees, terms or
+    numerals, and its result is `capped`.
     """
 
     def __init__(self, text: str):
@@ -528,7 +528,7 @@ class _Parser:
                 self.take()
                 terms.append((-1 if value == "-" else 1, self.product()))
             else:
-                return self.capped(linear_combination(terms), start)
+                return self.total(terms, start)
 
     def product(self) -> Poly:
         result = self.factor()
@@ -592,13 +592,38 @@ class _Parser:
     # below 640, the lowest limit on int() that Python lets a process set
     MAX_DIGITS = 600
 
+    def charge(self, work: int, pos: int) -> None:
+        """Add work to the input's budget; past MAX_WORK the parse is refused."""
+        self.work += work
+        if self.work > self.MAX_WORK:
+            raise PolyParseError(f"work budget of {self.MAX_WORK} exceeded", pos)
+
     def multiply(self, a: Poly, b: Poly, pos: int) -> Poly:
         """a * b, `capped`, once its cost is charged to the work budget:
         PAIR_WORK a pair of terms plus the digit products _digits(a) * _digits(b)."""
-        self.work += len(a) * len(b) * self.PAIR_WORK + _digits(a) * _digits(b)
-        if self.work > self.MAX_WORK:
-            raise PolyParseError(f"work budget of {self.MAX_WORK} exceeded", pos)
+        self.charge(len(a) * len(b) * self.PAIR_WORK + _digits(a) * _digits(b), pos)
         return self.capped(a * b, pos)
+
+    def total(self, terms: list[tuple[int, Poly]], pos: int) -> Poly:
+        """The sum of the signed terms, `capped`, once its cost is charged to
+        the work budget. The sum rescales each term to the lcm of the
+        denominators, of D digits as `_digits` counts an int, and the content
+        gcd (`Poly._of`) reads each rescaled numerator against the lcm: D
+        units a digit of the rescaled terms. A term p whose denominator has
+        e digits rescales to _digits(p) - e + len(p) * (D - e) digits. The
+        charge rises with the lcm, term by term, so a sum past the budget is
+        refused before its lcm is whole."""
+        lcm, charged, base, count = 1, 0, 0, 0
+        for _, p in terms:
+            lcm = math.lcm(lcm, p._den)
+            e = p._den.bit_length() // 30 + 2
+            base += _digits(p) - e - len(p) * e
+            count += len(p)
+            d = lcm.bit_length() // 30 + 2
+            cost = d * (base + d * count)  # D times the digits of the terms so far, rescaled
+            self.charge(cost - charged, pos)
+            charged = cost
+        return self.capped(linear_combination(terms), pos)
 
     def capped(self, p: Poly, pos: int) -> Poly:
         """p, unless its largest numerator or denominator has more than MAX_GROUP_BITS bits."""

@@ -4,6 +4,7 @@ multiples, call counters, tampered radial scale maps and a tampered
 determinacy certificate."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,13 @@ def rescaled(p: Poly, re=1, im=1) -> Poly:
     bound = p.degree()
     x, y = P("x"), P("y")
     return jet_compose(jet_truncate(p, bound), jet_map(x * re - y * im, x * im + y * re, bound)).poly
+
+
+def sum_of_reciprocals(n: int) -> str:
+    """The text of the sum of 1/N_i*x^i for i = 1..n, with distinct seeded
+    600-digit N_i, whose lcm grows by about 600 digits a term."""
+    rng = random.Random(2016)
+    return "+".join(f"1/{rng.randrange(10**599, 10**600)}*x^{i}" for i in range(1, n + 1))
 
 
 def rational_rref(rows):

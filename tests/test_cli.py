@@ -29,7 +29,7 @@ from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, counted, read_digits, recorded_verdicts, rescaled
+from conftest import P, counted, read_digits, recorded_verdicts, rescaled, sum_of_reciprocals
 
 
 def run_cli(capsys, *argv):
@@ -635,6 +635,19 @@ class TestWorkBudget:
         assert elapsed < 1
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "parse error: work budget of 268435456 exceeded (at position 904)\n"
+
+    @pytest.mark.parametrize("n", [120, 215])
+    def test_sums_of_large_denominators_are_a_parse_error_cold(self, n):
+        # n terms 1/N_i*x^i with distinct 600-digit N_i: at n = 120 (73 KB) the
+        # sum parsed in 2.7 s, at n = 215 (131 KB) it ran 12-13 s before the
+        # coefficient cap refused it; the content gcd over the lcm of the
+        # denominators is charged before it runs
+        text = sum_of_reciprocals(n)
+        assert len(text) < 131072
+        proc, elapsed = self.split_cold(text)
+        assert elapsed < 1
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "parse error: work budget of 268435456 exceeded (at position 0)\n"
 
     POWER_610 = "(" + "9" * 600 + "*x+y)^128"
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import harmgerm.equivalence
 import harmgerm.graded
+import harmgerm.jets
 import harmgerm.polyring
 from harmgerm import linalg
 from harmgerm.determinacy import determined_bound_report
@@ -681,6 +683,24 @@ class TestReadOff:
         assert len(chain.maps) == translations + 1 + (form == "rescaled")
         assert products == [] and laplacians == [] and solves == [] and direct_solves == []
         assert len(scale_maps) == 1
+
+    @pytest.mark.parametrize("k", (8, 12))
+    def test_only_the_scale_step_builds_a_radial_image(self, monkeypatch, k):
+        # the rotation of a rescaled germ is its closed form on the (z, zbar)
+        # components, in the construction and in verify() alike; the lazy
+        # radial engine serves the scale map's solve and its check only
+        rhos, tail = every_offset_instance(k, 0)
+        germ = rescaled(harmonic_pair(k).f + tail + sum(rhos.values(), Poly.zero()))
+        builders = []
+        init = harmgerm.jets._RadialImage.__init__
+
+        def recording(self, w, rho):
+            builders.append(sys._getframe(1).f_code.co_name)
+            init(self, w, rho)
+
+        monkeypatch.setattr(harmgerm.jets._RadialImage, "__init__", recording)
+        assert reduce_general(germ, k).verified
+        assert builders == ["_inverse_scale_root", "radial_step_holds"]
 
     def test_scale_step_fault_names_the_low_degrees(self):
         # x^9 is no harmonic multiple of f_8; the message shows the low

@@ -180,6 +180,26 @@ class TestComposePaths:
         composed = jet_compose(jet_truncate(h, bound), phi)
         assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
 
+    @given(st.integers(1, 16), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rotations_match_poly_products(self, bound, data):
+        # z -> delta*z, delta = p + iq, against sum c_ab (px - qy)^a (qx + py)^b
+        # expanded by Poly products alone, past the sympy test's sizes
+        parts = st.integers(-(10**30), 10**30), st.integers(1, 10**30)
+        p, q = (Fraction(data.draw(parts[0]), data.draw(parts[1])) for _ in range(2))
+        assume(p or q)
+        monomials = [(a, d - a) for d in range(bound + 1) for a in range(d + 1)]
+        coeffs = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+        h = Poly(data.draw(st.dictionaries(st.sampled_from(monomials), coeffs, max_size=40)))
+        lx, ly = X * p - Y * q, X * q + Y * p
+        expected = Poly.zero()
+        for (a, b), c in h.terms():
+            expected = expected + (lx**a * ly**b).scale(c)
+        with route_counters() as counters:
+            composed = jet_compose(jet_truncate(h, bound), jet_map(lx, ly, bound))
+        assert routes_taken(counters) == {"radial": 1}
+        assert composed.poly == expected
+
     @given(st.integers(2, 5), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_maps_not_divisible_by_z(self, bound, translation, data):
@@ -619,8 +639,9 @@ class TestRadialRouteBeyondTheBenchmark:
         assert self.digest(chain) == "793841ab00f0b4384595051a7b23bd890d7d17254ca3bebe68a98ab8604fb02a"
 
     def test_wrong_conjugate_is_an_error(self, monkeypatch):
-        # every (z, zbar) term is composed, so a wrong conj(delta^j) leaves an
-        # imaginary part behind instead of a wrong real jet
+        # every (z, zbar) term gains delta^i conj(delta)^j (`jets._rotated`),
+        # so a wrong conj(delta) leaves an imaginary part behind instead of a
+        # wrong real jet
         h = jet_truncate(P("x^3 - 2*x*y^2 + 1/3*y^4 + x*y"), 5)
         phi = radial_map(P("1"), P("1"), 5)  # z -> (1 + i)z
         assert jet_compose(h, phi).poly == oracle_compose(h.poly, phi.x.poly, phi.y.poly, 5)

@@ -24,7 +24,7 @@ from harmgerm.polyring import (
 )
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import counted, oracle_harmonic, oracle_laplacian, read_digits
+from conftest import counted, oracle_harmonic, oracle_laplacian, read_digits, sum_of_reciprocals
 
 
 coefficients = st.builds(
@@ -307,12 +307,15 @@ class TestParse:
         # Poly.__pow__ and Poly.__mul__ are the reference
         assert parse_poly(f"({format_poly(a)})^{e}") == a**e
         assert parse_poly(f"({format_poly(a)})*({format_poly(b)})") == a * b
+        assert parse_poly(f"({format_poly(a)})-({format_poly(b)})") == a - b
 
     def test_refused_multiplication_never_runs(self, monkeypatch):
-        # squaring x + y and then (x+y)^2 costs 4 + 9 pairs and 6*6 + 8*8 digit
-        # products; the budget ends there, so (x+y)^8 is never computed
+        # the sum x + y costs 8 units, the lcm's 2 digits for each of its
+        # numerators' 2 + 2 (`_Parser.total`); then squaring it and then
+        # (x+y)^2 costs 4 + 9 pairs and 6*6 + 8*8 digit products; the budget
+        # ends there, so (x+y)^8 is never computed
         calls = counted(monkeypatch, harmgerm.polyring, "poly_mul")
-        budget = 13 * _Parser.PAIR_WORK + 100
+        budget = 8 + 13 * _Parser.PAIR_WORK + 100
         monkeypatch.setattr(_Parser, "MAX_WORK", budget)
         with pytest.raises(PolyParseError, match=f"work budget of {budget} exceeded") as err:
             parse_poly("(x+y)^64")
@@ -322,6 +325,18 @@ class TestParse:
         with pytest.raises(PolyParseError, match="work budget") as err:
             parse_poly("(x+y)*(x-y)")
         assert (len(calls), err.value.position) == (0, 6)
+
+    def test_refused_sum_never_runs(self, monkeypatch):
+        # n terms 1/N_i*x^i with distinct 600-digit N_i: the sum rescales each
+        # 1 to lcm/N_i, of about 66(n - 1) 30-bit digits, against an lcm of
+        # about 66n, so it costs about 4356 n^3 units: past the budget at
+        # n = 40, where it is refused before it runs, and not at n = 39
+        sums = counted(monkeypatch, harmgerm.polyring, "linear_combination")
+        with pytest.raises(PolyParseError, match="work budget of 268435456 exceeded") as err:
+            parse_poly(sum_of_reciprocals(40))
+        assert (len(sums), err.value.position) == (0, 0)
+        terms = sum_of_reciprocals(39).split("+")
+        assert parse_poly("+".join(terms)) == sum(map(parse_poly, terms), Poly.zero())
 
     @given(st.text(alphabet="xy0123456789+-*/^() ", max_size=40))
     @settings(max_examples=200, deadline=None)
