@@ -58,7 +58,7 @@ from .jets import (
     jet_truncate,
     jets_equivalent_mod,
 )
-from .polyring import Poly, PolyParseError, format_poly, laplacian, parse_poly
+from .polyring import InputError, Poly, PolyParseError, format_poly, laplacian, parse_poly
 from .selftest import run_selftest
 
 __version__ = "0.1.0"
@@ -70,6 +70,7 @@ __all__ = [
     "DeterminacyReport",
     "GradedSubspace",
     "HarmonicPair",
+    "InputError",
     "Jet",
     "JetMap",
     "MembershipError",

@@ -25,7 +25,7 @@ from .equivalence import (
     verify_biharmonic,
 )
 from .harmonic import almansi_decompose, harmonic_pair, harmonic_split
-from .polyring import PolyParseError, format_poly, parse_poly
+from .polyring import InputError, PolyParseError, format_poly, parse_poly
 from .selftest import format_report, run_selftest
 
 
@@ -49,24 +49,26 @@ RANGES = {
 MAX_DEGREE = {"almansi": 400, "split": 800}
 
 
-def _range_error(args) -> str | None:
+class UsageError(InputError):
+    """An option or input outside what the command accepts (exit 2)."""
+
+
+def _check_ranges(args) -> None:
     for option, (low, high) in RANGES.get(args.command, {}).items():
         value = getattr(args, option)
         flag = f"--{option.replace('_', '-')}"
         if value is None:
             continue
         if value < low:
-            return f"{args.command} requires {flag} >= {low}"
+            raise UsageError(f"{args.command} requires {flag} >= {low}")
         if high is not None and value > high:
-            return f"{args.command} requires {flag} <= {high}"
-    return None
+            raise UsageError(f"{args.command} requires {flag} <= {high}")
 
 
-def _degree_error(args) -> str | None:
+def _check_degree(args) -> None:
     cap = MAX_DEGREE.get(args.command)
     if cap is not None and args.poly.degree() > cap:
-        return f"{args.command} requires a polynomial of degree <= {cap}"
-    return None
+        raise UsageError(f"{args.command} requires a polynomial of degree <= {cap}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -155,24 +157,20 @@ def cmd_reduce(args) -> int:
     germ = args.poly
     k = args.k
     if germ.order() < k:
-        raise ValueError(f"germ has terms of degree below k = {k}")
+        raise InputError(f"germ has terms of degree below k = {k}")
     leading = germ.graded_component(k)
     if germ == leading and leading:
         # pure homogeneous form: a linear normalisation witness suffices
         coeffs = leading_coefficients(germ, k)
         if coeffs is None:
-            raise ValueError("degree-k form is not harmonic")
+            raise InputError("degree-k form is not harmonic")
         witness = normalize_harmonic(coeffs[0], coeffs[1], k)
         payload = witness.to_json_dict()
         rescaling = isinstance(witness, RescalingWitness)
         _emit(args, payload, _rescaling_text(payload) if rescaling else _chain_text(payload))
         return 0 if witness.verified else 1
     if k < 5:
-        print(
-            "usage error: reduce requires --k >= 5 unless the germ is purely harmonic",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("reduce requires --k >= 5 unless the germ is purely harmonic")
     payload = reduce_general(germ, k).to_json_dict()
     _emit(args, payload, _chain_text(payload))
     return 0
@@ -307,18 +305,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        problem = _range_error(args)
-        if problem is None and "poly" in vars(args):
+        _check_ranges(args)
+        if "poly" in vars(args):
             args.poly = parse_poly(args.poly)
-            problem = _degree_error(args)
-        if problem:
-            print(f"usage error: {problem}", file=sys.stderr)
-            return 2
+            _check_degree(args)
         return args.run(args)
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:  # a refused argument, raised by the library or a command
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

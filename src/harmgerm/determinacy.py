@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
-from .polyring import Poly, linear_combination, monomial_basis
+from .polyring import InputError, Poly, linear_combination, monomial_basis
 
 
 def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
@@ -125,11 +125,11 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     elimination runs over all products in every degree 1..`level`.
     """
     if level < 1:
-        raise ValueError(f"certificate level {level} must be at least 1")
+        raise InputError(f"certificate level {level} must be at least 1")
     if not h:
-        raise ValueError("zero germ is never finitely determined")
+        raise InputError("zero germ is never finitely determined")
     if h.order() > level:
-        raise ValueError(f"germ order {h.order()} exceeds the certificate level {level}")
+        raise InputError(f"germ order {h.order()} exceeds the certificate level {level}")
     generators = _ordered_generators(h)
     multiples = list(_truncated_multiples(generators, level, max_multiplier_degree))
     products = [p for _, p in multiples]
@@ -239,9 +239,9 @@ def determined_bound_report(k: int, tail: Poly) -> DeterminacyReport:
     both arguments are immutable.
     """
     if k < 5:
-        raise ValueError("report requires k >= 5")
+        raise InputError("report requires k >= 5")
     if tail and tail.order() <= k:
-        raise ValueError(f"tail order {tail.order()} must exceed k = {k}")
+        raise InputError(f"tail order {tail.order()} must exceed k = {k}")
     criterion = check_determinacy(harmonic_pair(k).f + tail, 2 * k - 3)
     return DeterminacyReport(
         k=k, criterion=criterion, level=max(k, 2 * k - 4), ok=reverify_certificate(criterion)

@@ -60,7 +60,7 @@ from .jets import (
     jets_equivalent_mod,
     radial_step_holds,
 )
-from .polyring import X, Y, Poly, _scalar, format_poly, format_scalar, laplacian_power
+from .polyring import X, Y, InputError, Poly, _scalar, format_poly, format_scalar, laplacian_power
 from .zcoords import (
     _ONE,
     _change_component,
@@ -79,7 +79,7 @@ from .zcoords import (
 )
 
 
-class MembershipError(ValueError):
+class MembershipError(InputError):
     """A perturbation fails its required iterated-Laplacian kernel."""
 
     def __init__(self, message: str, degree: int):
@@ -115,7 +115,7 @@ class AbsorptionProfile(NamedTuple):
 
 def absorption_profile(k: int) -> AbsorptionProfile:
     if k < 5:
-        raise ValueError("absorption profile requires k >= 5")
+        raise InputError("absorption profile requires k >= 5")
     exponents = tuple((s, s + 1 if 2 * s < k - 3 else s + 2) for s in range(1, k - 3))
     return AbsorptionProfile(k, exponents, (k - 2) // 2)
 
@@ -315,9 +315,9 @@ def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessC
     a = Fraction(_scalar(a))
     b = Fraction(_scalar(b))
     if not a and not b:
-        raise ValueError("the zero form has no normalisation")
+        raise InputError("the zero form has no normalisation")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InputError("k must be at least 1")
     pair = harmonic_pair(k)
     target = pair.f * a + pair.g * b
     root = exact_kth_root(a, -b, k)
@@ -357,13 +357,16 @@ def root_absorb(k: int, rho: Poly, bound: int) -> WitnessChain:
 
     Every homogeneous component of rho at degree k+s must lie in the
     span of degree-s multiples of f_k and g_k; violations raise
-    MembershipError naming the offending degree.
+    MembershipError naming the offending degree. A bound below the order
+    of a nonzero rho would check none of it, and raises InputError.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InputError("k must be at least 1")
     pair = harmonic_pair(k)
     if not rho:
         return _verified_chain(pair.f, pair.f, [identity_map(bound)], bound)
+    if rho.order() > bound:
+        raise InputError(f"bound {bound} below the order {rho.order()} of rho")
     u, v = _scale_solution(rho, k)
     phi = complex_scale_map(Jet(u.truncate(bound), bound), Jet(v.truncate(bound), bound), k)
     return _verified_chain(pair.f, pair.f + rho, [phi], bound)
@@ -378,14 +381,14 @@ def translation_absorb(k: int, s: int, rho: Poly, bound: int) -> WitnessChain:
     homogeneous of degree s+1.
     """
     if s < 1:
-        raise ValueError("offset s must be at least 1")
+        raise InputError("offset s must be at least 1")
     if bound < k + s:
-        raise ValueError(f"bound {bound} below verification level {k + s}")
+        raise InputError(f"bound {bound} below verification level {k + s}")
     pair = harmonic_pair(k)
     if not rho:
         return _verified_chain(pair.f, pair.f, [identity_map(bound)], k + s)
     if not rho.is_homogeneous() or rho.degree() != k + s:
-        raise ValueError(f"perturbation must be homogeneous of degree {k + s}")
+        raise InputError(f"perturbation must be homogeneous of degree {k + s}")
     if laplacian_power(rho, s + 2):
         raise MembershipError(
             f"degree-{k + s} perturbation has nonzero {s + 2}-fold Laplacian", k + s
@@ -497,12 +500,12 @@ def reduce_germ(
         if not rho:
             continue
         if not 1 <= s <= k - 4:
-            raise ValueError(f"offset {s} outside 1..{k - 4}")
+            raise InputError(f"offset {s} outside 1..{k - 4}")
         if not rho.is_homogeneous() or rho.degree() != k + s:
-            raise ValueError(f"perturbation at offset {s} must be homogeneous of degree {k + s}")
+            raise InputError(f"perturbation at offset {s} must be homogeneous of degree {k + s}")
         source = source + rho
     if tail and tail.order() < 2 * k - 3:
-        raise ValueError(f"tail order {tail.order()} below 2k-3 = {2 * k - 3}")
+        raise InputError(f"tail order {tail.order()} below 2k-3 = {2 * k - 3}")
     return reduce_general(harmonic_pair(k).f + source, k)
 
 
@@ -535,7 +538,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
     the components themselves. Only the maps are (x, y) polynomials.
     """
     if germ.order() < k:
-        raise ValueError(f"germ has terms of degree below k = {k}")
+        raise InputError(f"germ has terms of degree below k = {k}")
     profile = absorption_profile(k)
     bound = 2 * k - 4
     parts = _z_components(germ, bound)
@@ -544,7 +547,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
             raise _kernel_violation(germ, k + s, power)
     coeffs = _leading_pair(parts[k])
     if coeffs is None:
-        raise ValueError("leading degree-k part is zero or not harmonic")
+        raise InputError("leading degree-k part is zero or not harmonic")
 
     maps: list[JetMap] = []
     if coeffs != (1, 0):
@@ -552,7 +555,7 @@ def reduce_general(germ: Poly, k: int) -> WitnessChain:
         norm = a * a + b * b
         root = exact_kth_root(a / norm, b / norm, k)
         if root is None:
-            raise ValueError(
+            raise InputError(
                 "leading form needs an irrational rescaling; "
                 "only a pure harmonic form has a rescaling witness"
             )
@@ -574,9 +577,9 @@ def verify_biharmonic(k: int, perturbation: Poly) -> WitnessChain:
     determinacy.
     """
     if k < 5:
-        raise ValueError("biharmonic absorption requires k >= 5")
+        raise InputError("biharmonic absorption requires k >= 5")
     if perturbation and perturbation.order() <= k:
-        raise ValueError(
+        raise InputError(
             f"perturbation order {perturbation.order()} must exceed k = {k}"
         )
     for degree, component in perturbation.components().items():

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
-from .polyring import Poly, integer_coordinates, laplacian_power, monomial_basis
+from .polyring import InputError, Poly, integer_coordinates, laplacian_power, monomial_basis
 from .zcoords import harmonic_multiple
 
 
@@ -51,7 +51,7 @@ def full_space(d: int) -> GradedSubspace:
 def _laplacian_images(k: int, s: int) -> list[Poly]:
     """The s-fold Laplacian of each degree-k monomial, x-exponent descending."""
     if s < 0:
-        raise ValueError("negative Laplacian power")
+        raise InputError("negative Laplacian power")
     return [laplacian_power(Poly.monomial(a, b), s) for a, b in monomial_basis(k)]
 
 
@@ -92,7 +92,7 @@ def product_space(s: int, k: int) -> GradedSubspace:
     assume it).
     """
     if k < 1:
-        raise ValueError("harmonic degree must be at least 1")
+        raise InputError("harmonic degree must be at least 1")
     if s < 0:
         return GradedSubspace(s + k, ())
     pair = harmonic_pair(k)
@@ -111,7 +111,7 @@ def subspace_compare(a: GradedSubspace, b: GradedSubspace) -> str:
     larger space cannot lie in the smaller one.
     """
     if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+        raise InputError(f"degree mismatch: {a.degree} vs {b.degree}")
     if a.basis == b.basis:
         return "equal"
     small, large = (a, b) if a.dim <= b.dim else (b, a)

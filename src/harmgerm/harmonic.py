@@ -24,11 +24,11 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyring import ONE, R2, Poly, laplacian_power, linear_combination
+from .polyring import ONE, R2, InputError, Poly, laplacian_power, linear_combination
 from .zcoords import _change_component, _component, _in_kernel, _join, _xy_image, _z_components
 
 
-class PolyharmonicError(ValueError):
+class PolyharmonicError(InputError):
     """Input fails the required iterated-Laplacian vanishing."""
 
     def __init__(self, message: str, witness: Poly):
@@ -48,7 +48,7 @@ class HarmonicPair(NamedTuple):
 def harmonic_pair(k: int) -> HarmonicPair:
     """Harmonic generator pair of degree k >= 1."""
     if k < 1:
-        raise ValueError("harmonic pair needs degree k >= 1 (degree 0 is the constants)")
+        raise InputError("harmonic pair needs degree k >= 1 (degree 0 is the constants)")
     # binomial expansion of (x + iy)^k: i^j = (-1)^(j//2), times i for odd j
     # with C(k, j) by the recurrence C(k, j+1) = C(k, j)*(k - j)/(j + 1)
     real, imag = {}, {}
@@ -91,7 +91,7 @@ class ProductIdentityReport(NamedTuple):
 def check_product_identity(s: int, k: int) -> ProductIdentityReport:
     """Exactly expand and compare both sides of the product identities."""
     if not 1 <= s <= k:
-        raise ValueError("need 1 <= s <= k")
+        raise InputError("need 1 <= s <= k")
     fs, gs = harmonic_pair(s).f, harmonic_pair(s).g
     fk, gk = harmonic_pair(k).f, harmonic_pair(k).g
     if k == s:
@@ -131,12 +131,12 @@ def harmonic_split(p: Poly) -> tuple[Poly, Poly]:
     h = C_k z^k + C_0 zbar^k and q = sum_(0<i<k) C_i z^(i-1) zbar^(k-1-i).
     """
     if not p:
-        raise ValueError("cannot split the zero polynomial (degree undefined)")
+        raise InputError("cannot split the zero polynomial (degree undefined)")
     if not p.is_homogeneous():
-        raise ValueError(f"input is not homogeneous: {p}")
+        raise InputError(f"input is not homogeneous: {p}")
     k = p.degree()
     if k < 2:
-        raise ValueError("harmonic split needs degree k >= 2")
+        raise InputError("harmonic split needs degree k >= 2")
     c = _z_components(p, k)[k]
     re, im, den = c
     q = _change_component(_component(re[1:k], im[1:k], den), _xy_image)
@@ -170,11 +170,11 @@ def almansi_decompose(u: Poly, s: int) -> AlmansiDecomposition:
     when it does not; the exception carries that nonzero iterate.
     """
     if s < 1:
-        raise ValueError("polyharmonic order must be at least 1")
+        raise InputError("polyharmonic order must be at least 1")
     if not u:
         return AlmansiDecomposition(s, (Poly.zero(),) * s)
     if not u.is_homogeneous():
-        raise ValueError(f"input is not homogeneous: {u}")
+        raise InputError(f"input is not homogeneous: {u}")
     d = u.degree()
     c = _z_components(u, d)[d]
     if not _in_kernel(c, s):

@@ -52,7 +52,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyring import ONE, X, Y, Poly
+from .polyring import ONE, X, Y, InputError, Poly
 from .zcoords import (
     _ONE,
     _change_variables,
@@ -69,7 +69,7 @@ from .zcoords import (
 )
 
 
-class BoundMismatchError(ValueError):
+class BoundMismatchError(InputError):
     pass
 
 
@@ -85,9 +85,9 @@ class Jet(_JetFields):
 
     def __new__(cls, poly: Poly, bound: int):
         if bound < 0:
-            raise ValueError("jet bound must be non-negative")
+            raise InputError("jet bound must be non-negative")
         if poly and poly.degree() > bound:
-            raise ValueError("polynomial exceeds the jet bound; use jet_truncate")
+            raise InputError("polynomial exceeds the jet bound; use jet_truncate")
         return super().__new__(cls, poly, bound)
 
     @classmethod
@@ -118,9 +118,9 @@ class JetMap(_JetMapFields):
             raise BoundMismatchError("component bounds disagree with the map bound")
         for component in (x, y):
             if component.poly.coeff(0, 0):
-                raise ValueError("jet map must fix the origin (zero constant term)")
+                raise InputError("jet map must fix the origin (zero constant term)")
         if not self.linear_determinant():
-            raise ValueError("jet map has singular linear part")
+            raise InputError("jet map has singular linear part")
         return self
 
     @classmethod
@@ -219,9 +219,9 @@ def jet_root(w: Jet, k: int) -> Jet:
     term.
     """
     if k < 1:
-        raise ValueError("root index must be at least 1")
+        raise InputError("root index must be at least 1")
     if w.poly.coeff(0, 0):
-        raise ValueError("root argument must have zero constant term")
+        raise InputError("root argument must have zero constant term")
     root = _graded_power(_split(w.poly, Poly.zero(), w.bound), Fraction(1, k), w.bound)
     return Jet(_join(root)[0], w.bound)
 
@@ -421,9 +421,9 @@ def _check_scale_arguments(u: Jet, v: Jet, k: int) -> None:
     if u.bound != v.bound:
         raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
     if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
-        raise ValueError("scale map arguments must have zero constant term")
+        raise InputError("scale map arguments must have zero constant term")
     if k < 1:
-        raise ValueError("root index must be at least 1")
+        raise InputError("root index must be at least 1")
 
 
 def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:

@@ -33,7 +33,11 @@ Scalar = Union[int, Fraction]
 _INF = math.inf
 
 
-class PolyParseError(ValueError):
+class InputError(ValueError):
+    """A refused argument: the library's one exception for input it rejects."""
+
+
+class PolyParseError(InputError):
     """Malformed polynomial text; `position` is the 0-based offset."""
 
     def __init__(self, message: str, position: int):
@@ -80,7 +84,7 @@ class Poly:
             if not isinstance(a, int) or not isinstance(b, int):
                 raise TypeError(f"exponents must be ints, not ({a!r}, {b!r})")
             if a < 0 or b < 0:
-                raise ValueError(f"negative exponent ({a}, {b})")
+                raise InputError(f"negative exponent ({a}, {b})")
             c = Fraction(_scalar(c))
             key = (a, b)
             acc = clean.get(key)
@@ -233,7 +237,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise InputError("exponent must be a non-negative integer")
         result = Poly.constant(1)
         base = self
         while n:
@@ -257,7 +261,7 @@ class Poly:
         if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError(f"exponents must be ints, not ({a!r}, {b!r})")
         if a < 0 or b < 0:
-            raise ValueError(f"negative exponent ({a}, {b})")
+            raise InputError(f"negative exponent ({a}, {b})")
         top = _INF if max_degree is None else max_degree - a - b
         return Poly._of({(i + a, j + b): v for (i, j), v in self._num.items() if i + j <= top}, self._den)
 
@@ -298,7 +302,7 @@ class Poly:
         elif var == "y":
             num = {(a, b - 1): v * b for (a, b), v in self._num.items() if b}
         else:
-            raise ValueError(f"unknown variable {var!r}")
+            raise InputError(f"unknown variable {var!r}")
         return Poly._of(num, self._den)
 
     # -- comparison / hashing ----------------------------------------------
@@ -371,7 +375,7 @@ def integer_coordinates(
         for key, v in p._num.items():
             i = index.get(key)
             if i is None:
-                raise ValueError(f"term {format_poly(Poly.monomial(*key))} of {p} is outside the basis")
+                raise InputError(f"term {format_poly(Poly.monomial(*key))} of {p} is outside the basis")
             vector[i] = v
         vectors.append(vector)
         dens.append(p._den)

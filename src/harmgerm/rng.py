@@ -13,7 +13,7 @@ either directly on monomials or as combinations of a subspace basis.
 
 from __future__ import annotations
 
-from .polyring import Poly, monomial_basis
+from .polyring import InputError, Poly, monomial_basis
 
 _MASK = (1 << 64) - 1
 
@@ -56,7 +56,7 @@ class Xoshiro256StarStar:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], unbiased via rejection sampling."""
         if hi < lo:
-            raise ValueError("empty range")
+            raise InputError("empty range")
         span = hi - lo + 1
         threshold = ((1 << 64) // span) * span
         while True:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .polyring import Poly
+from .polyring import InputError, Poly
 
 # -- homogeneous components ----------------------------------------------------
 #
@@ -228,7 +228,7 @@ def harmonic_multiple(p: Poly, m: int) -> tuple[Poly, Poly] | None:
     W off p's (z, zbar) coefficients.
     """
     if p and p.degree() >= 2 * m:
-        raise ValueError(f"degree {p.degree()} is not below 2m = {2 * m}")
+        raise InputError(f"degree {p.degree()} is not below 2m = {2 * m}")
     w = _harmonic_quotient(_z_components(p, max(p.degree(), 0)), m)
     if w is None:
         return None

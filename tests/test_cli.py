@@ -524,8 +524,10 @@ class TestRangeErrors:
         [
             ArithmeticError("composition of a real jet left an imaginary part y"),
             KeyError("offset 9 outside 1..4"),
+            # a stdlib ValueError is a defect, not a refused input
+            ValueError("max() arg is an empty sequence"),
         ],
-        ids=["ArithmeticError", "KeyError"],
+        ids=["ArithmeticError", "KeyError", "ValueError"],
     )
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch, fault):
         def failing(args):

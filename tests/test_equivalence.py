@@ -43,7 +43,7 @@ from harmgerm.jets import (
     jets_equivalent_mod,
     radial_step_holds,
 )
-from harmgerm.polyring import R2, X, Y, Poly, laplacian_power, parse_poly
+from harmgerm.polyring import R2, X, Y, InputError, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 from harmgerm.zcoords import _in_kernel, _z_components
 
@@ -268,6 +268,18 @@ class TestRootAbsorb:
         assert chain.verified
         digest = hashlib.sha256(chain.to_json().encode()).hexdigest()
         assert digest == "395b910b16597e0d8a8bb5e757e24092dcdccfdca2696f14b4f805a563e3afd6"
+
+    @pytest.mark.parametrize("bound", (3, 6))
+    def test_bound_below_the_order_of_rho_is_refused(self, bound):
+        # the chain would check no degree of rho
+        with pytest.raises(InputError, match=f"bound {bound} below the order 9 of rho"):
+            root_absorb(5, P("x^9"), bound)
+
+    def test_bound_at_the_order_of_rho(self):
+        chain = root_absorb(5, P("x^9"), 9)
+        assert chain.verified
+        digest = hashlib.sha256(chain.to_json().encode()).hexdigest()
+        assert digest == "49f2d17cdf99fa12c9fd11e659a0b59ad87d7efb2b2f964abc8656137ce1ed32"
 
 
 class TestTranslationAbsorb:

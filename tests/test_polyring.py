@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import harmgerm
+import harmgerm.cli
 import harmgerm.polyring
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import (
@@ -681,3 +683,74 @@ class TestExactDecimal:
     @settings(max_examples=60, deadline=None)
     def test_matches_str(self, n):
         assert _decimal(n) == str(n)
+
+
+class TestInputError:
+    """Each public entry point refuses a bad argument with InputError, a
+    ValueError, and the message it always had; `cli.main` reports exactly
+    these as validation, usage or parse errors."""
+
+    CASES = {
+        "harmonic_pair": (
+            lambda: harmgerm.harmonic_pair(0),
+            "harmonic pair needs degree k >= 1 (degree 0 is the constants)",
+        ),
+        "kernel_basis": (lambda: harmgerm.kernel_basis(3, -1), "negative Laplacian power"),
+        "product_space": (lambda: harmgerm.product_space(1, 0), "harmonic degree must be at least 1"),
+        "check_determinacy": (
+            lambda: harmgerm.check_determinacy(Poly.zero(), 3),
+            "zero germ is never finitely determined",
+        ),
+        "reduce_germ": (lambda: harmgerm.reduce_germ(5, {9: parse_poly("x^14")}), "offset 9 outside 1..1"),
+        "reduce_general": (
+            lambda: harmgerm.reduce_general(harmonic_pair(5).f, 3),
+            "absorption profile requires k >= 5",
+        ),
+        "normalize_harmonic": (
+            lambda: harmgerm.normalize_harmonic(0, 0, 3),
+            "the zero form has no normalisation",
+        ),
+        "verify_biharmonic": (
+            lambda: harmgerm.verify_biharmonic(4, Poly.zero()),
+            "biharmonic absorption requires k >= 5",
+        ),
+        "jet_root": (
+            lambda: harmgerm.jet_root(harmgerm.Jet(X, 3), 0),
+            "root index must be at least 1",
+        ),
+        "Jet": (
+            lambda: harmgerm.Jet(parse_poly("x^3"), 2),
+            "polynomial exceeds the jet bound; use jet_truncate",
+        ),
+        "JetMap": (
+            lambda: harmgerm.JetMap(harmgerm.Jet(X, 2), harmgerm.Jet(parse_poly("y"), 3), 3),
+            "component bounds disagree with the map bound",
+        ),
+        "harmonic_split": (
+            lambda: harmgerm.harmonic_split(parse_poly("x^2 + x")),
+            "input is not homogeneous: x^2 + x",
+        ),
+        "almansi_decompose": (
+            lambda: harmgerm.almansi_decompose(parse_poly("x^4"), 1),
+            "input is not polyharmonic of order 1: Laplacian^1 = 12*x^2",
+        ),
+        "parse_poly": (lambda: harmgerm.parse_poly("1/0"), "zero denominator (at position 2)"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_refusal_is_typed(self, name):
+        call, message = self.CASES[name]
+        with pytest.raises(harmgerm.InputError) as err:
+            call()
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == message
+
+    def test_subclasses(self):
+        for error in (
+            harmgerm.PolyParseError,
+            harmgerm.MembershipError,
+            harmgerm.harmonic.PolyharmonicError,
+            harmgerm.jets.BoundMismatchError,
+            harmgerm.cli.UsageError,
+        ):
+            assert issubclass(error, harmgerm.InputError)
