@@ -10,15 +10,17 @@ L - order(h) + 1 only produce terms that the truncation kills, so a
 finite product set exhibits the span.
 
 The truncated products are graded by their order. Those of order
-exactly L (the top block) are homogeneous of degree L, and when they
-are linearly independent and none is cut off by a multiplier cap, no
-product of lower order can take part in a combination that equals a
-degree-L polynomial (see `check_determinacy`). One small elimination
-in the L + 1 degree-L coordinates then decides the criterion; the
-elimination over every degree 1..L runs only when that argument does
-not apply (the semi-quasihomogeneous argument of Arnold, Gusein-Zade
-& Varchenko, Singularities of Differentiable Maps I, section 12; Wall,
-"Finite determinacy of smooth map-germs", Bull. LMS 1981).
+exactly L (the top block) are homogeneous of degree L, so one small
+elimination in the L + 1 degree-L coordinates runs first. A top block
+that spans every degree-L monomial is the certificate by itself. One
+that leaves a monomial uncovered decides False when it is linearly
+independent and no multiplier cap applies, since then no product of
+lower order can take part in a combination that equals a degree-L
+polynomial (see `check_determinacy`); otherwise the elimination over
+every degree 1..L decides (the semi-quasihomogeneous argument of
+Arnold, Gusein-Zade & Varchenko, Singularities of Differentiable Maps
+I, section 12; Wall, "Finite determinacy of smooth map-germs", Bull.
+LMS 1981).
 
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
@@ -49,11 +51,12 @@ class DeterminacyCertificate(NamedTuple):
     means every degree-`level` monomial lies in their span, so the germ
     is `level`-determined, and `combinations` holds one coefficient
     tuple per degree-`level` monomial (x-exponent descending): the
-    RREF-canonical combination of `products` (free coefficients zero)
-    that equals that monomial. When the top block (the products of order
-    `level`) decides the certificate, every product outside it gets
-    coefficient zero. When False, `missing` holds the first uncovered
-    monomial and `combinations` is empty.
+    RREF-canonical combination (free coefficients zero) that equals that
+    monomial. When the top block (the products of order `level`) spans
+    the monomials, the combinations are those of the top block alone and
+    every product outside it gets coefficient zero; otherwise they are
+    those of all the products. When False, `missing` holds the first
+    uncovered monomial and `combinations` is empty.
     """
 
     germ: Poly
@@ -100,28 +103,30 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
 
     The span is built from x^a*y^b * dh/dx_i truncated at `level`, for
     multipliers with 1 <= a+b <= max_multiplier_degree (default: every
-    degree that can still contribute below the truncation). One
+    degree that can still contribute below the truncation). An
     elimination with columns [products | degree-`level` monomials]
     decides every monomial: a pivot in a monomial column marks the
     first uncovered one, and otherwise each monomial column holds that
     monomial's combination.
 
-    Which products that elimination needs follows from a lemma. Call
-    the products of order exactly `level` the top block; truncated at
-    `level` they are homogeneous of that degree. Suppose (a) the cap
-    keeps the top multiplier degree `level` - e of every nonzero
-    generator of order e < `level`, and (b) the top block is linearly
-    independent. Then every combination of products that equals a
-    degree-`level` polynomial gives every lower product coefficient
-    zero. For if one did not, take the lowest order d < `level` with a
-    nonzero coefficient: in degree d the leading forms A, B of the
-    generators satisfy u*A + v*B = 0 with u, v both nonzero, and
-    multiplying by a monomial of degree `level` - d turns that into a
-    dependency inside the top block. So under (a) and (b) the elimination over the top
-    block alone, in the `level` + 1 degree-`level` coordinates, gives
-    the same verdict, missing monomial and combinations as the one over
-    every degree 1..`level`. When (a) fails, or the top block has a
-    free column (always so with more than `level` + 1 products), the
+    The first elimination takes the top block alone, the products of
+    order exactly `level`, in the `level` + 1 degree-`level`
+    coordinates. Truncated at `level` these products are homogeneous of
+    that degree, so a combination of them that equals a monomial in
+    those coordinates equals it exactly: a top block that spans is the
+    certificate, whatever the cap and whether or not it is independent.
+
+    When a monomial is left uncovered, a lemma decides False on an
+    uncapped call whose top block is linearly independent: then every
+    combination of products that equals a degree-`level` polynomial
+    gives every lower product coefficient zero. For if one did not, take
+    the lowest order d < `level` with a nonzero coefficient: in degree d
+    the leading forms A, B of the generators satisfy u*A + v*B = 0 with
+    u, v both nonzero, and multiplying by a monomial of degree
+    `level` - d, which an uncapped call keeps, turns that into a
+    dependency inside the top block. So the top block gives the same
+    verdict and missing monomial as the elimination over every degree.
+    On a capped call, or with a dependent top block, that second
     elimination runs over all products in every degree 1..`level`.
     """
     if level < 1:
@@ -130,20 +135,13 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         raise InputError("zero germ is never finitely determined")
     if h.order() > level:
         raise InputError(f"germ order {h.order()} exceeds the certificate level {level}")
-    generators = _ordered_generators(h)
-    multiples = list(_truncated_multiples(generators, level, max_multiplier_degree))
+    multiples = list(_truncated_multiples(_ordered_generators(h), level, max_multiplier_degree))
     products = [p for _, p in multiples]
     top_basis = monomial_basis(level)
     monomials = [Poly.monomial(a, b) for a, b in top_basis]
     top = [j for j, (order, _) in enumerate(multiples) if order == level]
-    decided = False
-    # (a): the cap keeps multiplier degree `level` - e for every generator order e < `level`
-    complete = max_multiplier_degree is None or all(
-        level - e <= max_multiplier_degree for _, e in generators if e < level
-    )
-    if len(top) <= len(monomials) and complete:
-        decided, missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
-    if not decided:
+    independent, missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
+    if missing is not None and (max_multiplier_degree is not None or not independent):
         # the full solve's columns are all the products
         top = range(len(products))
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
@@ -201,11 +199,11 @@ class DeterminacyReport(NamedTuple):
     holds the translations that absorb the whole degree-(2k-3) slice,
     lowering the determinacy level to max(k, 2k-4). Its top block is
     x^a*y^b * dh/dx and x^a*y^b * dh/dy with a+b = k-2, whose truncations
-    are x^a*y^b * k*f_(k-1) and -x^a*y^b * k*g_(k-1). That block is
-    linearly independent and uncapped, so by the lemma of
-    `check_determinacy` every lower product gets coefficient zero, and a
-    monomial's coefficients on the dh/dx products are therefore those of
-    u, and on the dh/dy products those of v, in
+    are x^a*y^b * k*f_(k-1) and -x^a*y^b * k*g_(k-1). That block spans
+    the degree-(2k-3) monomials, so it is the certificate and every
+    lower product gets coefficient zero, and a monomial's coefficients
+    on the dh/dx products are therefore those of u, and on the dh/dy
+    products those of v, in
     k*(u*f_(k-1) - v*g_(k-1)) == monomial: composing with
     (x, y) -> (x + u, y + v) shifts the germ by -monomial in that degree.
     """

@@ -26,7 +26,7 @@ class GradedSubspace(NamedTuple):
 
     @classmethod
     def from_polys(cls, degree: int, polys) -> "GradedSubspace":
-        """Span of homogeneous degree-`degree` polys; any other term raises ValueError."""
+        """Span of homogeneous degree-`degree` polys; any other term raises InputError."""
         basis = monomial_basis(degree)
         # each row is scaled by its own denominator, which keeps the row span;
         # an echelon row over its pivot entry is a row of the rational RREF
@@ -39,7 +39,7 @@ class GradedSubspace(NamedTuple):
         return len(self.basis)
 
     def contains(self, p: Poly) -> bool:
-        """Whether p lies in the span; a term of p outside P_degree raises ValueError."""
+        """Whether p lies in the span; a term of p outside P_degree raises InputError."""
         return linalg.solve_canonical(self.basis, [p], monomial_basis(self.degree))[1] is None
 
 

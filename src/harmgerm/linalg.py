@@ -51,7 +51,7 @@ def solve_canonical(
     """Write each target as a combination of the columns, in one elimination.
 
     `basis` lists the exponents that index the rows; a term outside it
-    raises ValueError. Returns (independent, missing, combinations):
+    raises InputError. Returns (independent, missing, combinations):
     whether every column is a pivot, the index of the first target
     outside the span of the columns (None when there is none), and, for
     each target before it, the RREF-canonical combination of the columns

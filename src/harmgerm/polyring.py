@@ -366,7 +366,7 @@ def integer_coordinates(
     """(vectors, dens): the coefficient of basis[i] in polys[j] is vectors[j][i] / dens[j].
 
     Each vector holds the integer numerators over the polynomial's own
-    denominator; a term outside `basis` raises ValueError.
+    denominator; a term outside `basis` raises InputError.
     """
     index = {exps: i for i, exps in enumerate(basis)}
     vectors, dens = [], []

@@ -28,11 +28,11 @@ GOLDEN_COMBINATIONS = "bf43771daf1e2e04176e74a9e6bd841cb26784e5d098cf3d0a4badd60
 GOLDEN_DENSE_MORSE = {
     12: (
         "62e421e10f02353b582b3db84a81aef3fd3aa708f0c88e6fa6affcdfa8d2aff2",
-        "43f1105876fbdd619af2e87523be0bbb5c3046caab73bf01071b5377717d37cd",
+        "9521975b17578e692f5642c61409bdcc68dfd2be8a28aff1d408cd8da13d57f3",
     ),
     16: (
         "9143803aa96d87ade9cda7be77a7f7b7fdbef03d00b2b0f38e413538f7f9dfe8",
-        "96bf430a45358983a3efe6efe027943414a01611f4859cbff275d65888e9b037",
+        "d998b253a10b4615e3a5281dadf4759073af92c2993cf43dc272cd15ea0f840d",
     ),
 }
 
@@ -384,9 +384,29 @@ def solve_canonical(
 
 
 def reference_certificate(products, level):
-    """(missing, combinations) by the per-monomial algorithm: a rowspace
-    test per monomial, then one canonical solve per monomial."""
+    """(missing, combinations) by the per-monomial algorithm. The top block,
+    the products of order `level`, is solved first in the degree-`level`
+    coordinates; when it covers every monomial it is the certificate and
+    every other product gets coefficient zero. Otherwise the products are
+    solved in every degree 1..`level`."""
+    top = [j for j, p in enumerate(products) if p.order() == level]
+    missing, solved = per_monomial_certificate([products[j] for j in top], level, monomial_basis(level))
+    if missing is None:
+        combinations = []
+        for solution in solved:
+            combination = [Fraction(0)] * len(products)
+            for j, c in zip(top, solution):
+                combination[j] = c
+            combinations.append(tuple(combination))
+        return None, tuple(combinations)
     basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
+    return per_monomial_certificate(products, level, basis)
+
+
+def per_monomial_certificate(products, level, basis):
+    """(missing, combinations) of the products in the coordinates `basis`: a
+    rowspace test per degree-`level` monomial, then one canonical solve per
+    monomial."""
     columns = [tuple(p.coeff(a, b) for a, b in basis) for p in products]
     targets = [tuple(int(exps == (a, b)) for exps in basis) for a, b in monomial_basis(level)]
     rr, pivots = rational_rref(columns)
@@ -396,11 +416,18 @@ def reference_certificate(products, level):
     return None, tuple(solve_canonical(columns, target) for target in targets)
 
 
+# (germ, level): dense germs of order 1 and 2
+DENSE_LOW_ORDER = [
+    (P("x + 2*y - x^2 + 3*x*y + y^2 - x^3 + 2*x^2*y - x*y^3 + y^4"), 6),
+    (P("x^2 + x*y - 2*y^2 + x^3 - x^2*y + 3*y^3 + x^4"), 7),
+]
 # germs with degenerate leading forms: a Morse form, a degenerate
 # quartic, a cube, dense germs of order 1 and 2, and generators whose
-# leading forms are proportional or share a factor. All but the cube
-# (one nonzero generator, so its top block stays independent) need the
-# elimination over every degree.
+# leading forms are proportional or share a factor. The top blocks of the
+# Morse form and of the dense germs are dependent but span, so they are
+# the certificates; the cube's (one nonzero generator) is independent.
+# The others leave a monomial uncovered with a dependent top block, so
+# they need the elimination over every degree.
 DEGENERATE_CASES = [
     (P("x^2 - y^2"), level, None) for level in (2, 3, 4)
 ] + [
@@ -408,8 +435,8 @@ DEGENERATE_CASES = [
 ] + [
     (P("x^3"), level, None) for level in (3, 4, 5)
 ] + [
-    (P("x + 2*y - x^2 + 3*x*y + y^2 - x^3 + 2*x^2*y - x*y^3 + y^4"), 6, None),
-    (P("x^2 + x*y - 2*y^2 + x^3 - x^2*y + 3*y^3 + x^4"), 7, None),
+    (germ, level, None) for germ, level in DENSE_LOW_ORDER
+] + [
     (P("(x + y)^3 + x^5"), 6, None),
     (P("(x + y)^4 + x^5 + y^6"), 5, None),
     (P("(x^2 + y^2)^2 + x^4*y"), 5, None),
@@ -421,6 +448,7 @@ class TestSingleElimination:
         cases = [case for case in certificate_grid() if case[0].order() <= case[1]]
         cases += [(certify_germ(k, k - 8), 2 * k - 3, None) for k in (8, 9, 10)]
         cases += DEGENERATE_CASES
+        cases += [(dense_morse_germ(level), level, None) for level in (8, 10, 12)]
         cases += [(harmonic_pair(8).f, 20, None)]
         # caps that cut the top block; for the last germ, y*h_x + x*h_y
         # = 3*x^3 comes from products of order 2 alone
@@ -441,6 +469,22 @@ class TestSingleElimination:
         rrefs = counted(monkeypatch, linalg, "rref")
         check_determinacy(germ, level)
         assert len(rrefs) == 1
+
+    @pytest.mark.parametrize(
+        "germ, level",
+        [(dense_morse_germ(level), level) for level in (12, 16, 20)]
+        + DENSE_LOW_ORDER,
+    )
+    def test_dependent_spanning_top_block_is_the_certificate(self, monkeypatch, germ, level):
+        rrefs = counted(monkeypatch, linalg, "rref")
+        cert = check_determinacy(germ, level)
+        assert len(rrefs) == 1 and len(rrefs[0][0]) <= level + 1
+        top = [p.order() == level for p in cert.products]
+        # more products than degree-`level` monomials, so the block is dependent
+        assert sum(top) > level + 1
+        for combination in cert.combinations:
+            assert not any(c for c, in_top in zip(combination, top) if not in_top)
+        assert reverify_certificate(cert)
 
     def test_graded_elimination_shapes(self, monkeypatch):
         # the top block alone decides the certify germs and the leading forms
