@@ -12,15 +12,13 @@ finite product set exhibits the span.
 The truncated products are graded by their order. Those of order
 exactly L (the top block) are homogeneous of degree L, so one small
 elimination in the L + 1 degree-L coordinates runs first. A top block
-that spans every degree-L monomial is the certificate by itself. One
-that leaves a monomial uncovered decides False when it is linearly
-independent and no multiplier cap applies, since then no product of
-lower order can take part in a combination that equals a degree-L
-polynomial (see `check_determinacy`); otherwise the elimination over
-every degree 1..L decides (the semi-quasihomogeneous argument of
-Arnold, Gusein-Zade & Varchenko, Singularities of Differentiable Maps
-I, section 12; Wall, "Finite determinacy of smooth map-germs", Bull.
-LMS 1981).
+that spans every degree-L monomial is the certificate by itself (the
+semi-quasihomogeneous argument of Arnold, Gusein-Zade & Varchenko,
+Singularities of Differentiable Maps I, section 12; Wall, "Finite
+determinacy of smooth map-germs", Bull. LMS 1981). Otherwise one row
+echelon form of all the products, in every degree 1..L, decides: a
+degree-L monomial lies in their span exactly when one of the reduced
+rows is its unit row.
 
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
@@ -35,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
-from .polyring import InputError, Poly, linear_combination, monomial_basis
+from .polyring import InputError, Poly, integer_coordinates, linear_combination, monomial_basis
 
 
 def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
@@ -56,7 +54,8 @@ class DeterminacyCertificate(NamedTuple):
     the monomials, the combinations are those of the top block alone and
     every product outside it gets coefficient zero; otherwise they are
     those of all the products. When False, `missing` holds the first
-    uncovered monomial and `combinations` is empty.
+    uncovered monomial, the first whose unit row is not among the
+    reduced rows of all the products, and `combinations` is empty.
     """
 
     germ: Poly
@@ -116,18 +115,13 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     those coordinates equals it exactly: a top block that spans is the
     certificate, whatever the cap and whether or not it is independent.
 
-    When a monomial is left uncovered, a lemma decides False on an
-    uncapped call whose top block is linearly independent: then every
-    combination of products that equals a degree-`level` polynomial
-    gives every lower product coefficient zero. For if one did not, take
-    the lowest order d < `level` with a nonzero coefficient: in degree d
-    the leading forms A, B of the generators satisfy u*A + v*B = 0 with
-    u, v both nonzero, and multiplying by a monomial of degree
-    `level` - d, which an uncapped call keeps, turns that into a
-    dependency inside the top block. So the top block gives the same
-    verdict and missing monomial as the elimination over every degree.
-    On a capped call, or with a dependent top block, that second
-    elimination runs over all products in every degree 1..`level`.
+    When it leaves a monomial uncovered, the products become the rows of
+    one reduced row echelon form over every degree 1..`level`. A
+    degree-`level` monomial lies in their span exactly when one of the
+    reduced rows is its unit row, so the first monomial without one is
+    the missing one. Only when every monomial has one does the
+    elimination above run over all the products in every degree, to
+    write the combinations.
     """
     if level < 1:
         raise InputError(f"certificate level {level} must be at least 1")
@@ -140,12 +134,17 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     top_basis = monomial_basis(level)
     monomials = [Poly.monomial(a, b) for a, b in top_basis]
     top = [j for j, (order, _) in enumerate(multiples) if order == level]
-    independent, missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
-    if missing is not None and (max_multiplier_degree is not None or not independent):
-        # the full solve's columns are all the products
-        top = range(len(products))
+    missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
+    if missing is not None:
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
-        _, missing, solved = linalg.solve_canonical(products, monomials, basis)
+        level_columns = range(len(basis) - len(top_basis), len(basis))
+        rows, pivots = linalg.rref(integer_coordinates(products, basis)[0], level_columns)
+        units = {col for row, col in zip(rows, pivots) if row.count(0) == len(row) - 1}
+        missing = next((i for i, col in enumerate(level_columns) if col not in units), None)
+        if missing is None:
+            # the rows cover the level; the full solve's columns are all the products
+            top = range(len(products))
+            missing, solved = linalg.solve_canonical(products, monomials, basis)
     # column j of the solve is product top[j]; every other product gets coefficient 0
     zero = Fraction(0)
     combinations = []

@@ -40,7 +40,7 @@ class GradedSubspace(NamedTuple):
 
     def contains(self, p: Poly) -> bool:
         """Whether p lies in the span; a term of p outside P_degree raises InputError."""
-        return linalg.solve_canonical(self.basis, [p], monomial_basis(self.degree))[1] is None
+        return linalg.solve_canonical(self.basis, [p], monomial_basis(self.degree))[0] is None
 
 
 def full_space(d: int) -> GradedSubspace:
@@ -115,7 +115,7 @@ def subspace_compare(a: GradedSubspace, b: GradedSubspace) -> str:
     if a.basis == b.basis:
         return "equal"
     small, large = (a, b) if a.dim <= b.dim else (b, a)
-    if linalg.solve_canonical(large.basis, small.basis, monomial_basis(a.degree))[1] is not None:
+    if linalg.solve_canonical(large.basis, small.basis, monomial_basis(a.degree))[0] is not None:
         return "incomparable"
     if small.dim == large.dim:
         return "equal"
@@ -139,7 +139,7 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     pair = harmonic_pair(k)
     monos = monomial_basis(s)
     columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
-    _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
+    missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
     numerators, den = solutions[0]

@@ -47,18 +47,18 @@ def _column(echelon, j: int) -> tuple[dict[int, int], int]:
 
 def solve_canonical(
     columns: Sequence[Poly], targets: Sequence[Poly], basis: Sequence[Exponents]
-) -> tuple[bool, int | None, list[tuple[dict[int, int], int]]]:
+) -> tuple[int | None, list[tuple[dict[int, int], int]]]:
     """Write each target as a combination of the columns, in one elimination.
 
     `basis` lists the exponents that index the rows; a term outside it
-    raises InputError. Returns (independent, missing, combinations):
-    whether every column is a pivot, the index of the first target
-    outside the span of the columns (None when there is none), and, for
-    each target before it, the RREF-canonical combination of the columns
-    (free coefficients zero) that equals it, as (numerators, den): the
-    coefficient of column j is numerators.get(j, 0) / den. The first
-    target whose column is a pivot is that first missing one, since every
-    earlier target lies in the span of the columns.
+    raises InputError. Returns (missing, combinations): the index of the
+    first target outside the span of the columns (None when there is
+    none), and, for each target before it, the RREF-canonical combination
+    of the columns (free coefficients zero) that equals it, as
+    (numerators, den): the coefficient of column j is
+    numerators.get(j, 0) / den. The first target whose column is a pivot
+    is that first missing one, since every earlier target lies in the
+    span of the columns.
     """
     width = len(columns)
     echelon = _echelon([*columns, *targets], basis, range(width, width + len(targets)))
@@ -66,7 +66,7 @@ def solve_canonical(
     missing = next((col - width for col in pivots if col >= width), None)
     solved = range(width, width + (len(targets) if missing is None else missing))
     combinations = [_column(echelon, t) for t in solved]
-    return sum(col < width for col in pivots) == width, missing, combinations
+    return missing, combinations
 
 
 def nullspace(

@@ -104,7 +104,7 @@ def reference_membership(target: Poly, k: int, s: int):
     pair = harmonic_pair(k)
     monos = monomial_basis(s)
     columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
-    _, missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
+    missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
     solution = as_fractions(solutions[0], 2 * len(monos))

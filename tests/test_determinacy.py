@@ -258,6 +258,20 @@ def dense_morse_germ(level):
     return germ
 
 
+def degenerate_dense_germs(level):
+    """(G1, G2) = (x^2*(1 + D), x^3 + x*y^3 + x^2*D), truncated at `level`,
+    with D a seeded dense form in each degree 1..level-2. Every product of
+    G1 is a multiple of x, so y^level is uncovered; G2's top block is
+    dependent and leaves a monomial uncovered, and its lower products
+    cover the level."""
+    rng = Xoshiro256StarStar(1)
+    dense = Poly.zero()
+    for d in range(1, level - 1):
+        dense = dense + random_homogeneous(rng, d)
+    x2 = P("x^2")
+    return (x2 + x2 * dense).truncate(level), (P("x^3 + x*y^3") + x2 * dense).truncate(level)
+
+
 class TestCertificateGolden:
     @pytest.mark.parametrize("level", sorted(GOLDEN_DENSE_MORSE))
     def test_dense_morse_certificate_unchanged(self, level):
@@ -427,7 +441,7 @@ DENSE_LOW_ORDER = [
 # Morse form and of the dense germs are dependent but span, so they are
 # the certificates; the cube's (one nonzero generator) is independent.
 # The others leave a monomial uncovered with a dependent top block, so
-# they need the elimination over every degree.
+# the row echelon of all the products decides them.
 DEGENERATE_CASES = [
     (P("x^2 - y^2"), level, None) for level in (2, 3, 4)
 ] + [
@@ -450,6 +464,8 @@ class TestSingleElimination:
         cases += DEGENERATE_CASES
         cases += [(dense_morse_germ(level), level, None) for level in (8, 10, 12)]
         cases += [(harmonic_pair(8).f, 20, None)]
+        # independent top blocks that miss x^12 and x^16: the rows decide
+        cases += [(harmonic_pair(8).f, 12, None), (harmonic_pair(10).f, 16, None)]
         # caps that cut the top block; for the last germ, y*h_x + x*h_y
         # = 3*x^3 comes from products of order 2 alone
         cases += [(certify_germ(8), 13, 5), (harmonic_pair(6).f + P("x^7"), 9, 3)]
@@ -467,8 +483,10 @@ class TestSingleElimination:
     @pytest.mark.parametrize("germ, level", [(certify_germ(8), 13), (P("x^3"), 3)])
     def test_one_rref_per_certificate(self, monkeypatch, germ, level):
         rrefs = counted(monkeypatch, linalg, "rref")
-        check_determinacy(germ, level)
-        assert len(rrefs) == 1
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        cert = check_determinacy(germ, level)
+        # an uncovered monomial adds one row echelon of all the products
+        assert len(solves) == 1 and len(rrefs) == (1 if cert.verdict else 2)
 
     @pytest.mark.parametrize(
         "germ, level",
@@ -485,6 +503,27 @@ class TestSingleElimination:
         for combination in cert.combinations:
             assert not any(c for c, in_top in zip(combination, top) if not in_top)
         assert reverify_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "germ, level, cap",
+        [(P("x^2*y^2"), level, None) for level in (4, 5, 6)]
+        + [(degenerate_dense_germs(12)[0], 12, None), (P("3*x^2 - 3*y^2 + 3*x^2*y - 2*y^3"), 3, 1)],
+    )
+    def test_uncovered_level_solves_once(self, monkeypatch, germ, level, cap):
+        # the row echelon of all the products decides; only the top block is solved
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+        assert not cert.verdict and len(solves) == 1
+
+    @pytest.mark.parametrize(
+        "germ, level", [(P("(x + y)^3 + x^5"), 6), (degenerate_dense_germs(12)[1], 12)]
+    )
+    def test_rows_that_cover_the_level_are_solved(self, monkeypatch, germ, level):
+        # only the lower products cover the level, so the full solve writes the combinations
+        solves = counted(monkeypatch, linalg, "solve_canonical")
+        cert = check_determinacy(germ, level)
+        assert cert.verdict and len(solves) == 2
+        assert len(solves[1][0]) == len(cert.products) and reverify_certificate(cert)
 
     def test_graded_elimination_shapes(self, monkeypatch):
         # the top block alone decides the certify germs and the leading forms

@@ -212,8 +212,8 @@ def reference_compare(a, b):
     if a.basis == b.basis:
         return "equal"
     basis = monomial_basis(a.degree)
-    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[1] is None
-    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[1] is None
+    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[0] is None
+    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[0] is None
     return {
         (True, True): "equal",
         (True, False): "a_in_b",

@@ -176,7 +176,7 @@ def reference_split(p):
     pair = harmonic_pair(k)
     radial_monos = monomial_basis(k - 2)
     columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
-    _, missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
+    missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
     assert missing is None
     solution = as_fractions(solutions[0], len(columns))
     h = pair.f * solution[0] + pair.g * solution[1]
@@ -199,7 +199,7 @@ def reference_almansi(u, s):
         for h in harmonic_basis(d - 2 * j):
             layout.append((j, h))
             columns.append(R2**j * h)
-    _, missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
+    missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
     assert missing is None
     layers = [Poly.zero()] * s
     for (j, h), c in zip(layout, as_fractions(solutions[0], len(columns))):

@@ -23,7 +23,7 @@ def coordinate_rows(polys, basis):
 
 
 def reference_solve(columns, targets, basis):
-    """(independent, missing, combinations) from one RREF of Fraction coordinates."""
+    """(missing, combinations) from one RREF of Fraction coordinates."""
     rr, pivots = rational_rref(coordinate_rows(list(columns) + list(targets), basis))
     width = len(columns)
     missing = next((col - width for col in pivots if col >= width), None)
@@ -34,8 +34,7 @@ def reference_solve(columns, targets, basis):
             if row[width + j]:
                 combo[col] = row[width + j]
         combinations.append(tuple(combo))
-    independent = sum(col < width for col in pivots) == width
-    return independent, missing, combinations
+    return missing, combinations
 
 
 def reference_nullspace(columns, basis):
@@ -94,12 +93,12 @@ def systems(draw):
 @given(systems())
 def test_solve_matches_fraction_reference(system):
     columns, targets, basis = system
-    independent, missing, solved = linalg.solve_canonical(columns, targets, basis)
+    missing, solved = linalg.solve_canonical(columns, targets, basis)
     for numerators, den in solved:
         assert type(den) is int and den > 0
         assert all(type(n) is int and n for n in numerators.values())
     combinations = [as_fractions(combination, len(columns)) for combination in solved]
-    assert (independent, missing, combinations) == reference_solve(columns, targets, basis)
+    assert (missing, combinations) == reference_solve(columns, targets, basis)
     for combo, target in zip(combinations, targets):
         assert combine(combo, columns) == target
 
@@ -143,7 +142,7 @@ def test_solve_matches_fraction_gauss_jordan(system):
     # the missing target and the canonical combinations, against an
     # elimination that shares no code with the integer kernel
     columns, targets, basis = system
-    _, missing, solved = linalg.solve_canonical(columns, targets, basis)
+    missing, solved = linalg.solve_canonical(columns, targets, basis)
     width = len(columns)
     rr, pivots = fraction_gauss_jordan(coordinate_rows([*columns, *targets], basis))
     assert missing == next((col - width for col in pivots if col >= width), None)
@@ -162,13 +161,13 @@ def test_solve_matches_fraction_gauss_jordan(system):
 
 def test_rescales_by_the_pivot_and_target_denominators():
     # column x/3, target x/7: the integer matrix holds 1 and 1, the answer is 3/7
-    assert linalg.solve_canonical([P("1/3*x")], [P("1/7*x")], [(1, 0)]) == (True, None, [({0: 3}, 7)])
+    assert linalg.solve_canonical([P("1/3*x")], [P("1/7*x")], [(1, 0)]) == (None, [({0: 3}, 7)])
     # x/3 - 3 * x/9 == 0, with the -1/3 and 1 over the denominator 9
     assert linalg.nullspace([P("1/3*x"), P("1/9*x")], [(1, 0)]) == [(1, {0: -3, 1: 9}, 9)]
 
 
 def test_empty_basis():
-    assert linalg.solve_canonical([Poly.zero()], [Poly.zero()], []) == (False, None, [({}, 1)])
+    assert linalg.solve_canonical([Poly.zero()], [Poly.zero()], []) == (None, [({}, 1)])
     assert linalg.nullspace([Poly.zero()] * 2, []) == [(0, {0: 1}, 1), (1, {1: 1}, 1)]
 
 
