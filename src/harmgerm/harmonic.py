@@ -44,9 +44,13 @@ class HarmonicPair(NamedTuple):
     g: Poly
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def harmonic_pair(k: int) -> HarmonicPair:
-    """Harmonic generator pair of degree k >= 1."""
+    """Harmonic generator pair of degree k >= 1.
+
+    Cached for the 128 most recently used degrees: one pair at k = 8000
+    holds about 7 MB, so a loop over k must not keep every pair alive.
+    """
     if k < 1:
         raise InputError("harmonic pair needs degree k >= 1 (degree 0 is the constants)")
     # binomial expansion of (x + iy)^k: i^j = (-1)^(j//2), times i for odd j

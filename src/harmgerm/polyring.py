@@ -17,6 +17,7 @@ The zero polynomial has no terms and infinite order.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from bisect import bisect_right
@@ -68,7 +69,10 @@ class Poly:
     Fractions and exponents are ints; anything else is a TypeError.
     `shifted` (one monomial) and `shifts` (every monomial of some degrees)
     are the ways to multiply by a monomial x^a*y^b: they move the
-    exponents and multiply nothing. Apart from this module, only
+    exponents and multiply nothing. `shifts` reads its keys from the
+    shared exponent table `monomial_basis` instead of building a tuple
+    per term, so the determinacy products it builds leave no garbage for
+    the cyclic collector. Apart from this module, only
     `zcoords` reads `_num`/`_den`: it splits Polys into int component lists
     and wraps the lists it joins back with `_of`. Linear
     algebra gets them through `integer_coordinates`, which reads the
@@ -272,23 +276,29 @@ class Poly:
         Each product equals self.shifted(a, b, max_degree). The terms are
         sorted by degree once; the terms that degree d keeps are one prefix
         of them, whose content is divided out once, and every shift of that
-        prefix is built with no per-term degree test.
+        prefix is built with no per-term degree test. The keys come from the
+        shared exponent table: x^a*y^b * x^i*y^j is entry j + b of
+        monomial_basis(i + j + d), so a product builds no key tuple, and its
+        dict, holding table keys and ints only, gives the cyclic garbage
+        collector nothing to track. Only the rows that the kept terms reach
+        are read.
         """
         items = sorted(self._num.items(), key=lambda item: item[0][0] + item[0][1])
-        ends = [a + b for (a, b), _ in items]
+        terms = [(a + b, b, v) for (a, b), v in items]
+        ends = [e for e, _, _ in terms]
         for d in degrees:
-            kept = items[: bisect_right(ends, max_degree - d)]
+            kept = terms[: bisect_right(ends, max_degree - d)]
             if not kept:
                 yield []
                 continue
-            g = math.gcd(self._den, *map(itemgetter(1), kept))
+            g = math.gcd(self._den, *map(itemgetter(2), kept))
             den = self._den // g
-            if g > 1:
-                kept = [(key, v // g) for key, v in kept]
+            rows = {e: monomial_basis(e + d) for e in set(ends[: len(kept)])}
+            kept = [(rows[e], j, v // g if g > 1 else v) for e, j, v in kept]
             products = []
-            for a, b in monomial_basis(d):
+            for b in range(d + 1):
                 p = Poly.__new__(Poly)
-                p._num = {(i + a, j + b): v for (i, j), v in kept}
+                p._num = {row[j + b]: v for row, j, v in kept}
                 p._den = den
                 products.append(p)
             yield products
@@ -353,8 +363,15 @@ def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
     return Poly._of({key: v for key, v in total.items() if v}, den)
 
 
+@functools.lru_cache(maxsize=256)
 def monomial_basis(d: int) -> tuple[Exponents, ...]:
-    """Exponent pairs of the degree-d monomials, x-exponent descending."""
+    """Exponent pairs of the degree-d monomials, x-exponent descending.
+
+    The library's one table of exponent pairs: each row is built once and
+    cached, up to the 256 most recently used degrees. `Poly.shifts` reads
+    its products' keys from these rows, so the determinacy products share
+    one set of long-lived tuples instead of allocating a key per term.
+    """
     if d < 0:
         return ()
     return tuple((d - j, j) for j in range(d + 1))

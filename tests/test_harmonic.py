@@ -67,6 +67,15 @@ class TestHarmonicPair:
         assert pair.f == x * prev.f - y * prev.g
         assert pair.g == x * prev.g + y * prev.f
 
+    def test_cache_is_bounded(self):
+        # one pair at k = 8000 holds megabytes, so a loop over k must not
+        # keep every pair; one selftest run caches 30 pairs
+        maxsize = harmonic_pair.cache_info().maxsize
+        assert maxsize is not None and 30 < maxsize <= 128
+        for k in range(1, maxsize + 20):
+            harmonic_pair(k)
+        assert harmonic_pair.cache_info().currsize == maxsize
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             harmonic_pair(0)

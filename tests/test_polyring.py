@@ -440,6 +440,36 @@ class TestRepresentation:
         assert products == [shifted, Poly.monomial(1, 1, Fraction(2, 3))]
         assert [p._den for p in products] == [3, 3]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shifts_equal_shifted_on_table_keys(self, seed):
+        # sparse generators of high degree with Fraction coefficients; the
+        # degrees run past the one at which the last term is truncated away
+        rng = Xoshiro256StarStar(derive_seed(7, seed))
+        terms = {}
+        for _ in range(rng.randint(1, 9)):
+            exps = (rng.randint(0, 40), rng.randint(0, 40))
+            terms[exps] = Fraction(rng.randint(-90, 90) or 1, rng.randint(1, 36))
+        p = Poly(terms)
+        max_degree = rng.randint(p.order(), p.degree() + 6)
+        degrees = range(max_degree - p.order() + 3)
+        for d, products in zip(degrees, p.shifts(degrees, max_degree)):
+            expected = [p.shifted(a, b, max_degree) for a, b in monomial_basis(d)]
+            assert products == (expected if any(expected) else [])
+            # terms in the stable order by degree, the order the products are built in
+            by_degree = [(i, j) for i, j in sorted(p._num, key=sum) if i + j + d <= max_degree]
+            for (a, b), product in zip(monomial_basis(d), products):
+                assert list(product._num) == [(i + a, j + b) for i, j in by_degree]
+                for key in product._num:
+                    assert key is monomial_basis(sum(key))[key[1]]
+
+    def test_shifts_read_only_the_rows_their_terms_reach(self):
+        assert monomial_basis.cache_info().maxsize is not None
+        before = monomial_basis.cache_info()
+        products = next(Poly.monomial(500, 0).shifts([1], 600))
+        after = monomial_basis.cache_info()
+        assert products == [Poly.monomial(501, 0), Poly.monomial(500, 1)]
+        assert after.hits + after.misses - before.hits - before.misses <= 2
+
     def test_empty_linear_combination_is_zero(self):
         assert linear_combination([]) == Poly.zero()
         assert linear_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
