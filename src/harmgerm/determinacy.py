@@ -20,6 +20,12 @@ echelon form of all the products, in every degree 1..L, decides: a
 degree-L monomial lies in their span exactly when one of the reduced
 rows is its unit row.
 
+The products are built one multiplier-degree block at a time, when a
+check first reads one of them (`TruncatedMultiples`). A spanning top
+block is the certificate and gives every other product coefficient
+zero, so neither `check_determinacy` nor `reverify_certificate` builds
+the lower blocks then; the row echelon reads them all.
+
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
 """
@@ -27,13 +33,22 @@ inconclusive, never a disproof.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
 from . import linalg
 from .harmonic import harmonic_pair
-from .polyring import InputError, Poly, integer_coordinates, linear_combination, monomial_basis
+from .polyring import (
+    InputError,
+    Poly,
+    check_scalars,
+    integer_coordinates,
+    linear_combination,
+    monomial_basis,
+)
 
 
 def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
@@ -45,7 +60,10 @@ class DeterminacyCertificate(NamedTuple):
     """Outcome of the criterion at one level.
 
     `products` is the exhibited spanning set: the nonzero truncations of
-    monomial multiples of the two Jacobian generators. verdict True
+    monomial multiples of the two Jacobian generators, as a
+    `TruncatedMultiples`, which builds a block of them only when one of
+    its products is read. It compares, indexes and hashes like the tuple
+    of its products, and such a tuple is accepted in its place. verdict True
     means every degree-`level` monomial lies in their span, so the germ
     is `level`-determined, and `combinations` holds one coefficient
     tuple per degree-`level` monomial (x-exponent descending): the
@@ -60,7 +78,7 @@ class DeterminacyCertificate(NamedTuple):
 
     germ: Poly
     level: int
-    products: tuple[Poly, ...]
+    products: Sequence[Poly]
     verdict: bool
     missing: Poly | None
     combinations: tuple[tuple[Fraction, ...], ...]
@@ -71,30 +89,80 @@ def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
     return [(gen, gen.order()) for gen in jacobian_generators(h) if gen]
 
 
-def _truncated_multiples(
-    generators: list[tuple[Poly, int]], level: int, max_multiplier_degree: int | None = None
-) -> Iterator[tuple[int, Poly]]:
-    """(order, x^a*y^b * gen truncated at `level`) per nonzero product, multiplier degree ascending.
+class TruncatedMultiples(Sequence):
+    """The truncated products x^a*y^b * gen at `level`, built one block at a time.
 
     `generators` is `_ordered_generators(h)`. Multipliers run over
-    1 <= a+b <= max_multiplier_degree (default: every degree that can
-    still contribute below the truncation), so a capped list is a prefix
-    of the uncapped one. Each product is an exponent shift of a
-    generator; with a generator of order e and a multiplier of degree d
-    it has order d + e, and it is zero once d + e exceeds `level`.
+    1 <= a+b <= `cap` (None: every degree that can still contribute below
+    the truncation), so a capped sequence is a prefix of the uncapped one.
+    Block d holds the products of the multipliers of degree d,
+    x-exponent descending, and for each multiplier one product per
+    generator that d leaves a term of: with a generator of order e the
+    product has order d + e, and it is zero once d + e exceeds `level`.
+    Each block is one `Poly.shifts([d], level)` call per generator, made
+    the first time one of its products is read, so a caller that reads
+    only the top block (`top`) builds nothing else.
+
+    It reads like the tuple of its products: `len`, indexing, slices
+    (which return tuples), iteration, `==` with a tuple, and `hash`.
     """
-    cap = level - min((e for _, e in generators), default=level)
-    if max_multiplier_degree is not None:
-        cap = min(cap, max_multiplier_degree)
-    degrees = range(1, cap + 1)
-    shifts = [(gen.shifts(degrees, level), e) for gen, e in generators]
-    for d in degrees:
-        # [] for a generator with d + e > level
-        blocks = [(next(multiples), d + e) for multiples, e in shifts]
-        for i in range(d + 1):
-            for products, order in blocks:
-                if products:
-                    yield order, products[i]
+
+    def __init__(self, generators: Sequence[tuple[Poly, int]], level: int, cap: int | None = None):
+        self.generators = tuple(generators)
+        self.level = level
+        self.cap = cap
+        orders = [e for _, e in self.generators]
+        last = level - min(orders, default=level)
+        if cap is not None:
+            last = min(last, cap)
+        # (d, start, stop, generator indices) per block. d leaves a term of the
+        # lowest-order generator, so no block is empty and its first slot tells if it is built
+        self._blocks = []
+        self.top = []
+        start = 0
+        for d in range(1, last + 1):
+            kept = [g for g, e in enumerate(orders) if d + e <= level]
+            layout = [orders[g] for g in kept] * (d + 1)
+            self.top += [start + j for j, e in enumerate(layout) if d + e == level]
+            self._blocks.append((d, start, start + len(layout), kept))
+            start += len(layout)
+        self._starts = [start for _, start, _, _ in self._blocks]
+        self._products: list[Poly | None] = [None] * start
+
+    def _build(self, block: int) -> None:
+        d, start, stop, kept = self._blocks[block]
+        shifts = [next(self.generators[g][0].shifts([d], self.level)) for g in kept]
+        self._products[start:stop] = [p for multiplier in zip(*shifts) for p in multiplier]
+
+    def built(self) -> Iterator[tuple[int, int]]:
+        """(start, stop) of each block built so far."""
+        return ((start, stop) for _, start, stop, _ in self._blocks if self._products[start] is not None)
+
+    def __len__(self) -> int:
+        return len(self._products)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(len(self))))
+        p = self._products[index]
+        if p is None:
+            self._build(bisect_right(self._starts, index % len(self)) - 1)
+            p = self._products[index]
+        return p
+
+    def __iter__(self) -> Iterator[Poly]:
+        for block, (_, start, stop, _) in enumerate(self._blocks):
+            if self._products[start] is None:
+                self._build(block)
+            yield from self._products[start:stop]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, TruncatedMultiples)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
@@ -129,22 +197,22 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         raise InputError("zero germ is never finitely determined")
     if h.order() > level:
         raise InputError(f"germ order {h.order()} exceeds the certificate level {level}")
-    multiples = list(_truncated_multiples(_ordered_generators(h), level, max_multiplier_degree))
-    products = [p for _, p in multiples]
+    products = TruncatedMultiples(_ordered_generators(h), level, max_multiplier_degree)
     top_basis = monomial_basis(level)
     monomials = [Poly.monomial(a, b) for a, b in top_basis]
-    top = [j for j, (order, _) in enumerate(multiples) if order == level]
+    top = products.top
     missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
     if missing is not None:
+        everything = list(products)
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
         level_columns = range(len(basis) - len(top_basis), len(basis))
-        rows, pivots = linalg.rref(integer_coordinates(products, basis)[0], level_columns)
+        rows, pivots = linalg.rref(integer_coordinates(everything, basis)[0], level_columns)
         units = {col for row, col in zip(rows, pivots) if row.count(0) == len(row) - 1}
         missing = next((i for i, col in enumerate(level_columns) if col not in units), None)
         if missing is None:
             # the rows cover the level; the full solve's columns are all the products
             top = range(len(products))
-            missing, solved = linalg.solve_canonical(products, monomials, basis)
+            missing, solved = linalg.solve_canonical(everything, monomials, basis)
     # column j of the solve is product top[j]; every other product gets coefficient 0
     zero = Fraction(0)
     combinations = []
@@ -156,7 +224,7 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     return DeterminacyCertificate(
         germ=h,
         level=level,
-        products=tuple(products),
+        products=products,
         verdict=missing is None,
         missing=None if missing is None else monomials[missing],
         combinations=tuple(combinations) if missing is None else (),
@@ -166,27 +234,42 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
 def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     """Independent containment check of a True certificate.
 
-    Re-derives the first `len(cert.products)` truncated multiples of the
-    Jacobian generators of `cert.germ` at `cert.level` and requires
-    `cert.products` to equal them (a multiplier cap shortens the list).
-    Then multiplies each stored combination back out as one exact integer
-    sum and requires it to equal its degree-`level` monomial. No
-    elimination is run. A level below 1 has no monomials to check and is
-    rejected.
+    Re-derives the truncated multiples of the Jacobian generators of
+    `cert.germ` at `cert.level` and requires `cert.products` to equal
+    their first `len(cert.products)` (a multiplier cap shortens the list).
+    A `TruncatedMultiples` must carry the re-derived generators, level
+    and cap, compared by value; a block of it that was never built is
+    then the re-derived block by definition, and every block that was
+    built is compared with its re-derivation product by product. Any
+    other sequence is compared product by product with the re-derived
+    prefix. Then multiplies each stored combination back out as one
+    exact integer sum and requires it to equal its degree-`level`
+    monomial: every coefficient is type-checked, zeros included, and
+    only the products with a nonzero coefficient are read. No
+    elimination is run. A level below 1 has no monomials to check and
+    is rejected.
     """
     if not cert.verdict or cert.level < 1:
         return False
     generators = _ordered_generators(cert.germ)
-    derived = islice(_truncated_multiples(generators, cert.level), len(cert.products))
-    if list(cert.products) != [p for _, p in derived]:
+    products = cert.products
+    if isinstance(products, TruncatedMultiples):
+        derived = TruncatedMultiples(generators, cert.level, products.cap)
+        if (products.generators, products.level, len(products)) != (derived.generators, derived.level, len(derived)):
+            return False
+        if any(products[start:stop] != derived[start:stop] for start, stop in products.built()):
+            return False
+    elif list(products) != list(islice(TruncatedMultiples(generators, cert.level), len(products))):
         return False
     monomials = monomial_basis(cert.level)
     if len(cert.combinations) != len(monomials):
         return False
     for (a, b), coeffs in zip(monomials, cert.combinations):
-        if len(coeffs) != len(cert.products):
+        if len(coeffs) != len(products):
             return False
-        if linear_combination(zip(coeffs, cert.products)) != Poly.monomial(a, b):
+        check_scalars(coeffs)
+        nonzero = compress(range(len(coeffs)), coeffs)
+        if linear_combination((coeffs[j], products[j]) for j in nonzero) != Poly.monomial(a, b):
             return False
     return True
 

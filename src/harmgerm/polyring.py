@@ -340,6 +340,16 @@ ONE = Poly.constant(1)
 R2 = Poly({(2, 0): 1, (0, 2): 1})
 
 
+def check_scalars(coeffs: Sequence[Scalar]) -> None:
+    """Raise TypeError unless every coefficient is an int or a Fraction.
+
+    One check per coefficient type, with no Python-level loop over the
+    coefficients; an inexact zero raises too.
+    """
+    for c in dict(zip(map(type, coeffs), coeffs)).values():
+        _scalar(c)
+
+
 def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
     """sum(c*p) over the (c, p) of `pairs`, as one integer sum.
 
@@ -348,11 +358,9 @@ def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
     """
     pairs = list(pairs)
     coeffs = list(map(itemgetter(0), pairs))
-    # one check per coefficient type, then the zeros (most entries of a
-    # certificate's combination) are dropped, both without a Python-level
-    # loop; an inexact zero still raises
-    for c in dict(zip(map(type, coeffs), coeffs)).values():
-        _scalar(c)
+    # the zeros (most entries of a certificate's combination) are dropped
+    # after the type check, without a Python-level loop
+    check_scalars(coeffs)
     pairs = list(compress(pairs, coeffs))
     den = math.lcm(*(c.denominator * p._den for c, p in pairs))
     total: dict[Exponents, int] = {}

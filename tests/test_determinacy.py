@@ -9,6 +9,7 @@ from harmgerm import determinacy, graded, linalg, polyring, zcoords
 from harmgerm.determinacy import (
     check_determinacy,
     determined_bound_report,
+    TruncatedMultiples,
     jacobian_generators,
     reverify_certificate,
 )
@@ -24,6 +25,8 @@ X, Y = sympy.symbols("x y", real=True)
 
 GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2632d372"
 GOLDEN_COMBINATIONS = "bf43771daf1e2e04176e74a9e6bd841cb26784e5d098cf3d0a4badd60daa8368"
+# sha256 over every certificate of `lazy_grid`, as the eagerly built products gave it
+GOLDEN_LAZY_GRID = "7425dd319a724ba7cf0f6cc2dd89d32198521c731e49d81c57ee8a6d982ae80b"
 # sha256 of the products and of the combinations of `dense_morse_germ(level)`
 GOLDEN_DENSE_MORSE = {
     12: (
@@ -349,6 +352,172 @@ class TestTamperedCertificate:
         # level -1 has no monomials, so nothing would be checked
         vacuous = cert._replace(level=level, products=(), combinations=())
         assert not reverify_certificate(vacuous)
+
+
+def lazy_grid():
+    """(germ, level, cap): seeded dense germs of order 0..4, degenerate germs
+    and f_k + tail for k = 3..6, at every level from the order to 11 and
+    multiplier caps None, 1, 2 and 3."""
+    rng = Xoshiro256StarStar(39)
+    germs = [sum((random_homogeneous(rng, d) for d in range(order, 12)), Poly.zero()) for order in range(5)]
+    germs += [P("x^3"), P("x^2*y^2"), P("(x + y)^3 + x^5"), P("x^3 + x*y^3")]
+    germs += [harmonic_pair(k).f + random_order_tail(Xoshiro256StarStar(derive_seed(39, k)), k) for k in (3, 4, 5, 6)]
+    for germ in germs:
+        for level in range(max(germ.order(), 1), 12):
+            for cap in (None, 1, 2, 3):
+                yield germ, level, cap
+
+
+def eager_products(germ, level, cap):
+    """The nonzero x^a*y^b * gen truncated at `level`, one `Poly.shifted` each:
+    multiplier degree ascending, then x-exponent descending, then generator."""
+    generators = [(gen, gen.order()) for gen in jacobian_generators(germ) if gen]
+    last = level - min(e for _, e in generators)
+    if cap is not None:
+        last = min(last, cap)
+    products = (gen.shifted(a, b, level) for d in range(1, last + 1) for a, b in monomial_basis(d) for gen, _ in generators)
+    return tuple(p for p in products if p)
+
+
+def lazy_products(germ, level, cap=None):
+    generators = [(gen, gen.order()) for gen in jacobian_generators(germ) if gen]
+    return TruncatedMultiples(generators, level, cap)
+
+
+class TestLazyProducts:
+    def test_reads_like_the_eager_tuple(self):
+        verdicts = set()
+        for germ, level, cap in lazy_grid():
+            reference = eager_products(germ, level, cap)
+            n = len(reference)
+            assert len(lazy_products(germ, level, cap)) == n
+            # every access pattern on a fresh sequence, so each one builds its own blocks
+            products = lazy_products(germ, level, cap)
+            assert [products[i] for i in reversed(range(-n, 0))] == list(reversed(reference))
+            products = lazy_products(germ, level, cap)
+            assert [products[i] for i in range(n)] == list(reference)
+            for piece in (slice(None), slice(n // 2, None), slice(-3, None), slice(None, None, -2), slice(1, n, 3)):
+                sliced = lazy_products(germ, level, cap)[piece]
+                assert type(sliced) is tuple and sliced == reference[piece]
+            assert list(lazy_products(germ, level, cap)) == list(reference)
+            assert lazy_products(germ, level, cap) == reference and reference == lazy_products(germ, level, cap)
+            assert hash(lazy_products(germ, level, cap)) == hash(reference)
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    lazy_products(germ, level, cap)[index]
+            top = lazy_products(germ, level, cap).top
+            assert top == [j for j, p in enumerate(reference) if p.order() == level]
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            assert cert.products == reference
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    def test_certificates_unchanged(self):
+        # verdicts, missing monomials, products, combinations and reverify outcomes
+        records = []
+        for germ, level, cap in lazy_grid():
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            records.append(
+                [
+                    format_poly(germ),
+                    level,
+                    cap,
+                    cert.verdict,
+                    None if cert.missing is None else format_poly(cert.missing),
+                    [format_poly(p) for p in cert.products],
+                    [[str(c) for c in combo] for combo in cert.combinations],
+                    reverify_certificate(cert),
+                ]
+            )
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == GOLDEN_LAZY_GRID
+
+    def test_not_equal_to_other_types(self):
+        products = lazy_products(certify_germ(8), 13)
+        assert products != list(products) and products != lazy_products(certify_germ(8), 12)
+
+    def test_certify_germ_builds_only_the_top_block(self, monkeypatch):
+        germ, level = certify_germ(10), 17
+        shifts = counted(monkeypatch, Poly, "shifts")
+        cert = check_determinacy(germ, level)
+        # one call per generator, both of order 9, at multiplier degree 17 - 9
+        assert [args[1] for args in shifts] == [[8], [8]]
+        assert list(cert.products.built()) == [(len(cert.products) - 18, len(cert.products))]
+        assert cert.products.top == list(range(len(cert.products) - 18, len(cert.products)))
+        shifts.clear()
+        assert reverify_certificate(cert)
+        assert [args[1] for args in shifts] == [[8], [8]]
+        assert len(list(cert.products.built())) == 1
+
+    def test_uncovered_level_builds_every_block(self, monkeypatch):
+        germ, level = degenerate_dense_germs(24)[0], 24
+        shifts = counted(monkeypatch, Poly, "shifts")
+        cert = check_determinacy(germ, level)
+        assert not cert.verdict and cert.missing == Poly.monomial(0, 24)
+        # one call per generator of order e at each multiplier degree d with d + e <= level
+        orders = [e for _, e in cert.products.generators]
+        assert orders == [1, 2]
+        assert sorted(args[1][0] for args in shifts) == sorted([*range(1, 24), *range(1, 23)])
+        # one block per multiplier degree 1..23, and together they hold every product
+        spans = list(cert.products.built())
+        assert len(spans) == 23 and spans[0][0] == 0 and spans[-1][1] == len(cert.products)
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert len(cert.products) == len(eager_products(germ, level, None))
+
+
+class TestTamperedLazyCertificate:
+    """Tampering that the lazy path must catch without building the blocks nobody reads."""
+
+    def cert(self):
+        cert = check_determinacy(certify_germ(10), 17)
+        assert cert.verdict and isinstance(cert.products, TruncatedMultiples)
+        return cert
+
+    def test_untampered(self):
+        cert = self.cert()
+        assert reverify_certificate(cert)
+        # a tuple of the same products reverifies too
+        assert reverify_certificate(cert._replace(products=tuple(cert.products)))
+
+    def test_swapped_germ(self):
+        assert not reverify_certificate(self.cert()._replace(germ=harmonic_pair(10).g))
+
+    def test_changed_level(self):
+        cert = self.cert()
+        assert not reverify_certificate(cert._replace(level=16))
+        # the products' own level is compared with the certificate's
+        cert.products.level = 16
+        assert not reverify_certificate(cert)
+
+    def test_changed_cap(self):
+        cert = self.cert()
+        cert.products.cap = 3
+        assert not reverify_certificate(cert)
+        # with no block built, the cap is checked through the length it gives
+        assert reverify_certificate(cert._replace(products=lazy_products(cert.germ, cert.level)))
+        unbuilt = lazy_products(cert.germ, cert.level)
+        unbuilt.cap = 3
+        assert not reverify_certificate(cert._replace(products=unbuilt))
+
+    def test_replaced_top_product(self):
+        cert = self.cert()
+        j = cert.products.top[0]
+        cert.products._products[j] = Poly.monomial(0, 17)
+        assert not reverify_certificate(cert)
+
+    def test_nonzero_coefficient_on_a_lower_product(self):
+        cert = self.cert()
+        first = cert.combinations[0]
+        assert not any(first[: cert.products.top[0]])
+        changed = (Fraction(1),) + first[1:]
+        assert not reverify_certificate(cert._replace(combinations=(changed,) + cert.combinations[1:]))
+        # the combination read that product, so its block was built
+        assert list(cert.products.built())[0] == (0, 4)
+
+    def test_inexact_zero_entry_on_an_unbuilt_block_raises(self):
+        cert = self.cert()
+        changed = (0.0,) + cert.combinations[0][1:]
+        with pytest.raises(TypeError, match="not float"):
+            reverify_certificate(cert._replace(combinations=(changed,) + cert.combinations[1:]))
 
 
 # The per-vector Fraction algorithms the library used before its one
