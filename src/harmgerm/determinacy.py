@@ -26,6 +26,13 @@ block is the certificate and gives every other product coefficient
 zero, so neither `check_determinacy` nor `reverify_certificate` builds
 the lower blocks then; the row echelon reads them all.
 
+The combinations stay as the solve wrote them (`CombinationRows`): one
+integer row per degree-L monomial, numerators keyed by product index over
+one positive denominator. A row reads as its tuple of Fraction
+coefficients only when it is read, and re-verification checks each row
+as one integer sum, sum_j n_j * p_j == den * monomial, with no Fraction
+arithmetic.
+
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
 """
@@ -33,10 +40,11 @@ inconclusive, never a disproof.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import Iterator, NamedTuple
 
 from . import linalg
@@ -44,9 +52,10 @@ from .harmonic import harmonic_pair
 from .polyring import (
     InputError,
     Poly,
+    Scalar,
     check_scalars,
+    integer_combination,
     integer_coordinates,
-    linear_combination,
     monomial_basis,
 )
 
@@ -74,6 +83,11 @@ class DeterminacyCertificate(NamedTuple):
     those of all the products. When False, `missing` holds the first
     uncovered monomial, the first whose unit row is not among the
     reduced rows of all the products, and `combinations` is empty.
+
+    `combinations` is a `CombinationRows`: the solve's integer rows, one
+    (numerators by product index, positive den) per monomial. It reads
+    like the tuple of Fraction tuples, building a row's Fractions only
+    when that row is read, and such a tuple is accepted in its place.
     """
 
     germ: Poly
@@ -81,7 +95,7 @@ class DeterminacyCertificate(NamedTuple):
     products: Sequence[Poly]
     verdict: bool
     missing: Poly | None
-    combinations: tuple[tuple[Fraction, ...], ...]
+    combinations: Sequence[tuple[Fraction, ...]]
 
 
 def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
@@ -89,7 +103,33 @@ def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
     return [(gen, gen.order()) for gen in jacobian_generators(h) if gen]
 
 
-class TruncatedMultiples(Sequence):
+class _LazyTuple(Sequence):
+    """Reads like the tuple of its items, each made only when it is read.
+
+    A subclass gives `__len__` and `_item(i)` for 0 <= i < len; this class
+    adds the rest of the tuple protocol: indexing (negative indices too),
+    slices (which return tuples), iteration, `==` with a tuple in either
+    order, and the tuple's `hash`.
+    """
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(*index.indices(len(self)))))
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(index % n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _LazyTuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class TruncatedMultiples(_LazyTuple):
     """The truncated products x^a*y^b * gen at `level`, built one block at a time.
 
     `generators` is `_ordered_generators(h)`. Multipliers run over
@@ -102,9 +142,6 @@ class TruncatedMultiples(Sequence):
     Each block is one `Poly.shifts([d], level)` call per generator, made
     the first time one of its products is read, so a caller that reads
     only the top block (`top`) builds nothing else.
-
-    It reads like the tuple of its products: `len`, indexing, slices
-    (which return tuples), iteration, `==` with a tuple, and `hash`.
     """
 
     def __init__(self, generators: Sequence[tuple[Poly, int]], level: int, cap: int | None = None):
@@ -141,12 +178,10 @@ class TruncatedMultiples(Sequence):
     def __len__(self) -> int:
         return len(self._products)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[j] for j in range(*index.indices(len(self))))
+    def _item(self, index: int) -> Poly:
         p = self._products[index]
         if p is None:
-            self._build(bisect_right(self._starts, index % len(self)) - 1)
+            self._build(bisect_right(self._starts, index) - 1)
             p = self._products[index]
         return p
 
@@ -156,13 +191,42 @@ class TruncatedMultiples(Sequence):
                 self._build(block)
             yield from self._products[start:stop]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, TruncatedMultiples)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+_ZERO = Fraction(0)
+
+
+class CombinationRows(_LazyTuple):
+    """A certificate's combinations, kept as the integer rows the solve wrote.
+
+    `rows` holds one (numerators, den) per degree-`level` monomial: the
+    coefficient of product j is numerators.get(j, 0) / den, with den a
+    positive int and only nonzero int numerators stored; `width` is the
+    number of products. Row i reads as the tuple of its `width` Fraction
+    coefficients, built each time it is read, so the certificate itself
+    holds no Fraction.
+    """
+
+    def __init__(self, rows: list[tuple[dict[int, int], int]], width: int):
+        self.rows = rows
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _item(self, index: int) -> tuple[Fraction, ...]:
+        numerators, den = self.rows[index]
+        combination = [_ZERO] * self.width
+        for j, n in numerators.items():
+            combination[j] = Fraction(n, den)
+        return tuple(combination)
+
+
+def _check_arguments(level: int, cap: int | None) -> None:
+    """Raise TypeError unless `level` is an int and `cap` an int or None."""
+    if not isinstance(level, int):
+        raise TypeError(f"level must be an int, not {level!r}")
+    if cap is not None and not isinstance(cap, int):
+        raise TypeError(f"max_multiplier_degree must be an int or None, not {cap!r}")
 
 
 def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = None) -> DeterminacyCertificate:
@@ -190,9 +254,17 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     the missing one. Only when every monomial has one does the
     elimination above run over all the products in every degree, to
     write the combinations.
+
+    The solve's integer columns are kept as they are (`CombinationRows`),
+    with each column index mapped to its product index; no Fraction is
+    built. A `level` or cap that is not an int raises TypeError, and a
+    cap below 1 InputError.
     """
+    _check_arguments(level, max_multiplier_degree)
     if level < 1:
         raise InputError(f"certificate level {level} must be at least 1")
+    if max_multiplier_degree is not None and max_multiplier_degree < 1:
+        raise InputError(f"multiplier degree cap {max_multiplier_degree} must be at least 1")
     if not h:
         raise InputError("zero germ is never finitely determined")
     if h.order() > level:
@@ -214,21 +286,47 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
             top = range(len(products))
             missing, solved = linalg.solve_canonical(everything, monomials, basis)
     # column j of the solve is product top[j]; every other product gets coefficient 0
-    zero = Fraction(0)
-    combinations = []
-    for numerators, den in solved:
-        combo = [zero] * len(products)
-        for j, n in numerators.items():
-            combo[top[j]] = Fraction(n, den)
-        combinations.append(tuple(combo))
+    rows = [({top[j]: n for j, n in numerators.items()}, den) for numerators, den in solved]
     return DeterminacyCertificate(
         germ=h,
         level=level,
         products=products,
         verdict=missing is None,
         missing=None if missing is None else monomials[missing],
-        combinations=tuple(combinations) if missing is None else (),
+        combinations=CombinationRows(rows if missing is None else [], len(products)),
     )
+
+
+def _integer_rows(combinations: Sequence[Sequence[Scalar]], width: int) -> list[tuple[dict[int, int], int]] | None:
+    """`combinations` as (numerators, den) rows, as `CombinationRows` keeps them.
+
+    The rows of a `CombinationRows` are returned as they are, once every
+    entry is checked: an int numerator at an index in range(`width`) and
+    a positive int den. Any other sequence is converted: each coefficient
+    tuple must have `width` entries, all ints or Fractions, zeros
+    included, and its nonzero entries go over the lcm of their
+    denominators. None when a row is malformed; TypeError for an entry
+    of another type.
+    """
+    if isinstance(combinations, CombinationRows):
+        if combinations.width != width:
+            return None
+        for numerators, den in combinations.rows:
+            types = set(map(type, chain(numerators, numerators.values(), (den,))))
+            if types - {int}:
+                raise TypeError(f"combination rows must hold ints, not {min(t.__name__ for t in types - {int})}")
+            if den < 1 or numerators and not (0 <= min(numerators) and max(numerators) < width):
+                return None
+        return combinations.rows
+    rows = []
+    for coeffs in combinations:
+        if len(coeffs) != width:
+            return None
+        check_scalars(coeffs)
+        nonzero = [(j, coeffs[j]) for j in compress(range(width), coeffs)]
+        den = math.lcm(*(c.denominator for _, c in nonzero))
+        rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero}, den))
+    return rows
 
 
 def reverify_certificate(cert: DeterminacyCertificate) -> bool:
@@ -242,17 +340,23 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     then the re-derived block by definition, and every block that was
     built is compared with its re-derivation product by product. Any
     other sequence is compared product by product with the re-derived
-    prefix. Then multiplies each stored combination back out as one
-    exact integer sum and requires it to equal its degree-`level`
-    monomial: every coefficient is type-checked, zeros included, and
-    only the products with a nonzero coefficient are read. No
-    elimination is run. A level below 1 has no monomials to check and
-    is rejected.
+    prefix.
+
+    Then checks the combinations as integer rows (`_integer_rows`):
+    those of a `CombinationRows` as they are, any other sequence of
+    coefficient tuples converted to them. For each degree-`level`
+    monomial x^a*y^b, with row (n, den), it requires
+    sum_j n_j * products[j] == den * x^a*y^b as one integer sum over the
+    products with a nonzero numerator, the only ones it reads. No
+    elimination and no Fraction arithmetic is run. A level below 1 has
+    no monomials to check and is rejected; a `level` or cap that is not
+    an int raises TypeError.
     """
+    products = cert.products
+    _check_arguments(cert.level, products.cap if isinstance(products, TruncatedMultiples) else None)
     if not cert.verdict or cert.level < 1:
         return False
     generators = _ordered_generators(cert.germ)
-    products = cert.products
     if isinstance(products, TruncatedMultiples):
         derived = TruncatedMultiples(generators, cert.level, products.cap)
         if (products.generators, products.level, len(products)) != (derived.generators, derived.level, len(derived)):
@@ -264,12 +368,13 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     monomials = monomial_basis(cert.level)
     if len(cert.combinations) != len(monomials):
         return False
-    for (a, b), coeffs in zip(monomials, cert.combinations):
-        if len(coeffs) != len(products):
-            return False
-        check_scalars(coeffs)
-        nonzero = compress(range(len(coeffs)), coeffs)
-        if linear_combination((coeffs[j], products[j]) for j in nonzero) != Poly.monomial(a, b):
+    rows = _integer_rows(cert.combinations, len(products))
+    if rows is None:
+        return False
+    # each product that a row reads, read once
+    read = {j: products[j] for j in set().union(*(numerators for numerators, _ in rows))}
+    for (a, b), (numerators, den) in zip(monomials, rows):
+        if integer_combination((n, read[j]) for j, n in numerators.items()) != Poly.monomial(a, b, den):
             return False
     return True
 

@@ -344,7 +344,10 @@ def check_scalars(coeffs: Sequence[Scalar]) -> None:
     """Raise TypeError unless every coefficient is an int or a Fraction.
 
     One check per coefficient type, with no Python-level loop over the
-    coefficients; an inexact zero raises too.
+    coefficients; an inexact zero raises too. Its callers are
+    `linear_combination` and `determinacy.reverify_certificate`, which
+    checks a certificate's combinations this way when they come as
+    coefficient tuples instead of the solve's integer rows.
     """
     for c in dict(zip(map(type, coeffs), coeffs)).values():
         _scalar(c)
@@ -363,9 +366,24 @@ def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
     check_scalars(coeffs)
     pairs = list(compress(pairs, coeffs))
     den = math.lcm(*(c.denominator * p._den for c, p in pairs))
+    return _scaled_sum(((c.numerator * (den // (c.denominator * p._den)), p) for c, p in pairs), den)
+
+
+def integer_combination(pairs: Iterable[tuple[int, Poly]]) -> Poly:
+    """sum(n*p) over the (n, p) of `pairs`, each n an int, as one integer sum.
+
+    Every numerator goes over the lcm of the denominators p._den, and no
+    Fraction is built: the check of a certificate's integer rows.
+    """
+    pairs = list(pairs)
+    den = math.lcm(*(p._den for _, p in pairs))
+    return _scaled_sum(((n * (den // p._den), p) for n, p in pairs), den)
+
+
+def _scaled_sum(scaled: Iterable[tuple[int, Poly]], den: int) -> Poly:
+    """The Poly sum(m * p._num) / den over the (m, p) of `scaled`."""
     total: dict[Exponents, int] = {}
-    for c, p in pairs:
-        m = c.numerator * (den // (c.denominator * p._den))
+    for m, p in scaled:
         for key, v in p._num.items():
             total[key] = total.get(key, 0) + v * m
     return Poly._of({key: v for key, v in total.items() if v}, den)

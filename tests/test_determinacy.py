@@ -7,6 +7,7 @@ import pytest
 
 from harmgerm import determinacy, graded, linalg, polyring, zcoords
 from harmgerm.determinacy import (
+    CombinationRows,
     check_determinacy,
     determined_bound_report,
     TruncatedMultiples,
@@ -518,6 +519,225 @@ class TestTamperedLazyCertificate:
         changed = (0.0,) + cert.combinations[0][1:]
         with pytest.raises(TypeError, match="not float"):
             reverify_certificate(cert._replace(combinations=(changed,) + cert.combinations[1:]))
+
+
+def eager_combinations(cert):
+    """The combinations of `cert` as one eager tuple of Fraction tuples, from its integer rows."""
+    width = len(cert.products)
+    return tuple(
+        tuple(Fraction(numerators.get(j, 0), den) for j in range(width))
+        for numerators, den in cert.combinations.rows
+    )
+
+
+def retyped(cert, rows, width=None):
+    """`cert` with its combinations replaced by integer rows."""
+    return cert._replace(combinations=CombinationRows(rows, len(cert.products) if width is None else width))
+
+
+class TestCombinationRows:
+    def test_reads_like_the_eager_tuple(self):
+        cases = list(lazy_grid()) + DEGENERATE_CASES
+        cases += [(germ, 12, None) for germ in degenerate_dense_germs(12)]
+        verdicts = set()
+        for germ, level, cap in cases:
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            combinations = cert.combinations
+            assert isinstance(combinations, CombinationRows)
+            verdicts.add(cert.verdict)
+            reference = eager_combinations(cert)
+            n = len(reference)
+            assert len(combinations) == n == (len(monomial_basis(level)) if cert.verdict else 0)
+            for numerators, den in combinations.rows:
+                assert type(den) is int and den > 0
+                assert all(type(j) is int and 0 <= j < len(cert.products) for j in numerators)
+                assert all(type(v) is int and v for v in numerators.values())
+            assert [combinations[i] for i in range(n)] == list(reference)
+            assert [combinations[i] for i in reversed(range(-n, 0))] == list(reversed(reference))
+            assert all(type(row) is tuple for row in combinations)
+            for piece in (slice(None), slice(n // 2, None), slice(-3, None), slice(None, None, -2), slice(1, n, 3)):
+                sliced = combinations[piece]
+                assert type(sliced) is tuple and sliced == reference[piece]
+            assert list(combinations) == list(reference)
+            assert combinations == reference and reference == combinations
+            assert not combinations != reference and not reference != combinations
+            assert hash(combinations) == hash(reference)
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    combinations[index]
+        assert verdicts == {True, False}
+
+    def test_top_block_rows_read_only_top_products(self):
+        cert = check_determinacy(certify_germ(10), 17)
+        top = set(cert.products.top)
+        assert all(set(numerators) <= top for numerators, _ in cert.combinations.rows)
+
+    def test_a_row_is_built_only_when_read(self, monkeypatch):
+        cert = check_determinacy(certify_germ(9), 15)
+        made = counted(monkeypatch, determinacy, "Fraction")
+        row = cert.combinations[3]
+        # one Fraction per nonzero numerator of that row and of no other
+        assert len(made) == len(cert.combinations.rows[3][0])
+        assert len(row) == len(cert.products)
+
+    def test_not_equal_to_other_types(self):
+        combinations = check_determinacy(certify_germ(8), 13).combinations
+        assert combinations != list(combinations) and combinations != check_determinacy(certify_germ(9), 15).combinations
+
+    def test_certify_operation_builds_no_fraction(self, monkeypatch):
+        # the certify workload's operation: check, then re-verify, on f_k + tail
+        for k in (8, 9, 10):
+            germ, level = certify_germ(k, k - 8), 2 * k - 3
+            made = []
+            original = Fraction.__new__
+
+            def counting(cls, *args, **kwargs):
+                made.append(args)
+                return original(cls, *args, **kwargs)
+
+            sums = counted(monkeypatch, polyring, "linear_combination")
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            cert = check_determinacy(germ, level)
+            checked = list(made)
+            assert reverify_certificate(cert)
+            monkeypatch.undo()
+            assert checked == [] and made == [] and sums == []
+            assert cert.verdict and len(cert.combinations) == level + 1
+
+
+class TestTamperedCombinationRows:
+    """Tampering with the integer rows that re-verification reads as they are."""
+
+    def cert(self):
+        cert = check_determinacy(certify_germ(10), 17)
+        assert cert.verdict and isinstance(cert.combinations, CombinationRows)
+        return cert
+
+    def rows(self, cert):
+        # a copy, so each test tampers with its own rows
+        return [(dict(numerators), den) for numerators, den in cert.combinations.rows]
+
+    def test_untampered(self):
+        cert = self.cert()
+        assert reverify_certificate(retyped(cert, self.rows(cert)))
+        # the eager tuples and the rows are the same certificate
+        assert reverify_certificate(cert._replace(combinations=eager_combinations(cert)))
+
+    def test_changed_numerator(self):
+        cert = self.cert()
+        rows = self.rows(cert)
+        j, n = next(iter(rows[0][0].items()))
+        rows[0][0][j] = n + 1
+        assert not reverify_certificate(retyped(cert, rows))
+
+    @pytest.mark.parametrize("change", (lambda den: den + 1, lambda den: 2 * den, lambda den: 0, lambda den: -den))
+    def test_changed_denominator(self, change):
+        cert = self.cert()
+        rows = self.rows(cert)
+        numerators, den = rows[1]
+        rows[1] = (numerators, change(den))
+        assert not reverify_certificate(retyped(cert, rows))
+
+    def test_negated_row(self):
+        # -n / -den is the same coefficient, but a den must be positive
+        cert = self.cert()
+        rows = self.rows(cert)
+        numerators, den = rows[0]
+        rows[0] = ({j: -n for j, n in numerators.items()}, -den)
+        assert not reverify_certificate(retyped(cert, rows))
+
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_index_out_of_range(self, offset):
+        cert = self.cert()
+        rows = self.rows(cert)
+        numerators = rows[0][0]
+        j = max(numerators)
+        numerators[len(cert.products) + offset] = numerators.pop(j)
+        assert not reverify_certificate(retyped(cert, rows))
+        numerators[-1] = numerators.pop(len(cert.products) + offset)
+        assert not reverify_certificate(retyped(cert, rows))
+
+    def test_index_on_an_unbuilt_lower_product(self):
+        cert = self.cert()
+        assert len(list(cert.products.built())) == 1
+        rows = self.rows(cert)
+        rows[0][0][0] = 1
+        assert not reverify_certificate(retyped(cert, rows))
+        # the row read that product, so its block was built
+        assert list(cert.products.built())[0] == (0, 4)
+
+    @pytest.mark.parametrize("value, name", [(1.0, "float"), (True, "bool"), (Fraction(1), "Fraction")])
+    def test_numerator_of_another_type_raises(self, value, name):
+        cert = self.cert()
+        rows = self.rows(cert)
+        j = next(iter(rows[2][0]))
+        rows[2][0][j] = value
+        with pytest.raises(TypeError, match=f"not {name}"):
+            reverify_certificate(retyped(cert, rows))
+
+    @pytest.mark.parametrize("kind, name", [(float, "float"), (Fraction, "Fraction")])
+    def test_denominator_of_another_type_raises(self, kind, name):
+        cert = self.cert()
+        rows = self.rows(cert)
+        numerators, den = rows[0]
+        rows[0] = (numerators, kind(den))
+        with pytest.raises(TypeError, match=f"not {name}"):
+            reverify_certificate(retyped(cert, rows))
+
+    @pytest.mark.parametrize("kind, name", [(float, "float"), (bool, "bool")])
+    def test_index_of_another_type_raises(self, kind, name):
+        cert = self.cert()
+        rows = self.rows(cert)
+        numerators = rows[0][0]
+        j = max(numerators)
+        numerators[kind(j)] = numerators.pop(j)
+        with pytest.raises(TypeError, match=f"not {name}"):
+            reverify_certificate(retyped(cert, rows))
+
+    def test_dropped_row(self):
+        cert = self.cert()
+        rows = self.rows(cert)
+        assert not reverify_certificate(retyped(cert, rows[:-1]))
+        assert not reverify_certificate(retyped(cert, rows[1:]))
+        assert not reverify_certificate(retyped(cert, rows + rows[:1]))
+
+    def test_swapped_rows(self):
+        cert = self.cert()
+        rows = self.rows(cert)
+        rows[0], rows[1] = rows[1], rows[0]
+        assert not reverify_certificate(retyped(cert, rows))
+
+    def test_changed_width(self):
+        cert = self.cert()
+        for width in (len(cert.products) - 1, len(cert.products) + 1):
+            assert not reverify_certificate(retyped(cert, self.rows(cert), width))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("level", (9.0, Fraction(9), "9", None))
+    def test_level_must_be_an_int(self, level):
+        with pytest.raises(TypeError, match="level must be an int"):
+            check_determinacy(certify_germ(6), level)
+
+    @pytest.mark.parametrize("cap", (2.5, 2.0, "2"))
+    def test_cap_must_be_an_int(self, cap):
+        with pytest.raises(TypeError, match="max_multiplier_degree must be an int or None"):
+            check_determinacy(certify_germ(6), 9, cap)
+
+    @pytest.mark.parametrize("cap", (0, -1))
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(polyring.InputError, match=f"multiplier degree cap {cap} must be at least 1"):
+            check_determinacy(certify_germ(6), 9, cap)
+        assert check_determinacy(certify_germ(6), 9, 1).products
+
+    def test_reverify_checks_the_level_and_cap_types(self):
+        cert = check_determinacy(certify_germ(6), 9, 4)
+        assert reverify_certificate(cert)
+        with pytest.raises(TypeError, match="level must be an int"):
+            reverify_certificate(cert._replace(level=9.0))
+        cert.products.cap = 4.0
+        with pytest.raises(TypeError, match="max_multiplier_degree must be an int or None"):
+            reverify_certificate(cert)
 
 
 # The per-vector Fraction algorithms the library used before its one

@@ -18,6 +18,7 @@ from harmgerm.polyring import (
     _Parser,
     format_poly,
     format_scalar,
+    integer_combination,
     laplacian,
     laplacian_power,
     linear_combination,
@@ -412,6 +413,10 @@ class TestRepresentation:
             linear_combination([(c, pp), (third, qq), (0, pp)]),
             {k: c * p.get(k, 0) + third * q.get(k, 0) for k in keys},
         )
+        assert_canonical(
+            integer_combination([(-3, pp), (7, qq), (0, pp)]),
+            {k: -3 * p.get(k, 0) + 7 * q.get(k, 0) for k in keys},
+        )
         assert_canonical(pp.scale(c), {k: v * c for k, v in p.items()})
         assert_canonical(pp.diff("x"), {(a - 1, b): v * a for (a, b), v in p.items() if a})
         assert_canonical(pp.diff("y"), {(a, b - 1): v * b for (a, b), v in p.items() if b})
@@ -473,6 +478,8 @@ class TestRepresentation:
     def test_empty_linear_combination_is_zero(self):
         assert linear_combination([]) == Poly.zero()
         assert linear_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
+        assert integer_combination([]) == Poly.zero()
+        assert integer_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
 
 
 class TestExactInputsOnly:
