@@ -638,6 +638,12 @@ class TestTamperedCombinationRows:
         rows[1] = (numerators, change(den))
         assert not reverify_certificate(retyped(cert, rows))
 
+    def test_zero_denominators(self):
+        # an empty row sums to 0, which is den * monomial for den 0: only the den check refuses it
+        cert = check_determinacy(harmonic_pair(6).f, 9)
+        assert cert.verdict and reverify_certificate(cert)
+        assert not reverify_certificate(retyped(cert, [({}, 0)] * len(cert.combinations)))
+
     def test_negated_row(self):
         # -n / -den is the same coefficient, but a den must be positive
         cert = self.cert()

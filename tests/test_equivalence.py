@@ -336,6 +336,12 @@ class TestReduceGerm:
         chain = reduce_germ(5, {}, Poly.zero())
         assert chain.verified and not chain.maps
 
+    def test_certificate_above_the_bound_fails(self):
+        # a certificate of a higher level than the chain's bound does not cover it
+        chain = reduce_germ(8, {})
+        assert chain.verify()
+        assert not chain._replace(certificate=chain.certificate._replace(level=chain.bound + 1)).verify()
+
     def test_kernel_validation(self):
         with pytest.raises(MembershipError) as err:
             reduce_germ(5, {1: P("x^6")}, Poly.zero())
