@@ -23,16 +23,17 @@ C_k = (a - ib)/2. Absorption works degree by degree, low degrees last:
 
 A leading form other than f_k is first rotated onto it by z -> delta*z,
 which multiplies each coefficient C_ij of the components by
-delta^i conj(delta)^j (`jets._rotated`). So the construction composes no
-(x, y) polynomial and multiplies no Poly; only the maps leave it as (x, y)
-polynomials. Every witness re-verifies exactly from its own maps in
-WitnessChain.verify(); nothing is trusted there. The
-translations, built in (z, zbar), are composed there by their Taylor
-expansion in (x, y), so building and checking them share no arithmetic.
-Every map is composed, except that a final radial scale map onto any
+delta^i conj(delta)^j (`_rotated`, used by the construction alone). So
+the construction composes no (x, y) polynomial and multiplies no Poly;
+only the maps leave it as (x, y) polynomials. Every witness re-verifies
+exactly from its own maps in WitnessChain.verify(); nothing is trusted
+there. `jets.jet_compose` composes them in (x, y): the rotation by
+Horner's rule and the translations, built in (z, zbar), by their Taylor
+expansion, so building and checking them share no arithmetic. Every map
+is composed, except that a final radial scale map onto any
 Re(z^k (1 + w')), f_k included, is checked by its defining identity
-(`jets.radial_step_holds`), read off the composed jet, the target and the
-map; when that identity does not apply, the map is composed too.
+(`jets.radial_step_holds`), read off the composed jet, the target and
+the map; when that identity does not apply, the map is composed too.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .jets import (
     Jet,
     JetMap,
     _inverse_scale_root,
-    _rotated,
     _scale_map_from_root,
     complex_scale_map,
     identity_map,
@@ -66,6 +66,7 @@ from .zcoords import (
     _change_component,
     _change_variables,
     _component,
+    _conjugate,
     _convolve,
     _dz,
     _harmonic_quotient,
@@ -517,6 +518,23 @@ def leading_coefficients(germ: Poly, k: int) -> tuple[Fraction, Fraction] | None
     (see `_leading_pair`).
     """
     return _leading_pair(_z_components(germ.graded_component(k), k)[k])
+
+
+def _rotated(w: list[tuple], delta: tuple) -> list[tuple]:
+    """w o (z -> delta*z), for w given by its (z, zbar) components and delta
+    by its degree-0 component: each C_ij z^i zbar^j gains delta^i conj(delta)^j."""
+    powers = [[(1, 0)], [(1, 0)]]  # the numerators of delta^n and of conj(delta)^n
+    for row, ((p,), (q,), _) in zip(powers, (delta, _conjugate(delta))):
+        for _ in range(len(w) - 1):
+            a, b = row[-1]
+            row.append((a * p - b * q, a * q + b * p))
+    rotated = []
+    for d, (re, im, den) in enumerate(w):
+        gains = [(a * c - b * e, a * e + b * c) for (a, b), (c, e) in zip(powers[0], powers[1][d::-1])]
+        new_re = [x * g - y * h for x, y, (g, h) in zip(re, im, gains)]
+        new_im = [x * h + y * g for x, y, (g, h) in zip(re, im, gains)]
+        rotated.append(_component(new_re, new_im, den * delta[2] ** d))
+    return rotated
 
 
 def reduce_general(germ: Poly, k: int) -> WitnessChain:

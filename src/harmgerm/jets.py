@@ -7,22 +7,21 @@ diffeomorphism fixing the origin. Composition truncates eagerly at every
 multiplication, which changes nothing modulo the bound and keeps the
 intermediate polynomials small.
 
-Composition has two routes, chosen by the map alone. A linear map
-z -> delta*z, one whose complex form phi.x + i*phi.y is delta*z, composes
-in (z, zbar) coordinates: the jet is rewritten as sum C_ij z^i zbar^j,
-each term becomes C_ij z^i zbar^j delta^i conj(delta)^j, and as
-C_ji = conj(C_ij) the result is real; an imaginary part left in it is an
-error. Every other map, written id + tau, composes by its Taylor
-expansion, which is finite because the jet is a polynomial: it stops at
-n = deg h, or sooner once its terms pass the bound when tau has order at
-least 2, as for a radial scale map z -> z*rho with rho(0) = 1. For the
-reduction's translations only the first-order part
-h + h_x*tau_x + h_y*tau_y is left; a shear or a linear change of
-coordinates runs the whole sum. With m the order of tau, the n-th term's
+Composition has one route, in two stages. A map is written phi = L + tau,
+with L its linear part. First L is substituted into each homogeneous
+component of the jet by Horner's rule on integer lists; a linear map,
+z -> delta*z as much as a shear or a reflection, ends there. Then, unless
+tau = 0, the result is composed with id + L^(-1) tau by its Taylor
+expansion. That expansion is finite because the jet is a polynomial, and
+as L^(-1) tau has order m >= 2 its terms pass the bound after
+(bound - ord h) // (m - 1) of them; for the reduction's translations only
+the first-order part h + h_x*tau_x + h_y*tau_y is left. The n-th term's
 factor has order at least n*m, so each n-th derivative is cut at degree
 bound - n*m, and only h's degrees up to bound - m + 1 are differentiated.
-Both are exact general compositions, so a witness re-verified through
-them is checked independently of how its maps were built.
+The route works in (x, y) alone: it makes no (z, zbar) change of
+variables and shares no rotation with the reduction (`equivalence._rotated`),
+so a witness re-verified through it is checked independently of how its
+maps were built.
 
 A witness's last step, h o phi == target for a radial phi = z*rho and a
 target Re(z^k (1 + w')) of order k, below degree 2k, can also be decided
@@ -41,9 +40,8 @@ too lazy", JSC 2002): its degree-d part reads only the degrees below d
 of the composition and of the powers of rho, so each is computed once.
 
 Complex coefficients are lists of homogeneous components, held and
-converted by `zcoords`. Every public result is real, and an imaginary part
-left in a real result is an error. A multiplication by a single monomial
-is `Poly.shifted`.
+converted by `zcoords`. Every public result is real. A multiplication by
+a single monomial is `Poly.shifted`.
 """
 
 from __future__ import annotations
@@ -145,35 +143,69 @@ def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:
 def jet_compose(h: Jet, phi: JetMap) -> Jet:
     """The jet of h(phi_x, phi_y) at the common bound.
 
-    Two routes, chosen by the map alone (see the module docstring): a
-    linear map z -> delta*z composes in (z, zbar) coordinates; any other
-    map id + tau composes by its Taylor expansion in tau. Every product
-    is truncated at the bound.
+    One route in two stages (see the module docstring): with phi = L + tau
+    and L the linear part, L is substituted into h by Horner's rule unless
+    it is the identity, and then, unless tau = 0, h o L is composed with
+    id + L^(-1) tau by its Taylor expansion. Every product is truncated at
+    the bound.
     """
     if h.bound != phi.bound:
         raise BoundMismatchError(f"jet bound {h.bound} vs map bound {phi.bound}")
-    bound = h.bound
-    rho = _radial_factor(phi) if phi.x.poly.degree() == phi.y.poly.degree() == 1 else None
-    if rho is not None:
-        return Jet(_compose_radial(h.poly, rho[0], bound), bound)
-    return Jet(_compose_taylor(h.poly, phi.x.poly - X, phi.y.poly - Y, bound), bound)
+    bound, px, py = h.bound, phi.x.poly, phi.y.poly
+    composed, linear = h.poly, _split(px, py, 1)[1]
+    tx, ty = px - px.graded_component(1), py - py.graded_component(1)
+    if linear != _LINEAR_IDENTITY:
+        composed = _compose_linear(composed, linear, bound)
+        # L = (a*x + b*y, c*x + d*y)/den; L^(-1) tau is adj(L) tau over det(L)
+        (b, a), (d, c), den = linear
+        r = Fraction(den, a * d - b * c)
+        tx, ty = (tx.scale(d) - ty.scale(b)).scale(r), (ty.scale(a) - tx.scale(c)).scale(r)
+    if tx or ty:
+        composed = _compose_taylor(composed, tx, ty, bound)
+    return Jet(composed, bound)
+
+
+# the degree-1 component of the identity map, x + i*y: entry a is x^a*y^(1-a)
+_LINEAR_IDENTITY = ([0, 1], [1, 0], 1)
+
+
+def _compose_linear(h: Poly, linear: tuple, bound: int) -> Poly:
+    """h(L) modulo degrees above the bound, for the linear map L = (lx, ly)/den
+    given by its degree-1 component (lx, ly, den), whose entry a is the
+    coefficient of x^a*y^(1-a).
+
+    Each homogeneous component sum_a c_a x^a y^(d-a) of h is evaluated on
+    the numerators by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4),
+    p <- p*lx + c_a*ly^(d-a) for a = d - 1 down to 0 from p = c_d, and the
+    result is over den^d. Each step multiplies an integer list by a linear
+    form, so no Poly is multiplied.
+    """
+    (lx0, lx1), (ly0, ly1), den = linear
+    parts = []
+    for re, _, c_den in _split(h, Poly.zero(), bound):
+        p, power = re[-1:], [1]
+        for c in reversed(re[:-1]):
+            power = [ly0 * u + ly1 * v for u, v in zip(power + [0], [0] + power)]
+            p = [lx0 * u + lx1 * v + c * w for u, v, w in zip(p + [0], [0] + p, power)]
+        parts.append(_component(p, [0] * len(p), c_den * den ** (len(p) - 1)))
+    return _join(parts)[0]
 
 
 def _compose_taylor(h: Poly, tx: Poly, ty: Poly, bound: int) -> Poly:
-    """h(x + tx, y + ty) modulo degrees above the bound, for tx, ty of order >= 1.
+    """h(x + tx, y + ty) modulo degrees above the bound, for tx, ty of order >= 2.
 
     By Taylor's theorem the composition is sum_n (1/n!) sum_(a+b=n)
-    C(n, a) (d^a/dx^a d^b/dy^b h) tx^a ty^b, and every term with n > deg h
-    vanishes. With m the order of (tx, ty), the n-th term has order at
-    least ord h + n(m - 1); so for m >= 2 the sum stops sooner, at
-    n = (bound - ord h) // (m - 1). A translation of the reduction at
-    offset s has m - 1 = s >= (k - 3)/2 and composes jets of order k at
-    bound 2k - 4, so only h + h_x*tx + h_y*ty survives there. The n-th
-    derivatives are cut at degree bound - n*m (see the module docstring)."""
+    C(n, a) (d^a/dx^a d^b/dy^b h) tx^a ty^b. With m >= 2 the order of
+    (tx, ty), the n-th term has order at least ord h + n(m - 1), so the sum
+    stops at n = (bound - ord h) // (m - 1), or at deg h, past which every
+    term vanishes. A translation of the reduction at offset s has
+    m - 1 = s >= (k - 3)/2 and composes jets of order k at bound 2k - 4,
+    so only h + h_x*tx + h_y*ty survives there. The n-th derivatives are
+    cut at degree bound - n*m (see the module docstring)."""
     m = min(tx.order(), ty.order())
     if not h or m > bound:
         return h
-    last = h.degree() if m == 1 else min((bound - h.order()) // (m - 1), h.degree())
+    last = min((bound - h.order()) // (m - 1), h.degree())
     pow_x, pow_y = [ONE], [ONE]
     derivatives = [h.truncate(bound - m + 1)]  # d^a/dx^a d^b/dy^b h at index a, a + b = n
     total = h
@@ -337,36 +369,6 @@ class _RadialImage:
             for b in range(d - j - columns[0][0] + 1)
         ]
         return _convolve(terms, d)
-
-
-def _rotated(w: list[tuple], delta: tuple) -> list[tuple]:
-    """w o (z -> delta*z), for w given by its (z, zbar) components and delta
-    by its degree-0 component: each C_ij z^i zbar^j gains delta^i conj(delta)^j."""
-    powers = [[(1, 0)], [(1, 0)]]  # the numerators of delta^n and of conj(delta)^n
-    for row, ((p,), (q,), _) in zip(powers, (delta, _conjugate(delta))):
-        for _ in range(len(w) - 1):
-            a, b = row[-1]
-            row.append((a * p - b * q, a * q + b * p))
-    rotated = []
-    for d, (re, im, den) in enumerate(w):
-        gains = [(a * c - b * e, a * e + b * c) for (a, b), (c, e) in zip(powers[0], powers[1][d::-1])]
-        new_re = [x * g - y * h for x, y, (g, h) in zip(re, im, gains)]
-        new_im = [x * h + y * g for x, y, (g, h) in zip(re, im, gains)]
-        rotated.append(_component(new_re, new_im, den * delta[2] ** d))
-    return rotated
-
-
-def _compose_radial(p: Poly, delta: tuple, bound: int) -> Poly:
-    """The real polynomial p composed with z -> delta*z modulo degrees above
-    the bound, delta given by its degree-0 (z, zbar) component: `_rotated`
-    between the two changes of variables. As C_ji = conj(C_ij), an
-    imaginary part left in the result is an error.
-    """
-    composed = _rotated(_z_components(p, bound), delta)
-    result, imaginary = _join(_change_variables(composed, _xy_image))
-    if imaginary:
-        raise ArithmeticError(f"composition of a real jet left an imaginary part {imaginary}")
-    return result
 
 
 def radial_step_holds(h: Jet, phi: JetMap, target: Poly, level: int) -> bool | None:

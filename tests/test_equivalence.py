@@ -45,7 +45,7 @@ from harmgerm.jets import (
 )
 from harmgerm.polyring import R2, X, Y, InputError, Poly, laplacian_power, parse_poly
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
-from harmgerm.zcoords import _in_kernel, _z_components
+from harmgerm.zcoords import _component, _in_kernel, _z_components
 
 from conftest import P, counted, recorded_verdicts, reference_membership, rescaled
 
@@ -623,8 +623,8 @@ class TestReduceGeneral:
 
     def test_tampered_prefix_map_is_caught(self):
         # the prefix is the linear map z -> z/2 of the rescaled leading
-        # form; nudged, it is no longer radial and verify() composes it by
-        # its Taylor expansion
+        # form; nudged, it gains a tau of order 2, and verify() composes it
+        # by Horner's rule and then by its Taylor expansion
         germ = P("32*x^5 - 320*x^3*y^2 + 160*x*y^4 + x^2*(x^4 - 6*x^2*y^2 + y^4)")
         chain = reduce_general(germ, 5)
         assert chain.verify()
@@ -633,6 +633,34 @@ class TestReduceGeneral:
         maps = (prefix._replace(x=nudged),) + chain.maps[1:]
         assert _radial_factor(maps[0]) is None
         assert chain._replace(maps=maps).verify() is False
+
+    @pytest.mark.parametrize("degree", range(9, 13))
+    def test_defective_rotation_is_caught(self, monkeypatch, degree):
+        # CI's germ at k = 8 composed with z -> (1+i)z, so the chain starts
+        # with z -> delta*z. A defect in `_rotated` that keeps every result
+        # real, one degree's entries times |p + iq|^2 for delta's numerators
+        # p and q, must fail verify(): it composes the rotation without the
+        # construction's arithmetic
+        k = 8
+        rng = Xoshiro256StarStar(2016)
+        germ = harmonic_pair(k).f
+        for s, power in absorption_profile(k).exponents:
+            germ = germ + random_in_span(rng, kernel_basis(k + s, power).basis)
+        germ = rescaled(germ + random_homogeneous(rng, 2 * k - 3))
+        original = harmgerm.equivalence._rotated
+
+        def defective(w, delta):
+            (p,), (q,), _ = delta
+            parts = list(original(w, delta))
+            re, im, den = parts[degree]
+            parts[degree] = _component([v * (p * p + q * q) for v in re], [v * (p * p + q * q) for v in im], den)
+            return parts
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("harmgerm.") and hasattr(module, "_rotated"):
+                monkeypatch.setattr(module, "_rotated", defective)
+        with pytest.raises(WitnessFault):
+            reduce_general(germ, k)
 
 
 class TestReadOff:

@@ -159,10 +159,11 @@ def radial_map(rho_re, rho_im, bound):
 
 
 class TestComposePaths:
-    """Both composition routes against sympy substitution.
+    """The composition route against sympy substitution and Poly products.
 
-    A linear map z -> delta*z composes in (z, zbar) coordinates; every
-    other map, radial or not, composes by its Taylor expansion."""
+    A map L + tau composes in two stages: Horner's rule substitutes the
+    linear part L unless it is the identity, and the Taylor expansion of
+    id + L^(-1) tau follows unless tau = 0."""
 
     # sympy expands the substitution in full before truncating, so the
     # jets and maps stay at degree 4 and 3
@@ -180,24 +181,40 @@ class TestComposePaths:
         composed = jet_compose(jet_truncate(h, bound), phi)
         assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, bound)
 
-    @given(st.integers(1, 16), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rotations_match_poly_products(self, bound, data):
-        # z -> delta*z, delta = p + iq, against sum c_ab (px - qy)^a (qx + py)^b
-        # expanded by Poly products alone, past the sympy test's sizes
+    @given(st.integers(1, 16), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rotations_match_poly_products(self, bound, rotation, with_tau, data):
+        # phi = L + tau against sum c_ab phi_x^a phi_y^b expanded by truncated
+        # Poly products alone, past the sympy test's sizes. L is z -> delta*z,
+        # delta = p + iq, or any invertible rational linear part: shears,
+        # reflections, det < 0; tau, when drawn, has order >= 2
         parts = st.integers(-(10**30), 10**30), st.integers(1, 10**30)
-        p, q = (Fraction(data.draw(parts[0]), data.draw(parts[1])) for _ in range(2))
-        assume(p or q)
-        monomials = [(a, d - a) for d in range(bound + 1) for a in range(d + 1)]
+        entry = st.one_of(st.sampled_from([0, 1, -1]), st.builds(Fraction, *parts))
+        if rotation:
+            p, q = (Fraction(data.draw(parts[0]), data.draw(parts[1])) for _ in range(2))
+            a, b, c, d = p, -q, q, p
+        else:
+            a, b, c, d = (data.draw(entry) for _ in range(4))
+        assume(a * d - b * c)
+        monomials = [(i, n - i) for n in range(bound + 1) for i in range(n + 1)]
         coeffs = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
         h = Poly(data.draw(st.dictionaries(st.sampled_from(monomials), coeffs, max_size=40)))
-        lx, ly = X * p - Y * q, X * q + Y * p
+        px, py = X * a + Y * b, X * c + Y * d
+        if with_tau:
+            nonlinear = st.sampled_from([(i, n - i) for n in range(2, bound + 2) for i in range(n + 1)])
+            small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+            px, py = (part + Poly(data.draw(st.dictionaries(nonlinear, small, max_size=6))) for part in (px, py))
+        phi = jet_map(px, py, bound)
+        powers = [[Poly.constant(1)], [Poly.constant(1)]]
+        for row, factor in zip(powers, (phi.x.poly, phi.y.poly)):
+            for _ in range(bound):
+                row.append(row[-1].mul_truncated(factor, bound))
         expected = Poly.zero()
-        for (a, b), c in h.terms():
-            expected = expected + (lx**a * ly**b).scale(c)
+        for (i, j), coeff in h.terms():
+            expected = expected + powers[0][i].mul_truncated(powers[1][j], bound).scale(coeff)
         with route_counters() as counters:
-            composed = jet_compose(jet_truncate(h, bound), jet_map(lx, ly, bound))
-        assert routes_taken(counters) == {"radial": 1}
+            composed = jet_compose(jet_truncate(h, bound), phi)
+        assert routes_taken(counters) == routes_for(phi)
         assert composed.poly == expected
 
     @given(st.integers(2, 5), st.booleans(), st.data())
@@ -247,20 +264,6 @@ class TestComposePaths:
         assert (_radial_factor(phi) is not None) == divisible
         if extra != "x only":
             assert divisible
-
-    def test_imaginary_part_is_an_error(self, monkeypatch):
-        # a wrong (z, zbar) -> (x, y) table leaves an imaginary part behind
-        image = harmgerm.jets._xy_image
-
-        def broken(i, j):
-            shift, terms = image(i, j)
-            if (i, j) != (1, 0):
-                return shift, terms
-            return shift, tuple((m, e, True) for m, e, _ in terms)
-
-        monkeypatch.setattr(harmgerm.jets, "_xy_image", broken)
-        with pytest.raises(ArithmeticError, match="imaginary part"):
-            jet_compose(jet_truncate(P("x"), 2), radial_map(P("2"), P("1"), 2))
 
 
 def non_dyadic_poly(data, max_degree, min_degree=0):
@@ -413,12 +416,20 @@ def route_counters():
     with pytest.MonkeyPatch.context() as monkeypatch:
         yield {
             name: counted(monkeypatch, harmgerm.jets, f"_compose_{name}")
-            for name in ("radial", "taylor")
+            for name in ("linear", "taylor")
         }
 
 
 def routes_taken(counters):
     return {name: len(calls) for name, calls in counters.items() if calls}
+
+
+def routes_for(phi):
+    """The stages that compose through phi = L + tau: Horner's rule unless
+    L is the identity, then Taylor unless tau = 0."""
+    linear = (phi.x.poly.graded_component(1), phi.y.poly.graded_component(1)) != (X, Y)
+    tau = phi.x.poly.degree() > 1 or phi.y.poly.degree() > 1
+    return {name: 1 for name, taken in (("linear", linear), ("taylor", tau)) if taken}
 
 
 class TestHarmonicMultiple:
@@ -452,7 +463,9 @@ class TestHarmonicMultiple:
 
 
 class TestTaylorRoute:
-    """Every map id + tau other than z -> delta*z composes by Taylor expansion.
+    """Every map L + tau with tau != 0 composes id + L^(-1) tau by Taylor
+    expansion, after Horner's rule has substituted a linear part L other
+    than the identity; a linear map takes Horner's rule alone.
 
     Sympy substitutes and expands in full, so the jets stay at bound 6."""
 
@@ -502,7 +515,7 @@ class TestTaylorRoute:
         assume(_radial_factor(phi) is None)
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(h, bound), phi)
-        assert routes_taken(counters) == {"taylor": 1}
+        assert routes_taken(counters) == routes_for(phi)
         assert composed.poly == oracle_compose(h, px, py, bound)
 
     @pytest.mark.parametrize(
@@ -521,18 +534,18 @@ class TestTaylorRoute:
         assert _radial_factor(phi) is None
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(P(h), bound), phi)
-        assert routes_taken(counters) == {"taylor": 1}
+        assert routes_taken(counters) == routes_for(phi)
         assert composed.poly == oracle_compose(P(h), P(px), P(py), bound)
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_linear_shear_runs_the_whole_sum(self, d):
-        # tau = (y, 0) has order m = 1, so the n-th term matters up to n = d:
-        # the y^d term of (x + y)^d comes from the last one alone
+        # the shear is linear, so Horner's rule substitutes it in full and no
+        # Taylor sum runs: the y^d term of (x + y)^d comes from its last step
         h = Poly({(d, 0): Fraction(1, 3), (d - 1, 1): Fraction(-2, 7), (0, 1): 1})
         phi = jet_map(P("x + y"), P("y"), d)
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(h, d), phi).poly
-        assert routes_taken(counters) == {"taylor": 1}
+        assert routes_taken(counters) == {"linear": 1}
         expanded = sum(((P("x + y") ** a * P("y") ** b).scale(c) for (a, b), c in h.terms()), Poly.zero())
         assert composed == expanded
 
@@ -563,11 +576,13 @@ class TestTaylorRoute:
 
     @pytest.mark.parametrize("re, im", [("1", "1"), ("2", "-1/3"), ("0", "1"), ("-3/7", "0")])
     def test_rotations_take_the_radial_route(self, re, im):
+        # z -> delta*z, a radial map with constant rho, is linear: Horner's
+        # rule alone composes it
         phi = radial_map(P(re), P(im), 5)
         h = P("x^4 - 6*x^2*y^2 + 2/3*y^5 + 1/7*x^3*y - x*y + 5*y")
         with route_counters() as counters:
             composed = jet_compose(jet_truncate(h, 5), phi)
-        assert routes_taken(counters) == {"radial": 1}
+        assert routes_taken(counters) == {"linear": 1}
         assert composed.poly == oracle_compose(h, phi.x.poly, phi.y.poly, 5)
 
     def test_reduction_translations_take_the_taylor_route(self):
@@ -593,8 +608,8 @@ class TestTaylorRoute:
 class TestRadialRouteBeyondTheBenchmark:
     """Bound 36, past the benchmark's bounds 10-16, on CI's seeded germ
     construction at k = 20 (`Xoshiro256StarStar(2016)`, one kernel
-    perturbation per offset, then the tail): the rotation composes in
-    (z, zbar) coordinates, the radial biharmonic translations by Taylor."""
+    perturbation per offset, then the tail): the rotation composes by
+    Horner's rule, the translations, radial or not, by Taylor."""
 
     K = 20
 
@@ -617,9 +632,11 @@ class TestRadialRouteBeyondTheBenchmark:
         rotated = jet_compose(jet_truncate(germ, 2 * k - 3), radial_map(P("1"), P("1"), 2 * k - 3)).poly
         with route_counters() as counters:
             chain = reduce_general(rotated, k)
-        # verify() composes the rotation; the construction rotates the
-        # germ's (z, zbar) components without `_compose_radial`
-        assert [call[2] for call in counters["radial"]] == [2 * k - 4]
+        # verify() composes the rotation by Horner's rule and each
+        # translation by Taylor, and checks the scale map by its identity;
+        # the construction rotates the germ's (z, zbar) components itself
+        assert [call[2] for call in counters["linear"]] == [2 * k - 4]
+        assert len(counters["taylor"]) == len(chain.maps) - 2
         assert self.digest(chain) == "e41bd62ace333f582c704c018e5af53d471f4f1773404317a141b17e992a553a"
 
     def test_biharmonic(self):
@@ -637,17 +654,6 @@ class TestRadialRouteBeyondTheBenchmark:
         # map by its identity
         assert routes_taken(counters) == {"taylor": 8}
         assert self.digest(chain) == "793841ab00f0b4384595051a7b23bd890d7d17254ca3bebe68a98ab8604fb02a"
-
-    def test_wrong_conjugate_is_an_error(self, monkeypatch):
-        # every (z, zbar) term gains delta^i conj(delta)^j (`jets._rotated`),
-        # so a wrong conj(delta) leaves an imaginary part behind instead of a
-        # wrong real jet
-        h = jet_truncate(P("x^3 - 2*x*y^2 + 1/3*y^4 + x*y"), 5)
-        phi = radial_map(P("1"), P("1"), 5)  # z -> (1 + i)z
-        assert jet_compose(h, phi).poly == oracle_compose(h.poly, phi.x.poly, phi.y.poly, 5)
-        monkeypatch.setattr(harmgerm.jets, "_conjugate", lambda c: c)
-        with pytest.raises(ArithmeticError, match="imaginary part"):
-            jet_compose(h, phi)
 
 
 class TestMapCompose:

@@ -63,6 +63,17 @@ def _reached(tree, name):
     return names
 
 
+def _callers(trees, name):
+    """Each module function of `trees` that calls `name`, once per call, as "module.py:function";
+    a call outside a module function fails."""
+    sites = []
+    for module, tree in trees.items():
+        found = [f"{module}:{f.name}" for f in tree.body if isinstance(f, ast.FunctionDef) for c in _called(f) if c == name]
+        assert len(found) == _called(tree).count(name), f"{SRC}/{module} calls {name} outside a module function"
+        sites += found
+    return sites
+
+
 def _defined(nodes):
     """The functions and classes among `nodes`, by name; the first of two with one name wins."""
     return {n.name: n for n in reversed([*nodes]) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
@@ -189,20 +200,39 @@ def products_key_on_shared_exponent_table(root):
 def only_scale_step_builds_radial_engine(root):
     """Only the scale step builds the radial engine
 
-    3f670ff: a rotation z -> delta*z is its closed form (jets._rotated);
-    the lazy engine _RadialImage is built only to solve the radial scale
-    map (_inverse_scale_root) and to check it (radial_step_holds).
+    3f670ff: a rotation z -> delta*z is its closed form, the
+    construction's equivalence._rotated; the lazy engine _RadialImage is
+    built only to solve the radial scale map (_inverse_scale_root) and to
+    check it (radial_step_holds).
     """
-    trees, builders = _modules(root), []
-    for name, tree in trees.items():
-        sites = [f.name for f in tree.body if isinstance(f, ast.FunctionDef) for c in _called(f) if c == "_RadialImage"]
-        assert len(sites) == _called(tree).count("_RadialImage"), f"{SRC}/{name} builds _RadialImage outside a function"
-        builders += sites
-    assert sorted(builders) == ["_inverse_scale_root", "radial_step_holds"], f"_RadialImage built in {builders}"
+    trees = _modules(root)
+    builders = sorted(_callers(trees, "_RadialImage"))
+    assert builders == ["jets.py:_inverse_scale_root", "jets.py:radial_step_holds"], f"_RadialImage built in {builders}"
     defined = _defined(node for tree in trees.values() for node in ast.walk(tree))
     assert "_linear_rotation_map" not in defined, f"{SRC} defines _linear_rotation_map"
     reduce = _defined(trees["equivalence.py"].body)["reduce_general"]
     assert "_radial_factor" not in _called(reduce), "equivalence.reduce_general calls _radial_factor"
+
+
+def verification_composes_no_rotation(root):
+    """Verification composes no rotation of the construction
+
+    Up to 45ff912, jets.jet_compose rotated a map z -> delta*z with the
+    _rotated that rotates the germ's (z, z̄) components in reduce_general,
+    so a defect there that kept the result real passed verify(). Since
+    then jet_compose substitutes a linear part by Horner's rule in (x, y):
+    _rotated is defined in equivalence.py and called by reduce_general
+    alone, and nothing jet_compose reaches, in jets or the modules it
+    imports, calls it or a (z, z̄) change of variables.
+    """
+    trees = _modules(root)
+    defined = [name for name, tree in trees.items() if "_rotated" in _defined(ast.walk(tree))]
+    assert defined == ["equivalence.py"], f"_rotated defined in {defined}"
+    callers = _callers(trees, "_rotated")
+    assert callers == ["equivalence.py:reduce_general"], f"_rotated called by {callers}"
+    composition = ast.Module([n for name in ("jets.py", "zcoords.py", "polyring.py") for n in trees[name].body], [])
+    found = _reached(composition, "jet_compose") & {"_rotated", "_z_components", "_change_variables"}
+    assert not found, f"jets.jet_compose reaches {sorted(found)}"
 
 
 def refusals_are_input_errors(root):
