@@ -9,11 +9,25 @@ here needs.
 
 Random polynomials draw integer coefficients uniformly from [-3, 3],
 either directly on monomials or as combinations of a subspace basis.
+
+The seeded input families that the self-test, the tests and CI share
+are defined here once, so each draws the same words wherever it is
+built:
+- `kernel_perturbations`: one perturbation in the exponent-fold
+  Laplacian kernel at every offset of an absorption profile; "CI's
+  germ" at k is f_k plus these from `Xoshiro256StarStar(2016)` plus a
+  degree-(2k-3) `random_homogeneous` tail;
+- `biharmonic_perturbation`: R in the 2-fold Laplacian kernel in every
+  degree k+1..2k-4;
+- `random_order_tail`: a dense tail in every degree k+1..2k-3;
+- `dense_morse_germ` and `degenerate_dense_germs` (G1, G2): the dense
+  low-order germs of the determinacy limits, from `Xoshiro256StarStar(1)`.
 """
 
 from __future__ import annotations
 
-from .polyring import InputError, Poly, monomial_basis
+from .graded import kernel_basis
+from .polyring import InputError, Poly, monomial_basis, parse_poly
 
 _MASK = (1 << 64) - 1
 
@@ -100,3 +114,43 @@ def random_in_span(rng: Xoshiro256StarStar, basis) -> Poly:
         if c:
             total = total + p * c
     return total
+
+
+def kernel_perturbations(rng: Xoshiro256StarStar, profile) -> dict[int, Poly]:
+    """{s: a random element of the exponent-fold Laplacian kernel in degree
+    k+s} over an `equivalence.AbsorptionProfile`'s offsets, drawn in
+    ascending s."""
+    return {
+        s: random_in_span(rng, kernel_basis(profile.k + s, power).basis)
+        for s, power in profile.exponents
+    }
+
+
+def biharmonic_perturbation(rng: Xoshiro256StarStar, k: int) -> Poly:
+    """Random R in the 2-fold Laplacian kernel in every degree k+1..2k-4,
+    drawn in degree order."""
+    total = Poly.zero()
+    for d in range(k + 1, 2 * k - 3):
+        total = total + random_in_span(rng, kernel_basis(d, 2).basis)
+    return total
+
+
+def dense_morse_germ(rng: Xoshiro256StarStar, level: int) -> Poly:
+    """x^2 + 3xy + 2y^2 plus a random dense form in each degree 3..level."""
+    germ = parse_poly("x^2 + 3*x*y + 2*y^2")
+    for d in range(3, level + 1):
+        germ = germ + random_homogeneous(rng, d)
+    return germ
+
+
+def degenerate_dense_germs(rng: Xoshiro256StarStar, level: int) -> tuple[Poly, Poly]:
+    """(G1, G2) = (x^2*(1 + D), x^3 + x*y^3 + x^2*D), truncated at `level`,
+    with D a random dense form in each degree 1..level-2. Every product of
+    G1 is a multiple of x, so y^level is uncovered; G2's top block is
+    dependent and leaves a monomial uncovered, and its lower products
+    cover the level."""
+    dense = Poly.zero()
+    for d in range(1, level - 1):
+        dense = dense + random_homogeneous(rng, d)
+    x2 = parse_poly("x^2")
+    return (x2 + x2 * dense).truncate(level), (parse_poly("x^3 + x*y^3") + x2 * dense).truncate(level)

@@ -40,9 +40,10 @@ from .jets import (
 from .polyring import R2, X, Y, Poly, laplacian, parse_poly
 from .rng import (
     Xoshiro256StarStar,
+    biharmonic_perturbation,
     derive_seed,
+    kernel_perturbations,
     random_homogeneous,
-    random_in_span,
     random_order_tail,
 )
 
@@ -373,10 +374,7 @@ def _check_reductions(out, cap, seed):
         profile = absorption_profile(k)
         for i in range(3):
             rng = Xoshiro256StarStar(derive_seed(seed, 11, k, i))
-            rhos = {
-                s: random_in_span(rng, graded.kernel_basis(k + s, power).basis)
-                for s, power in profile.exponents
-            }
+            rhos = kernel_perturbations(rng, profile)
             tail = random_homogeneous(rng, 2 * k - 3)
             try:
                 chain = reduce_germ(k, rhos, tail)
@@ -391,10 +389,7 @@ def _check_biharmonic(out, cap, seed):
         if cap is not None and 2 * k - 4 > cap:
             continue
         for i in range(3):
-            rng = Xoshiro256StarStar(derive_seed(seed, 12, k, i))
-            R = Poly.zero()
-            for d in range(k + 1, 2 * k - 3):
-                R = R + random_in_span(rng, graded.kernel_basis(d, 2).basis)
+            R = biharmonic_perturbation(Xoshiro256StarStar(derive_seed(seed, 12, k, i)), k)
             try:
                 chain = verify_biharmonic(k, R)
                 ok = chain.verified

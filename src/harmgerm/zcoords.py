@@ -153,10 +153,13 @@ def _binomial_product(a: int, b: int) -> list[int]:
 # Images of single monomials under the change of variables, as
 # (shift, ((m, e, imaginary), ...)): the image is 2^(-shift) times the sum
 # of e times z^m zbar^(n-m), or x^m y^(n-m), with e an int and times i where
-# `imaginary`. A composition at bound N meets at most (N + 1)(N + 2)/2
-# monomials: 2415 at bound 68, the CLI's largest k = 36. Above that degree
-# only a single read-off (`harmonic`, up to degree 800) meets a monomial,
-# once per call, so its images, (d + 1)^2 big ints, are not cached.
+# `imaginary`. `jet_compose` changes no variables. The tables serve
+# `_z_components` in `reduce_general` and `radial_step_holds`, at bound
+# N <= 68 = 2k - 4 for the CLI's largest k = 36, which meets at most
+# (N + 1)(N + 2)/2 = 2415 monomials, and the maps' way back to (x, y)
+# through `_xy_image`. Above degree 68 only a single `harmonic` read-off
+# (split or Almansi, up to degree 800) meets a monomial, once per call,
+# so its images, (d + 1)^2 big ints, are not cached.
 _CACHED_DEGREE = 68
 
 

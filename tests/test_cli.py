@@ -24,10 +24,15 @@ from harmgerm.equivalence import (
     reduce_germ,
     verify_biharmonic,
 )
-from harmgerm.graded import kernel_basis
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
+from harmgerm.rng import (
+    Xoshiro256StarStar,
+    biharmonic_perturbation,
+    derive_seed,
+    kernel_perturbations,
+    random_homogeneous,
+)
 
 from conftest import P, counted, read_digits, recorded_verdicts, rescaled, sum_of_reciprocals
 
@@ -131,6 +136,10 @@ class TestReduceCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_terms_below_the_leading_degree_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "reduce", "x^4 + x^5", "--k", "5")
+        assert code == 1 and err == "validation error: germ has terms of degree below k = 5\n"
+
     def test_rescaled_leading_form(self, capsys):
         # leading form 32*f_5 admits the exact rescaling x -> x/2
         germ = "32*x^5 - 320*x^3*y^2 + 160*x*y^4"
@@ -187,10 +196,7 @@ class TestReduceCommand:
         # the 4300 digits str() converts by default
         k = 12
         rng = Xoshiro256StarStar(derive_seed(1, 1, 0, 0))
-        rhos = {
-            s: random_in_span(rng, kernel_basis(k + s, power).basis)
-            for s, power in absorption_profile(k).exponents
-        }
+        rhos = kernel_perturbations(rng, absorption_profile(k))
         tail = random_homogeneous(rng, 2 * k - 3)
         rhos[1] = rhos[1] * 10**580
         payload = json.loads(reduce_germ(k, rhos, tail).to_json())
@@ -206,11 +212,7 @@ class TestReduceCommand:
         # up to 597 digits, the witness maps' run past the 4300 digits
         # str() converts by default
         k = 12
-        rng = Xoshiro256StarStar(derive_seed(1, 1, 0, 0))
-        R = Poly.zero()
-        for d in range(k + 1, 2 * k - 3):
-            R = R + random_in_span(rng, kernel_basis(d, 2).basis)
-        R = R * 10**590
+        R = biharmonic_perturbation(Xoshiro256StarStar(derive_seed(1, 1, 0, 0)), k) * 10**590
         code, out, _ = run_cli(capsys, "--format", form, "biharm", format_poly(R), "--k", str(k))
         assert code == 0
         assert max(len(numeral) for numeral in re.findall(r"\d+", out)) > 4300

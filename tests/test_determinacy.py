@@ -17,7 +17,14 @@ from harmgerm.determinacy import (
 from harmgerm.graded import translation_solution
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, linear_combination, monomial_basis
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_order_tail
+from harmgerm.rng import (
+    Xoshiro256StarStar,
+    degenerate_dense_germs,
+    dense_morse_germ,
+    derive_seed,
+    random_homogeneous,
+    random_order_tail,
+)
 
 from conftest import P, counted, from_sympy, rational_rref, to_sympy
 import sympy
@@ -28,7 +35,8 @@ GOLDEN_CERTIFICATES = "9a1ccde7e29337f5583e88ef914c5e109e7e18909a8ca117f502452f2
 GOLDEN_COMBINATIONS = "bf43771daf1e2e04176e74a9e6bd841cb26784e5d098cf3d0a4badd60daa8368"
 # sha256 over every certificate of `lazy_grid`, as the eagerly built products gave it
 GOLDEN_LAZY_GRID = "7425dd319a724ba7cf0f6cc2dd89d32198521c731e49d81c57ee8a6d982ae80b"
-# sha256 of the products and of the combinations of `dense_morse_germ(level)`
+# sha256 of the products and of the combinations of `rng.dense_morse_germ` at
+# `Xoshiro256StarStar(1)` and `level`
 GOLDEN_DENSE_MORSE = {
     12: (
         "62e421e10f02353b582b3db84a81aef3fd3aa708f0c88e6fa6affcdfa8d2aff2",
@@ -251,35 +259,10 @@ def combinations_digest() -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
-def dense_morse_germ(level):
-    """x^2 + 3xy + 2y^2 plus a seeded dense form in each degree 3..level: its
-    lower blocks are dependent, so its certificate takes the elimination
-    over every degree."""
-    rng = Xoshiro256StarStar(1)
-    germ = P("x^2 + 3*x*y + 2*y^2")
-    for d in range(3, level + 1):
-        germ = germ + random_homogeneous(rng, d)
-    return germ
-
-
-def degenerate_dense_germs(level):
-    """(G1, G2) = (x^2*(1 + D), x^3 + x*y^3 + x^2*D), truncated at `level`,
-    with D a seeded dense form in each degree 1..level-2. Every product of
-    G1 is a multiple of x, so y^level is uncovered; G2's top block is
-    dependent and leaves a monomial uncovered, and its lower products
-    cover the level."""
-    rng = Xoshiro256StarStar(1)
-    dense = Poly.zero()
-    for d in range(1, level - 1):
-        dense = dense + random_homogeneous(rng, d)
-    x2 = P("x^2")
-    return (x2 + x2 * dense).truncate(level), (P("x^3 + x*y^3") + x2 * dense).truncate(level)
-
-
 class TestCertificateGolden:
     @pytest.mark.parametrize("level", sorted(GOLDEN_DENSE_MORSE))
     def test_dense_morse_certificate_unchanged(self, level):
-        cert = check_determinacy(dense_morse_germ(level), level)
+        cert = check_determinacy(dense_morse_germ(Xoshiro256StarStar(1), level), level)
         assert cert.verdict
         products = json.dumps([format_poly(p) for p in cert.products])
         combinations = json.dumps([[str(c) for c in combo] for combo in cert.combinations])
@@ -450,7 +433,7 @@ class TestLazyProducts:
         assert len(list(cert.products.built())) == 1
 
     def test_uncovered_level_builds_every_block(self, monkeypatch):
-        germ, level = degenerate_dense_germs(24)[0], 24
+        germ, level = degenerate_dense_germs(Xoshiro256StarStar(1), 24)[0], 24
         shifts = counted(monkeypatch, Poly, "shifts")
         cert = check_determinacy(germ, level)
         assert not cert.verdict and cert.missing == Poly.monomial(0, 24)
@@ -538,7 +521,7 @@ def retyped(cert, rows, width=None):
 class TestCombinationRows:
     def test_reads_like_the_eager_tuple(self):
         cases = list(lazy_grid()) + DEGENERATE_CASES
-        cases += [(germ, 12, None) for germ in degenerate_dense_germs(12)]
+        cases += [(germ, 12, None) for germ in degenerate_dense_germs(Xoshiro256StarStar(1), 12)]
         verdicts = set()
         for germ, level, cap in cases:
             cert = check_determinacy(germ, level, max_multiplier_degree=cap)
@@ -857,7 +840,7 @@ class TestSingleElimination:
         cases = [case for case in certificate_grid() if case[0].order() <= case[1]]
         cases += [(certify_germ(k, k - 8), 2 * k - 3, None) for k in (8, 9, 10)]
         cases += DEGENERATE_CASES
-        cases += [(dense_morse_germ(level), level, None) for level in (8, 10, 12)]
+        cases += [(dense_morse_germ(Xoshiro256StarStar(1), level), level, None) for level in (8, 10, 12)]
         cases += [(harmonic_pair(8).f, 20, None)]
         # independent top blocks that miss x^12 and x^16: the rows decide
         cases += [(harmonic_pair(8).f, 12, None), (harmonic_pair(10).f, 16, None)]
@@ -885,7 +868,7 @@ class TestSingleElimination:
 
     @pytest.mark.parametrize(
         "germ, level",
-        [(dense_morse_germ(level), level) for level in (12, 16, 20)]
+        [(dense_morse_germ(Xoshiro256StarStar(1), level), level) for level in (12, 16, 20)]
         + DENSE_LOW_ORDER,
     )
     def test_dependent_spanning_top_block_is_the_certificate(self, monkeypatch, germ, level):
@@ -902,7 +885,10 @@ class TestSingleElimination:
     @pytest.mark.parametrize(
         "germ, level, cap",
         [(P("x^2*y^2"), level, None) for level in (4, 5, 6)]
-        + [(degenerate_dense_germs(12)[0], 12, None), (P("3*x^2 - 3*y^2 + 3*x^2*y - 2*y^3"), 3, 1)],
+        + [
+            (degenerate_dense_germs(Xoshiro256StarStar(1), 12)[0], 12, None),
+            (P("3*x^2 - 3*y^2 + 3*x^2*y - 2*y^3"), 3, 1),
+        ],
     )
     def test_uncovered_level_solves_once(self, monkeypatch, germ, level, cap):
         # the row echelon of all the products decides; only the top block is solved
@@ -911,7 +897,8 @@ class TestSingleElimination:
         assert not cert.verdict and len(solves) == 1
 
     @pytest.mark.parametrize(
-        "germ, level", [(P("(x + y)^3 + x^5"), 6), (degenerate_dense_germs(12)[1], 12)]
+        "germ, level",
+        [(P("(x + y)^3 + x^5"), 6), (degenerate_dense_germs(Xoshiro256StarStar(1), 12)[1], 12)],
     )
     def test_rows_that_cover_the_level_are_solved(self, monkeypatch, germ, level):
         # only the lower products cover the level, so the full solve writes the combinations

@@ -44,7 +44,14 @@ from harmgerm.jets import (
     radial_step_holds,
 )
 from harmgerm.polyring import R2, X, Y, InputError, Poly, laplacian_power, parse_poly
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
+from harmgerm.rng import (
+    Xoshiro256StarStar,
+    biharmonic_perturbation,
+    derive_seed,
+    kernel_perturbations,
+    random_homogeneous,
+    random_in_span,
+)
 from harmgerm.zcoords import _component, _in_kernel, _z_components
 
 from conftest import P, counted, recorded_verdicts, reference_membership, rescaled
@@ -77,6 +84,11 @@ class TestAbsorptionProfile:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             absorption_profile(4)
+
+    def test_offset_outside_the_profile(self):
+        with pytest.raises(KeyError) as err:
+            absorption_profile(8).exponent(9)
+        assert err.value.args == ("offset 9 outside 1..4",)
 
     @pytest.mark.parametrize("k", range(5, 61))
     def test_closed_form_matches_the_threshold_definition(self, k):
@@ -122,6 +134,11 @@ class TestNormalizeHarmonic:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize_harmonic(0, 0, 3)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(InputError) as err:
+            normalize_harmonic(1, 0, 0)
+        assert str(err.value) == "k must be at least 1"
 
     @pytest.mark.parametrize("k", (2, 3, 5, 8))
     def test_rescaling_identity_is_checked(self, k):
@@ -257,6 +274,16 @@ class TestRootAbsorb:
             root_absorb(7, R2 * harmonic_pair(5).f, 9)
         assert err.value.degree == 7
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(InputError) as err:
+            root_absorb(0, P("x"), 8)
+        assert str(err.value) == "k must be at least 1"
+
+    def test_degree_k_component_rejected(self):
+        with pytest.raises(MembershipError) as err:
+            root_absorb(5, harmonic_pair(5).f, 8)
+        assert str(err.value) == "degree-5 component would rescale the leading term"
+
     def test_zero_perturbation(self):
         chain = root_absorb(5, Poly.zero(), 6)
         assert chain.verified and chain.source == chain.target
@@ -306,6 +333,19 @@ class TestTranslationAbsorb:
         with pytest.raises(MembershipError):
             translation_absorb(5, 1, P("x^6"), 7)
 
+    @pytest.mark.parametrize(
+        "s, rho, bound, message",
+        [
+            (0, P("x^6"), 7, "offset s must be at least 1"),
+            (1, P("x^7"), 6, "bound 6 below verification level 7"),
+            (1, P("x^7 + x^8"), 7, "perturbation must be homogeneous of degree 7"),
+        ],
+    )
+    def test_arguments_rejected(self, s, rho, bound, message):
+        with pytest.raises(InputError) as err:
+            translation_absorb(6, s, rho, bound)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("k", range(5, 10))
     def test_solvability_on_kernel_bases(self, k):
         profile = absorption_profile(k)
@@ -336,6 +376,11 @@ class TestReduceGerm:
         chain = reduce_germ(5, {}, Poly.zero())
         assert chain.verified and not chain.maps
 
+    def test_inhomogeneous_perturbation_rejected(self):
+        with pytest.raises(InputError) as err:
+            reduce_germ(5, {1: P("x^6 + x^7")})
+        assert str(err.value) == "perturbation at offset 1 must be homogeneous of degree 6"
+
     def test_certificate_above_the_bound_fails(self):
         # a certificate of a higher level than the chain's bound does not cover it
         chain = reduce_germ(8, {})
@@ -359,12 +404,8 @@ class TestReduceGerm:
     @pytest.mark.parametrize("k", (5, 6, 7, 8))
     @pytest.mark.parametrize("i", range(20))
     def test_seeded_instances(self, k, i):
-        profile = absorption_profile(k)
         rng = Xoshiro256StarStar(derive_seed(777, k, i))
-        rhos = {
-            s: random_in_span(rng, kernel_basis(k + s, power).basis)
-            for s, power in profile.exponents
-        }
+        rhos = kernel_perturbations(rng, absorption_profile(k))
         tail = random_homogeneous(rng, 2 * k - 3) + random_homogeneous(rng, 2 * k - 2)
         chain = reduce_germ(k, rhos, tail)
         assert chain.verified
@@ -377,10 +418,7 @@ class TestReduceGerm:
 def every_offset_instance(k, i):
     """A random kernel perturbation at every offset and a degree-(2k-3) tail."""
     rng = Xoshiro256StarStar(derive_seed(999, k, i))
-    rhos = {
-        s: random_in_span(rng, kernel_basis(k + s, power).basis)
-        for s, power in absorption_profile(k).exponents
-    }
+    rhos = kernel_perturbations(rng, absorption_profile(k))
     return rhos, random_homogeneous(rng, 2 * k - 3)
 
 
@@ -643,9 +681,7 @@ class TestReduceGeneral:
         # construction's arithmetic
         k = 8
         rng = Xoshiro256StarStar(2016)
-        germ = harmonic_pair(k).f
-        for s, power in absorption_profile(k).exponents:
-            germ = germ + random_in_span(rng, kernel_basis(k + s, power).basis)
+        germ = harmonic_pair(k).f + sum(kernel_perturbations(rng, absorption_profile(k)).values(), Poly.zero())
         germ = rescaled(germ + random_homogeneous(rng, 2 * k - 3))
         original = harmgerm.equivalence._rotated
 
@@ -780,11 +816,7 @@ class TestBiharmonic:
     @pytest.mark.parametrize("k", (5, 6, 7))
     @pytest.mark.parametrize("i", range(10))
     def test_seeded_instances(self, k, i):
-        rng = Xoshiro256StarStar(derive_seed(888, k, i))
-        R = Poly.zero()
-        for d in range(k + 1, 2 * k - 3):
-            R = R + random_in_span(rng, kernel_basis(d, 2).basis)
-        chain = verify_biharmonic(k, R)
+        chain = verify_biharmonic(k, biharmonic_perturbation(Xoshiro256StarStar(derive_seed(888, k, i)), k))
         assert chain.verified
 
 

@@ -17,7 +17,7 @@ from harmgerm.harmonic import (
     harmonic_pair,
     harmonic_split,
 )
-from harmgerm.polyring import R2, Poly, laplacian, laplacian_power, monomial_basis
+from harmgerm.polyring import R2, InputError, Poly, laplacian, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
 from conftest import P, as_fractions, oracle_harmonic
@@ -108,6 +108,11 @@ class TestProductIdentity:
             assert report.first_ok, (s, k)
             assert report.corrected_second_ok, (s, k)
 
+    def test_offset_above_the_degree_rejected(self):
+        with pytest.raises(InputError) as err:
+            check_product_identity(4, 3)
+        assert str(err.value) == "need 1 <= s <= k"
+
 
 class TestHarmonicSplit:
     def test_pure_radial(self):
@@ -128,6 +133,11 @@ class TestHarmonicSplit:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
             harmonic_split(P("x^2 + x^3"))
+
+    def test_rejects_degree_one(self):
+        with pytest.raises(InputError) as err:
+            harmonic_split(P("x"))
+        assert str(err.value) == "harmonic split needs degree k >= 2"
 
     @given(st.integers(2, 15), st.data())
     @settings(max_examples=30, deadline=None)
@@ -165,6 +175,18 @@ class TestAlmansi:
         with pytest.raises(PolyharmonicError) as err:
             almansi_decompose(P("x^4"), 1)
         assert err.value.witness == P("12*x^2")
+
+    @pytest.mark.parametrize(
+        "u, s, message",
+        [
+            ("x^2", 0, "polyharmonic order must be at least 1"),
+            ("x^2 + x^3", 1, "input is not homogeneous: x^3 + x^2"),
+        ],
+    )
+    def test_arguments_rejected(self, u, s, message):
+        with pytest.raises(InputError) as err:
+            almansi_decompose(P(u), s)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("d", range(1, 13))
     @pytest.mark.parametrize("s", range(1, 6))

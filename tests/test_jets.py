@@ -31,8 +31,14 @@ from harmgerm.jets import (
     _radial_factor,
     _RadialImage,
 )
-from harmgerm.polyring import X, Y, Poly, format_poly, monomial_basis
-from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
+from harmgerm.polyring import X, Y, InputError, Poly, format_poly, monomial_basis
+from harmgerm.rng import (
+    Xoshiro256StarStar,
+    biharmonic_perturbation,
+    derive_seed,
+    kernel_perturbations,
+    random_homogeneous,
+)
 from harmgerm.zcoords import (
     _change_variables,
     _conjugate,
@@ -587,15 +593,9 @@ class TestTaylorRoute:
 
     def test_reduction_translations_take_the_taylor_route(self):
         from harmgerm.equivalence import absorption_profile, reduce_germ
-        from harmgerm.graded import kernel_basis
-        from harmgerm.rng import Xoshiro256StarStar, random_in_span
 
         k = 8
-        rng = Xoshiro256StarStar(5)
-        rhos = {
-            s: random_in_span(rng, kernel_basis(k + s, power).basis)
-            for s, power in absorption_profile(k).exponents
-        }
+        rhos = kernel_perturbations(Xoshiro256StarStar(5), absorption_profile(k))
         with route_counters() as counters:
             chain = reduce_germ(k, rhos)
         assert chain.verified and len(chain.maps) == 3
@@ -619,14 +619,10 @@ class TestRadialRouteBeyondTheBenchmark:
 
     def test_rotated_reduce(self):
         from harmgerm.equivalence import absorption_profile, reduce_general
-        from harmgerm.graded import kernel_basis
-        from harmgerm.rng import random_in_span
 
         k = self.K
         rng = Xoshiro256StarStar(2016)
-        germ = harmonic_pair(k).f
-        for s, power in absorption_profile(k).exponents:
-            germ = germ + random_in_span(rng, kernel_basis(k + s, power).basis)
+        germ = harmonic_pair(k).f + sum(kernel_perturbations(rng, absorption_profile(k)).values(), Poly.zero())
         germ = germ + random_homogeneous(rng, 2 * k - 3)
         # germ o (z -> (1 + i)z), composed exactly at its own degree
         rotated = jet_compose(jet_truncate(germ, 2 * k - 3), radial_map(P("1"), P("1"), 2 * k - 3)).poly
@@ -641,12 +637,9 @@ class TestRadialRouteBeyondTheBenchmark:
 
     def test_biharmonic(self):
         from harmgerm.equivalence import verify_biharmonic
-        from harmgerm.graded import kernel_basis
-        from harmgerm.rng import random_in_span
 
         k = self.K
-        rng = Xoshiro256StarStar(2016)
-        r = sum((random_in_span(rng, kernel_basis(d, 2).basis) for d in range(k + 1, 2 * k - 3)), Poly.zero())
+        r = biharmonic_perturbation(Xoshiro256StarStar(2016), k)
         with route_counters() as counters:
             chain = verify_biharmonic(k, r)
         # the translations are radial, as R's components are biharmonic, but
@@ -661,6 +654,11 @@ class TestMapCompose:
         phi = jet_map(P("x + x^2 - y^2"), P("y + 3*x*y"), 4)
         composed = jet_map_compose(phi, identity_map(4))
         assert composed == phi
+
+    def test_bound_mismatch(self):
+        with pytest.raises(BoundMismatchError) as err:
+            jet_map_compose(identity_map(3), identity_map(4))
+        assert str(err.value) == "map bounds differ: 3 vs 4"
 
     def test_shear_cancellation_at_low_bound(self):
         a = jet_map(P("x + x^2"), P("y"), 2)
@@ -772,6 +770,18 @@ class TestScaleMap:
     def test_zero_arguments_give_identity(self):
         phi = complex_scale_map(jet_truncate(Poly.zero(), 5), jet_truncate(Poly.zero(), 5), 4)
         assert phi == identity_map(5)
+
+    @pytest.mark.parametrize(
+        "u, error, message",
+        [
+            (Jet(P("x"), 4), BoundMismatchError, "jet bounds differ: 4 vs 3"),
+            (Jet(P("1 + x"), 3), InputError, "scale map arguments must have zero constant term"),
+        ],
+    )
+    def test_arguments_rejected(self, u, error, message):
+        with pytest.raises(error) as err:
+            complex_scale_map(u, Jet(P("y"), 3), 4)
+        assert str(err.value) == message
 
     def test_mixing_term(self):
         bound = 6

@@ -12,6 +12,7 @@ import harmgerm.polyring
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import (
     X,
+    InputError,
     Poly,
     PolyParseError,
     _decimal,
@@ -368,6 +369,11 @@ class TestArith:
     def test_scale(self):
         assert parse_poly("x + y") * Fraction(1, 2) == parse_poly("1/2*x + 1/2*y")
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(InputError) as err:
+            parse_poly("x + y") ** -1
+        assert str(err.value) == "exponent must be a non-negative integer"
+
 
 def reference_mul(p, q, cap=None):
     """Product of two Fraction term maps, term by term."""
@@ -571,6 +577,11 @@ class TestCalculus:
 
     def test_partial_of_constant(self):
         assert Poly.constant(7).diff("x") == Poly.zero()
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(InputError) as err:
+            parse_poly("x").diff("z")
+        assert str(err.value) == "unknown variable 'z'"
 
     def test_laplacian_x4(self):
         assert laplacian(parse_poly("x^4")) == parse_poly("12*x^2")
