@@ -53,7 +53,7 @@ from .polyring import (
     InputError,
     Poly,
     Scalar,
-    check_scalars,
+    _scalar,
     integer_combination,
     integer_coordinates,
     monomial_basis,
@@ -322,7 +322,9 @@ def _integer_rows(combinations: Sequence[Sequence[Scalar]], width: int) -> list[
     for coeffs in combinations:
         if len(coeffs) != width:
             return None
-        check_scalars(coeffs)
+        # one check per coefficient type, so an inexact zero raises too
+        for c in dict(zip(map(type, coeffs), coeffs)).values():
+            _scalar(c)
         nonzero = [(j, coeffs[j]) for j in compress(range(width), coeffs)]
         den = math.lcm(*(c.denominator for _, c in nonzero))
         rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero}, den))

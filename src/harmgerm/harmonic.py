@@ -24,7 +24,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyring import ONE, R2, InputError, Poly, laplacian_power, linear_combination
+from .polyring import ONE, R2, InputError, Poly, integer_combination, laplacian_power
 from .zcoords import _change_component, _component, _in_kernel, _join, _xy_image, _z_components
 
 
@@ -122,9 +122,7 @@ def _layer(c: tuple, j: int) -> Poly:
     if m == 0:
         return Poly.constant(Fraction(re[j], den))
     pair = harmonic_pair(m)
-    return linear_combination(
-        [(Fraction(2 * re[d - j], den), pair.f), (Fraction(-2 * im[d - j], den), pair.g)]
-    )
+    return integer_combination([(2 * re[d - j], pair.f), (-2 * im[d - j], pair.g)]) / den
 
 
 def harmonic_split(p: Poly) -> tuple[Poly, Poly]:

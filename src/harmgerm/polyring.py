@@ -22,7 +22,6 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -76,7 +75,10 @@ class Poly:
     `zcoords` reads `_num`/`_den`: it splits Polys into int component lists
     and wraps the lists it joins back with `_of`. Linear
     algebra gets them through `integer_coordinates`, which reads the
-    numerators as integer coordinates over `_den`.
+    numerators as integer coordinates over `_den`. A weighted sum of
+    Polys with int weights is `integer_combination`, one integer sum
+    over the lcm of their denominators; its callers are the parser's
+    sums, `harmonic._layer` and `determinacy.reverify_certificate`.
     """
 
     __slots__ = ("_num", "_den")
@@ -340,50 +342,19 @@ ONE = Poly.constant(1)
 R2 = Poly({(2, 0): 1, (0, 2): 1})
 
 
-def check_scalars(coeffs: Sequence[Scalar]) -> None:
-    """Raise TypeError unless every coefficient is an int or a Fraction.
-
-    One check per coefficient type, with no Python-level loop over the
-    coefficients; an inexact zero raises too. Its callers are
-    `linear_combination` and `determinacy.reverify_certificate`, which
-    checks a certificate's combinations this way when they come as
-    coefficient tuples instead of the solve's integer rows.
-    """
-    for c in dict(zip(map(type, coeffs), coeffs)).values():
-        _scalar(c)
-
-
-def linear_combination(pairs: Iterable[tuple[Scalar, Poly]]) -> Poly:
-    """sum(c*p) over the (c, p) of `pairs`, as one integer sum.
-
-    Every numerator goes over the lcm of the denominators c.denominator *
-    p._den, so the sum builds one Poly instead of one per term.
-    """
-    pairs = list(pairs)
-    coeffs = list(map(itemgetter(0), pairs))
-    # the zeros (most entries of a certificate's combination) are dropped
-    # after the type check, without a Python-level loop
-    check_scalars(coeffs)
-    pairs = list(compress(pairs, coeffs))
-    den = math.lcm(*(c.denominator * p._den for c, p in pairs))
-    return _scaled_sum(((c.numerator * (den // (c.denominator * p._den)), p) for c, p in pairs), den)
-
-
 def integer_combination(pairs: Iterable[tuple[int, Poly]]) -> Poly:
     """sum(n*p) over the (n, p) of `pairs`, each n an int, as one integer sum.
 
     Every numerator goes over the lcm of the denominators p._den, and no
-    Fraction is built: the check of a certificate's integer rows.
+    Fraction is built. The library's one weighted sum of Polys: its
+    callers are `_Parser.total` (signed terms, n = +-1), `harmonic._layer`
+    and `determinacy.reverify_certificate` (a certificate's integer rows).
     """
     pairs = list(pairs)
     den = math.lcm(*(p._den for _, p in pairs))
-    return _scaled_sum(((n * (den // p._den), p) for n, p in pairs), den)
-
-
-def _scaled_sum(scaled: Iterable[tuple[int, Poly]], den: int) -> Poly:
-    """The Poly sum(m * p._num) / den over the (m, p) of `scaled`."""
     total: dict[Exponents, int] = {}
-    for m, p in scaled:
+    for n, p in pairs:
+        m = n * (den // p._den)
         for key, v in p._num.items():
             total[key] = total.get(key, 0) + v * m
     return Poly._of({key: v for key, v in total.items() if v}, den)
@@ -670,7 +641,7 @@ class _Parser:
             cost = d * (base + d * count)  # D times the digits of the terms so far, rescaled
             self.charge(cost - charged, pos)
             charged = cost
-        return self.capped(linear_combination(terms), pos)
+        return self.capped(integer_combination(terms), pos)
 
     def capped(self, p: Poly, pos: int) -> Poly:
         """p, unless its largest numerator or denominator has more than MAX_GROUP_BITS bits."""

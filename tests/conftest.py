@@ -1,19 +1,23 @@
 """Shared helpers: sympy-based oracles independent of the library's
-arithmetic, the rational RREF, an elimination oracle for harmonic
-multiples, call counters, tampered radial scale maps and a tampered
-determinacy certificate."""
+arithmetic; the elimination references, a Gauss-Jordan on Fractions
+(`rational_rref`) and the canonical solve and membership read from it,
+which share no code with the integer kernel (`refuse_eliminations`
+makes any elimination of the library raise, and
+`tests/test_references.py` runs every reference under it); call
+counters, tampered radial scale maps and a tampered determinacy
+certificate."""
 
-import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import harmgerm._kernels
 import harmgerm.cli
 import harmgerm.equivalence
 from harmgerm import linalg
-from harmgerm._kernels import rref
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, monomial_basis, parse_poly
@@ -76,15 +80,50 @@ def sum_of_reciprocals(n: int) -> str:
 
 
 def rational_rref(rows):
-    """The rational RREF rows and pivots: each rational row is scaled to
-    integers for `rref`, and each integer row of `rref` is read over its
-    pivot entry."""
-    scaled = []
-    for row in rows:
-        den = math.lcm(*(Fraction(c).denominator for c in row))
-        scaled.append([int(c * den) for c in row])
-    rr, pivots = rref(scaled)
-    return tuple(tuple(Fraction(v, row[col]) for v in row) for row, col in zip(rr, pivots)), pivots
+    """(rows, pivots) of the rational RREF, by Gauss-Jordan on Fractions:
+    leading entries 1, zero rows dropped, no integer row and no kernel code."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        prow = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if prow is None:
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        pivot = mat[r][col]
+        mat[r] = [v / pivot if v else v for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def coordinate_rows(polys, basis):
+    """One row per basis exponent, one Fraction column per polynomial."""
+    return [tuple(p.coeff(a, b) for p in polys) for a, b in basis]
+
+
+def reference_solve(columns, targets, basis):
+    """(missing, combinations) as `linalg.solve_canonical` defines them, from
+    one `rational_rref` of [columns | targets]: the first target whose
+    column is a pivot, and each earlier target's RREF column read as a
+    Fraction tuple over the columns (free coefficients zero)."""
+    width = len(columns)
+    rr, pivots = rational_rref(coordinate_rows([*columns, *targets], basis))
+    missing = next((col - width for col in pivots if col >= width), None)
+    combinations = []
+    for t in range(width, width + (len(targets) if missing is None else missing)):
+        combo = [Fraction(0)] * width
+        for row, col in zip(rr, pivots):
+            if col < width:
+                combo[col] = row[t]
+            else:
+                # a row pivoting at a later target is 0 at this one
+                assert not row[t]
+        combinations.append(tuple(combo))
+    return missing, combinations
 
 
 def as_fractions(combination, width):
@@ -95,8 +134,8 @@ def as_fractions(combination, width):
 
 def reference_membership(target: Poly, k: int, s: int):
     """(u, v) with target == u*f_k + v*g_k, u and v homogeneous of degree s,
-    or None; one canonical elimination at every degree (free coefficients
-    zero), independent of the (z, zbar) read-off."""
+    or None; one `reference_solve` at every degree (free coefficients
+    zero), independent of the (z, zbar) read-off and of `linalg`."""
     if not target:
         return Poly.zero(), Poly.zero()
     if not target.is_homogeneous() or target.degree() != k + s or s < 0:
@@ -104,10 +143,10 @@ def reference_membership(target: Poly, k: int, s: int):
     pair = harmonic_pair(k)
     monos = monomial_basis(s)
     columns = [pair.f.shifted(a, b) for a, b in monos] + [pair.g.shifted(a, b) for a, b in monos]
-    missing, solutions = linalg.solve_canonical(columns, [target], monomial_basis(k + s))
+    missing, solutions = reference_solve(columns, [target], monomial_basis(k + s))
     if missing is not None:
         return None
-    solution = as_fractions(solutions[0], 2 * len(monos))
+    solution = solutions[0]
     n = len(monos)
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
@@ -122,6 +161,21 @@ def read_digits(text: str) -> int:
         chunk = text[i : i + 400]
         n = n * 10 ** len(chunk) + int(chunk)
     return n
+
+
+def refuse_eliminations(monkeypatch):
+    """Make every elimination from here on raise: each binding, in any
+    loaded module, of the `rref` kernel and of `linalg`'s `rref`,
+    `solve_canonical` and `nullspace`."""
+    eliminations = (harmgerm._kernels.rref, linalg.rref, linalg.solve_canonical, linalg.nullspace)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination called")
+
+    for module in list(sys.modules.values()):
+        for name, value in list(getattr(module, "__dict__", {}).items()):
+            if any(value is f for f in eliminations):
+                monkeypatch.setattr(module, name, refuse)
 
 
 def counted(monkeypatch, owner, name):

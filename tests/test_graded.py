@@ -19,7 +19,7 @@ from harmgerm.harmonic import harmonic_basis, harmonic_pair
 from harmgerm.polyring import R2, Poly, format_poly, laplacian, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import P, as_fractions, counted, reference_membership
+from conftest import P, as_fractions, counted, rational_rref, reference_membership, reference_solve
 
 
 class TestKernelBasis:
@@ -80,28 +80,11 @@ def reference_kernel_basis(k, s):
     return GradedSubspace.from_polys(k, [Poly(zip(monomial_basis(k), v)) for v in vectors])
 
 
-def gauss_jordan(rows):
-    """RREF over Fractions, leading entries 1, zero rows dropped: (rows, pivots)."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        lead = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if lead is None:
-            continue
-        rows[r], rows[lead] = rows[lead], rows[r]
-        rows[r] = [c / rows[r][col] for c in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
 def fraction_kernel_basis(k, s):
-    """The kernel's RREF basis from two Fraction Gauss-Jordan eliminations,
-    independent of `rref`: the nullspace of the matrix of the s-fold
-    Laplacians (by repeated `laplacian`), then the RREF of that nullspace."""
+    """The kernel's RREF basis from two Fraction eliminations by
+    `rational_rref`, independent of `rref`: the nullspace of the matrix
+    of the s-fold Laplacians (by repeated `laplacian`), then the RREF of
+    that nullspace."""
     monos = monomial_basis(k)
     images = []
     for a, b in monos:
@@ -110,7 +93,7 @@ def fraction_kernel_basis(k, s):
             image = laplacian(image)
         images.append(image)
     matrix = [[image.coeff(*row) for image in images] for row in monomial_basis(k - 2 * s)]
-    rr, pivots = gauss_jordan(matrix)
+    rr, pivots = rational_rref(matrix)
     kernel = []
     for free in (j for j in range(len(monos)) if j not in pivots):
         v = [Fraction(0)] * len(monos)
@@ -118,7 +101,7 @@ def fraction_kernel_basis(k, s):
         for row, col in zip(rr, pivots):
             v[col] = -row[free]
         kernel.append(v)
-    return GradedSubspace(k, tuple(Poly(zip(monos, row)) for row in gauss_jordan(kernel)[0]))
+    return GradedSubspace(k, tuple(Poly(zip(monos, row)) for row in rational_rref(kernel)[0]))
 
 
 class TestKernelBasisOneElimination:
@@ -208,12 +191,12 @@ class TestSubspaceCompare:
 
 
 def reference_compare(a, b):
-    """The relation by two solves, each basis against the other."""
+    """The relation by two Fraction solves, each basis against the other."""
     if a.basis == b.basis:
         return "equal"
     basis = monomial_basis(a.degree)
-    a_in_b = linalg.solve_canonical(b.basis, a.basis, basis)[0] is None
-    b_in_a = linalg.solve_canonical(a.basis, b.basis, basis)[0] is None
+    a_in_b = reference_solve(b.basis, a.basis, basis)[0] is None
+    b_in_a = reference_solve(a.basis, b.basis, basis)[0] is None
     return {
         (True, True): "equal",
         (True, False): "a_in_b",

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import harmgerm._kernels
-from harmgerm import linalg
 from harmgerm.graded import kernel_basis
 from harmgerm.harmonic import (
     PolyharmonicError,
@@ -20,7 +18,7 @@ from harmgerm.harmonic import (
 from harmgerm.polyring import R2, InputError, Poly, laplacian, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous, random_in_span
 
-from conftest import P, as_fractions, oracle_harmonic
+from conftest import P, oracle_harmonic, reference_solve, refuse_eliminations
 
 
 class TestHarmonicPair:
@@ -199,7 +197,8 @@ class TestAlmansi:
 
 
 # The decompositions as the library solved them before the (z, zbar)
-# read-off: one canonical solve over P_d each, kept as references.
+# read-off: one canonical solve over P_d each, by `reference_solve` on
+# Fractions, kept as references.
 
 
 def reference_split(p):
@@ -207,9 +206,9 @@ def reference_split(p):
     pair = harmonic_pair(k)
     radial_monos = monomial_basis(k - 2)
     columns = [pair.f, pair.g] + [R2.shifted(a, b) for a, b in radial_monos]
-    missing, solutions = linalg.solve_canonical(columns, [p], monomial_basis(k))
+    missing, solutions = reference_solve(columns, [p], monomial_basis(k))
     assert missing is None
-    solution = as_fractions(solutions[0], len(columns))
+    solution = solutions[0]
     h = pair.f * solution[0] + pair.g * solution[1]
     q = Poly({exps: c for exps, c in zip(radial_monos, solution[2:]) if c})
     return h, q
@@ -230,10 +229,10 @@ def reference_almansi(u, s):
         for h in harmonic_basis(d - 2 * j):
             layout.append((j, h))
             columns.append(R2**j * h)
-    missing, solutions = linalg.solve_canonical(columns, [u], monomial_basis(d))
+    missing, solutions = reference_solve(columns, [u], monomial_basis(d))
     assert missing is None
     layers = [Poly.zero()] * s
-    for (j, h), c in zip(layout, as_fractions(solutions[0], len(columns))):
+    for (j, h), c in zip(layout, solutions[0]):
         if c:
             layers[j] = layers[j] + h * c
     return tuple(layers)
@@ -258,16 +257,6 @@ def seeded_cases(top):
             cases.append((random_in_span(rng, kernel_basis(d, s).basis) / den, s))
             cases.append((random_homogeneous(rng, d) / den, s))
     return cases
-
-
-def refuse_eliminations(monkeypatch):
-    """Make every elimination from here on raise."""
-
-    def refuse(rows):
-        raise AssertionError("rref called")
-
-    monkeypatch.setattr(harmgerm._kernels, "rref", refuse)
-    monkeypatch.setattr(linalg, "rref", refuse)
 
 
 class TestReadOffMatchesSolve:

@@ -1,6 +1,7 @@
-"""The one solve on integer coordinates against the Fraction-coordinate
-algorithms it replaced, kept here as references; the integer results are
-read as Fractions to compare them."""
+"""The one solve on integer coordinates against the Fraction references of
+`conftest`, which eliminate by Gauss-Jordan on Fractions and share no
+code with the integer kernel; the integer results are read as Fractions
+to compare them."""
 
 from fractions import Fraction
 
@@ -11,30 +12,10 @@ from hypothesis import strategies as st
 from harmgerm import linalg
 from harmgerm.polyring import Poly, monomial_basis
 
-from conftest import P, as_fractions, rational_rref
+from conftest import P, as_fractions, coordinate_rows, rational_rref, reference_solve
 
 POOL = [exps for d in range(4) for exps in monomial_basis(d)]
 DENOMINATORS = (1, 3, 7, 9)
-
-
-def coordinate_rows(polys, basis):
-    """One row per basis exponent, one Fraction column per polynomial."""
-    return [tuple(p.coeff(a, b) for p in polys) for a, b in basis]
-
-
-def reference_solve(columns, targets, basis):
-    """(missing, combinations) from one RREF of Fraction coordinates."""
-    rr, pivots = rational_rref(coordinate_rows(list(columns) + list(targets), basis))
-    width = len(columns)
-    missing = next((col - width for col in pivots if col >= width), None)
-    combinations = []
-    for j in range(len(targets) if missing is None else missing):
-        combo = [Fraction(0)] * width
-        for row, col in zip(rr, pivots):
-            if row[width + j]:
-                combo[col] = row[width + j]
-        combinations.append(tuple(combo))
-    return missing, combinations
 
 
 def reference_nullspace(columns, basis):
@@ -98,6 +79,9 @@ def test_solve_matches_fraction_reference(system):
         assert type(den) is int and den > 0
         assert all(type(n) is int and n for n in numerators.values())
     combinations = [as_fractions(combination, len(columns)) for combination in solved]
+    # the missing target and the canonical combinations, against a
+    # Gauss-Jordan on Fractions, which also asserts that a row pivoting
+    # at a later target is 0 at each solved one
     assert (missing, combinations) == reference_solve(columns, targets, basis)
     for combo, target in zip(combinations, targets):
         assert combine(combo, columns) == target
@@ -114,49 +98,6 @@ def test_nullspace_matches_fraction_reference(system):
         assert numerators[free] == den and all(type(n) is int and n for n in numerators.values())
     for v in vectors:
         assert not combine(v, columns)
-
-
-def fraction_gauss_jordan(rows):
-    """(rows, pivots) of the rational RREF, by Gauss-Jordan on Fractions:
-    no integer row and no kernel code."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        r = len(pivots)
-        prow = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if prow is None:
-            continue
-        mat[r], mat[prow] = mat[prow], mat[r]
-        mat[r] = [v / mat[r][col] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
-
-
-@settings(max_examples=300, deadline=None)
-@given(systems())
-def test_solve_matches_fraction_gauss_jordan(system):
-    # the missing target and the canonical combinations, against an
-    # elimination that shares no code with the integer kernel
-    columns, targets, basis = system
-    missing, solved = linalg.solve_canonical(columns, targets, basis)
-    width = len(columns)
-    rr, pivots = fraction_gauss_jordan(coordinate_rows([*columns, *targets], basis))
-    assert missing == next((col - width for col in pivots if col >= width), None)
-    expected = []
-    for t in range(width, width + (len(targets) if missing is None else missing)):
-        combo = [Fraction(0)] * width
-        for row, col in zip(rr, pivots):
-            if col < width:
-                combo[col] = row[t]
-            else:
-                # a row pivoting at a later target is 0 at this one
-                assert not row[t]
-        expected.append(tuple(combo))
-    assert [as_fractions(combination, width) for combination in solved] == expected
 
 
 def test_rescales_by_the_pivot_and_target_denominators():

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,6 @@ from harmgerm.polyring import (
     integer_combination,
     laplacian,
     laplacian_power,
-    linear_combination,
     monomial_basis,
     parse_poly,
 )
@@ -335,7 +333,7 @@ class TestParse:
         # 1 to lcm/N_i, of about 66(n - 1) 30-bit digits, against an lcm of
         # about 66n, so it costs about 4356 n^3 units: past the budget at
         # n = 40, where it is refused before it runs, and not at n = 39
-        sums = counted(monkeypatch, harmgerm.polyring, "linear_combination")
+        sums = counted(monkeypatch, harmgerm.polyring, "integer_combination")
         with pytest.raises(PolyParseError, match="work budget of 268435456 exceeded") as err:
             parse_poly(sum_of_reciprocals(40))
         assert (len(sums), err.value.position) == (0, 0)
@@ -414,11 +412,6 @@ class TestRepresentation:
             assert len(products) == (len(expected) if any(any(e.values()) for e in expected) else 0)
             for product, terms in zip(products, expected):
                 assert_canonical(product, terms)
-        third = Fraction(-1, 3)
-        assert_canonical(
-            linear_combination([(c, pp), (third, qq), (0, pp)]),
-            {k: c * p.get(k, 0) + third * q.get(k, 0) for k in keys},
-        )
         assert_canonical(
             integer_combination([(-3, pp), (7, qq), (0, pp)]),
             {k: -3 * p.get(k, 0) + 7 * q.get(k, 0) for k in keys},
@@ -482,8 +475,6 @@ class TestRepresentation:
         assert after.hits + after.misses - before.hits - before.misses <= 2
 
     def test_empty_linear_combination_is_zero(self):
-        assert linear_combination([]) == Poly.zero()
-        assert linear_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
         assert integer_combination([]) == Poly.zero()
         assert integer_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
 
@@ -506,9 +497,6 @@ class TestExactInputsOnly:
             lambda: X / "2",
             lambda: X.shifted(1.0, 0),
             lambda: X.shifted(0, 2.0, 3),
-            lambda: linear_combination([(0.5, X)]),
-            lambda: linear_combination([(0.0, X)]),
-            lambda: linear_combination([(Decimal(0), X)]),
         ],
     )
     def test_inexact_input_is_a_type_error(self, build):
