@@ -78,13 +78,22 @@ def test_solve_matches_fraction_reference(system):
     for numerators, den in solved:
         assert type(den) is int and den > 0
         assert all(type(n) is int and n for n in numerators.values())
-    combinations = [as_fractions(combination, len(columns)) for combination in solved]
+    assert len(solved) == (len(targets) if missing is None else missing)
+    # each integer combination, read as Fractions, rebuilds its target
+    for combination, target in zip(solved, targets):
+        assert combine(as_fractions(combination, len(columns)), columns) == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_matches_fraction_gauss_jordan(system):
     # the missing target and the canonical combinations, against a
     # Gauss-Jordan on Fractions, which also asserts that a row pivoting
     # at a later target is 0 at each solved one
+    columns, targets, basis = system
+    missing, solved = linalg.solve_canonical(columns, targets, basis)
+    combinations = [as_fractions(combination, len(columns)) for combination in solved]
     assert (missing, combinations) == reference_solve(columns, targets, basis)
-    for combo, target in zip(combinations, targets):
-        assert combine(combo, columns) == target
 
 
 @settings(max_examples=300, deadline=None)
