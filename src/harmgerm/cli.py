@@ -31,12 +31,10 @@ from .selftest import format_report, run_selftest
 
 # Accepted range (low, high) of each range-checked option, per command;
 # high None means no upper limit. The upper limits and the input degree
-# caps below are the work budget: the largest accepted input takes about a
-# minute on a 2-core Xeon, `determinacy` at level 24 about 8.3-9.0 s (a
-# dense germ of order 3 whose top block leaves a monomial uncovered that
-# only its lower products cover).
-# main() checks them before running the command; a value out of range is a
-# usage error.
+# caps below are the work budget: `python tools/limits.py` runs every
+# command at them, cold, and fails any run past its budget of a minute or
+# two. main() checks them before running the command; a value out of range
+# is a usage error.
 RANGES = {
     "harmonic": {"k": (1, 14000)},
     "kernel": {"k": (0, 450), "s": (0, None)},

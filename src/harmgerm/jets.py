@@ -305,7 +305,8 @@ def _radial_factor(phi: JetMap) -> list[tuple] | None:
 
 class _RadialImage:
     """The components of W = w o (z -> z*rho), for w and rho given by their
-    (z, zbar) components; rho's list may grow while W is read.
+    (z, zbar) components, rho's constant term 1; rho's list may grow while
+    W is read.
 
     With w = sum C_ij z^i zbar^j, the degree-d part of W is
 
@@ -314,8 +315,8 @@ class _RadialImage:
     The terms with one j share the row B_j = sum_i C_ij z^i rho^i, so
     W_d = sum_j sum_b conj(rho^j)_b (zbar^j B_j)_(d-b): one convolution.
     W_d reads rho's components up to d - ord w only. Each component of a
-    power of rho, of its conjugate and of a row is computed once, when
-    first read.
+    power of rho (by Miller's recurrence, `_power_component`), of its
+    conjugate and of a row is computed once, when first read.
     """
 
     def __init__(self, w: list[tuple], rho: list[tuple]):
@@ -338,11 +339,9 @@ class _RadialImage:
             return self.rho[a]
         if n == 0:
             return _ONE if a == 0 else _zero(a)
-        parts = self.powers.setdefault(n, [])
+        parts = self.powers.setdefault(n, [_ONE])
         while len(parts) <= a:
-            e = len(parts)
-            terms = [(1, self.rho[t], self.power(n - 1, e - t)) for t in range(e + 1)]
-            parts.append(_convolve(terms, e))
+            parts.append(_power_component(self.rho, parts, Fraction(n)))
         return parts[a]
 
     def conjugate(self, n: int, b: int) -> tuple:

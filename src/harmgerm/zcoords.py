@@ -155,15 +155,16 @@ def _binomial_product(a: int, b: int) -> list[int]:
 # of e times z^m zbar^(n-m), or x^m y^(n-m), with e an int and times i where
 # `imaginary`. `jet_compose` changes no variables. The tables serve
 # `_z_components` in `reduce_general` and `radial_step_holds`, at bound
-# N <= 68 = 2k - 4 for the CLI's largest k = 36, which meets at most
-# (N + 1)(N + 2)/2 = 2415 monomials, and the maps' way back to (x, y)
-# through `_xy_image`. Above degree 68 only a single `harmonic` read-off
-# (split or Almansi, up to degree 800) meets a monomial, once per call,
-# so its images, (d + 1)^2 big ints, are not cached.
+# N <= 68 = 2k - 4 for the CLI's largest k = 36, and the maps' way back to
+# (x, y) through `_xy_image`. Above degree 68 only a single `harmonic`
+# read-off (split or Almansi, up to degree 800) meets a monomial, once per
+# call, so its images, (d + 1)^2 big ints, are not cached. That cut is
+# what bounds the tables: each holds at most the (68 + 1)(68 + 2)/2 = 2415
+# monomials of degree <= 68.
 _CACHED_DEGREE = 68
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _z_image(a: int, b: int) -> tuple:
     """x^a*y^b in (z, zbar): x = (z + zbar)/2 and y = (z - zbar)/(2i) give
     i^b/2^n * sum_m e_m z^m zbar^(n-m), with e from (1 + t)^a (1 - t)^b."""
@@ -172,7 +173,7 @@ def _z_image(a: int, b: int) -> tuple:
     return a + b, terms
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _xy_image(i: int, j: int) -> tuple:
     """z^i*zbar^j = (x + iy)^i (x - iy)^j in (x, y): sum_q i^q e_q x^(n-q) y^q,
     with e from (1 + t)^i (1 - t)^j."""

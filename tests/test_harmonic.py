@@ -1,4 +1,6 @@
+import functools
 import inspect
+import math
 import sys
 from fractions import Fraction
 
@@ -214,27 +216,43 @@ def reference_split(p):
     return h, q
 
 
+@functools.cache
+def layer_coordinates(d):
+    """(layout, rows, den) for the full layer basis of P_d, every R2^j*h
+    with h in `harmonic_basis(d - 2j)` and j <= d/2, from one
+    `reference_solve` against every monomial of degree d: rows[i][col]/den
+    is the coefficient of the col-th (j, h) of layout in the i-th monomial
+    of `monomial_basis(d)`. The rows are ints, so a case costs no Fraction
+    product."""
+    layout = [(j, h) for j in range(d // 2 + 1) for h in harmonic_basis(d - 2 * j)]
+    basis = monomial_basis(d)
+    missing, combinations = reference_solve([R2**j * h for j, h in layout], [Poly.monomial(a, b) for a, b in basis], basis)
+    assert missing is None
+    den = math.lcm(*(c.denominator for combination in combinations for c in combination))
+    return layout, [[int(c * den) for c in combination] for combination in combinations], den
+
+
 def reference_almansi(u, s):
-    """The layers, or the PolyharmonicError message and witness."""
+    """The layers, or the PolyharmonicError message and witness.
+
+    The layer columns of order s are a prefix of the full basis, and the
+    layers are independent, so u's coordinates in the full basis are the
+    order-s solve's, with every layer from s on zero."""
     if not u:
         return (Poly.zero(),) * s
     residual = laplacian_power(u, s)
     if residual:
         return f"input is not polyharmonic of order {s}: Laplacian^{s} = {residual}", residual
-    d = u.degree()
-    columns, layout = [], []
-    for j in range(s):
-        if d - 2 * j < 0:
-            break
-        for h in harmonic_basis(d - 2 * j):
-            layout.append((j, h))
-            columns.append(R2**j * h)
-    missing, solutions = reference_solve(columns, [u], monomial_basis(d))
-    assert missing is None
+    layout, rows, den = layer_coordinates(u.degree())
+    index = {exps: i for i, exps in enumerate(monomial_basis(u.degree()))}
+    u_den = math.lcm(*(c.denominator for _, c in u.terms()))
+    terms = [(int(c * u_den), rows[index[exps]]) for exps, c in u.terms()]
     layers = [Poly.zero()] * s
-    for (j, h), c in zip(layout, solutions[0]):
-        if c:
-            layers[j] = layers[j] + h * c
+    for col, (j, h) in enumerate(layout):
+        coefficient = Fraction(sum(n * row[col] for n, row in terms), den * u_den)
+        if coefficient:
+            assert j < s
+            layers[j] = layers[j] + h * coefficient
     return tuple(layers)
 
 
