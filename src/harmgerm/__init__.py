@@ -27,8 +27,6 @@ from .equivalence import (
     normalize_harmonic,
     reduce_general,
     reduce_germ,
-    root_absorb,
-    translation_absorb,
     verify_biharmonic,
 )
 from .graded import (
@@ -50,7 +48,6 @@ from .jets import (
     Jet,
     JetMap,
     complex_scale_map,
-    inverse_scale_map,
     jet_compose,
     jet_map,
     jet_map_compose,
@@ -88,7 +85,6 @@ __all__ = [
     "format_poly",
     "harmonic_pair",
     "harmonic_split",
-    "inverse_scale_map",
     "jacobian_generators",
     "jet_compose",
     "jet_map",
@@ -104,10 +100,8 @@ __all__ = [
     "reduce_general",
     "reduce_germ",
     "reverify_certificate",
-    "root_absorb",
     "run_selftest",
     "solve_membership",
     "subspace_compare",
-    "translation_absorb",
     "verify_biharmonic",
 ]

@@ -45,15 +45,12 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .determinacy import DeterminacyReport, determined_bound_report
-from .graded import solve_membership, translation_solution
 from .harmonic import harmonic_pair
 from .jets import (
     Jet,
     JetMap,
     _inverse_scale_root,
     _scale_map_from_root,
-    complex_scale_map,
-    identity_map,
     jet_compose,
     jet_map,
     jet_truncate,
@@ -326,83 +323,6 @@ def normalize_harmonic(a: Fraction | int, b: Fraction | int, k: int) -> WitnessC
         phi = _scale_map_from_root(Poly.constant(root[0]), Poly.constant(root[1]), k)
         return _verified_chain(pair.f, target, [phi], k)
     return RescalingWitness(k, a, b, _rescaled_generator(a, b, k) == target)
-
-
-# -- absorption steps ---------------------------------------------------------
-
-
-def _scale_solution(rho: Poly, k: int) -> tuple[Poly, Poly]:
-    """Write rho (components above degree k) as u*f_k + v*g_k, or raise.
-
-    `solve_membership` solves each component."""
-    u, v = Poly.zero(), Poly.zero()
-    for degree, component in rho.components().items():
-        solved = solve_membership(component, k, degree - k)
-        if solved is None:
-            raise MembershipError(
-                f"degree-{degree} component is not a harmonic multiple of degree {k}: "
-                f"{component}",
-                degree,
-            )
-        if degree == k:
-            raise MembershipError(
-                f"degree-{degree} component would rescale the leading term", degree
-            )
-        u = u + solved[0]
-        v = v + solved[1]
-    return u, v
-
-
-def root_absorb(k: int, rho: Poly, bound: int) -> WitnessChain:
-    """Witness f_k o phi == f_k + rho (mod bound) with one radial scale map.
-
-    Every homogeneous component of rho at degree k+s must lie in the
-    span of degree-s multiples of f_k and g_k; violations raise
-    MembershipError naming the offending degree. A bound below the order
-    of a nonzero rho would check none of it, and raises InputError.
-    """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    pair = harmonic_pair(k)
-    if not rho:
-        return _verified_chain(pair.f, pair.f, [identity_map(bound)], bound)
-    if rho.order() > bound:
-        raise InputError(f"bound {bound} below the order {rho.order()} of rho")
-    u, v = _scale_solution(rho, k)
-    phi = complex_scale_map(Jet(u.truncate(bound), bound), Jet(v.truncate(bound), bound), k)
-    return _verified_chain(pair.f, pair.f + rho, [phi], bound)
-
-
-def translation_absorb(k: int, s: int, rho: Poly, bound: int) -> WitnessChain:
-    """Witness f_k o phi == f_k + rho modulo m^(k+s+1) by a translation.
-
-    rho must be homogeneous of degree k+s with vanishing (s+2)-fold
-    Laplacian, equivalently a combination of degree-(s+1) multiples of
-    f_(k-1) and g_(k-1); phi is (x, y) -> (x + u, y + v) with u, v
-    homogeneous of degree s+1.
-    """
-    if s < 1:
-        raise InputError("offset s must be at least 1")
-    if bound < k + s:
-        raise InputError(f"bound {bound} below verification level {k + s}")
-    pair = harmonic_pair(k)
-    if not rho:
-        return _verified_chain(pair.f, pair.f, [identity_map(bound)], k + s)
-    if not rho.is_homogeneous() or rho.degree() != k + s:
-        raise InputError(f"perturbation must be homogeneous of degree {k + s}")
-    if laplacian_power(rho, s + 2):
-        raise MembershipError(
-            f"degree-{k + s} perturbation has nonzero {s + 2}-fold Laplacian", k + s
-        )
-    solved = translation_solution(rho, k)
-    if solved is None:
-        raise MembershipError(
-            f"degree-{k + s} perturbation is not a degree-{s + 1} multiple of the "
-            f"degree-{k - 1} harmonics",
-            k + s,
-        )
-    u, v = solved
-    return _verified_chain(pair.f, pair.f + rho, [jet_map(X + u, Y + v, bound)], k + s)
 
 
 # -- the full reduction -------------------------------------------------------

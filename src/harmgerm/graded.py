@@ -147,16 +147,3 @@ def solve_membership(target: Poly, k: int, s: int) -> tuple[Poly, Poly] | None:
     u = {monos[j]: c for j, c in numerators.items() if j < n}
     v = {monos[j - n]: c for j, c in numerators.items() if j >= n}
     return Poly._of(u, den), Poly._of(v, den)
-
-
-def translation_solution(target: Poly, k: int) -> tuple[Poly, Poly] | None:
-    """(u, v) with k*(u*f_(k-1) - v*g_(k-1)) == target, or None.
-
-    Since df_k/dx = k*f_(k-1) and df_k/dy = -k*g_(k-1), this is the
-    first-order change of f_k under the translation (x, y) -> (x + u, y + v).
-    u and v are homogeneous of degree deg(target) - (k-1); None when the
-    target lies outside the span of those multiples of f_(k-1), g_(k-1).
-    `solve_membership` finds the pair.
-    """
-    solved = solve_membership(target, k - 1, target.degree() - (k - 1))
-    return None if solved is None else (solved[0] / k, -(solved[1] / k))

@@ -385,7 +385,7 @@ def radial_step_holds(h: Jet, phi: JetMap, target: Poly, level: int) -> bool | N
     Re(z^k E) = 0 only if E = 0 (its two halves share no monomial). So
     h o phi == target up to `level` exactly when, rho^k being a unit,
     1 + W == (1 + w') rho^(-k) up to degree level - k; for target f_k,
-    w' = 0, that is the defining identity of `inverse_scale_map`'s rho. W
+    w' = 0, that is the defining identity of `_inverse_scale_root`'s rho. W
     is composed in (z, zbar) coordinates up to degree level - k, where the
     composition of h would run to `level`, and the two sides are compared
     component by component.
@@ -418,15 +418,6 @@ def _scale_map_from_root(re: Poly, im: Poly, bound: int) -> JetMap:
     return jet_map(px, py, bound)
 
 
-def _check_scale_arguments(u: Jet, v: Jet, k: int) -> None:
-    if u.bound != v.bound:
-        raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
-    if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
-        raise InputError("scale map arguments must have zero constant term")
-    if k < 1:
-        raise InputError("root index must be at least 1")
-
-
 def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     """The map z -> z * (1 + u - iv)^(1/k) as a real JetMap.
 
@@ -438,34 +429,25 @@ def complex_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
     since (z*rho)^k = z^k * (1 + u - iv) up to truncation. rho is built
     degree by degree with the graded power recurrence (`_power_component`).
     """
-    _check_scale_arguments(u, v, k)
+    if u.bound != v.bound:
+        raise BoundMismatchError(f"jet bounds differ: {u.bound} vs {v.bound}")
+    if u.poly.coeff(0, 0) or v.poly.coeff(0, 0):
+        raise InputError("scale map arguments must have zero constant term")
+    if k < 1:
+        raise InputError("root index must be at least 1")
     bound = u.bound
     rho = _graded_power(_split(u.poly, -v.poly, bound), Fraction(1, k), bound)
     return _scale_map_from_root(*_join(rho), bound)
 
 
-def inverse_scale_map(u: Jet, v: Jet, k: int) -> JetMap:
-    """A map phi = z*rho with ((1 + u - iv) o phi) * rho^k == 1 modulo the bound.
-
-    Composing f_k + u*f_k + v*g_k with phi recovers f_k modulo the
-    bound, undoing the effect of complex_scale_map at jet level without
-    any leftover higher-order terms. rho is the unique solution of
-    rho = (1 + W)^(-1/k) with constant term 1, where W = w o phi and
-    w = u - iv, solved online (`_inverse_scale_root`).
-    """
-    _check_scale_arguments(u, v, k)
-    bound = u.bound
-    inner = bound - k
-    if inner < 0:
-        return identity_map(bound)
-    return _inverse_scale_root(_change_variables(_split(u.poly, -v.poly, inner), _z_image), k, bound)
-
-
 def _inverse_scale_root(w: list[tuple], k: int, bound: int) -> JetMap:
-    """The online solve of `inverse_scale_map` for w's (z, zbar) components,
-    w[0] = 0: W_d reads only rho's degrees below d (`_RadialImage`). A germ
-    of order k sees the map only up to degree bound - k + 1, so rho stops at
-    bound - k."""
+    """The map phi = z*rho with ((1 + w) o phi) * rho^k == 1 modulo the
+    bound, for w's (z, zbar) components, w[0] = 0. So composing
+    f_k + u*f_k + v*g_k with phi, for w = u - iv, recovers f_k modulo the
+    bound, undoing `complex_scale_map`. rho = (1 + W)^(-1/k) with W = w o phi
+    is solved online: W_d reads only rho's degrees below d (`_RadialImage`).
+    A germ of order k sees the map only up to degree bound - k + 1, so rho
+    stops at bound - k."""
     rho = [_ONE]
     image = _RadialImage(w, rho)
     composed = [w[0]]

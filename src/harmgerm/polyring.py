@@ -460,12 +460,11 @@ def format_poly(p: Poly) -> str:
             body = mono
         else:
             body = f"{format_scalar(mag)}*{mono}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    # one join: a string grown by += is quadratic under any profile hook
+    first = pieces[0]
+    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+    return " ".join(pieces)
 
 
 # ASCII only: a Unicode digit or space is a parse error, never read as 0-9 or a blank

@@ -5,7 +5,9 @@ which share no code with the integer kernel (`refuse_eliminations`
 makes any elimination of the library raise, and
 `tests/test_references.py` runs every reference under it); call
 counters, tampered radial scale maps and a tampered determinacy
-certificate."""
+certificate; the top-block translations (`translation_solution`), read
+through `graded.solve_membership`, and the reduction's scale map from
+(u, v) (`inverse_scale_map`)."""
 
 import random
 import sys
@@ -18,9 +20,11 @@ import harmgerm._kernels
 import harmgerm.cli
 import harmgerm.equivalence
 from harmgerm import linalg
+from harmgerm.graded import solve_membership
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.jets import jet_compose, jet_map, jet_truncate
+from harmgerm.jets import _inverse_scale_root, jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, monomial_basis, parse_poly
+from harmgerm.zcoords import _change_variables, _split, _z_image
 
 X, Y = sympy.symbols("x y", real=True)
 
@@ -151,6 +155,28 @@ def reference_membership(target: Poly, k: int, s: int):
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
     return u, v
+
+
+def translation_solution(target: Poly, k: int):
+    """(u, v) with k*(u*f_(k-1) - v*g_(k-1)) == target, or None.
+
+    Since df_k/dx = k*f_(k-1) and df_k/dy = -k*g_(k-1), this is the
+    first-order change of f_k under the translation (x, y) -> (x + u, y + v).
+    u and v are homogeneous of degree deg(target) - (k-1); None when the
+    target lies outside the span of those multiples of f_(k-1), g_(k-1).
+    `graded.solve_membership` finds the pair.
+    """
+    solved = solve_membership(target, k - 1, target.degree() - (k - 1))
+    return None if solved is None else (solved[0] / k, -(solved[1] / k))
+
+
+def inverse_scale_map(u, v, k: int):
+    """The reduction's radial scale map for w = u - iv, from the jets u and
+    v: `jets._inverse_scale_root` on w's (z, zbar) components up to degree
+    bound - k. Composing f_k + u*f_k + v*g_k with it gives f_k modulo the
+    bound."""
+    w = _change_variables(_split(u.poly, -v.poly, u.bound - k), _z_image)
+    return _inverse_scale_root(w, k, u.bound)
 
 
 def read_digits(text: str) -> int:

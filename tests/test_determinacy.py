@@ -14,7 +14,6 @@ from harmgerm.determinacy import (
     jacobian_generators,
     reverify_certificate,
 )
-from harmgerm.graded import translation_solution
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.polyring import Poly, format_poly, monomial_basis
 from harmgerm.rng import (
@@ -26,7 +25,7 @@ from harmgerm.rng import (
     random_order_tail,
 )
 
-from conftest import P, counted, from_sympy, reference_solve, to_sympy
+from conftest import P, counted, from_sympy, reference_solve, to_sympy, translation_solution
 import sympy
 
 X, Y = sympy.symbols("x y", real=True)

@@ -13,13 +13,20 @@ from harmgerm.graded import (
     product_space,
     solve_membership,
     subspace_compare,
-    translation_solution,
 )
 from harmgerm.harmonic import harmonic_basis, harmonic_pair
 from harmgerm.polyring import R2, Poly, format_poly, laplacian, laplacian_power, monomial_basis
 from harmgerm.rng import Xoshiro256StarStar, derive_seed, random_homogeneous
 
-from conftest import P, as_fractions, counted, rational_rref, reference_membership, reference_solve
+from conftest import (
+    P,
+    as_fractions,
+    counted,
+    rational_rref,
+    reference_membership,
+    reference_solve,
+    translation_solution,
+)
 
 
 class TestKernelBasis:

@@ -15,7 +15,6 @@ from harmgerm.jets import (
     Jet,
     complex_scale_map,
     identity_map,
-    inverse_scale_map,
     jet_compose,
     jet_map,
     jet_map_compose,
@@ -51,7 +50,7 @@ from harmgerm.zcoords import (
     harmonic_multiple,
 )
 
-from conftest import P, counted, oracle_compose, reference_membership
+from conftest import P, counted, inverse_scale_map, oracle_compose, reference_membership
 
 
 def random_zero_order_poly(data, max_degree, min_degree=1):
@@ -922,13 +921,12 @@ class TestGradedPowerAndOnlineSolve:
 
 
 @pytest.mark.parametrize("k", (0, -1, -3))
-@pytest.mark.parametrize("build", ("jet_root", "complex_scale_map", "inverse_scale_map"))
+@pytest.mark.parametrize("build", ("jet_root", "complex_scale_map"))
 def test_root_index_below_one_rejected(build, k):
     u, v = jet_truncate(P("x"), 4), jet_truncate(P("y"), 4)
     calls = {
         "jet_root": lambda: jet_root(u, k),
         "complex_scale_map": lambda: complex_scale_map(u, v, k),
-        "inverse_scale_map": lambda: inverse_scale_map(u, v, k),
     }
     with pytest.raises(ValueError, match="root index must be at least 1"):
         calls[build]()
@@ -941,7 +939,8 @@ class TestInverseScaleMapBounds:
         assert phi == identity_map(5)
 
 
-# inverse_scale_map at bound 2k-4, as the reduction calls it. The expected
+# The scale map at bound 2k-4, as the reduction builds it (`_inverse_scale_root`,
+# through conftest's `inverse_scale_map`). The expected
 # components pin the map exactly: a rewrite of the iteration must return
 # the same polynomials, not only some map that also recovers f_k.
 SCALE_MAP_GOLDEN = [

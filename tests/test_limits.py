@@ -1,8 +1,9 @@
 """`tools/limits.py` runs every command at the limits the CLI accepts, on
-arguments one argv string can carry. Its inputs are built here; no row is
-run."""
+arguments one argv string can carry, and pins each row's stdout. Its
+inputs are built here; no row is run."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,18 @@ MAX_ARG_STRLEN = 131072
 
 
 @pytest.fixture(scope="module")
-def rows():
-    """(parsed CLI arguments, argv, expected exit code) of each row."""
+def limits():
     spec = importlib.util.spec_from_file_location("limits", ROOT / "tools" / "limits.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def rows(limits):
+    """(parsed CLI arguments, argv, expected exit code) of each row."""
     parser, table = build_parser(), []
-    for _, build, _, code, _ in module.ROWS:
+    for _, build, _, code, _, _ in limits.ROWS:
         argv = build()
         table.append((parser.parse_args(argv), argv, code))
     return table
@@ -44,3 +50,8 @@ def test_every_limit_has_a_row(rows):
 def test_every_argument_fits_one_argv_string(rows):
     for _, argv, _ in rows:
         assert all(len(arg.encode()) + 1 <= MAX_ARG_STRLEN for arg in argv)
+
+
+def test_every_row_pins_its_stdout(limits):
+    for name, *_, digest in limits.ROWS:
+        assert re.fullmatch("[0-9a-f]{64}", digest), name

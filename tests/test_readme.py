@@ -1,10 +1,12 @@
-"""The README's `>>>` examples run as doctests, and its command lines run
-through the CLI."""
+"""The README's `>>>` examples run as doctests, its command lines run
+through the CLI, and its list of exports is `harmgerm.__all__`."""
 
 import doctest
+import re
 import shlex
 from pathlib import Path
 
+import harmgerm
 from harmgerm.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,3 +28,8 @@ def test_readme_commands_succeed(capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+
+
+def test_exports_list_is_all():
+    section = README.read_text().split("\n### Exports\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`", section, re.MULTILINE) == harmgerm.__all__
