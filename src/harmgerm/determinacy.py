@@ -20,18 +20,21 @@ echelon form of all the products, in every degree 1..L, decides: a
 degree-L monomial lies in their span exactly when one of the reduced
 rows is its unit row.
 
-The products are built one multiplier-degree block at a time, when a
-check first reads one of them (`TruncatedMultiples`). A spanning top
-block is the certificate and gives every other product coefficient
-zero, so neither `check_determinacy` nor `reverify_certificate` builds
-the lower blocks then; the row echelon reads them all.
+The products are derived from the germ, L and the multiplier cap, and
+built one multiplier-degree block at a time, when a check first reads
+one of them (`TruncatedMultiples`). A spanning top block is the
+certificate and gives every other product coefficient zero, so neither
+`check_determinacy` nor `reverify_certificate` builds the lower blocks
+then; the row echelon reads them all.
 
-The combinations stay as the solve wrote them (`CombinationRows`): one
-integer row per degree-L monomial, numerators keyed by product index over
-one positive denominator. A row reads as its tuple of Fraction
-coefficients only when it is read, and re-verification checks each row
-as one integer sum, sum_j n_j * p_j == den * monomial, with no Fraction
-arithmetic.
+A certificate is its data: the germ, L and the cap, the verdict, the
+missing monomial, and the combinations as the solve wrote them, one
+integer row per degree-L monomial, numerators keyed by product index
+over one positive denominator. It holds no product. Re-verification
+derives the products again and checks each row as one integer sum,
+sum_j n_j * p_j == den * monomial, with no Fraction arithmetic (a
+certifying algorithm: McConnell, Mehlhorn, Näher & Schweitzer,
+"Certifying algorithms", Computer Science Review 2011).
 
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
@@ -40,11 +43,9 @@ inconclusive, never a disproof.
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import linalg
@@ -52,8 +53,6 @@ from .harmonic import harmonic_pair
 from .polyring import (
     InputError,
     Poly,
-    Scalar,
-    _scalar,
     integer_combination,
     integer_coordinates,
     monomial_basis,
@@ -65,71 +64,12 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-class DeterminacyCertificate(NamedTuple):
-    """Outcome of the criterion at one level.
-
-    `products` is the exhibited spanning set: the nonzero truncations of
-    monomial multiples of the two Jacobian generators, as a
-    `TruncatedMultiples`, which builds a block of them only when one of
-    its products is read. It compares, indexes and hashes like the tuple
-    of its products, and such a tuple is accepted in its place. verdict True
-    means every degree-`level` monomial lies in their span, so the germ
-    is `level`-determined, and `combinations` holds one coefficient
-    tuple per degree-`level` monomial (x-exponent descending): the
-    RREF-canonical combination (free coefficients zero) that equals that
-    monomial. When the top block (the products of order `level`) spans
-    the monomials, the combinations are those of the top block alone and
-    every product outside it gets coefficient zero; otherwise they are
-    those of all the products. When False, `missing` holds the first
-    uncovered monomial, the first whose unit row is not among the
-    reduced rows of all the products, and `combinations` is empty.
-
-    `combinations` is a `CombinationRows`: the solve's integer rows, one
-    (numerators by product index, positive den) per monomial. It reads
-    like the tuple of Fraction tuples, building a row's Fractions only
-    when that row is read, and such a tuple is accepted in its place.
-    """
-
-    germ: Poly
-    level: int
-    products: Sequence[Poly]
-    verdict: bool
-    missing: Poly | None
-    combinations: Sequence[tuple[Fraction, ...]]
-
-
 def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
     """(generator, order) for each nonzero Jacobian generator of h."""
     return [(gen, gen.order()) for gen in jacobian_generators(h) if gen]
 
 
-class _LazyTuple(Sequence):
-    """Reads like the tuple of its items, each made only when it is read.
-
-    A subclass gives `__len__` and `_item(i)` for 0 <= i < len; this class
-    adds the rest of the tuple protocol: indexing (negative indices too),
-    slices (which return tuples), iteration, `==` with a tuple in either
-    order, and the tuple's `hash`.
-    """
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._item, range(*index.indices(len(self)))))
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError(f"{type(self).__name__} index out of range")
-        return self._item(index % n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _LazyTuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-class TruncatedMultiples(_LazyTuple):
+class TruncatedMultiples:
     """The truncated products x^a*y^b * gen at `level`, built one block at a time.
 
     `generators` is `_ordered_generators(h)`. Multipliers run over
@@ -140,14 +80,14 @@ class TruncatedMultiples(_LazyTuple):
     generator that d leaves a term of: with a generator of order e the
     product has order d + e, and it is zero once d + e exceeds `level`.
     Each block is one `Poly.shifts([d], level)` call per generator, made
-    the first time one of its products is read, so a caller that reads
-    only the top block (`top`) builds nothing else.
+    the first time one of its products is read, by index or by
+    iteration, so a caller that reads only the top block (`top`) builds
+    nothing else.
     """
 
     def __init__(self, generators: Sequence[tuple[Poly, int]], level: int, cap: int | None = None):
         self.generators = tuple(generators)
         self.level = level
-        self.cap = cap
         orders = [e for _, e in self.generators]
         last = level - min(orders, default=level)
         if cap is not None:
@@ -171,14 +111,13 @@ class TruncatedMultiples(_LazyTuple):
         shifts = [next(self.generators[g][0].shifts([d], self.level)) for g in kept]
         self._products[start:stop] = [p for multiplier in zip(*shifts) for p in multiplier]
 
-    def built(self) -> Iterator[tuple[int, int]]:
-        """(start, stop) of each block built so far."""
-        return ((start, stop) for _, start, stop, _ in self._blocks if self._products[start] is not None)
-
     def __len__(self) -> int:
         return len(self._products)
 
-    def _item(self, index: int) -> Poly:
+    def __getitem__(self, index: int) -> Poly:
+        """Product `index`, for 0 <= index < len(self)."""
+        if not 0 <= index < len(self._products):
+            raise IndexError(f"product index {index} out of range")
         p = self._products[index]
         if p is None:
             self._build(bisect_right(self._starts, index) - 1)
@@ -192,37 +131,44 @@ class TruncatedMultiples(_LazyTuple):
             yield from self._products[start:stop]
 
 
-_ZERO = Fraction(0)
+class DeterminacyCertificate(NamedTuple):
+    """Outcome of the criterion at one level.
 
-
-class CombinationRows(_LazyTuple):
-    """A certificate's combinations, kept as the integer rows the solve wrote.
-
-    `rows` holds one (numerators, den) per degree-`level` monomial: the
-    coefficient of product j is numerators.get(j, 0) / den, with den a
-    positive int and only nonzero int numerators stored; `width` is the
-    number of products. Row i reads as the tuple of its `width` Fraction
-    coefficients, built each time it is read, so the certificate itself
-    holds no Fraction.
+    The spanning set is not stored: it is derived from `germ`, `level`
+    and `cap` (the multiplier degree cap, None for none), as the nonzero
+    truncations of monomial multiples of the two Jacobian generators,
+    which `products` gives as a fresh `TruncatedMultiples`. verdict True
+    means every degree-`level` monomial lies in their span, so the germ
+    is `level`-determined, and `combinations` holds one row per
+    degree-`level` monomial (x-exponent descending): (numerators, den),
+    the RREF-canonical combination (free coefficients zero) that equals
+    that monomial, with coefficient numerators.get(j, 0) / den on
+    product j, a positive int den and only nonzero int numerators
+    stored. When the top block (the products of order `level`) spans the
+    monomials, the rows are those of the top block alone and every
+    product outside it gets coefficient zero; otherwise they are those
+    of all the products. When False, `missing` holds the first uncovered
+    monomial, the first whose unit row is not among the reduced rows of
+    all the products, and `combinations` is empty.
     """
 
-    def __init__(self, rows: list[tuple[dict[int, int], int]], width: int):
-        self.rows = rows
-        self.width = width
+    germ: Poly
+    level: int
+    cap: int | None
+    verdict: bool
+    missing: Poly | None
+    combinations: tuple[tuple[dict[int, int], int], ...]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _item(self, index: int) -> tuple[Fraction, ...]:
-        numerators, den = self.rows[index]
-        combination = [_ZERO] * self.width
-        for j, n in numerators.items():
-            combination[j] = Fraction(n, den)
-        return tuple(combination)
+    @property
+    def products(self) -> TruncatedMultiples:
+        """The spanning set, derived from `germ`, `level` and `cap`; no block is built yet."""
+        return TruncatedMultiples(_ordered_generators(self.germ), self.level, self.cap)
 
 
-def _check_arguments(level: int, cap: int | None) -> None:
-    """Raise TypeError unless `level` is an int and `cap` an int or None."""
+def _check_arguments(h: Poly, level: int, cap: int | None) -> None:
+    """Raise TypeError unless `h` is a Poly, `level` an int and `cap` an int or None."""
+    if not isinstance(h, Poly):
+        raise TypeError(f"h must be a Poly, not {type(h).__name__}")
     if not isinstance(level, int):
         raise TypeError(f"level must be an int, not {level!r}")
     if cap is not None and not isinstance(cap, int):
@@ -255,12 +201,12 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     elimination above run over all the products in every degree, to
     write the combinations.
 
-    The solve's integer columns are kept as they are (`CombinationRows`),
-    with each column index mapped to its product index; no Fraction is
-    built. A `level` or cap that is not an int raises TypeError, and a
-    cap below 1 InputError.
+    The solve's integer columns are kept as they are, with each column
+    index mapped to its product index; no Fraction is built. An `h` that
+    is not a Poly, or a `level` or cap that is not an int, raises
+    TypeError, and a cap below 1 InputError.
     """
-    _check_arguments(level, max_multiplier_degree)
+    _check_arguments(h, level, max_multiplier_degree)
     if level < 1:
         raise InputError(f"certificate level {level} must be at least 1")
     if max_multiplier_degree is not None and max_multiplier_degree < 1:
@@ -286,96 +232,53 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
             top = range(len(products))
             missing, solved = linalg.solve_canonical(everything, monomials, basis)
     # column j of the solve is product top[j]; every other product gets coefficient 0
-    rows = [({top[j]: n for j, n in numerators.items()}, den) for numerators, den in solved]
+    rows = tuple(({top[j]: n for j, n in numerators.items()}, den) for numerators, den in solved)
     return DeterminacyCertificate(
         germ=h,
         level=level,
-        products=products,
+        cap=max_multiplier_degree,
         verdict=missing is None,
         missing=None if missing is None else monomials[missing],
-        combinations=CombinationRows(rows if missing is None else [], len(products)),
+        combinations=rows if missing is None else (),
     )
-
-
-def _integer_rows(combinations: Sequence[Sequence[Scalar]], width: int) -> list[tuple[dict[int, int], int]] | None:
-    """`combinations` as (numerators, den) rows, as `CombinationRows` keeps them.
-
-    The rows of a `CombinationRows` are returned as they are, once every
-    entry is checked: an int numerator at an index in range(`width`) and
-    a positive int den. Any other sequence is converted: each coefficient
-    tuple must have `width` entries, all ints or Fractions, zeros
-    included, and its nonzero entries go over the lcm of their
-    denominators. None when a row is malformed; TypeError for an entry
-    of another type.
-    """
-    if isinstance(combinations, CombinationRows):
-        if combinations.width != width:
-            return None
-        for numerators, den in combinations.rows:
-            types = set(map(type, chain(numerators, numerators.values(), (den,))))
-            if types - {int}:
-                raise TypeError(f"combination rows must hold ints, not {min(t.__name__ for t in types - {int})}")
-            if den < 1 or numerators and not (0 <= min(numerators) and max(numerators) < width):
-                return None
-        return combinations.rows
-    rows = []
-    for coeffs in combinations:
-        if len(coeffs) != width:
-            return None
-        # one check per coefficient type, so an inexact zero raises too
-        for c in dict(zip(map(type, coeffs), coeffs)).values():
-            _scalar(c)
-        nonzero = [(j, coeffs[j]) for j in compress(range(width), coeffs)]
-        den = math.lcm(*(c.denominator for _, c in nonzero))
-        rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero}, den))
-    return rows
 
 
 def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     """Independent containment check of a True certificate.
 
-    Re-derives the truncated multiples of the Jacobian generators of
-    `cert.germ` at `cert.level` and requires `cert.products` to equal
-    their first `len(cert.products)` (a multiplier cap shortens the list).
-    A `TruncatedMultiples` must carry the re-derived generators, level
-    and cap, compared by value; a block of it that was never built is
-    then the re-derived block by definition, and every block that was
-    built is compared with its re-derivation product by product. Any
-    other sequence is compared product by product with the re-derived
-    prefix.
-
-    Then checks the combinations as integer rows (`_integer_rows`):
-    those of a `CombinationRows` as they are, any other sequence of
-    coefficient tuples converted to them. For each degree-`level`
-    monomial x^a*y^b, with row (n, den), it requires
-    sum_j n_j * products[j] == den * x^a*y^b as one integer sum over the
-    products with a nonzero numerator, the only ones it reads. No
-    elimination and no Fraction arithmetic is run. A level below 1 has
-    no monomials to check and is rejected; a `level` or cap that is not
-    an int raises TypeError.
+    Trusts nothing of `cert` but its germ, level, cap and rows. It
+    requires a True verdict, a level of at least 1 (a lower level has no
+    monomial to check) and exactly one row per degree-`level` monomial.
+    Each row must be a (dict, int) pair whose indices and numerators are
+    ints, else TypeError; its den must be at least 1 and each index in
+    range(len(products)), else False, where the products are the
+    truncated multiples that it derives again from the germ, level and
+    cap (`TruncatedMultiples`). For each monomial x^a*y^b, with row
+    (n, den), it then requires sum_j n_j * products[j] == den * x^a*y^b
+    as one integer sum over the products with a nonzero numerator, and
+    builds only the blocks of those products. No elimination and no
+    Fraction arithmetic is run. A `cert` that is not a
+    `DeterminacyCertificate`, a germ that is not a Poly, or a level or
+    cap that is not an int raises TypeError.
     """
+    if not isinstance(cert, DeterminacyCertificate):
+        raise TypeError(f"cert must be a DeterminacyCertificate, not {type(cert).__name__}")
+    _check_arguments(cert.germ, cert.level, cert.cap)
+    if not cert.verdict or cert.level < 1 or len(cert.combinations) != cert.level + 1:
+        return False
     products = cert.products
-    _check_arguments(cert.level, products.cap if isinstance(products, TruncatedMultiples) else None)
-    if not cert.verdict or cert.level < 1:
-        return False
-    generators = _ordered_generators(cert.germ)
-    if isinstance(products, TruncatedMultiples):
-        derived = TruncatedMultiples(generators, cert.level, products.cap)
-        if (products.generators, products.level, len(products)) != (derived.generators, derived.level, len(derived)):
+    for row in cert.combinations:
+        if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], dict)):
+            raise TypeError(f"a combination row must be a (dict, int) pair, not {type(row).__name__}")
+        numerators, den = row
+        types = set(map(type, chain(numerators, numerators.values(), (den,))))
+        if types - {int}:
+            raise TypeError(f"combination rows must hold ints, not {min(t.__name__ for t in types - {int})}")
+        if den < 1 or numerators and not (0 <= min(numerators) and max(numerators) < len(products)):
             return False
-        if any(products[start:stop] != derived[start:stop] for start, stop in products.built()):
-            return False
-    elif list(products) != list(islice(TruncatedMultiples(generators, cert.level), len(products))):
-        return False
-    monomials = monomial_basis(cert.level)
-    if len(cert.combinations) != len(monomials):
-        return False
-    rows = _integer_rows(cert.combinations, len(products))
-    if rows is None:
-        return False
     # each product that a row reads, read once
-    read = {j: products[j] for j in set().union(*(numerators for numerators, _ in rows))}
-    for (a, b), (numerators, den) in zip(monomials, rows):
+    read = {j: products[j] for j in set().union(*(numerators for numerators, _ in cert.combinations))}
+    for (a, b), (numerators, den) in zip(monomial_basis(cert.level), cert.combinations):
         if integer_combination((n, read[j]) for j, n in numerators.items()) != Poly.monomial(a, b, den):
             return False
     return True

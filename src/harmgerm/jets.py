@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyring import ONE, X, Y, InputError, Poly
+from .polyring import ONE, InputError, Poly
 from .zcoords import (
     _ONE,
     _change_variables,
@@ -129,10 +129,6 @@ class JetMap(_JetMapFields):
     def linear_determinant(self) -> Fraction:
         px, py = self.x.poly, self.y.poly
         return px.coeff(1, 0) * py.coeff(0, 1) - px.coeff(0, 1) * py.coeff(1, 0)
-
-
-def identity_map(bound: int) -> JetMap:
-    return JetMap(Jet(X, bound), Jet(Y, bound), bound)
 
 
 def jet_map(px: Poly, py: Poly, bound: int) -> JetMap:

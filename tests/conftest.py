@@ -5,9 +5,11 @@ which share no code with the integer kernel (`refuse_eliminations`
 makes any elimination of the library raise, and
 `tests/test_references.py` runs every reference under it); call
 counters, tampered radial scale maps and a tampered determinacy
-certificate; the top-block translations (`translation_solution`), read
-through `graded.solve_membership`, and the reduction's scale map from
-(u, v) (`inverse_scale_map`)."""
+certificate; a certificate's combinations as Fraction tuples
+(`certificate_fractions`); the identity jet map (`identity_map`); the
+top-block translations (`translation_solution`), read through
+`graded.solve_membership`, and the reduction's scale map from (u, v)
+(`inverse_scale_map`)."""
 
 import random
 import sys
@@ -22,7 +24,7 @@ import harmgerm.equivalence
 from harmgerm import linalg
 from harmgerm.graded import solve_membership
 from harmgerm.harmonic import harmonic_pair
-from harmgerm.jets import _inverse_scale_root, jet_compose, jet_map, jet_truncate
+from harmgerm.jets import Jet, JetMap, _inverse_scale_root, jet_compose, jet_map, jet_truncate
 from harmgerm.polyring import Poly, monomial_basis, parse_poly
 from harmgerm.zcoords import _change_variables, _split, _z_image
 
@@ -136,6 +138,13 @@ def as_fractions(combination, width):
     return tuple(Fraction(numerators.get(j, 0), den) for j in range(width))
 
 
+def certificate_fractions(cert):
+    """The combinations of a determinacy certificate as one tuple of Fraction
+    tuples, one coefficient per product of `cert.products`."""
+    width = len(cert.products)
+    return tuple(as_fractions(row, width) for row in cert.combinations)
+
+
 def reference_membership(target: Poly, k: int, s: int):
     """(u, v) with target == u*f_k + v*g_k, u and v homogeneous of degree s,
     or None; one `reference_solve` at every degree (free coefficients
@@ -155,6 +164,10 @@ def reference_membership(target: Poly, k: int, s: int):
     u = Poly({exps: c for exps, c in zip(monos, solution[:n]) if c})
     v = Poly({exps: c for exps, c in zip(monos, solution[n:]) if c})
     return u, v
+
+
+def identity_map(bound: int) -> JetMap:
+    return JetMap(Jet(P("x"), bound), Jet(P("y"), bound), bound)
 
 
 def translation_solution(target: Poly, k: int):
@@ -269,14 +282,14 @@ def tampered_radial_map(monkeypatch):
 @pytest.fixture
 def tampered_certificate(monkeypatch):
     """The CLI's check_determinacy returns the true certificate with the
-    first coefficient of the first stored combination raised by 1, so that
-    combination no longer multiplies back out to its monomial."""
+    first numerator of its first integer row raised by 1, so that row no
+    longer multiplies back out to its monomial."""
     original = harmgerm.cli.check_determinacy
 
     def nudged(h, level):
         cert = original(h, level)
-        first = cert.combinations[0]
-        combinations = ((first[0] + 1,) + first[1:],) + cert.combinations[1:]
-        return cert._replace(combinations=combinations)
+        (numerators, den), *rest = cert.combinations
+        j = next(iter(numerators))
+        return cert._replace(combinations=(({**numerators, j: numerators[j] + 1}, den), *rest))
 
     monkeypatch.setattr(harmgerm.cli, "check_determinacy", nudged)

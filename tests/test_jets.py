@@ -14,7 +14,6 @@ from harmgerm.jets import (
     BoundMismatchError,
     Jet,
     complex_scale_map,
-    identity_map,
     jet_compose,
     jet_map,
     jet_map_compose,
@@ -50,7 +49,7 @@ from harmgerm.zcoords import (
     harmonic_multiple,
 )
 
-from conftest import P, counted, inverse_scale_map, oracle_compose, reference_membership
+from conftest import P, counted, identity_map, inverse_scale_map, oracle_compose, reference_membership
 
 
 def random_zero_order_poly(data, max_degree, min_degree=1):

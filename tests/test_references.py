@@ -13,7 +13,7 @@ from harmgerm.determinacy import check_determinacy
 from harmgerm.graded import GradedSubspace, solve_membership, subspace_compare
 from harmgerm.harmonic import almansi_decompose, harmonic_pair, harmonic_split
 
-from conftest import P, as_fractions, rational_rref, reference_membership, reference_solve, refuse_eliminations
+from conftest import P, as_fractions, certificate_fractions, rational_rref, reference_membership, reference_solve, refuse_eliminations
 from test_determinacy import reference_certificate
 from test_graded import reference_compare
 from test_harmonic import layer_coordinates, reference_almansi, reference_split
@@ -43,7 +43,7 @@ def membership(k, s):
 
 def certificate(germ, level):
     cert = check_determinacy(germ, level)
-    return (tuple(cert.products), level), (cert.missing, tuple(cert.combinations))
+    return (tuple(cert.products), level), (cert.missing, certificate_fractions(cert))
 
 
 def almansi():

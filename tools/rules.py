@@ -147,14 +147,12 @@ def certificate_keeps_integer_rows(root):
 
     b836ab2: a certificate's combinations are the solve's integer rows,
     with no Fraction per coefficient, and re-verification checks each
-    row as one integer sum. Up to c73fb0f polyring also had a sum of
-    Polys with Fraction weights, which this rule kept out of
-    re-verification; the commit after c73fb0f deleted it, and
-    polyring.integer_combination is the library's one weighted sum.
+    row as one integer sum. Since the commit after f4a938b the
+    certificate is plain data, (germ, level, cap, verdict, missing,
+    rows), with no Fraction view of its rows, so determinacy.py, like
+    linalg and _kernels, imports no fractions.
     """
-    tree = _modules(root)["determinacy.py"]
-    assert "Fraction" not in _reached(tree, "check_determinacy"), "determinacy.check_determinacy calls Fraction"
-    assert "Fraction" not in _reached(tree, "reverify_certificate"), "determinacy.reverify_certificate calls Fraction"
+    assert "fractions" not in _imported(_modules(root)["determinacy.py"]), f"{SRC}/determinacy.py imports fractions"
 
 
 def reduction_composes_nothing(root):
