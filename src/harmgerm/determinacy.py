@@ -25,7 +25,12 @@ built one multiplier-degree block at a time, when a check first reads
 one of them (`TruncatedMultiples`). A spanning top block is the
 certificate and gives every other product coefficient zero, so neither
 `check_determinacy` nor `reverify_certificate` builds the lower blocks
-then; the row echelon reads them all.
+then; the row echelon reads them all. Each generator's order is read off
+the germ's lowest-degree form, and the block of multiplier degree d
+differentiates only the germ's terms of degree at most L - d + 1. When
+both partials of the leading form are nonzero, the top block reads the
+leading form alone, so a check that it decides, its re-check and the
+count of the products never differentiate the whole germ.
 
 A certificate is its data: the germ, L and the cap, the verdict, the
 missing monomial, and the combinations as the solve wrote them, one
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -64,30 +68,50 @@ def jacobian_generators(h: Poly) -> tuple[Poly, Poly]:
     return h.diff("x"), h.diff("y")
 
 
-def _ordered_generators(h: Poly) -> list[tuple[Poly, int]]:
-    """(generator, order) for each nonzero Jacobian generator of h."""
-    return [(gen, gen.order()) for gen in jacobian_generators(h) if gen]
+def _generator_orders(h: Poly) -> tuple[tuple[str, int], ...]:
+    """(v, order of dh/dv) for each nonzero Jacobian generator of h, v = "x" then "y".
+
+    The order is read off the lowest-degree form of h: ord h - 1 when that
+    form's partial is nonzero. Only when it vanishes is the whole germ
+    differentiated.
+    """
+    if not h:
+        return ()
+    order = h.order()
+    lowest = h.graded_component(order)
+    orders = []
+    for v in "xy":
+        if lowest.diff(v):
+            orders.append((v, order - 1))
+        elif gen := h.diff(v):
+            orders.append((v, gen.order()))
+    return tuple(orders)
 
 
 class TruncatedMultiples:
-    """The truncated products x^a*y^b * gen at `level`, built one block at a time.
+    """The truncated products x^a*y^b * dh/dv of the germ h at `level`, built one block at a time.
 
-    `generators` is `_ordered_generators(h)`. Multipliers run over
+    `generators` holds (v, e) for each nonzero generator dh/dv, v = "x"
+    then "y", with its order e (`_generator_orders`). Multipliers run over
     1 <= a+b <= `cap` (None: every degree that can still contribute below
     the truncation), so a capped sequence is a prefix of the uncapped one.
-    Block d holds the products of the multipliers of degree d,
-    x-exponent descending, and for each multiplier one product per
-    generator that d leaves a term of: with a generator of order e the
-    product has order d + e, and it is zero once d + e exceeds `level`.
-    Each block is one `Poly.shifts([d], level)` call per generator, made
-    the first time one of its products is read, by index or by
-    iteration, so a caller that reads only the top block (`top`) builds
-    nothing else.
+    Block d holds the products of the multipliers of degree d, x-exponent
+    descending, and for each multiplier one product per generator that d
+    leaves a term of: with a generator of order e the product has order
+    d + e, and it is zero once d + e exceeds `level`. A product of block d
+    reads only the generator's terms of degree at most level - d, the
+    partials of the germ's terms of degree at most level - d + 1, so the
+    block differentiates only h.truncate(level - d + 1) and makes one
+    `Poly.shifts(d, level)` call per generator. A block is built the first
+    time one of its products is read, by index or by iteration, so a
+    caller that reads only the top block (`top`) differentiates and builds
+    nothing else, and `len` builds nothing.
     """
 
-    def __init__(self, generators: Sequence[tuple[Poly, int]], level: int, cap: int | None = None):
-        self.generators = tuple(generators)
+    def __init__(self, germ: Poly, level: int, cap: int | None = None):
+        self.germ = germ
         self.level = level
+        self.generators = _generator_orders(germ)
         orders = [e for _, e in self.generators]
         last = level - min(orders, default=level)
         if cap is not None:
@@ -108,7 +132,8 @@ class TruncatedMultiples:
 
     def _build(self, block: int) -> None:
         d, start, stop, kept = self._blocks[block]
-        shifts = [next(self.generators[g][0].shifts([d], self.level)) for g in kept]
+        part = self.germ.truncate(self.level - d + 1)
+        shifts = [part.diff(self.generators[g][0]).shifts(d, self.level) for g in kept]
         self._products[start:stop] = [p for multiplier in zip(*shifts) for p in multiplier]
 
     def __len__(self) -> int:
@@ -162,7 +187,7 @@ class DeterminacyCertificate(NamedTuple):
     @property
     def products(self) -> TruncatedMultiples:
         """The spanning set, derived from `germ`, `level` and `cap`; no block is built yet."""
-        return TruncatedMultiples(_ordered_generators(self.germ), self.level, self.cap)
+        return TruncatedMultiples(self.germ, self.level, self.cap)
 
 
 def _check_arguments(h: Poly, level: int, cap: int | None) -> None:
@@ -215,7 +240,7 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         raise InputError("zero germ is never finitely determined")
     if h.order() > level:
         raise InputError(f"germ order {h.order()} exceeds the certificate level {level}")
-    products = TruncatedMultiples(_ordered_generators(h), level, max_multiplier_degree)
+    products = TruncatedMultiples(h, level, max_multiplier_degree)
     top_basis = monomial_basis(level)
     monomials = [Poly.monomial(a, b) for a, b in top_basis]
     top = products.top

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -66,7 +65,7 @@ class Poly:
     is 1, and the zero polynomial has _den == 1. The form is canonical, so
     equality compares `_den` and `_num` directly. Coefficients are ints or
     Fractions and exponents are ints; anything else is a TypeError.
-    `shifted` (one monomial) and `shifts` (every monomial of some degrees)
+    `shifted` (one monomial) and `shifts` (every monomial of one degree)
     are the ways to multiply by a monomial x^a*y^b: they move the
     exponents and multiply nothing. `shifts` reads its keys from the
     shared exponent table `monomial_basis` instead of building a tuple
@@ -271,39 +270,37 @@ class Poly:
         top = _INF if max_degree is None else max_degree - a - b
         return Poly._of({(i + a, j + b): v for (i, j), v in self._num.items() if i + j <= top}, self._den)
 
-    def shifts(self, degrees: Iterable[int], max_degree: int) -> Iterator[list["Poly"]]:
-        """For each d of `degrees`: x^a*y^b * self over a + b = d, x-exponent
-        descending, truncated at max_degree; [] once no term is left.
+    def shifts(self, d: int, max_degree: int) -> list["Poly"]:
+        """x^a*y^b * self over a + b = d, x-exponent descending, truncated at
+        max_degree; [] when no term is left.
 
-        Each product equals self.shifted(a, b, max_degree). The terms are
-        sorted by degree once; the terms that degree d keeps are one prefix
-        of them, whose content is divided out once, and every shift of that
-        prefix is built with no per-term degree test. The keys come from the
+        Each product equals self.shifted(a, b, max_degree). One pass keeps
+        the terms of degree at most max_degree - d, and only those are
+        sorted, stably by degree, the order every product's keys are
+        inserted in; their content is divided out once, and every shift is
+        built from them with no per-term degree test. The keys come from the
         shared exponent table: x^a*y^b * x^i*y^j is entry j + b of
         monomial_basis(i + j + d), so a product builds no key tuple, and its
         dict, holding table keys and ints only, gives the cyclic garbage
         collector nothing to track. Only the rows that the kept terms reach
         are read.
         """
-        items = sorted(self._num.items(), key=lambda item: item[0][0] + item[0][1])
-        terms = [(a + b, b, v) for (a, b), v in items]
-        ends = [e for e, _, _ in terms]
-        for d in degrees:
-            kept = terms[: bisect_right(ends, max_degree - d)]
-            if not kept:
-                yield []
-                continue
-            g = math.gcd(self._den, *map(itemgetter(2), kept))
-            den = self._den // g
-            rows = {e: monomial_basis(e + d) for e in set(ends[: len(kept)])}
-            kept = [(rows[e], j, v // g if g > 1 else v) for e, j, v in kept]
-            products = []
-            for b in range(d + 1):
-                p = Poly.__new__(Poly)
-                p._num = {row[j + b]: v for row, j, v in kept}
-                p._den = den
-                products.append(p)
-            yield products
+        top = max_degree - d
+        kept = [(a + b, b, v) for (a, b), v in self._num.items() if a + b <= top]
+        if not kept:
+            return []
+        kept.sort(key=itemgetter(0))
+        g = math.gcd(self._den, *map(itemgetter(2), kept))
+        den = self._den // g
+        rows = {e: monomial_basis(e + d) for e in set(map(itemgetter(0), kept))}
+        kept = [(rows[e], j, v // g if g > 1 else v) for e, j, v in kept]
+        products = []
+        for b in range(d + 1):
+            p = Poly.__new__(Poly)
+            p._num = {row[j + b]: v for row, j, v in kept}
+            p._den = den
+            products.append(p)
+        return products
 
     # -- calculus ----------------------------------------------------------
 

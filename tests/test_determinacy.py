@@ -376,28 +376,23 @@ def eager_products(germ, level, cap):
     return tuple(p for p in products if p)
 
 
-def lazy_products(germ, level, cap=None):
-    generators = [(gen, gen.order()) for gen in jacobian_generators(germ) if gen]
-    return TruncatedMultiples(generators, level, cap)
-
-
 class TestLazyProducts:
     def test_reads_like_the_eager_tuple(self):
         verdicts = set()
         for germ, level, cap in lazy_grid():
             reference = eager_products(germ, level, cap)
             n = len(reference)
-            assert len(lazy_products(germ, level, cap)) == n
+            assert len(TruncatedMultiples(germ, level, cap)) == n
             # every access pattern on a fresh sequence, so each one builds its own blocks
-            products = lazy_products(germ, level, cap)
+            products = TruncatedMultiples(germ, level, cap)
             assert [products[i] for i in reversed(range(n))] == list(reversed(reference))
-            products = lazy_products(germ, level, cap)
+            products = TruncatedMultiples(germ, level, cap)
             assert [products[i] for i in range(n)] == list(reference)
-            assert tuple(lazy_products(germ, level, cap)) == reference
+            assert tuple(TruncatedMultiples(germ, level, cap)) == reference
             for index in (n, -1):
                 with pytest.raises(IndexError):
-                    lazy_products(germ, level, cap)[index]
-            top = lazy_products(germ, level, cap).top
+                    TruncatedMultiples(germ, level, cap)[index]
+            top = TruncatedMultiples(germ, level, cap).top
             assert top == [j for j, p in enumerate(reference) if p.order() == level]
             cert = check_determinacy(germ, level, max_multiplier_degree=cap)
             assert tuple(cert.products) == reference
@@ -428,13 +423,48 @@ class TestLazyProducts:
         shifts = counted(monkeypatch, Poly, "shifts")
         cert = check_determinacy(germ, level)
         # one call per generator, both of order 9, at multiplier degree 17 - 9
-        assert [args[1] for args in shifts] == [[8], [8]]
+        assert [args[1] for args in shifts] == [8, 8]
         products = cert.products
         assert products.top == list(range(len(products) - 18, len(products)))
         assert all(set(numerators) <= set(products.top) for numerators, _ in cert.combinations)
         shifts.clear()
         assert reverify_certificate(cert)
-        assert [args[1] for args in shifts] == [[8], [8]]
+        assert [args[1] for args in shifts] == [8, 8]
+
+    def test_certify_germ_reads_only_the_leading_form(self, monkeypatch):
+        # f_10 plus a tail in degrees 11..17: both generators have order 9, read off
+        # f_10, and the top block's products read only the partials of f_10
+        germ, level = certify_germ(10), 17
+        assert germ.degree() == level
+        n = len(eager_products(germ, level, None))
+        shifts = counted(monkeypatch, Poly, "shifts")
+        diffs = counted(monkeypatch, Poly, "diff")
+        cert = check_determinacy(germ, level)
+        assert reverify_certificate(cert)
+        assert diffs and max(args[0].degree() for args in diffs) <= 10
+        assert [args[1] for args in shifts] == [8, 8, 8, 8]
+        shifts.clear()
+        diffs.clear()
+        assert len(cert.products) == n
+        assert shifts == []
+        assert max(args[0].degree() for args in diffs) <= 10
+
+    @pytest.mark.parametrize(
+        "germ, generators",
+        [
+            (Poly.zero(), ()),
+            (Poly.constant(3), ()),
+            (P("x^3"), (("x", 2),)),
+            # the leading form's partial in y vanishes, so dy is read off the whole germ
+            (P("x^3 + x*y^3"), (("x", 2), ("y", 3))),
+            (P("1 + x^2*y + y^5"), (("x", 2), ("y", 2))),
+        ],
+    )
+    def test_generator_orders(self, germ, generators):
+        products = TruncatedMultiples(germ, 6)
+        assert products.generators == generators
+        assert [e for _, e in generators] == [gen.order() for gen in jacobian_generators(germ) if gen]
+        assert tuple(products) == eager_products(germ, 6, None) if generators else len(products) == 0
 
     def test_uncovered_level_builds_every_block(self, monkeypatch):
         germ, level = degenerate_dense_germs(Xoshiro256StarStar(1), 24)[0], 24
@@ -444,7 +474,7 @@ class TestLazyProducts:
         # one call per generator of order e at each multiplier degree d with d + e <= level
         orders = [e for _, e in cert.products.generators]
         assert orders == [1, 2]
-        assert sorted(args[1][0] for args in shifts) == sorted([*range(1, 24), *range(1, 23)])
+        assert sorted(args[1] for args in shifts) == sorted([*range(1, 24), *range(1, 23)])
         assert len(cert.products) == len(eager_products(germ, level, None))
 
 
@@ -485,7 +515,7 @@ class TestTamperedLazyCertificate:
         cert = self.cert()
         shifts.clear()
         assert not reverify_certificate(cert._replace(germ=cert.germ + P("x^10")))
-        assert [args[1] for args in shifts] == [[8], [8]]
+        assert [args[1] for args in shifts] == [8, 8]
 
     def test_nonzero_coefficient_on_a_lower_product(self, monkeypatch):
         cert = self.cert()
@@ -494,7 +524,7 @@ class TestTamperedLazyCertificate:
         shifts = counted(monkeypatch, Poly, "shifts")
         assert not reverify_certificate(cert._replace(combinations=(({**numerators, 0: 1}, den), *rest)))
         # the row read product 0, so its block was built with the top block
-        assert sorted(args[1] for args in shifts) == [[1], [1], [8], [8]]
+        assert sorted(args[1] for args in shifts) == [1, 1, 8, 8]
 
     def test_inexact_zero_entry_on_an_unbuilt_block_raises(self, monkeypatch):
         cert = self.cert()
@@ -617,7 +647,7 @@ class TestTamperedCombinationRows:
         shifts = counted(monkeypatch, Poly, "shifts")
         assert not reverify_certificate(retyped(cert, rows))
         # the row read that product, so its block was built with the top block
-        assert sorted(args[1] for args in shifts) == [[1], [1], [8], [8]]
+        assert sorted(args[1] for args in shifts) == [1, 1, 8, 8]
 
     @pytest.mark.parametrize("value, name", [(1.0, "float"), (True, "bool"), (Fraction(1), "Fraction")])
     def test_numerator_of_another_type_raises(self, value, name):

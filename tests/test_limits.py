@@ -3,6 +3,9 @@ arguments one argv string can carry, and pins each row's stdout. Its
 inputs are built here; no row is run."""
 
 import importlib.util
+import json
+import os
+import platform
 import re
 from pathlib import Path
 
@@ -55,3 +58,19 @@ def test_every_argument_fits_one_argv_string(rows):
 def test_every_row_pins_its_stdout(limits):
     for name, *_, digest in limits.ROWS:
         assert re.fullmatch("[0-9a-f]{64}", digest), name
+
+
+def test_summary_is_one_json_line(limits):
+    results = [(name, 1.5, 22.4, code, digest) for name, _, _, code, _, digest in limits.ROWS]
+    results[-1] = (results[-1][0], 5.0, 30.0, None, None)
+    line = limits.summary(results)
+    assert "\n" not in line
+    summary = json.loads(line)
+    assert set(summary) == {"python", "platform", "cpus", "rows"}
+    assert summary["python"] == platform.python_version() and summary["cpus"] == os.cpu_count()
+    assert isinstance(summary["platform"], str)
+    assert [row["name"] for row in summary["rows"]] == [name for name, *_ in limits.ROWS]
+    for row, (_, _, _, code, digest) in zip(summary["rows"], results):
+        assert row == {"name": row["name"], "seconds": row["seconds"], "rss_mb": row["rss_mb"], "exit": code, "sha256": digest}
+    assert summary["rows"][0]["seconds"] == 1.5 and summary["rows"][0]["rss_mb"] == 22.4
+    assert summary["rows"][-1]["exit"] is None and summary["rows"][-1]["sha256"] is None

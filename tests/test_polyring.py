@@ -406,7 +406,8 @@ class TestRepresentation:
         assert_canonical(pp.mul_truncated(qq, d), reference_mul(p, q, d))
         assert_canonical(pp.shifted(*shift), reference_mul(p, {shift: 1}))
         assert_canonical(pp.shifted(*shift, d), reference_mul(p, {shift: 1}, d))
-        for degree, products in zip(range(4), pp.shifts(range(4), d)):
+        for degree in range(4):
+            products = pp.shifts(degree, d)
             expected = [reference_mul(p, {key: 1}, d) for key in monomial_basis(degree)]
             # every shift of one degree keeps the same terms, so all or none are zero
             assert len(products) == (len(expected) if any(any(e.values()) for e in expected) else 0)
@@ -440,7 +441,7 @@ class TestRepresentation:
         shifted = parse_poly("1/6*x^3 + 2/3*x").shifted(1, 0, 3)
         assert shifted == Poly.monomial(2, 0, Fraction(2, 3))
         assert shifted._den == 3
-        products = next(parse_poly("1/6*x^3 + 2/3*x").shifts([1], 3))
+        products = parse_poly("1/6*x^3 + 2/3*x").shifts(1, 3)
         assert products == [shifted, Poly.monomial(1, 1, Fraction(2, 3))]
         assert [p._den for p in products] == [3, 3]
 
@@ -455,8 +456,8 @@ class TestRepresentation:
             terms[exps] = Fraction(rng.randint(-90, 90) or 1, rng.randint(1, 36))
         p = Poly(terms)
         max_degree = rng.randint(p.order(), p.degree() + 6)
-        degrees = range(max_degree - p.order() + 3)
-        for d, products in zip(degrees, p.shifts(degrees, max_degree)):
+        for d in range(max_degree - p.order() + 3):
+            products = p.shifts(d, max_degree)
             expected = [p.shifted(a, b, max_degree) for a, b in monomial_basis(d)]
             assert products == (expected if any(expected) else [])
             # terms in the stable order by degree, the order the products are built in
@@ -469,7 +470,7 @@ class TestRepresentation:
     def test_shifts_read_only_the_rows_their_terms_reach(self):
         assert monomial_basis.cache_info().maxsize is not None
         before = monomial_basis.cache_info()
-        products = next(Poly.monomial(500, 0).shifts([1], 600))
+        products = Poly.monomial(500, 0).shifts(1, 600)
         after = monomial_basis.cache_info()
         assert products == [Poly.monomial(501, 0), Poly.monomial(500, 1)]
         assert after.hits + after.misses - before.hits - before.misses <= 2

@@ -3,25 +3,38 @@
     python tools/limits.py
 
 runs each row of ROWS as a fresh `python -m harmgerm.cli` child and
-prints its verdict (ok or FAIL), wall time, exit code and name. A row
-passes when its child exits with the row's code within the row's budget,
-its stdout and stderr together hold the row's text, and the sha256 of its
-stdout is the row's digest; a mismatch prints the first 12 hex digits of
-both digests. The script exits 1 if any row fails. The inputs are the
-seeded families of `harmgerm.rng` at the limits of `harmgerm.cli.RANGES`
-and `MAX_DEGREE`, built here in the parent process, so each child pays
-only its own command. The script takes no options and reads harmgerm
-from this checkout's `src`, so it runs before the package is installed.
+prints its verdict (ok or FAIL), wall time, peak resident set size (read
+with `os.wait4`), exit code and name. Linux carries the high-water mark
+of the process that spawns a child into the child's own, so a row's RSS
+is at least this script's peak at that point, 20–25 MB once the
+inputs are built; the script reads its children's output in chunks to
+keep that low. A row passes when its child exits with the row's code
+within the row's budget, its stdout and stderr together hold the row's
+text, and the sha256 of its stdout is the row's digest; a mismatch
+prints the first 12 hex digits of both digests. A last line holds the
+same results as one JSON object: each row's name, seconds, peak RSS in
+MB, exit code and stdout sha256, with the Python version, the platform
+and the CPU count. The script exits 1 if any row fails. The inputs are
+the seeded families of `harmgerm.rng` at the limits of
+`harmgerm.cli.RANGES` and `MAX_DEGREE`, built here in the parent
+process, so each child pays only its own command. The script takes no
+options and reads harmgerm from this checkout's `src`, so it runs before
+the package is installed.
 `tests/test_limits.py` checks that the table reaches every limit, that
-each argument fits one argv string and that every row pins a digest.
+each argument fits one argv string, that every row pins a digest and the
+shape of the JSON line.
 """
 
 import hashlib
+import json
 import os
 import pathlib
+import platform
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -184,30 +197,62 @@ ROWS = [
 
 
 def run(argv, budget, code, text, digest):
-    """(verdict, seconds, exit code or None on timeout, stdout's sha256 or None) of one cold child."""
+    """(verdict, seconds, peak RSS in MB, exit code or None on timeout, stdout's sha256 or None)
+    of one cold child."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    try:
-        child = subprocess.run([sys.executable, "-m", "harmgerm.cli", *argv], capture_output=True, env=env, timeout=budget)
-    except subprocess.TimeoutExpired:
-        return "FAIL", time.perf_counter() - start, None, None
-    seconds = time.perf_counter() - start
-    got = hashlib.sha256(child.stdout).hexdigest()
-    found = not text or text.encode() in child.stdout + child.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "harmgerm.cli", *argv], stdout=out, stderr=err, env=env)
+        killed = threading.Event()
+        timer = threading.Timer(budget, lambda: (killed.set(), child.kill()))
+        timer.start()
+        # wait4 reaps the child with its own resource usage, which Popen.wait does not report
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        timer.cancel()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        rss = usage.ru_maxrss / 1024
+        if killed.is_set():
+            return "FAIL", seconds, rss, None, None
+        # in chunks, so a large output does not raise this process's RSS, which later children inherit
+        out.seek(0)
+        sha = hashlib.sha256()
+        for chunk in iter(lambda: out.read(1 << 20), b""):
+            sha.update(chunk)
+        got = sha.hexdigest()
+        if text:
+            out.seek(0)
+            err.seek(0)
+            found = text.encode() in out.read() + err.read()
+        else:
+            found = True
     ok = child.returncode == code and seconds <= budget and found and got == digest
-    return "ok" if ok else "FAIL", seconds, child.returncode, got
+    return "ok" if ok else "FAIL", seconds, rss, child.returncode, got
+
+
+def summary(results):
+    """One JSON line: the (name, seconds, RSS in MB, exit code, sha256) of each
+    row, with the Python version, the platform and the CPU count."""
+    rows = [
+        {"name": name, "seconds": round(seconds, 3), "rss_mb": round(rss, 1), "exit": returncode, "sha256": got}
+        for name, seconds, rss, returncode, got in results
+    ]
+    machine = {"python": platform.python_version(), "platform": platform.platform(), "cpus": os.cpu_count()}
+    return json.dumps({**machine, "rows": rows}, sort_keys=True)
 
 
 def main():
-    failed = False
+    failed, results = False, []
     for name, argv, budget, code, text, digest in ROWS:
-        verdict, seconds, returncode, got = run(argv(), budget, code, text, digest)
+        verdict, seconds, rss, returncode, got = run(argv(), budget, code, text, digest)
         failed |= verdict != "ok"
+        results.append((name, seconds, rss, returncode, got))
         shown = "timeout" if returncode is None else f"exit {returncode}"
-        line = f"{verdict:4} {seconds:6.2f} s of {budget:3} s  {shown:7} (want {code})  {name}"
+        line = f"{verdict:4} {seconds:6.2f} s of {budget:3} s  {rss:6.1f} MB  {shown:7} (want {code})  {name}"
         if got not in (None, digest):
             line += f"  stdout sha256 {got[:12]} (want {digest[:12]})"
         print(line, flush=True)
+    print(summary(results), flush=True)
     return 1 if failed else 0
 
 

@@ -179,7 +179,10 @@ def products_key_on_shared_exponent_table(root):
     2d83ab6, extended by 3b6de1f: a tuple key per term is garbage for the
     cyclic collector, so Poly.shifts reads its keys from the bounded
     monomial_basis table, and the products have one derivation,
-    Poly.shifts inside determinacy.TruncatedMultiples.
+    Poly.shifts inside determinacy.TruncatedMultiples. Since the commit
+    after 072bc0a, Poly.shifts takes one multiplier degree and sorts
+    only the terms it keeps, and TruncatedMultiples takes the germ and
+    differentiates only the truncation of it that a block reads.
     """
     polyring = _defined(_modules(root)["polyring.py"].body)
     shifts = _defined(polyring["Poly"].body)["shifts"]
