@@ -32,14 +32,17 @@ both partials of the leading form are nonzero, the top block reads the
 leading form alone, so a check that it decides, its re-check and the
 count of the products never differentiate the whole germ.
 
-A certificate is its data: the germ, L and the cap, the verdict, the
-missing monomial, and the combinations as the solve wrote them, one
-integer row per degree-L monomial, numerators keyed by product index
-over one positive denominator. It holds no product. Re-verification
-derives the products again and checks each row as one integer sum,
-sum_j n_j * p_j == den * monomial, with no Fraction arithmetic (a
-certifying algorithm: McConnell, Mehlhorn, Näher & Schweitzer,
-"Certifying algorithms", Computer Science Review 2011).
+The solve takes the degree-L monomials as unit integer target columns,
+so no Poly is built for them, and it writes each solved column once as
+its row: read-only numerators keyed by product index over one positive
+denominator. A certificate is its data: the germ, L and the cap, the
+verdict, the missing monomial, and those rows, one per degree-L
+monomial. It holds no product. Re-verification derives the products
+again, scales them once to one common denominator D, and checks each
+row as one plain integer sum, sum_j n_j * D * p_j == den * D *
+monomial, with no Fraction, lcm or Poly per row (a certifying
+algorithm: McConnell, Mehlhorn, Näher & Schweitzer, "Certifying
+algorithms", Computer Science Review 2011).
 
 A True verdict certifies determinacy; False means the criterion is
 inconclusive, never a disproof.
@@ -49,7 +52,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
+from collections.abc import Mapping
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from . import linalg
@@ -57,7 +62,7 @@ from .harmonic import harmonic_pair
 from .polyring import (
     InputError,
     Poly,
-    integer_combination,
+    common_coordinates,
     integer_coordinates,
     monomial_basis,
 )
@@ -169,12 +174,16 @@ class DeterminacyCertificate(NamedTuple):
     the RREF-canonical combination (free coefficients zero) that equals
     that monomial, with coefficient numerators.get(j, 0) / den on
     product j, a positive int den and only nonzero int numerators
-    stored. When the top block (the products of order `level`) spans the
-    monomials, the rows are those of the top block alone and every
-    product outside it gets coefficient zero; otherwise they are those
-    of all the products. When False, `missing` holds the first uncovered
-    monomial, the first whose unit row is not among the reduced rows of
-    all the products, and `combinations` is empty.
+    stored. numerators is the read-only mapping that the solve wrote
+    (`types.MappingProxyType`), so no certificate, a cached one of
+    `determined_bound_report` included, can be changed in place; a
+    pickled or copied certificate gets read-only rows again. When
+    the top block (the products of order `level`) spans the monomials,
+    the rows are those of the top block alone and every product outside
+    it gets coefficient zero; otherwise they are those of all the
+    products. When False, `missing` holds the first uncovered monomial,
+    the first whose unit row is not among the reduced rows of all the
+    products, and `combinations` is empty.
     """
 
     germ: Poly
@@ -182,12 +191,23 @@ class DeterminacyCertificate(NamedTuple):
     cap: int | None
     verdict: bool
     missing: Poly | None
-    combinations: tuple[tuple[dict[int, int], int], ...]
+    combinations: tuple[tuple[Mapping[int, int], int], ...]
 
     @property
     def products(self) -> TruncatedMultiples:
         """The spanning set, derived from `germ`, `level` and `cap`; no block is built yet."""
         return TruncatedMultiples(self.germ, self.level, self.cap)
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor copies, so the rows travel as dicts
+        rows = tuple((dict(numerators), den) for numerators, den in self.combinations)
+        return _certificate, (*self[:5], rows)
+
+
+def _certificate(germ, level, cap, verdict, missing, rows) -> DeterminacyCertificate:
+    """The certificate of a pickle or a copy, its rows' numerators read-only again."""
+    rows = tuple((MappingProxyType(numerators), den) for numerators, den in rows)
+    return DeterminacyCertificate(germ, level, cap, verdict, missing, rows)
 
 
 def _check_arguments(h: Poly, level: int, cap: int | None) -> None:
@@ -226,10 +246,12 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
     elimination above run over all the products in every degree, to
     write the combinations.
 
-    The solve's integer columns are kept as they are, with each column
-    index mapped to its product index; no Fraction is built. An `h` that
-    is not a Poly, or a `level` or cap that is not an int, raises
-    TypeError, and a cap below 1 InputError.
+    Both solves take the degree-`level` monomials as unit integer target
+    columns, indices into their basis, and read each solved column once
+    into its row, keyed by product index and read-only; no Fraction and
+    no monomial Poly is built (the missing monomial is built alone). An
+    `h` that is not a Poly, or a `level` or cap that is not an int,
+    raises TypeError, and a cap below 1 InputError.
     """
     _check_arguments(h, level, max_multiplier_degree)
     if level < 1:
@@ -242,9 +264,9 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         raise InputError(f"germ order {h.order()} exceeds the certificate level {level}")
     products = TruncatedMultiples(h, level, max_multiplier_degree)
     top_basis = monomial_basis(level)
-    monomials = [Poly.monomial(a, b) for a, b in top_basis]
     top = products.top
-    missing, solved = linalg.solve_canonical([products[j] for j in top], monomials, top_basis)
+    # column j of the solve is product top[j]; every other product gets coefficient 0
+    missing, solved = linalg.solve_canonical([products[j] for j in top], range(level + 1), top_basis, top)
     if missing is not None:
         everything = list(products)
         basis = [exps for d in range(1, level + 1) for exps in monomial_basis(d)]
@@ -254,17 +276,14 @@ def check_determinacy(h: Poly, level: int, max_multiplier_degree: int | None = N
         missing = next((i for i, col in enumerate(level_columns) if col not in units), None)
         if missing is None:
             # the rows cover the level; the full solve's columns are all the products
-            top = range(len(products))
-            missing, solved = linalg.solve_canonical(everything, monomials, basis)
-    # column j of the solve is product top[j]; every other product gets coefficient 0
-    rows = tuple(({top[j]: n for j, n in numerators.items()}, den) for numerators, den in solved)
+            missing, solved = linalg.solve_canonical(everything, level_columns, basis)
     return DeterminacyCertificate(
         germ=h,
         level=level,
         cap=max_multiplier_degree,
         verdict=missing is None,
-        missing=None if missing is None else monomials[missing],
-        combinations=rows if missing is None else (),
+        missing=None if missing is None else Poly.monomial(*top_basis[missing]),
+        combinations=tuple(solved) if missing is None else (),
     )
 
 
@@ -274,37 +293,52 @@ def reverify_certificate(cert: DeterminacyCertificate) -> bool:
     Trusts nothing of `cert` but its germ, level, cap and rows. It
     requires a True verdict, a level of at least 1 (a lower level has no
     monomial to check) and exactly one row per degree-`level` monomial.
-    Each row must be a (dict, int) pair whose indices and numerators are
-    ints, else TypeError; its den must be at least 1 and each index in
-    range(len(products)), else False, where the products are the
-    truncated multiples that it derives again from the germ, level and
-    cap (`TruncatedMultiples`). For each monomial x^a*y^b, with row
-    (n, den), it then requires sum_j n_j * products[j] == den * x^a*y^b
-    as one integer sum over the products with a nonzero numerator, and
-    builds only the blocks of those products. No elimination and no
-    Fraction arithmetic is run. A `cert` that is not a
-    `DeterminacyCertificate`, a germ that is not a Poly, or a level or
-    cap that is not an int raises TypeError.
+    Each row must be a (numerators, den) pair, numerators any Mapping,
+    whose indices, numerators and den are ints, else TypeError; every den
+    must be at least 1 and every index in range(len(products)), else
+    False, where the products are the truncated multiples that it derives
+    again from the germ, level and cap (`TruncatedMultiples`), building
+    only the blocks of the products that the rows read. Those products
+    are scaled once to one common denominator D
+    (`polyring.common_coordinates`), and the row (n, den) of the monomial
+    x^a*y^b is then one plain integer sum, sum_j n_j * D * products[j],
+    which must be den * D at x^a*y^b and 0 at every other exponent pair.
+    No elimination, no Fraction, no lcm and no Poly is computed per row. A
+    `cert` that is not a `DeterminacyCertificate`, a germ that is not a
+    Poly, or a level or cap that is not an int raises TypeError.
     """
     if not isinstance(cert, DeterminacyCertificate):
         raise TypeError(f"cert must be a DeterminacyCertificate, not {type(cert).__name__}")
     _check_arguments(cert.germ, cert.level, cert.cap)
-    if not cert.verdict or cert.level < 1 or len(cert.combinations) != cert.level + 1:
+    rows = cert.combinations
+    if not cert.verdict or cert.level < 1 or len(rows) != cert.level + 1:
         return False
+    for row in rows:
+        if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], Mapping)):
+            raise TypeError(
+                f"a combination row must be a (dict, int) pair, any Mapping as its dict, not {type(row).__name__}"
+            )
+    entries = chain.from_iterable(chain(numerators, numerators.values(), (den,)) for numerators, den in rows)
+    types = set(map(type, entries))
+    if types - {int}:
+        raise TypeError(f"combination rows must hold ints, not {min(t.__name__ for t in types - {int})}")
     products = cert.products
-    for row in cert.combinations:
-        if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], dict)):
-            raise TypeError(f"a combination row must be a (dict, int) pair, not {type(row).__name__}")
-        numerators, den = row
-        types = set(map(type, chain(numerators, numerators.values(), (den,))))
-        if types - {int}:
-            raise TypeError(f"combination rows must hold ints, not {min(t.__name__ for t in types - {int})}")
-        if den < 1 or numerators and not (0 <= min(numerators) and max(numerators) < len(products)):
+    read = sorted(set().union(*(numerators for numerators, _ in rows)))
+    if min(den for _, den in rows) < 1 or read and not (0 <= read[0] and read[-1] < len(products)):
+        return False
+    # each product that a row reads, read once and scaled to the common denominator;
+    # the monomial of row r, basis[r], has index r
+    width, coordinates, common = common_coordinates([products[j] for j in read], monomial_basis(cert.level))
+    coordinates = dict(zip(read, coordinates))
+    for r, (numerators, den) in enumerate(rows):
+        total = [0] * width
+        for j, n in numerators.items():
+            for i, v in coordinates[j]:
+                total[i] += n * v
+        if total[r] != den * common:
             return False
-    # each product that a row reads, read once
-    read = {j: products[j] for j in set().union(*(numerators for numerators, _ in cert.combinations))}
-    for (a, b), (numerators, den) in zip(monomial_basis(cert.level), cert.combinations):
-        if integer_combination((n, read[j]) for j, n in numerators.items()) != Poly.monomial(a, b, den):
+        total[r] = 0
+        if any(total):
             return False
     return True
 

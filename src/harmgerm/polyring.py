@@ -77,7 +77,10 @@ class Poly:
     numerators as integer coordinates over `_den`. A weighted sum of
     Polys with int weights is `integer_combination`, one integer sum
     over the lcm of their denominators; its callers are the parser's
-    sums, `harmonic._layer` and `determinacy.reverify_certificate`.
+    sums and `harmonic._layer`. `common_coordinates` scales several Polys
+    once to one common denominator, as sparse integer vectors, so that
+    `determinacy.reverify_certificate` checks many weighted sums of them
+    as plain integer sums.
     """
 
     __slots__ = ("_num", "_den")
@@ -344,8 +347,8 @@ def integer_combination(pairs: Iterable[tuple[int, Poly]]) -> Poly:
 
     Every numerator goes over the lcm of the denominators p._den, and no
     Fraction is built. The library's one weighted sum of Polys: its
-    callers are `_Parser.total` (signed terms, n = +-1), `harmonic._layer`
-    and `determinacy.reverify_certificate` (a certificate's integer rows).
+    callers are `_Parser.total` (signed terms, n = +-1) and
+    `harmonic._layer`.
     """
     pairs = list(pairs)
     den = math.lcm(*(p._den for _, p in pairs))
@@ -355,6 +358,30 @@ def integer_combination(pairs: Iterable[tuple[int, Poly]]) -> Poly:
         for key, v in p._num.items():
             total[key] = total.get(key, 0) + v * m
     return Poly._of({key: v for key, v in total.items() if v}, den)
+
+
+def common_coordinates(
+    polys: Sequence[Poly], basis: Sequence[Exponents]
+) -> tuple[int, list[list[tuple[int, int]]], int]:
+    """(width, coordinates, D): the polys as sparse integer vectors over one
+    common denominator D, the lcm of their denominators.
+
+    coordinates[i] holds (index, coefficient times D) per term of
+    polys[i], each a nonzero int. The exponent pair basis[r] has index r;
+    a pair outside `basis` gets the next free index from len(basis) on,
+    so no term is refused, and width counts every index given. A weighted
+    sum of the polys with int weights is then D times a plain integer
+    sum of these vectors, with no lcm, gcd or Poly per sum.
+    """
+    den = math.lcm(*(p._den for p in polys))
+    index = {exps: r for r, exps in enumerate(basis)}
+    for key in set().union(*(p._num for p in polys)).difference(index):
+        index[key] = len(index)
+    coordinates = []
+    for p in polys:
+        m = den // p._den
+        coordinates.append([(index[key], v * m) for key, v in p._num.items()])
+    return len(index), coordinates, den
 
 
 @functools.lru_cache(maxsize=256)

@@ -6,7 +6,8 @@ makes any elimination of the library raise, and
 `tests/test_references.py` runs every reference under it); call
 counters, tampered radial scale maps and a tampered determinacy
 certificate; a certificate's combinations as Fraction tuples
-(`certificate_fractions`); the identity jet map (`identity_map`); the
+(`certificate_fractions`) and its per-row re-check by one Poly sum per
+row (`reference_reverify`); the identity jet map (`identity_map`); the
 top-block translations (`translation_solution`), read through
 `graded.solve_membership`, and the reduction's scale map from (u, v)
 (`inverse_scale_map`)."""
@@ -25,7 +26,7 @@ from harmgerm import linalg
 from harmgerm.graded import solve_membership
 from harmgerm.harmonic import harmonic_pair
 from harmgerm.jets import Jet, JetMap, _inverse_scale_root, jet_compose, jet_map, jet_truncate
-from harmgerm.polyring import Poly, monomial_basis, parse_poly
+from harmgerm.polyring import Poly, integer_combination, monomial_basis, parse_poly
 from harmgerm.zcoords import _change_variables, _split, _z_image
 
 X, Y = sympy.symbols("x y", real=True)
@@ -143,6 +144,24 @@ def certificate_fractions(cert):
     tuples, one coefficient per product of `cert.products`."""
     width = len(cert.products)
     return tuple(as_fractions(row, width) for row in cert.combinations)
+
+
+def reference_reverify(cert):
+    """Whether a True certificate's rows multiply back out, checked as
+    `determinacy.reverify_certificate` did before it scaled the products
+    to one common denominator: per row (numerators, den), one
+    `integer_combination` of the products it reads, over the lcm of their
+    denominators, must equal the Poly den * x^a*y^b. Rows must hold ints;
+    runs no elimination."""
+    products = cert.products
+    if not cert.verdict or cert.level < 1 or len(cert.combinations) != cert.level + 1:
+        return False
+    for (a, b), (numerators, den) in zip(monomial_basis(cert.level), cert.combinations):
+        if den < 1 or not all(0 <= j < len(products) for j in numerators):
+            return False
+        if integer_combination((n, products[j]) for j, n in numerators.items()) != Poly.monomial(a, b, den):
+            return False
+    return True
 
 
 def reference_membership(target: Poly, k: int, s: int):

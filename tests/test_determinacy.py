@@ -1,7 +1,12 @@
+import copy
 import hashlib
 import json
+import pickle
+import random
+from collections import UserDict
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -29,6 +34,7 @@ from conftest import (
     certificate_fractions,
     counted,
     from_sympy,
+    reference_reverify,
     reference_solve,
     to_sympy,
     translation_solution,
@@ -160,6 +166,23 @@ class TestDeterminedBoundReport:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             determined_bound_report(4, Poly.zero())
+
+    def test_cached_certificate_cannot_be_changed(self):
+        # a row changed in place used to poison the cache: ok stayed True
+        # while the cached rows no longer re-verified
+        report = determined_bound_report(6, Poly.zero())
+        j = next(iter(report.criterion.combinations[0][0]))
+        with pytest.raises(TypeError):
+            report.criterion.combinations[0][0][j] += 1
+        assert determined_bound_report(6, Poly.zero()) is report
+        assert report.ok and reverify_certificate(report.criterion)
+
+    def test_pickled_and_copied_rows_stay_read_only(self):
+        report = determined_bound_report(6, P("x^7"))
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report.criterion)):
+            criterion = getattr(copied, "criterion", copied)
+            assert criterion == report.criterion and reverify_certificate(criterion)
+            assert all(type(numerators) is MappingProxyType for numerators, _ in criterion.combinations)
 
     @pytest.mark.parametrize("k", (5, 6, 7))
     def test_translation_absorption_covers_slice(self, k):
@@ -553,7 +576,7 @@ class TestCombinationRows:
             width = len(cert.products)
             for row in cert.combinations:
                 numerators, den = row
-                assert type(row) is tuple and type(numerators) is dict
+                assert type(row) is tuple and type(numerators) is MappingProxyType
                 assert type(den) is int and den > 0
                 assert all(type(j) is int and 0 <= j < width for j in numerators)
                 assert all(type(v) is int and v for v in numerators.values())
@@ -688,6 +711,16 @@ class TestTamperedCombinationRows:
         rows[3] = shape(rows[3])
         with pytest.raises(TypeError, match=r"must be a \(dict, int\) pair"):
             reverify_certificate(retyped(cert, rows))
+
+    @pytest.mark.parametrize("kind", (dict, MappingProxyType, UserDict), ids=("dict", "proxy", "Mapping"))
+    def test_any_mapping_row_reverifies(self, kind):
+        cert = self.cert()
+        rows = [(kind(numerators), den) for numerators, den in self.rows(cert)]
+        assert reverify_certificate(retyped(cert, rows))
+        numerators, den = self.rows(cert)[0]
+        j = next(iter(numerators))
+        rows[0] = (kind({**numerators, j: numerators[j] + 1}), den)
+        assert not reverify_certificate(retyped(cert, rows))
 
     def test_dropped_row(self):
         cert = self.cert()
@@ -953,3 +986,82 @@ class TestTranslationAbsorption:
             "absorption_verified": True,
             "ok": True,
         }
+
+
+def reverify_sources():
+    """(germ, level, cap) per source: the grid that `GOLDEN_CERTIFICATES`
+    pins, the certify germs for k = 8..10, `DEGENERATE_CASES`, and germs
+    whose products have denominators above 1, some of them unequal, so
+    that the common denominator of a re-check is not 1."""
+    return {
+        "golden grid": [case for case in certificate_grid() if case[0].order() <= case[1]],
+        "certify germs": [(certify_germ(k, i), 2 * k - 3, None) for k in (8, 9, 10) for i in range(3)],
+        "degenerate cases": DEGENERATE_CASES,
+        "fractional germs": [
+            (P("1/3*x^3 + 1/2*y^3"), 3, None),
+            (harmonic_pair(5).f / 3, 7, None),
+            (harmonic_pair(6).f * Fraction(2, 5) + P("1/7*x^7 - 2/9*x^3*y^5"), 9, None),
+            # the lower products cover the level, so the full solve writes the rows
+            (P("1/2*(x + y)^3 + 1/3*x^5"), 6, None),
+        ],
+    }
+
+
+def tampered_rows(cert, rng):
+    """Seeded one-entry tampers of a True certificate's rows, by name: a
+    numerator +-1, den + 1, a numerator moved to an index its row does not
+    hold, a row dropped and two rows swapped."""
+    rows = [(dict(numerators), den) for numerators, den in cert.combinations]
+    r = rng.randrange(len(rows))
+    numerators, den = rows[r]
+
+    def with_row(row):
+        return rows[:r] + [row] + rows[r + 1 :]
+
+    tampers = {}
+    if numerators:
+        j = rng.choice(sorted(numerators))
+        tampers["numerator + 1"] = with_row(({**numerators, j: numerators[j] + 1}, den))
+        tampers["numerator - 1"] = with_row(({**numerators, j: numerators[j] - 1}, den))
+        others = [i for i in range(len(cert.products)) if i not in numerators]
+        if others:
+            moved = dict(numerators)
+            moved[rng.choice(others)] = moved.pop(j)
+            tampers["index moved"] = with_row((moved, den))
+    tampers["den + 1"] = with_row((numerators, den + 1))
+    tampers["row dropped"] = rows[:r] + rows[r + 1 :]
+    s = rng.choice([i for i in range(len(rows)) if i != r])
+    swapped = list(rows)
+    swapped[r], swapped[s] = swapped[s], swapped[r]
+    tampers["rows swapped"] = swapped
+    return tampers
+
+
+class TestReferenceReverify:
+    """`reverify_certificate`, one pre-scaled integer sum per row, gives the
+    verdict of the per-row Poly sums it replaced (`conftest.reference_reverify`)."""
+
+    @pytest.mark.parametrize("source", reverify_sources())
+    def test_same_verdict(self, source):
+        verdicts = set()
+        for germ, level, cap in reverify_sources()[source]:
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            verdict = reverify_certificate(cert)
+            assert verdict == reference_reverify(cert) == cert.verdict
+            verdicts.add(verdict)
+        assert True in verdicts
+
+    @pytest.mark.parametrize("source", reverify_sources())
+    def test_same_verdict_on_seeded_tampers(self, source):
+        tampered = 0
+        for i, (germ, level, cap) in enumerate(reverify_sources()[source]):
+            cert = check_determinacy(germ, level, max_multiplier_degree=cap)
+            if not cert.verdict:
+                continue
+            for name, rows in tampered_rows(cert, random.Random(derive_seed(2016, i))).items():
+                verdict = reverify_certificate(retyped(cert, rows))
+                assert verdict == reference_reverify(retyped(cert, rows)), (germ, level, cap, name)
+                # two products can be equal, so a moved index may still sum right
+                assert name == "index moved" or not verdict, (germ, level, cap, name)
+                tampered += 1
+        assert tampered >= 5

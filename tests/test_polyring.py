@@ -16,6 +16,7 @@ from harmgerm.polyring import (
     PolyParseError,
     _decimal,
     _Parser,
+    common_coordinates,
     format_poly,
     format_scalar,
     integer_combination,
@@ -478,6 +479,26 @@ class TestRepresentation:
     def test_empty_linear_combination_is_zero(self):
         assert integer_combination([]) == Poly.zero()
         assert integer_combination([(0, X), (5, Poly.zero())]) == Poly.zero()
+
+    @given(st.lists(polys, max_size=4), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_common_coordinates_sum_like_integer_combination(self, ps, weights):
+        basis = monomial_basis(2)
+        width, coordinates, den = common_coordinates(ps, basis)
+        assert den == math.lcm(*(p._den for p in ps))
+        # one index per exponent pair, basis[r] at r and every other pair from len(basis) on
+        key_of = dict(enumerate(basis))
+        for p, vector in zip(ps, coordinates):
+            assert len(vector) == len(p)
+            for (i, v), key in zip(vector, p._num):
+                assert key_of.setdefault(i, key) == key and type(v) is int and v
+                assert Fraction(v, den) == p.coeff(*key)
+        assert len(set(key_of.values())) == len(key_of) == width
+        total = {}
+        for n, vector in zip(weights, coordinates):
+            for i, v in vector:
+                total[key_of[i]] = total.get(key_of[i], 0) + n * v
+        assert Poly({key: Fraction(v, den) for key, v in total.items()}) == integer_combination(zip(weights, ps))
 
 
 class TestExactInputsOnly:

@@ -4,17 +4,28 @@ Each reference runs on a small system with every binding of the `rref`
 kernel and of `linalg`'s `rref`, `solve_canonical` and `nullspace` made
 to raise (`conftest.refuse_eliminations`), and must still give the
 library's answer, which is computed before the eliminations are refused.
+The certificate re-check by per-row Poly sums (`reference_reverify`)
+runs there too, on a certificate and on a tampered copy of it.
 """
 
 import pytest
 
 from harmgerm import linalg
-from harmgerm.determinacy import check_determinacy
+from harmgerm.determinacy import check_determinacy, reverify_certificate
 from harmgerm.graded import GradedSubspace, solve_membership, subspace_compare
 from harmgerm.harmonic import almansi_decompose, harmonic_pair, harmonic_split
 
-from conftest import P, as_fractions, certificate_fractions, rational_rref, reference_membership, reference_solve, refuse_eliminations
-from test_determinacy import reference_certificate
+from conftest import (
+    P,
+    as_fractions,
+    certificate_fractions,
+    rational_rref,
+    reference_membership,
+    reference_reverify,
+    reference_solve,
+    refuse_eliminations,
+)
+from test_determinacy import certify_germ, reference_certificate
 from test_graded import reference_compare
 from test_harmonic import layer_coordinates, reference_almansi, reference_split
 from test_linalg import reference_nullspace
@@ -46,6 +57,15 @@ def certificate(germ, level):
     return (tuple(cert.products), level), (cert.missing, certificate_fractions(cert))
 
 
+def reverification(tampered):
+    cert = check_determinacy(certify_germ(8), 13)
+    if tampered:
+        (numerators, den), *rest = cert.combinations
+        j = next(iter(numerators))
+        cert = cert._replace(combinations=(({**numerators, j: numerators[j] + 1}, den), *rest))
+    return (cert,), reverify_certificate(cert)
+
+
 def almansi():
     # the reference caches one elimination per degree; clear it, so that this one runs under the guard
     layer_coordinates.cache_clear()
@@ -66,6 +86,8 @@ CASES = {
     "reference_membership, s >= k": (reference_membership, lambda: membership(2, 3)),
     "reference_certificate, True": (reference_certificate, lambda: certificate(harmonic_pair(5).f, 7)),
     "reference_certificate, False": (reference_certificate, lambda: certificate(P("x^3"), 3)),
+    "reference_reverify, True": (reference_reverify, lambda: reverification(False)),
+    "reference_reverify, False": (reference_reverify, lambda: reverification(True)),
     "reference_compare": (reference_compare, compare),
     "reference_split": (reference_split, lambda: ((P("x^3"),), harmonic_split(P("x^3")))),
     "reference_almansi": (reference_almansi, almansi),

@@ -155,6 +155,22 @@ def certificate_keeps_integer_rows(root):
     assert "fractions" not in _imported(_modules(root)["determinacy.py"]), f"{SRC}/determinacy.py imports fractions"
 
 
+def reverification_reaches_no_elimination(root):
+    """Re-verification reaches no elimination
+
+    The commit after e6f9cb6: a certificate's checker is simpler than the
+    computation it checks (McConnell et al., "Certifying algorithms",
+    2011). determinacy.reverify_certificate derives the products again
+    and checks each row as one integer sum over one common denominator,
+    so neither it nor any module function it reaches, in determinacy,
+    polyring or linalg, calls rref, solve_canonical, nullspace or _echelon.
+    """
+    trees = _modules(root)
+    checker = ast.Module([n for name in ("determinacy.py", "polyring.py", "linalg.py") for n in trees[name].body], [])
+    found = _reached(checker, "reverify_certificate") & {"rref", "solve_canonical", "nullspace", "_echelon"}
+    assert not found, f"determinacy.reverify_certificate reaches {sorted(found)}"
+
+
 def reduction_composes_nothing(root):
     """The reduction's construction composes nothing
 
